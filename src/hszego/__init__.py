@@ -5,7 +5,6 @@ factorization of the projector, wave-packet synthesis, CR residual checks,
 the monomial-integral vanishing classifier, and a verification CLI.
 """
 
-from ._kernels import active_backend, set_backend
 from .bergman import (
     SignedWeightPattern,
     WeightSpec,

@@ -1,127 +1,50 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: numpy exponentials and BLAS contractions.
 
-The backend is chosen once at import from the environment variable
-``HSZEGO_BACKEND`` (``numba`` or ``numpy``).  Default: numba when importable,
-numpy otherwise.  ``set_backend`` exists for tests and benchmarks.
-
-The backend governs the exponential-assembly primitives (the dominant inner
-loops); contractions are delegated to BLAS in both backends, and the
-frequency walks reuse assembled matrices incrementally (one elementwise
-multiply per bin step instead of a fresh exponential).  Every kernel is
-deterministic for a fixed backend: reduction orders are fixed, and parallel
-loops only write disjoint rows.
+Every kernel is deterministic: reduction orders are fixed and nothing runs
+in parallel beyond BLAS.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-_env = os.environ.get("HSZEGO_BACKEND", "").strip().lower()
-if _env == "numpy":
-    _backend = "numpy"
-elif _env == "numba":
-    _backend = "numba" if HAVE_NUMBA else "numpy"
-elif _env:
-    raise RuntimeError(f"HSZEGO_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-else:
-    _backend = "numba" if HAVE_NUMBA else "numpy"
 
 
 def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch backend at runtime (benchmarks/tests)."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# exponential assembly primitives
+# per-axis projector factors
 #
 # Per complex axis, the weighted projector matrix at frequency t is
 #   (t*lam/pi) * E   with
 #   E[(a,b),(c,d)] = exp(-t*lam*((xc-xa)^2 + (xd-xb)^2)
-#                        - 2i*t*lam*(xa*xd - xb*xc)) * 2*w[c]*w[d];
-# pair_exp assembles exp(-t*Q) for a precomputed pairwise quadratic phase Q.
+#                        - 2i*t*lam*(xa*xd - xb*xc)) * 2*w[c]*w[d].
+# With G = exp(-t*lam*(x-x')^2) and F = exp(-2i*t*lam*x*x'), both m x m, each
+# entry splits exactly as
+#   E[(a,b),(c,d)] = N[(a,b),c] * M[(a,b),d],
+#   M[(a,b),d] = F[a,d] * G[b,d] * sqrt(2)*w[d],
+#   N[(a,b),c] = G[a,c] * conj(F[b,c]) * sqrt(2)*w[c],
+# so an axis costs 2m^2 exponentials instead of m^4.
 # ---------------------------------------------------------------------------
 
 
-def _axis_exp_numpy(nodes, w, t, lam):
-    x = nodes
-    za = x[:, None, None, None]
-    zb = x[None, :, None, None]
-    zc = x[None, None, :, None]
-    zd = x[None, None, None, :]
-    expo = -t * lam * ((zc - za) ** 2 + (zd - zb) ** 2) - 2j * t * lam * (za * zd - zb * zc)
-    m = x.size
-    out = np.exp(expo)
-    if w is not None:
-        out = out * (2.0 * np.outer(w, w))[None, None, :, :]
-    return out.reshape(m * m, m * m)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _axis_exp_numba(nodes, w, t, lam, use_w):  # pragma: no cover - compiled
-        m = nodes.shape[0]
-        out = np.empty((m * m, m * m), dtype=np.complex128)
-        for ab in prange(m * m):
-            a = ab // m
-            b = ab % m
-            xa = nodes[a]
-            xb = nodes[b]
-            for ci in range(m):
-                xc = nodes[ci]
-                dx2 = (xc - xa) ** 2
-                for d in range(m):
-                    xd = nodes[d]
-                    re = -t * lam * (dx2 + (xd - xb) ** 2)
-                    im = -2.0 * t * lam * (xa * xd - xb * xc)
-                    val = np.exp(complex(re, im))
-                    if use_w:
-                        val *= 2.0 * w[ci] * w[d]
-                    out[ab, ci * m + d] = val
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _pair_exp_numba(Q, t):  # pragma: no cover - compiled
-        S0, S1 = Q.shape
-        out = np.empty_like(Q)
-        for i in prange(S0):
-            for j in range(S1):
-                out[i, j] = np.exp(-t * Q[i, j])
-        return out
-
-
 def axis_projector_exp(nodes, w, t, lam):
-    """Exponential part (weights folded when given) of one axis projector."""
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    if _backend == "numba":
-        ww = np.zeros(1) if w is None else np.ascontiguousarray(w, dtype=np.float64)
-        return _axis_exp_numba(nodes, ww, float(t), float(lam), w is not None)
-    return _axis_exp_numpy(nodes, w, float(t), float(lam))
+    """The two (m^2, m) factors ``(M, N)`` of one axis' weighted exponential at t."""
+    x = np.asarray(nodes, dtype=np.float64)
+    m = x.size
+    tl = float(t) * float(lam)
+    G = np.exp(-tl * (x[:, None] - x[None, :]) ** 2)
+    F = np.exp(-2j * tl * np.multiply.outer(x, x))
+    sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
+    M = (F[:, None, :] * (G * sw)[None, :, :]).reshape(m * m, m)
+    N = (G[:, None, :] * (F.conj() * sw)[None, :, :]).reshape(m * m, m)
+    return M, N
 
 
 def pair_exp(Q, t):
     """exp(-t*Q) elementwise."""
-    if _backend == "numba":
-        return _pair_exp_numba(np.ascontiguousarray(Q), float(t))
     return np.exp(-t * Q)
 
 
@@ -129,15 +52,14 @@ def pair_exp(Q, t):
 # multi-slice projection driver
 # ---------------------------------------------------------------------------
 
-_MAX_STEP_GAP = 4  # rebuild instead of stepping across larger bin gaps
-
 
 def project_slices(slabs, ts, bin_step, nodes, w, lams):
     """Project each slice at its positive frequency ``ts[i]``.
 
     ``slabs``: (K, m^2) for n == 1, (K, m^2, m^2) for n == 2, generally
     (K,) + (m^2,)*n with one reshaped block per complex axis; ``ts`` must be
-    ascending positive multiples of ``bin_step``.  Returns the same shape.
+    positive.  Each slice is projected on its own; ``bin_step`` is not used.
+    Returns the same shape.
     """
     n = len(lams)
     out = np.zeros_like(slabs)
@@ -148,29 +70,22 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
         return out
     if np.any(ts <= 0):
         raise ValueError("project_slices expects positive frequencies only")
-    delta = float(bin_step)
-    steps = [None] * n
-    mats = [None] * n
-    prev_bin = None
     for i in range(ts.size):
         t = float(ts[i])
-        b = int(round(t / delta))
-        gap = None if prev_bin is None else b - prev_bin
-        for ax in range(n):
-            if mats[ax] is None or gap > _MAX_STEP_GAP:
-                mats[ax] = axis_projector_exp(nodes, w, t, lams[ax])
-            else:
-                if steps[ax] is None:
-                    steps[ax] = axis_projector_exp(nodes, None, delta, lams[ax])
-                for _ in range(gap):
-                    mats[ax] = mats[ax] * steps[ax]
-        prev_bin = b
         pref = 1.0
         for lam in lams:
             pref *= t * lam / np.pi
+        factors = [axis_projector_exp(nodes, w, t, lam) for lam in lams]
         if n == 1:
-            out[i] = pref * (mats[0] @ slabs[i])
-        elif n == 2:
+            # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
+            M, N = factors[0]
+            Y = M @ slabs[i].reshape(m, m).T
+            out[i] = pref * np.einsum("ij,ij->i", N, Y)
+            continue
+        # m^(2(n-1)) columns per axis: one GEMM on the assembled axis matrix
+        # beats contracting factor by factor
+        mats = [(N[:, :, None] * M[:, None, :]).reshape(m * m, m * m) for M, N in factors]
+        if n == 2:
             out[i] = pref * (mats[0] @ slabs[i] @ mats[1].T)
         else:
             v = slabs[i]
@@ -187,46 +102,20 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
 # ---------------------------------------------------------------------------
 
 
-def _phase_quadratic_numpy(zc, lams):
+def phase_quadratic(zcoords, lams):
+    """Matrix Q over flattened spatial nodes; rows index z, columns index w."""
+    zc = np.ascontiguousarray(zcoords, dtype=np.complex128)
+    la = np.asarray(lams, dtype=np.float64)
     S = zc.shape[0]
     Q = np.zeros((S, S), dtype=np.complex128)
     for ax in range(zc.shape[1]):
         z = zc[:, ax]
-        Q += lams[ax] * (
+        Q += la[ax] * (
             np.abs(z[:, None] - z[None, :]) ** 2
             + np.conj(z)[:, None] * z[None, :]
             - z[:, None] * np.conj(z)[None, :]
         )
     return Q
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _phase_quadratic_numba(zc, lams):  # pragma: no cover - compiled
-        S, n = zc.shape
-        Q = np.zeros((S, S), dtype=np.complex128)
-        for i in prange(S):
-            for j in range(S):
-                acc = 0.0 + 0.0j
-                for ax in range(n):
-                    z = zc[i, ax]
-                    ww = zc[j, ax]
-                    d = z - ww
-                    acc += lams[ax] * (
-                        d.real * d.real + d.imag * d.imag + np.conj(z) * ww - z * np.conj(ww)
-                    )
-                Q[i, j] = acc
-        return Q
-
-
-def phase_quadratic(zcoords, lams):
-    """Matrix Q over flattened spatial nodes; rows index z, columns index w."""
-    zc = np.ascontiguousarray(zcoords, dtype=np.complex128)
-    la = np.asarray(lams, dtype=np.float64)
-    if _backend == "numba":
-        return _phase_quadratic_numba(zc, la)
-    return _phase_quadratic_numpy(zc, la)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def cmd_verify(cfg: RunConfig, out: str | None, jobs: int | None, criteria) -> i
         include = [tok.strip() for tok in criteria.split(",") if tok.strip()]
     results = run_verification(cfg, include=include, jobs=jobs)
     if include is not None and not results:
-        raise UsageError(f"no criteria matched {include}; known ids start with C00..C13")
+        raise UsageError("--criteria names no criterion")
     text = report_text(results, cfg)
     sys.stdout.write(text)
     if out is not None:
@@ -227,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--in", dest="inp", required=True)
     pr.add_argument("--out", default=None)
     pr.add_argument("--format", choices=("csv", "binary"), default="binary")
-    pr.add_argument("--jobs", type=int, default=None)
 
     vf = sub.add_parser("verify", help="run the verification suite")
     vf.add_argument("--config", default=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,6 +28,7 @@ from .core import (
     LambdaSignature,
     MultiIndex,
     ScalarField,
+    UsageError,
     composite_gauss_legendre,
     form_inner,
     form_norm,
@@ -584,14 +586,40 @@ CRITERIA = [
 CRITERION_IDS = [cid for cid, _ in CRITERIA]
 
 
+# a result id as the report prints it: number, letter suffix, short name
+_RESULT_ID = re.compile(r"(C\d\d)[a-z]\.([a-z]+)")
+
+
 def _matches(cid: str, include) -> bool:
+    """Whether some token names criterion ``cid`` exactly.
+
+    A token is the registry id (``C05.slices``), its number (``C05``) or a
+    result id the report prints (``C05a.slice``: the number with a letter
+    suffix and the registry name, singular or plural).
+    """
     if include is None:
         return True
-    return any(cid.startswith(tok.split(".")[0]) or cid == tok for tok in include)
+    num, name = cid.split(".")
+    for tok in include:
+        if tok in (cid, num):
+            return True
+        hit = _RESULT_ID.fullmatch(tok)
+        if hit and hit.group(1) == num and hit.group(2) in (name, name.removesuffix("s")):
+            return True
+    return False
 
 
 def run_verification(cfg: RunConfig, include=None, jobs=None):
-    """Run (a subset of) the criteria; returns results in registry order."""
+    """Run (a subset of) the criteria; returns results in registry order.
+
+    Raises ``UsageError`` when a token of ``include`` names no criterion.
+    """
+    if include is not None:
+        unknown = [tok for tok in include if not any(_matches(cid, [tok]) for cid, _ in CRITERIA)]
+        if unknown:
+            raise UsageError(
+                f"no criterion is named by {unknown}; name one as C05, C05.slices or C05a.slice"
+            )
     chosen = [(cid, fn) for cid, fn in CRITERIA if _matches(cid, include)]
     if jobs is None:
         jobs = cfg.jobs

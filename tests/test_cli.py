@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hszego import FormField, GridSpec, MultiIndex, ScalarField
+from hszego import FormField, GridSpec, MultiIndex, ScalarField, verification
 from hszego.cli import main
 from hszego.fieldio import read_form, write_form
 
@@ -143,3 +143,50 @@ def test_verify_budget_violation_fails(tmp_path, capsys):
 
 def test_verify_unknown_criteria_exits_2(config_path, capsys):
     assert main(["verify", "--config", config_path, "--criteria", "C99"]) == 2
+
+
+@pytest.fixture
+def ran_criteria(monkeypatch):
+    """Swap the registry for stubs that record which criteria ran."""
+    ran = []
+
+    def stub(cid):
+        def run(cfg):
+            ran.append(cid)
+            return [verification.CriterionResult(cid, "stub", 0.0, 0.0, "<=", True)]
+
+        return run
+
+    monkeypatch.setattr(
+        verification, "CRITERIA", [(cid, stub(cid)) for cid, _ in verification.CRITERIA]
+    )
+    return ran
+
+
+@pytest.mark.parametrize(
+    "tokens, selected",
+    [
+        ("C05a.slice", ["C05.slices"]),
+        ("C05", ["C05.slices"]),
+        ("C05.slices", ["C05.slices"]),
+        ("C01,C03b.phase,C13.determinism", ["C01.gamma", "C03.phase", "C13.determinism"]),
+    ],
+)
+def test_verify_criteria_select_exactly(config_path, ran_criteria, tokens, selected):
+    assert main(["verify", "--config", config_path, "--criteria", tokens]) == 0
+    assert ran_criteria == selected
+
+
+# C1 is no prefix of C10..C13; a token that names nothing fails the whole list
+@pytest.mark.parametrize("tokens", ["C1", "C5", "C05.slice", "C05a.bogus", "C05a", "C05,C1", ","])
+def test_verify_inexact_criteria_exit_2(config_path, ran_criteria, tokens, capsys):
+    assert main(["verify", "--config", config_path, "--criteria", tokens]) == 2
+    assert ran_criteria == []
+    assert "no criterion" in capsys.readouterr().err
+
+
+def test_project_jobs_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--jobs", "2", "--in", str(tmp_path / "packet.field")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
