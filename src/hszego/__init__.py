@@ -33,7 +33,6 @@ from .core import (
     inner,
     multiindex_complement,
     norm,
-    slice_inner,
     slice_norm,
     volume_weight,
 )
@@ -46,8 +45,6 @@ from .forms import (
     interior_norm,
     reflect_to_hat,
     szego_project_form,
-    tau_minus,
-    tau_plus,
     vanishing_evidence,
     vanishing_reason,
 )

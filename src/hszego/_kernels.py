@@ -58,18 +58,21 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
 
     ``slabs``: (K, m^2) for n == 1, (K, m^2, m^2) for n == 2, generally
     (K,) + (m^2,)*n with one reshaped block per complex axis; ``ts`` must be
-    positive.  Each slice is projected on its own; ``bin_step`` is not used.
-    Returns the same shape.
+    positive, and so must ``lams`` (a lambda_j <= 0 makes the Gaussian factor
+    grow instead of decay).  Each slice is projected on its own; ``bin_step``
+    is not used.  Returns the same shape.
     """
     n = len(lams)
     out = np.zeros_like(slabs)
     m = nodes.size
     if slabs.shape[1:] != (m * m,) * n:
         raise ValueError("slab shape does not match (m*m,)*n")
-    if ts.size == 0:
-        return out
     if np.any(ts <= 0):
         raise ValueError("project_slices expects positive frequencies only")
+    if any(lam <= 0 for lam in lams):
+        raise ValueError("project_slices expects positive structure constants only")
+    if ts.size == 0:
+        return out
     for i in range(ts.size):
         t = float(ts[i])
         pref = 1.0

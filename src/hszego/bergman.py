@@ -136,13 +136,6 @@ def bergman_project(slice: FrequencySlice, weight: WeightSpec, grid: GridSpec) -
 # ---------------------------------------------------------------------------
 
 
-def _spatial_mesh(grid: GridSpec, n: int) -> np.ndarray:
-    """Complex coordinates of the spatial tensor grid, shape (*spatial, n)."""
-    x = grid.spatial_nodes()
-    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-    return np.stack([axes[2 * j] + 1j * axes[2 * j + 1] for j in range(n)], axis=-1)
-
-
 def _eval_poly(coeffs, pts: np.ndarray) -> np.ndarray:
     """Evaluate sum c_alpha z^alpha on points of shape (..., n)."""
     out = np.zeros(pts.shape[:-1], dtype=complex)
@@ -175,7 +168,7 @@ def gaussian_reproducing_check(
         raise UsageError("z must have the signature's dimension")
     lam = np.asarray(sig.lambdas)
     lhs = complex(np.exp(-t * np.sum(lam * np.abs(z) ** 2)) * _eval_poly(g_coeffs, z[None, :])[0])
-    W = _spatial_mesh(grid, n)
+    W = grid.complex_mesh(n)
     wts = grid.spatial_weight_array(n)
     expo = (
         -t * np.einsum("j,...j->...", lam, np.abs(W - z) ** 2)
@@ -283,10 +276,6 @@ def divergence_witness(alpha, eta: float, pattern: SignedWeightPattern, radii) -
     if any(b <= a for a, b in zip(radii, radii[1:])) or any(r <= 0 for r in radii):
         raise UsageError("radii must be positive and strictly increasing")
     return np.array([truncated_monomial_integral(alpha, eta, pattern, r) for r in radii])
-
-
-def witness_is_increasing(values) -> bool:
-    return all(b > a for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from . import forms, transform
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .phase import phase as phase_fn
 from .config import RunConfig
-from .core import BudgetError, FormField, HeisenbergPoint, MultiIndex, UsageError, norm
+from .core import BudgetError, FormField, HeisenbergPoint, MultiIndex, UsageError, norm, rel_norm
 from .fieldio import read_form, write_form
 from .verification import run_verification, report_text
 
@@ -144,34 +144,30 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
     if reason is not None:
         lines.append(f"# structural zero: {reason}")
     residuals = forms.cr_system_residual(projected, sig) if projected.components else {}
-    gap_norm = 0.0
-    if projected.components:
-        twice = forms.szego_project_form(projected, sig)
-        num = 0.0
-        den = 0.0
-        for J, compnt in projected.iter_components():
-            dd = twice.components[J].values - compnt.values
-            w = compnt.grid.full_weight_array(compnt.n)
-            num += float(np.sum(np.abs(dd) ** 2 * w).real)
-            den += norm(compnt) ** 2
-        gap_norm = float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
     seen = set(form.components) | set(projected.components)
+    projected_nonzero = False
     for J in sorted(seen):
         nin = norm(form.components[J]) if J in form.components else 0.0
         nout = norm(projected.components[J]) if J in projected.components else 0.0
+        projected_nonzero = projected_nonzero or nout > 0
         res = residuals.get(J, 0.0)
         change = "n/a"
         if nin > 0:
-            dv = (
-                projected.components[J].values - form.components[J].values
-                if J in projected.components
-                else -form.components[J].values
-            )
-            w = form.components[J].grid.full_weight_array(form.components[J].n)
-            change = f"{float(np.sqrt(np.sum(np.abs(dv) ** 2 * w).real)) / nin:.6e}"
+            before = form.components[J].values
+            after = projected.components[J].values if J in projected.components else 0.0
+            change = f"{rel_norm(after, before, form.grid.full_weight_array(sig.n)):.6e}"
         lines.append(
             f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
             f"rel_change={change} cr_residual={res:.6e}"
+        )
+    gap_norm = 0.0
+    if projected_nonzero:
+        twice = forms.szego_project_form(projected, sig)
+        keys = sorted(projected.components)
+        gap_norm = rel_norm(
+            [twice.components[J].values for J in keys],
+            [projected.components[J].values for J in keys],
+            projected.grid.full_weight_array(sig.n),
         )
     lines.append(f"idempotency_gap = {gap_norm:.6e}")
     sys.stdout.write("\n".join(lines) + "\n")

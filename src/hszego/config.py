@@ -88,13 +88,12 @@ class RunConfig:
     epsilon: float = 0.5
     seed: int = 20260808
     jobs: int = 0  # 0 = one worker per available core
-    grid: GridSpec = field(default_factory=lambda: GridSpec.make(4.0, 33, 16.0, 128))
-    grid2: GridSpec = field(default_factory=lambda: GridSpec.make(3.5, 17, 30.0, 128))
+    grid: GridSpec = field(default_factory=lambda: GridSpec(4.0, 33, 16.0, 128))
+    grid2: GridSpec = field(default_factory=lambda: GridSpec(3.5, 17, 30.0, 128))
     packets: tuple[WavePacketSpec, ...] = field(default_factory=_default_packets)
     tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     kernel_table_count: int = 8
     kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
-    project_q: int = 0
 
     def __post_init__(self):
         for name, value in self.tolerances.items():
@@ -123,9 +122,15 @@ class RunConfig:
         flat = dict(flat)
         kwargs = {}
 
+        def convert(key, conv, text):
+            try:
+                return conv(text)
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
+
         def pop(key, conv, default=None):
             if key in flat:
-                return conv(flat.pop(key))
+                return convert(key, conv, flat.pop(key))
             return default
 
         kwargs["lambdas"] = pop("lambdas", _floats, (1.0,))
@@ -136,10 +141,9 @@ class RunConfig:
         kwargs["kernel_table_diag_eps"] = pop(
             "kernel_table.diag_eps", _floats, (0.25, 0.5, 1.0, 2.0)
         )
-        kwargs["project_q"] = pop("project.q", int, 0)
 
         def grid_from(prefix: str, defaults: tuple) -> GridSpec:
-            return GridSpec.make(
+            return GridSpec(
                 spatial_radius=pop(f"{prefix}.spatial_radius", float, defaults[0]),
                 spatial_points=pop(f"{prefix}.spatial_points", int, defaults[1]),
                 vertical_radius=pop(f"{prefix}.vertical_radius", float, defaults[2]),
@@ -173,7 +177,7 @@ class RunConfig:
             name = key.split(".", 1)[1]
             if name not in tolerances:
                 raise UsageError(f"unknown tolerance {name!r}")
-            tolerances[name] = float(flat.pop(key))
+            tolerances[name] = convert(key, float, flat.pop(key))
         kwargs["tolerances"] = tolerances
 
         if flat:
@@ -188,7 +192,6 @@ class RunConfig:
             f"seed = {self.seed}",
             f"kernel_table.count = {self.kernel_table_count}",
             f"kernel_table.diag_eps = {','.join(repr(v) for v in self.kernel_table_diag_eps)}",
-            f"project.q = {self.project_q}",
         ]
         for prefix, g in (("grid", self.grid), ("grid2", self.grid2)):
             lines += [

@@ -40,6 +40,7 @@ __all__ = [
     "multiindex_complement",
     "inner",
     "norm",
+    "rel_norm",
     "composite_gauss_legendre",
 ]
 
@@ -116,6 +117,10 @@ class LambdaSignature:
     def product_abs(self) -> float:
         return float(np.prod([abs(v) for v in self.lambdas]))
 
+    def c0(self) -> float:
+        """Constant c0 = |lambda_1|...|lambda_n| / (2*pi^(n+1)) of the projector kernel."""
+        return self.product_abs() / (2.0 * math.pi ** (self.n + 1))
+
 
 @dataclass(frozen=True)
 class HeisenbergPoint:
@@ -177,11 +182,6 @@ def multiindex_complement(J: MultiIndex, n: int) -> MultiIndex:
 # ---------------------------------------------------------------------------
 
 
-def _derived_freq(vertical_radius: float, vertical_points: int) -> tuple[float, int]:
-    delta = math.pi / vertical_radius
-    return (vertical_points // 2) * delta, vertical_points
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-uniform tensor grid and quadrature descriptor.
@@ -190,51 +190,22 @@ class GridSpec:
     [-spatial_radius, spatial_radius].  The vertical axis is periodic with
     ``vertical_points`` nodes of spacing 2*vertical_radius/vertical_points.
     The frequency axis is the vertical axis' Fourier-bin axis; ``freq_max``
-    and ``freq_points`` are derived from it and validated on construction
-    (use :meth:`make` to fill them in).
+    and ``freq_points`` are derived from it.
     """
 
     spatial_radius: float
     spatial_points: int
     vertical_radius: float
     vertical_points: int
-    freq_max: float
-    freq_points: int
     quadrature_rule: str = TRAPEZOID
 
     def __post_init__(self):
-        if self.spatial_points < 2 or self.vertical_points < 2 or self.freq_points < 2:
+        if self.spatial_points < 2 or self.vertical_points < 2:
             raise UsageError("all point counts must be >= 2")
-        if self.spatial_radius <= 0 or self.vertical_radius <= 0 or self.freq_max <= 0:
-            raise UsageError("all radii and freq_max must be > 0")
+        if self.spatial_radius <= 0 or self.vertical_radius <= 0:
+            raise UsageError("all radii must be > 0")
         if self.quadrature_rule not in (TRAPEZOID, GAUSS_LEGENDRE):
             raise UsageError(f"unknown quadrature rule {self.quadrature_rule!r}")
-        fmax, fpts = _derived_freq(self.vertical_radius, self.vertical_points)
-        if self.freq_points != fpts or abs(self.freq_max - fmax) > 1e-9 * max(1.0, fmax):
-            raise UsageError(
-                "frequency axis must match the vertical axis' Fourier bins: "
-                f"expected freq_points={fpts}, freq_max={fmax:.12g}"
-            )
-
-    @classmethod
-    def make(
-        cls,
-        spatial_radius: float,
-        spatial_points: int,
-        vertical_radius: float,
-        vertical_points: int,
-        quadrature_rule: str = TRAPEZOID,
-    ) -> "GridSpec":
-        fmax, fpts = _derived_freq(vertical_radius, vertical_points)
-        return cls(
-            spatial_radius=spatial_radius,
-            spatial_points=spatial_points,
-            vertical_radius=vertical_radius,
-            vertical_points=vertical_points,
-            freq_max=fmax,
-            freq_points=fpts,
-            quadrature_rule=quadrature_rule,
-        )
 
     # -- nodes ---------------------------------------------------------------
 
@@ -259,6 +230,15 @@ class GridSpec:
         _, w = np.polynomial.legendre.leggauss(m)
         return 0.5 * (w + w[::-1]) * R
 
+    def complex_mesh(self, n: int) -> np.ndarray:
+        """Complex coordinates z_j = x_(2j-1) + i*x_(2j) of the spatial grid.
+
+        Shape (*spatial_shape(n), n); flat callers reshape to (-1, n).
+        """
+        x = self.spatial_nodes()
+        axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
+        return np.stack([axes[2 * j] + 1j * axes[2 * j + 1] for j in range(n)], axis=-1)
+
     def vertical_nodes(self) -> np.ndarray:
         N = self.vertical_points
         h = self.vertical_step
@@ -273,6 +253,14 @@ class GridSpec:
     @property
     def freq_step(self) -> float:
         return math.pi / self.vertical_radius
+
+    @property
+    def freq_points(self) -> int:
+        return self.vertical_points
+
+    @property
+    def freq_max(self) -> float:
+        return (self.vertical_points // 2) * self.freq_step
 
     def freq_bins(self) -> np.ndarray:
         """Integer bin labels j, ascending; frequencies are j * freq_step."""
@@ -442,11 +430,17 @@ def norm(u: ScalarField) -> float:
     return float(np.sqrt(np.sum(np.abs(u.values) ** 2 * w).real))
 
 
-def slice_inner(a: FrequencySlice, b: FrequencySlice) -> complex:
-    if a.grid != b.grid or a.n != b.n:
-        raise UsageError("slice inner product needs slices on one grid")
-    w = a.grid.spatial_weight_array(a.n)
-    return complex(np.sum(a.values * np.conj(b.values) * w))
+def rel_norm(a, b, w: np.ndarray) -> float:
+    """Weighted relative L^2 distance ||a - b||_w / ||b||_w.
+
+    ``a`` and ``b`` are sampled arrays, or lists of arrays (the components of
+    a form) whose squared norms add; the weights ``w`` broadcast against each.
+    """
+    if not isinstance(a, list):
+        a, b = [a], [b]
+    num = sum(float(np.sum(np.abs(x - y) ** 2 * w).real) for x, y in zip(a, b))
+    den = sum(float(np.sum(np.abs(y) ** 2 * w).real) for y in b)
+    return float(np.sqrt(num) / np.sqrt(den))
 
 
 def slice_norm(a: FrequencySlice) -> float:

@@ -87,6 +87,55 @@ def _parse_header(lines: list[str]) -> dict[str, str]:
     return out
 
 
+def _header_value(hdr: dict[str, str], key: str, conv):
+    if key not in hdr:
+        raise UsageError(f"field file header lacks the {key!r} line")
+    try:
+        return conv(hdr[key])
+    except ValueError as exc:
+        raise UsageError(f"field file header {key!r}: {exc}") from None
+
+
+def _decode_components(text: str) -> list[MultiIndex]:
+    return [_decode_multiindex(tok) for tok in text.split(";") if tok.strip()]
+
+
+def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarray]) -> None:
+    """Fill ``arrays`` from ``component,flat_index,re,im`` rows, each exactly once."""
+    seen = [np.zeros(count, dtype=bool) for _ in arrays]
+    rows = 0
+    for lineno, line in enumerate(io.StringIO(text), start=first_line):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 4:
+            raise UsageError(
+                f"line {lineno}: expected 4 fields component,flat_index,re,im, got {len(cells)}"
+            )
+        try:
+            ci, idx = int(cells[0]), int(cells[1])
+            value = complex(float(cells[2]), float(cells[3]))
+        except ValueError:
+            raise UsageError(f"line {lineno}: malformed number in {line!r}") from None
+        if not 0 <= ci < len(arrays):
+            raise UsageError(
+                f"line {lineno}: component index {ci} out of range 0..{len(arrays) - 1}"
+            )
+        if not 0 <= idx < count:
+            raise UsageError(f"line {lineno}: flat index {idx} out of range 0..{count - 1}")
+        if seen[ci][idx]:
+            raise UsageError(f"line {lineno}: duplicate row for component {ci}, index {idx}")
+        seen[ci][idx] = True
+        arrays[ci][idx] = value
+        rows += 1
+    if rows != len(arrays) * count:
+        raise UsageError(
+            f"csv payload has {rows} rows, expected {len(arrays) * count} "
+            f"({len(arrays)} components x {count} points)"
+        )
+
+
 def read_form(path) -> FormField:
     """Read a field file written by :func:`write_form`."""
     with open(path, "rb") as fh:
@@ -101,20 +150,15 @@ def read_form(path) -> FormField:
     hdr = _parse_header(header_text.splitlines())
     if hdr.get("format") != FORMAT_NAME:
         raise UsageError(f"unsupported format {hdr.get('format')!r}")
-    n = int(hdr["n"])
-    q = int(hdr["q"])
-    comp_field = hdr.get("components", "").strip()
-    keys = (
-        [_decode_multiindex(tok) for tok in comp_field.split(";") if tok.strip()]
-        if comp_field
-        else []
-    )
-    grid = GridSpec.make(
-        spatial_radius=float(hdr["grid.spatial_radius"]),
-        spatial_points=int(hdr["grid.spatial_points"]),
-        vertical_radius=float(hdr["grid.vertical_radius"]),
-        vertical_points=int(hdr["grid.vertical_points"]),
-        quadrature_rule=hdr["grid.quadrature_rule"],
+    n = _header_value(hdr, "n", int)
+    q = _header_value(hdr, "q", int)
+    keys = _header_value(hdr, "components", _decode_components)
+    grid = GridSpec(
+        spatial_radius=_header_value(hdr, "grid.spatial_radius", float),
+        spatial_points=_header_value(hdr, "grid.spatial_points", int),
+        vertical_radius=_header_value(hdr, "grid.vertical_radius", float),
+        vertical_points=_header_value(hdr, "grid.vertical_points", int),
+        quadrature_rule=_header_value(hdr, "grid.quadrature_rule", str),
     )
     shape = grid.field_shape(n)
     count = int(np.prod(shape))
@@ -131,12 +175,8 @@ def read_form(path) -> FormField:
             comps[J] = ScalarField(grid=grid, values=arr.reshape(shape))
     elif mode == "csv":
         arrays = [np.zeros(count, dtype=complex) for _ in keys]
-        for line in io.StringIO(payload.decode("utf-8")):
-            line = line.strip()
-            if not line:
-                continue
-            ci_s, idx_s, re_s, im_s = line.split(",")
-            arrays[int(ci_s)][int(idx_s)] = float(re_s) + 1j * float(im_s)
+        # payload rows are numbered as lines of the whole file
+        _read_csv_rows(payload.decode("utf-8"), header_text.count("\n") + 2, count, arrays)
         for ci, J in enumerate(keys):
             comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))
     else:

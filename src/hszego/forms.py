@@ -31,8 +31,6 @@ __all__ = [
     "interior_norm",
     "cr_system_residual",
     "frequency_cr_residual",
-    "tau_minus",
-    "tau_plus",
     "reflect_to_hat",
     "szego_project_form",
     "vanishing_reason",
@@ -201,16 +199,9 @@ def frequency_cr_residual(
     wspat = grid.spatial_weight_array(n) * interior_mask(grid, n)
     ts = freq.t_nodes
     total = 0.0
-    x = grid.spatial_nodes()
     for j in range(1, n + 1):
         ax_re, ax_im = 2 * (j - 1), 2 * (j - 1) + 1
-        shape = [1] * (2 * n + 1)
-        shape[ax_re] = x.size
-        xre = x.reshape(shape)
-        shape = [1] * (2 * n + 1)
-        shape[ax_im] = x.size
-        xim = x.reshape(shape)
-        zj = xre + 1j * xim
+        zj = _axis_coordinate(grid, n, ax_re) + 1j * _axis_coordinate(grid, n, ax_im)
         lam = sig.lambdas[j - 1]
         d_re = _d4(freq.values, ax_re, hs, periodic=False)
         d_im = _d4(freq.values, ax_im, hs, periodic=False)
@@ -226,49 +217,8 @@ def frequency_cr_residual(
 
 
 # ---------------------------------------------------------------------------
-# component extraction and reflections
+# block reflections
 # ---------------------------------------------------------------------------
-
-
-def _as_form_list(u) -> list[FormField]:
-    if isinstance(u, FormField):
-        return [u]
-    return list(u)
-
-
-def _extract(u, J: MultiIndex, grid: GridSpec) -> FormField:
-    comps = {}
-    for form in _as_form_list(u):
-        if form.grid != grid:
-            raise UsageError("mixed grids in component extraction")
-        if form.q == J.q and form.component(J) is not None:
-            comps[J] = form.component(J)
-    return FormField(grid=grid, q=J.q, components=comps)
-
-
-def tau_minus(u, sig: LambdaSignature) -> FormField:
-    """Extract the distinguished negative-axes component as a degree-n_minus form.
-
-    Accepts a FormField or a sequence of FormFields (a direct-sum element).
-    """
-    if sig.degenerate:
-        raise UsageError("component extraction needs a non-degenerate signature")
-    if sig.n_minus == 0:
-        raise UsageError("tau_minus needs n_minus > 0")
-    forms = _as_form_list(u)
-    if not forms:
-        raise UsageError("empty input")
-    return _extract(forms, MultiIndex(sig.negative_axes), forms[0].grid)
-
-
-def tau_plus(u, sig: LambdaSignature) -> FormField:
-    """Extract the positive-axes component (the scalar part when n_minus == n)."""
-    if sig.degenerate:
-        raise UsageError("component extraction needs a non-degenerate signature")
-    forms = _as_form_list(u)
-    if not forms:
-        raise UsageError("empty input")
-    return _extract(forms, MultiIndex(sig.positive_axes), forms[0].grid)
 
 
 def _flip_axes(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -84,10 +84,6 @@ def phase(
     raise UsageError(f"unknown phase choice {choice!r}")
 
 
-def _c0(sig: LambdaSignature) -> float:
-    return sig.product_abs() / (2.0 * math.pi ** (sig.n + 1))
-
-
 def szego_kernel_scalar(
     x: HeisenbergPoint,
     y: HeisenbergPoint,
@@ -112,7 +108,7 @@ def szego_kernel_scalar(
     n = sig.n
     ph = phase(choice, x, y, sig)
     base = -1j * (ph + 1j * epsilon)
-    return complex(_c0(sig) * math.factorial(n) * base ** (-(n + 1)))
+    return complex(sig.c0() * math.factorial(n) * base ** (-(n + 1)))
 
 
 def fio_quadrature(
@@ -150,7 +146,7 @@ def fio_quadrature(
     npts = max(int(t_points), int(10 * periods) + 16)
     tn, tw = composite_gauss_legendre(0.0, t_max, npts)
     vals = tn**n * np.exp((1j * ph - epsilon) * tn)
-    return complex(_c0(sig) * np.sum(tw * vals))
+    return complex(sig.c0() * np.sum(tw * vals))
 
 
 def gamma_moment(m: int, s: complex) -> complex:

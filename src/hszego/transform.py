@@ -27,7 +27,6 @@ from . import _kernels
 from .bergman import gaussian_budget_window
 from .core import (
     BudgetError,
-    FrequencySlice,
     GridSpec,
     LambdaSignature,
     ScalarField,
@@ -86,16 +85,6 @@ class FrequencyField:
     @property
     def t_nodes(self) -> np.ndarray:
         return self.grid.freq_nodes()
-
-    def slice_at(self, index: int) -> FrequencySlice:
-        return FrequencySlice(
-            grid=self.grid,
-            t=float(self.t_nodes[index]),
-            values=self.values[..., index],
-        )
-
-    def slices(self):
-        return [self.slice_at(i) for i in range(self.grid.freq_points)]
 
     def spectral_energy(self) -> np.ndarray:
         axes = tuple(range(self.values.ndim - 1))
@@ -310,13 +299,10 @@ def make_wave_packet(
     else:
         tq, wq = composite_gauss_legendre(spec.t_low, spec.t_high, t_points)
     g = envelope_values(spec, tq)
-    x = grid.spatial_nodes()
-    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-    S = grid.spatial_points ** (2 * n)
-    zeta = np.empty((S, n), dtype=complex)
-    for j in range(n):
-        zj = (axes[2 * j] + 1j * axes[2 * j + 1]).reshape(-1)
-        zeta[:, j] = np.conj(zj) if (j + 1) in spec.conjugated_axes else zj
+    zeta = grid.complex_mesh(n).reshape(-1, n)
+    for j in spec.conjugated_axes:
+        zeta[:, j - 1] = np.conj(zeta[:, j - 1])
+    S = zeta.shape[0]
     gabs = np.abs(zeta) ** 2 @ np.abs(np.asarray(sig.lambdas))
     mono = np.ones(S, dtype=complex)
     for j, a in enumerate(spec.alpha):
@@ -347,17 +333,6 @@ def packet_boundary_share(field: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flat_spatial(grid: GridSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = grid.spatial_nodes()
-    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-    S = grid.spatial_points ** (2 * n)
-    zc = np.empty((S, n), dtype=complex)
-    for j in range(n):
-        zc[:, j] = (axes[2 * j] + 1j * axes[2 * j + 1]).reshape(-1)
-    wspat = grid.spatial_weight_array(n).reshape(-1)
-    return zc, wspat
-
-
 def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> complex:
     """(projected u | g) evaluated entirely in the frequency domain.
 
@@ -384,16 +359,16 @@ def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> c
     keep = [i for i, t in enumerate(ts) if t > 0 and occ[i]]
     if not keep:
         return 0.0 + 0.0j
-    zc, wspat = _flat_spatial(grid, n)
+    zc = grid.complex_mesh(n).reshape(-1, n)
+    wspat = grid.spatial_weight_array(n).reshape(-1)
     S = zc.shape[0]
     if S * S > 4_000_000:
         raise UsageError("dense pairing oracle is meant for micro-grids (S^2 too large)")
     Q = _kernels.phase_quadratic(zc, sig.lambdas)
-    c0 = sig.product_abs() / (2.0 * math.pi ** (n + 1))
     su = np.stack([fu.values[..., i].reshape(-1) for i in keep])
     sg = np.stack([fg.values[..., i].reshape(-1) for i in keep])
     tk = ts[keep]
-    coeffs = c0 * grid.freq_step * tk**n
+    coeffs = sig.c0() * grid.freq_step * tk**n
     return complex(_kernels.pairing_sum(Q, su, sg, tk, coeffs, wspat))
 
 
@@ -434,7 +409,8 @@ def szego_apply_direct(
     if n != field.n:
         raise UsageError("field dimension does not match signature")
     grid = field.grid
-    zc, wspat = _flat_spatial(grid, n)
+    zc = grid.complex_mesh(n).reshape(-1, n)
+    wspat = grid.spatial_weight_array(n).reshape(-1)
     S = zc.shape[0]
     if S * S > 4_000_000:
         raise UsageError("direct kernel route is a micro-grid oracle (S^2 too large)")
@@ -447,8 +423,7 @@ def szego_apply_direct(
             f"frequency {nyquist:.4g}; increase eps or refine the vertical axis"
         )
     tn, tw = composite_gauss_legendre(0.0, t_max, t_points)
-    c0 = sig.product_abs() / (2.0 * math.pi ** (n + 1))
-    cq = c0 * tw * tn**n * _plateau_cutoff(tn, epsilon)
+    cq = sig.c0() * tw * tn**n * _plateau_cutoff(tn, epsilon)
     xk = grid.vertical_nodes()
     Rv = grid.vertical_radius
     d = xk[None, :] - xk[:, None]

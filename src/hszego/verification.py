@@ -34,6 +34,7 @@ from .core import (
     form_norm,
     inner,
     norm,
+    rel_norm,
     slice_norm,
 )
 
@@ -58,29 +59,13 @@ def _res(cid, name, measured, budget, cmp="<=", detail=""):
     return CriterionResult(cid, name, measured, budget, cmp, bool(passed), detail)
 
 
-def _rel(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    num = np.sqrt(np.sum(np.abs(a - b) ** 2 * w).real)
-    den = np.sqrt(np.sum(np.abs(b) ** 2 * w).real)
-    return float(num / den)
-
-
-def _field_rel(a: ScalarField, b: ScalarField) -> float:
-    return _rel(a.values, b.values, b.grid.full_weight_array(b.n))
-
-
 # ---------------------------------------------------------------------------
 # random inputs
 # ---------------------------------------------------------------------------
 
 
-def _spatial_mesh(grid: GridSpec, n: int) -> np.ndarray:
-    x = grid.spatial_nodes()
-    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-    return np.stack([axes[2 * j] + 1j * axes[2 * j + 1] for j in range(n)], axis=-1)
-
-
 def _random_profile(grid: GridSpec, n: int, rng) -> np.ndarray:
-    zc = _spatial_mesh(grid, n)
+    zc = grid.complex_mesh(n)
     vals = np.zeros(zc.shape[:-1], dtype=complex)
     for _ in range(4):
         c = rng.uniform(-1.2, 1.2, size=n) + 1j * rng.uniform(-1.2, 1.2, size=n)
@@ -209,9 +194,9 @@ def c04_reproducing(cfg: RunConfig):
     # the box shrinks and the mesh refines with t: both the Gaussian width
     # and the coherent oscillation scale like sqrt(t)
     cases = [
-        (LambdaSignature((1.0,)), {t: GridSpec.make(6.5 / math.sqrt(t), 41, 1.0, 4) for t in (0.5, 1.0, 2.0)},
+        (LambdaSignature((1.0,)), {t: GridSpec(6.5 / math.sqrt(t), 41, 1.0, 4) for t in (0.5, 1.0, 2.0)},
          [(a,) for a in range(5)], [np.array([0.0j]), np.array([0.7 - 0.4j])]),
-        (LambdaSignature((1.0, 1.0)), {t: GridSpec.make(6.5 / math.sqrt(2 * t), 25, 1.0, 4) for t in (0.5, 1.0, 2.0)},
+        (LambdaSignature((1.0, 1.0)), {t: GridSpec(6.5 / math.sqrt(2 * t), 25, 1.0, 4) for t in (0.5, 1.0, 2.0)},
          forms.multi_exponents(2, 4), [np.zeros(2, complex), np.array([0.5 - 0.3j, -0.4 + 0.6j])]),
     ]
     for sig, grids, alphas, zs in cases:
@@ -232,16 +217,17 @@ def c05_slices(cfg: RunConfig):
     idem_tol = cfg.tolerances["slice_idempotency"]
     worst_rep = worst_ann = worst_con = worst_idem = 0.0
     cases = [
-        (LambdaSignature((1.0,)), lambda t: GridSpec.make(5.5 / math.sqrt(t), 45, 1.0, 4),
+        (LambdaSignature((1.0,)), lambda t: GridSpec(5.5 / math.sqrt(t), 45, 1.0, 4),
          (0.5, 1.0, 2.0), [(a,) for a in range(5)], [(1,), (2,)], 6),
-        (LambdaSignature((1.0, 1.0)), lambda t: GridSpec.make(5.0 / math.sqrt(t), 23, 1.0, 4),
+        (LambdaSignature((1.0, 1.0)), lambda t: GridSpec(5.0 / math.sqrt(t), 23, 1.0, 4),
          (1.0, 2.0), forms.multi_exponents(2, 2), [(1, 0), (1, 1)], 3),
     ]
     for sig, grid_at, tset, alphas, antis, nrand in cases:
         n = sig.n
         for t in tset:
             grid = grid_at(t)
-            zc = _spatial_mesh(grid, n)
+            zc = grid.complex_mesh(n)
+            wspat = grid.spatial_weight_array(n)
             gauss = lambda tt: np.exp(-tt * np.sum(np.abs(zc) ** 2, axis=-1))
             weight = bergman.WeightSpec(sig=sig, t=t)
             for alpha in alphas:
@@ -250,9 +236,7 @@ def c05_slices(cfg: RunConfig):
                     mono = mono * zc[..., ax] ** a
                 sl = FrequencySlice(grid=grid, t=t, values=mono * gauss(t))
                 out = bergman.bergman_project(sl, weight, grid)
-                worst_rep = max(
-                    worst_rep, _rel(out.values, sl.values, grid.spatial_weight_array(n))
-                )
+                worst_rep = max(worst_rep, rel_norm(out.values, sl.values, wspat))
             for alpha in antis:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
                 for ax, a in enumerate(alpha):
@@ -270,10 +254,7 @@ def c05_slices(cfg: RunConfig):
                 out = bergman.bergman_project(sl, weight, grid)
                 worst_con = max(worst_con, slice_norm(out) / slice_norm(sl) - 1.0)
                 out2 = bergman.bergman_project(out, weight, grid)
-                worst_idem = max(
-                    worst_idem,
-                    _rel(out2.values, out.values, grid.spatial_weight_array(n)),
-                )
+                worst_idem = max(worst_idem, rel_norm(out2.values, out.values, wspat))
     return [
         _res("C05a.slice", "holomorphic-gaussian-reproduction", worst_rep, rep_tol),
         _res("C05b.slice", "antiholomorphic-annihilation", worst_ann, ann_tol),
@@ -304,11 +285,12 @@ def c07_hardy(cfg: RunConfig):
     neg_tol = cfg.tolerances["negative_frequency"]
     sig = cfg.sig
     grid = cfg.grid
+    w = grid.full_weight_array(sig.n)
     worst = 0.0
     for spec in cfg.packets:
         u = transform.make_wave_packet(spec, sig, grid)
         v = transform.scalar_pipeline_project(u, sig)
-        worst = max(worst, _field_rel(v, u))
+        worst = max(worst, rel_norm(v.values, u.values, w))
     worst_neg = 0.0
     for spec in cfg.packets[:3]:
         mirrored = replace(
@@ -331,10 +313,11 @@ def c08_projector_algebra(cfg: RunConfig):
     sig = cfg.sig
     fields = [random_band_field(grid, 1, rng) for _ in range(20)]
     proj = [transform.scalar_pipeline_project(u, sig) for u in fields]
+    w = grid.full_weight_array(1)
     worst_idem = 0.0
     for u, pu in zip(fields, proj):
         ppu = transform.scalar_pipeline_project(pu, sig)
-        worst_idem = max(worst_idem, _field_rel(ppu, pu))
+        worst_idem = max(worst_idem, rel_norm(ppu.values, pu.values, w))
     worst_sa = 0.0
     for i in range(10):
         u, v = fields[i], fields[i + 10]
@@ -351,11 +334,9 @@ def c08_projector_algebra(cfg: RunConfig):
     worst_idem_f = 0.0
     for f, pf in zip(fform, pform):
         ppf = forms.szego_project_form(pf, sigm)
-        num = form_norm(
-            FormField(grid=grid, q=1,
-                      components={J: ScalarField(grid=grid, values=ppf.components[J].values - pf.components[J].values)})
+        worst_idem_f = max(
+            worst_idem_f, rel_norm(ppf.components[J].values, pf.components[J].values, w)
         )
-        worst_idem_f = max(worst_idem_f, num / form_norm(pf))
     worst_sa_f = 0.0
     for i in range(10):
         f, g = fform[i], fform[i + 10]
@@ -370,7 +351,7 @@ def c08_projector_algebra(cfg: RunConfig):
 
 
 def _micro_grid() -> GridSpec:
-    return GridSpec.make(3.4, 17, 20.0, 65)
+    return GridSpec(3.4, 17, 20.0, 65)
 
 
 def c09_routes(cfg: RunConfig):
@@ -393,7 +374,7 @@ def c09_routes(cfg: RunConfig):
     d_a = transform.szego_apply_direct(u, sig, epsilon=eps_a)
     d_b = transform.szego_apply_direct(u, sig, epsilon=eps_b)
     extrap = (eps_a * d_b.values - eps_b * d_a.values) / (eps_a - eps_b)
-    worst_dir = _rel(extrap, vp.values, grid.full_weight_array(1))
+    worst_dir = rel_norm(extrap, vp.values, grid.full_weight_array(1))
     return [
         _res("C09a.routes", "pairing-vs-pipeline-route", worst_pair, pair_tol,
              detail="normalized by |u||g|"),
@@ -419,9 +400,10 @@ def c10_forms(cfg: RunConfig):
     p2 = _q_packet(grid, sig_m, (2,), -1, (1, 0))
     u = FormField(grid=grid, q=1, components={J1: p1, J2: p2})
     out = forms.szego_project_form(u, sig_m)
+    w = grid.full_weight_array(2)
     worst = 0.0
     for J in (J1, J2):
-        worst = max(worst, _field_rel(out.components[J], u.components[J]))
+        worst = max(worst, rel_norm(out.components[J].values, u.components[J].values, w))
     # cross-component isolation and structural zeros, all exact
     cross = 0.0
     o1 = forms.szego_project_form(FormField(grid=grid, q=1, components={J1: p1}), sig_m)
@@ -436,11 +418,11 @@ def c10_forms(cfg: RunConfig):
     pq2 = _q_packet(grid, sig_n, (1, 2), 1, (0, 0))
     f2 = FormField(grid=grid, q=2, components={MultiIndex((1, 2)): pq2})
     o_q2 = forms.szego_project_form(f2, sig_n)
-    rep2 = _field_rel(o_q2.components[MultiIndex((1, 2))], pq2)
+    rep2 = rel_norm(o_q2.components[MultiIndex((1, 2))].values, pq2.values, w)
     pq0 = _q_packet(grid, sig_n, (), -1, (0, 0))
     f0 = FormField(grid=grid, q=0, components={MultiIndex(()): pq0})
     o_q0 = forms.szego_project_form(f0, sig_n)
-    rep0 = _field_rel(o_q0.components[MultiIndex(())], pq0)
+    rep0 = rel_norm(o_q0.components[MultiIndex(())].values, pq0.values, w)
     return [
         _res("C10a.forms", "mixed-signature-q1-reproduction", worst, tol),
         _res("C10b.forms", "cross-component-annihilation", cross, 0.0, "<="),
@@ -513,7 +495,7 @@ def c12_residual_orders(cfg: RunConfig):
     res_proj = []
     finest = None
     for m, nv in ((17, 64), (33, 128), (65, 256)):
-        grid = GridSpec.make(4.0, m, 8.0, nv)
+        grid = GridSpec(4.0, m, 8.0, nv)
         # bin collocation keeps the packet exactly periodic: the residual is
         # then pure stencil truncation error, which is what the order measures
         u = transform.make_wave_packet(spec, sig, grid, bin_quadrature=True)

@@ -53,7 +53,7 @@ def test_kernel_requires_positive_sig():
 
 @pytest.fixture(scope="module")
 def slice_grid():
-    return GridSpec.make(5.5, 41, 1.0, 4)
+    return GridSpec(5.5, 41, 1.0, 4)
 
 
 def _gaussian_slice(grid, t, extra=None):
@@ -90,7 +90,7 @@ def test_project_zero_for_negative_t(slice_grid):
 
 
 def test_project_grid_mismatch(slice_grid):
-    other = GridSpec.make(5.5, 41, 2.0, 4)
+    other = GridSpec(5.5, 41, 2.0, 4)
     sl = _gaussian_slice(slice_grid, 1.0)
     with pytest.raises(UsageError):
         bergman_project(sl, WeightSpec(SIG1, t=1.0), other)

@@ -88,7 +88,7 @@ def test_make_packet_then_project(config_path, tmp_path, capsys):
 def test_project_vanishing_degree_reports_zero(tmp_path, capsys):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("lambdas = 1.0, 1.0\n")
-    grid = GridSpec.make(3.5, 9, 8.0, 16)
+    grid = GridSpec(3.5, 9, 8.0, 16)
     rng = np.random.default_rng(0)
     shape = grid.field_shape(2)
     comp = ScalarField(grid=grid, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -190,3 +190,67 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
         main(["project", "--jobs", "2", "--in", str(tmp_path / "packet.field")])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("seed = abc", "seed"), ("grid.spatial_points = 3.5", "grid.spatial_points"),
+     ("tolerance.parseval = tiny", "tolerance.parseval"), ("project.q = 1", "project.q")],
+)
+def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"lambdas = 1.0\n{line}\n")
+    assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def _csv_field(tmp_path):
+    """A one-component n=1 csv field file; returns its path and text."""
+    grid = GridSpec(2.0, 3, 3.0, 4)
+    values = np.arange(grid.field_shape(1)[0] ** 2 * 4).reshape(grid.field_shape(1)) + 0.5j
+    comp = ScalarField(grid=grid, values=values)
+    form = FormField(grid=grid, q=0, components={MultiIndex(()): comp})
+    path = tmp_path / "small.field"
+    write_form(path, form, fmt="csv")
+    return path, path.read_text()
+
+
+def _first_row(text):
+    """Line number (1-based) and text of the first payload row."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("data = ")) + 1
+    return at + 1, lines[at]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing-n", "'n'"),
+        ("field-count", "line {row}"),
+        ("component-range", "line {row}"),
+        ("index-range", "line {row}"),
+        ("duplicate", "line {row2}"),
+        ("missing-row", "expected 36"),
+    ],
+)
+def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
+    path, text = _csv_field(tmp_path)
+    row, first = _first_row(text)
+    second = text.splitlines()[row]
+    if case == "missing-n":
+        text = text.replace("n = 1\n", "")
+    elif case == "field-count":
+        text = text.replace(first + "\n", first + ",0\n")
+    elif case == "component-range":
+        text = text.replace(first + "\n", "5" + first[1:] + "\n")
+    elif case == "index-range":
+        text = text.replace(first + "\n", "0,36" + first[3:] + "\n")
+    elif case == "duplicate":
+        text = text.replace(second + "\n", first + "\n")
+    elif case == "missing-row":
+        text = text.replace(second + "\n", "")
+    path.write_text(text)
+    assert main(["project", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message.format(row=row, row2=row + 1) in err

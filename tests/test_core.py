@@ -13,24 +13,24 @@ from hszego import (
 
 def test_volume_weight_interior_n1():
     # spatial spacing 1 (R=2, 5 nodes) and vertical spacing 1 (R=2.5, 5 nodes)
-    grid = GridSpec.make(2.0, 5, 2.5, 5)
+    grid = GridSpec(2.0, 5, 2.5, 5)
     assert volume_weight(grid, (2, 2, 2)) == pytest.approx(2.0 * 1.0**3)
 
 
 def test_volume_weight_spatial_only_n2():
-    grid = GridSpec.make(2.0, 5, 2.5, 5)
+    grid = GridSpec(2.0, 5, 2.5, 5)
     assert volume_weight(grid, (2, 2, 2, 2)) == pytest.approx(4.0 * 1.0**4)
 
 
 def test_volume_weight_boundary_halves():
-    grid = GridSpec.make(2.0, 5, 2.5, 5)
+    grid = GridSpec(2.0, 5, 2.5, 5)
     w_int = volume_weight(grid, (2, 2, 2))
     assert volume_weight(grid, (0, 2, 2)) == pytest.approx(w_int / 2)
     assert volume_weight(grid, (0, 4, 2)) == pytest.approx(w_int / 4)
 
 
 def test_volume_weight_out_of_range():
-    grid = GridSpec.make(2.0, 5, 2.5, 5)
+    grid = GridSpec(2.0, 5, 2.5, 5)
     with pytest.raises(UsageError):
         volume_weight(grid, (5, 0, 0))
     with pytest.raises(UsageError):
@@ -40,14 +40,14 @@ def test_volume_weight_out_of_range():
 @pytest.mark.parametrize("rule", ["uniform-trapezoid", "gauss-legendre"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_quadrature_integrates_constants(rule, n):
-    grid = GridSpec.make(1.7, 9, 2.0, 4, quadrature_rule=rule)
+    grid = GridSpec(1.7, 9, 2.0, 4, quadrature_rule=rule)
     total = float(np.sum(grid.spatial_weight_array(n)))
     assert total == pytest.approx(2.0**n * (2 * 1.7) ** (2 * n), rel=1e-13)
 
 
 def test_spatial_nodes_antisymmetric():
     for rule in ("uniform-trapezoid", "gauss-legendre"):
-        grid = GridSpec.make(3.0, 11, 2.0, 4, quadrature_rule=rule)
+        grid = GridSpec(3.0, 11, 2.0, 4, quadrature_rule=rule)
         x = grid.spatial_nodes()
         assert np.array_equal(x, -x[::-1])
 
@@ -92,17 +92,15 @@ def test_signature_axes_sorted():
 
 def test_gridspec_validation():
     with pytest.raises(UsageError):
-        GridSpec.make(0.0, 5, 1.0, 4)
+        GridSpec(0.0, 5, 1.0, 4)
     with pytest.raises(UsageError):
-        GridSpec.make(1.0, 1, 1.0, 4)
+        GridSpec(1.0, 1, 1.0, 4)
     with pytest.raises(UsageError):
-        GridSpec(1.0, 5, 1.0, 4, freq_max=99.0, freq_points=4)
-    with pytest.raises(UsageError):
-        GridSpec.make(1.0, 5, 1.0, 4, quadrature_rule="simpson")
+        GridSpec(1.0, 5, 1.0, 4, quadrature_rule="simpson")
 
 
 def test_freq_axis_matches_vertical_bins():
-    grid = GridSpec.make(4.0, 9, 16.0, 128)
+    grid = GridSpec(4.0, 9, 16.0, 128)
     ts = grid.freq_nodes()
     assert ts.size == 128
     assert np.allclose(np.diff(ts), np.pi / 16.0)

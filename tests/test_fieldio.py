@@ -7,7 +7,7 @@ from hszego.fieldio import read_form, write_form
 
 @pytest.fixture
 def small_form():
-    grid = GridSpec.make(2.0, 5, 3.0, 8)
+    grid = GridSpec(2.0, 5, 3.0, 8)
     rng = np.random.default_rng(42)
     shape = grid.field_shape(1)
 
@@ -32,7 +32,7 @@ def test_round_trip_bit_exact(tmp_path, small_form, fmt):
 
 
 def test_multi_component_order(tmp_path):
-    grid = GridSpec.make(2.0, 5, 3.0, 8)
+    grid = GridSpec(2.0, 5, 3.0, 8)
     shape = grid.field_shape(2)
     a = ScalarField(grid=grid, values=np.full(shape, 1 + 2j))
     b = ScalarField(grid=grid, values=np.full(shape, 3 - 4j))
@@ -47,7 +47,7 @@ def test_multi_component_order(tmp_path):
 
 
 def test_empty_form_needs_dimension(tmp_path):
-    grid = GridSpec.make(2.0, 5, 3.0, 8)
+    grid = GridSpec(2.0, 5, 3.0, 8)
     form = FormField(grid=grid, q=1, components={})
     with pytest.raises(UsageError):
         write_form(tmp_path / "z.bin", form)

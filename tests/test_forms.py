@@ -23,8 +23,6 @@ from hszego import (
     reflect_to_hat,
     scalar_pipeline_project,
     szego_project_form,
-    tau_minus,
-    tau_plus,
     vanishing_evidence,
     vanishing_reason,
 )
@@ -36,7 +34,7 @@ J0 = MultiIndex(())
 
 @pytest.fixture(scope="module")
 def grid():
-    return GridSpec.make(4.0, 21, 16.0, 128)
+    return GridSpec(4.0, 21, 16.0, 128)
 
 
 def _coords(grid):
@@ -61,11 +59,11 @@ def test_apply_cr_z_is_annihilated_by_zbar(grid):
 
 
 def test_apply_cr_grid_requirements():
-    coarse = GridSpec.make(4.0, 4, 8.0, 8)
+    coarse = GridSpec(4.0, 4, 8.0, 8)
     u = ScalarField(grid=coarse, values=np.ones(coarse.field_shape(1), dtype=complex))
     with pytest.raises(UsageError):
         apply_cr(u, CrOperatorChoice(kind="Z", axis=1), SIG1)
-    gl = GridSpec.make(4.0, 9, 8.0, 16, quadrature_rule="gauss-legendre")
+    gl = GridSpec(4.0, 9, 8.0, 16, quadrature_rule="gauss-legendre")
     v = ScalarField(grid=gl, values=np.ones(gl.field_shape(1), dtype=complex))
     with pytest.raises(UsageError):
         apply_cr(v, CrOperatorChoice(kind="Z", axis=1), SIG1)
@@ -115,61 +113,12 @@ def test_sign_map_between_slices_and_classifier(grid):
 
 
 # ---------------------------------------------------------------------------
-# component extraction and reflections
+# block reflections
 # ---------------------------------------------------------------------------
 
 
 def _const_field(grid, value=1.0):
     return ScalarField(grid=grid, values=np.full(grid.field_shape(1), value, dtype=complex))
-
-
-def test_tau_examples_mixed_signature(grid):
-    sig = LambdaSignature((-1.0, 1.0))
-    g2 = GridSpec.make(3.0, 5, 4.0, 8)
-    shape = g2.field_shape(2)
-    a = ScalarField(grid=g2, values=np.full(shape, 2.0, dtype=complex))
-    b = ScalarField(grid=g2, values=np.full(shape, 3.0, dtype=complex))
-    u = FormField(grid=g2, q=1, components={MultiIndex((1,)): a, MultiIndex((2,)): b})
-    minus = tau_minus(u, sig)
-    assert set(minus.components) == {MultiIndex((1,))}
-    assert np.array_equal(minus.components[MultiIndex((1,))].values, a.values)
-    plus = tau_plus(u, sig)
-    assert set(plus.components) == {MultiIndex((2,))}
-    assert np.array_equal(plus.components[MultiIndex((2,))].values, b.values)
-
-
-def test_tau_plus_scalar_when_all_negative(grid):
-    sig = LambdaSignature((-1.0,))
-    u0 = _const_field(grid, 5.0)
-    u1 = _const_field(grid, 7.0)
-    mixed = [
-        FormField(grid=grid, q=0, components={J0: u0}),
-        FormField(grid=grid, q=1, components={MultiIndex((1,)): u1}),
-    ]
-    out = tau_plus(mixed, sig)
-    assert out.q == 0
-    assert np.array_equal(out.components[J0].values, u0.values)
-    minus = tau_minus(mixed, sig)
-    assert minus.q == 1
-    assert np.array_equal(minus.components[MultiIndex((1,))].values, u1.values)
-
-
-def test_tau_missing_component_gives_zero_form(grid):
-    sig = LambdaSignature((-1.0, 1.0))
-    g2 = GridSpec.make(3.0, 5, 4.0, 8)
-    b = ScalarField(grid=g2, values=np.ones(g2.field_shape(2), dtype=complex))
-    u = FormField(grid=g2, q=1, components={MultiIndex((2,)): b})
-    assert tau_minus(u, sig).components == {}
-
-
-def test_tau_errors(grid):
-    with pytest.raises(UsageError):
-        tau_minus(FormField(grid=grid, q=0, components={J0: _const_field(grid)}), SIG1)
-    with pytest.raises(UsageError):
-        tau_plus(
-            FormField(grid=grid, q=0, components={J0: _const_field(grid)}),
-            LambdaSignature((0.0,)),
-        )
 
 
 def test_reflection_involution_bit_exact(grid):
@@ -222,7 +171,7 @@ def test_all_positive_q0_equals_scalar_pipeline(grid):
 
 def test_vanishing_degrees_give_zero(grid):
     sig = LambdaSignature((1.0, 1.0))
-    g2 = GridSpec.make(3.0, 5, 4.0, 8)
+    g2 = GridSpec(3.0, 5, 4.0, 8)
     b = ScalarField(grid=g2, values=np.ones(g2.field_shape(2), dtype=complex))
     u = FormField(grid=g2, q=1, components={MultiIndex((1,)): b})
     out = szego_project_form(u, sig)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hszego import _kernels
-from hszego.bergman import gaussian_budget_window
+from hszego.bergman import gaussian_budget_window, project_slice_values
 from hszego.core import GAUSS_LEGENDRE, TRAPEZOID, GridSpec, LambdaSignature
 
 TOL = 1e-13
@@ -22,9 +22,7 @@ TOL = 1e-13
 def _dense_project(grid, lams, t, u):
     """(prod_j t*lam_j/pi) * exp(-t Q) @ (W u) over the flattened spatial grid."""
     n = len(lams)
-    x = grid.spatial_nodes()
-    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-    zc = np.stack([(axes[2 * j] + 1j * axes[2 * j + 1]).reshape(-1) for j in range(n)], axis=1)
+    zc = grid.complex_mesh(n).reshape(-1, n)
     wspat = grid.spatial_weight_array(n).reshape(-1)
     pref = math.prod(t * lam / math.pi for lam in lams)
     E = _kernels.pair_exp(_kernels.phase_quadratic(zc, lams), t)
@@ -50,7 +48,7 @@ def _test_frequencies(grid, lams):
     ],
 )
 def test_factored_matches_dense(m, lams, rule, radius):
-    grid = GridSpec.make(radius, m, 16.0, 128, quadrature_rule=rule)
+    grid = GridSpec(radius, m, 16.0, 128, quadrature_rule=rule)
     n = len(lams)
     ts, delta = _test_frequencies(grid, lams)
     rng = np.random.default_rng(1000 + 10 * m + n)
@@ -70,7 +68,7 @@ def test_factored_matches_dense(m, lams, rule, radius):
 
 def test_factors_underflow_beyond_745():
     """At the top bin t*lam*(2R)^2 > 745: corner factors are exactly 0 and still agree."""
-    grid = GridSpec.make(4.0, 33, 16.0, 128)
+    grid = GridSpec(4.0, 33, 16.0, 128)
     lam = 1.0
     t = grid.freq_max - grid.freq_step
     assert t * lam * (2 * grid.spatial_radius) ** 2 > 745
@@ -88,7 +86,7 @@ def test_factors_underflow_beyond_745():
 
 
 def test_project_slices_rejects_bad_input():
-    grid = GridSpec.make(4.0, 9, 16.0, 128)
+    grid = GridSpec(4.0, 9, 16.0, 128)
     x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
     with pytest.raises(ValueError):
         _kernels.project_slices(np.zeros((1, 80), complex), np.array([1.0]), 1.0, x, w, (1.0,))
@@ -96,3 +94,21 @@ def test_project_slices_rejects_bad_input():
         _kernels.project_slices(np.zeros((1, 81), complex), np.array([-1.0]), 1.0, x, w, (1.0,))
     empty = _kernels.project_slices(np.zeros((0, 81), complex), np.zeros(0), 1.0, x, w, (1.0,))
     assert empty.shape == (0, 81)
+
+
+def test_project_slices_rejects_nonpositive_lambda():
+    """lambda_j <= 0 would make the Gaussian factor overflow; it is refused, not returned as inf."""
+    grid = GridSpec(4.0, 7, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    ts = np.array([1.0, 12.4])
+    slabs = np.ones((2, 49, 49), complex)
+    for lams in ((-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="structure constants"):
+            _kernels.project_slices(slabs, ts, 1.0, x, w, lams)
+
+
+def test_project_slice_values_rejects_nonpositive_lambda():
+    grid = GridSpec(4.0, 7, 16.0, 128)
+    values = np.ones(grid.spatial_shape(2), complex)
+    with pytest.raises(ValueError, match="structure constants"):
+        project_slice_values(values, 12.4, (-1.0, 1.0), grid)

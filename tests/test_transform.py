@@ -25,7 +25,7 @@ SIG1 = LambdaSignature((1.0,))
 @pytest.fixture(scope="module")
 def grid():
     # budget window for lambda = 1: [0.72, 2.68]
-    return GridSpec.make(4.0, 21, 16.0, 128)
+    return GridSpec(4.0, 21, 16.0, 128)
 
 
 def _tone(grid, profile, t0):
@@ -256,7 +256,7 @@ def test_residual_orthogonal_to_range(grid):
 
 
 def test_pairing_grid_mismatch(grid):
-    other = GridSpec.make(4.0, 21, 8.0, 32)
+    other = GridSpec(4.0, 21, 8.0, 32)
     u = make_wave_packet(WavePacketSpec(alpha=(0,), t_low=0.9, t_high=2.6), SIG1, grid)
     g = make_wave_packet(WavePacketSpec(alpha=(0,), t_low=0.9, t_high=2.6), SIG1, other)
     with pytest.raises(UsageError):
@@ -264,7 +264,7 @@ def test_pairing_grid_mismatch(grid):
 
 
 def test_direct_route_agrees_on_small_grid():
-    grid = GridSpec.make(3.4, 17, 20.0, 65)
+    grid = GridSpec(3.4, 17, 20.0, 65)
     spec = WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.3, order=4)
     u = make_wave_packet(spec, SIG1, grid)
     vp = scalar_pipeline_project(u, SIG1)
@@ -274,7 +274,7 @@ def test_direct_route_agrees_on_small_grid():
 
 
 def test_direct_route_nyquist_guard():
-    grid = GridSpec.make(3.4, 9, 10.0, 33)
+    grid = GridSpec(3.4, 9, 10.0, 33)
     u = make_wave_packet(
         WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.2), SIG1, grid, bin_quadrature=True
     )
