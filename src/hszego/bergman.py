@@ -16,9 +16,8 @@ from .core import (
     GridSpec,
     LambdaSignature,
     MultiIndex,
-    TRAPEZOID,
     UsageError,
-    composite_gauss_legendre,
+    gauss_legendre_table,
 )
 
 __all__ = [
@@ -71,6 +70,10 @@ class SignedWeightPattern:
         return np.array(
             [1.0 if self.J.contains(j) else -1.0 for j in range(1, self.sig.n + 1)]
         )
+
+    def axis_coefficients(self, eta: float) -> np.ndarray:
+        """Per-axis exponent coefficients c_j = 2*eta*s_j*lam_j of the monomial integral."""
+        return 2.0 * eta * self.signs() * np.asarray(self.sig.lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +152,18 @@ def _eval_poly(coeffs, pts: np.ndarray) -> np.ndarray:
 
 
 def gaussian_reproducing_check(
-    g_coeffs, z, t: float, sig: LambdaSignature, grid: GridSpec
-) -> tuple[complex, complex]:
+    polys, z, t: float, sig: LambdaSignature, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the Gaussian reproducing identity at the point z.
 
+    For each polynomial g of ``polys`` (a sequence of {alpha: coefficient}
+    maps):
     lhs = e^{-t*sum|lam||z|^2} g(z);
     rhs = (prod|lam|/pi^n) * t^n * integral e^{-t|lam||z-w|^2 - t lam(zbar w - z wbar)}
           e^{-t|lam||w|^2} g(w) dmu(w), evaluated by the grid quadrature.
-    Holomorphic g with finite weighted norm must give lhs == rhs.
+    Holomorphic g with finite weighted norm must give lhs == rhs.  The mesh
+    and the kernel depend only on (t, z) and are built once per call; the
+    two complex arrays hold one entry per polynomial.
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -167,7 +174,7 @@ def gaussian_reproducing_check(
     if z.shape != (n,):
         raise UsageError("z must have the signature's dimension")
     lam = np.asarray(sig.lambdas)
-    lhs = complex(np.exp(-t * np.sum(lam * np.abs(z) ** 2)) * _eval_poly(g_coeffs, z[None, :])[0])
+    damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
     W = grid.complex_mesh(n)
     wts = grid.spatial_weight_array(n)
     expo = (
@@ -175,19 +182,18 @@ def gaussian_reproducing_check(
         - t * np.einsum("j,...j->...", lam, np.conj(z) * W - z * np.conj(W))
         - t * np.einsum("j,...j->...", lam, np.abs(W) ** 2)
     )
-    integ = np.sum(np.exp(expo) * _eval_poly(g_coeffs, W) * wts)
-    rhs = complex((sig.product_abs() / math.pi**n) * t**n * integ)
-    return lhs, rhs
+    K = np.exp(expo)
+    lhs, rhs = [], []
+    for g_coeffs in polys:
+        lhs.append(complex(damp * _eval_poly(g_coeffs, z[None, :])[0]))
+        integ = np.sum(K * _eval_poly(g_coeffs, W) * wts)
+        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
+    return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
 # monomial integrals: classifier, closed form, divergence witness
 # ---------------------------------------------------------------------------
-
-
-def _axis_coefficients(eta: float, pattern: SignedWeightPattern) -> np.ndarray:
-    lam = np.asarray(pattern.sig.lambdas)
-    return 2.0 * eta * pattern.signs() * lam
 
 
 def monomial_integral(alpha, eta: float, pattern: SignedWeightPattern) -> float:
@@ -204,7 +210,7 @@ def monomial_integral(alpha, eta: float, pattern: SignedWeightPattern) -> float:
         raise UsageError("alpha must be a length-n tuple of nonnegative integers")
     if pattern.sig.degenerate:
         return math.inf
-    c = _axis_coefficients(eta, pattern)
+    c = pattern.axis_coefficients(eta)
     if np.any(c <= 0):
         return math.inf
     val = 1.0
@@ -214,25 +220,24 @@ def monomial_integral(alpha, eta: float, pattern: SignedWeightPattern) -> float:
 
 
 def truncated_monomial_integral(
-    alpha, eta: float, pattern: SignedWeightPattern, radius: float, points: int = 64
-) -> float:
+    alpha, eta: float, pattern: SignedWeightPattern, radius, points: int = 64
+):
     """The same integral restricted to the ball |z| <= radius.
 
     Per-axis polar reduction gives (2*pi)^n times an integral of
     prod rho_j^alpha_j e^{-c_j rho_j} over the simplex sum rho_j <= radius^2,
     evaluated by nested Gauss-Legendre quadrature (vectorized across levels).
     Decaying axes are integrated only out to ~48 e-folds, which keeps the
-    nodes where the integrand lives even on very large simplexes.
+    nodes where the integrand lives even on very large simplexes.  A scalar
+    radius gives a float; an array of radii gives an array of the same
+    shape, all evaluated in one pass.
     """
     n = pattern.sig.n
     alpha = tuple(int(a) for a in alpha)
-    c = _axis_coefficients(eta, pattern)
-    if pattern.sig.degenerate:
-        c = np.where(np.asarray(pattern.sig.lambdas) == 0, 0.0, c)
+    c = pattern.axis_coefficients(eta)
+    radius = np.asarray(radius, dtype=float)
     S = radius * radius
-    x01, w01 = np.polynomial.legendre.leggauss(points)
-    x01 = 0.5 * (x01 + 1.0)
-    w01 = 0.5 * w01
+    x01, w01 = gauss_legendre_table(points, unit=True)
 
     def level_val(level: int, budget: np.ndarray) -> np.ndarray:
         cap = budget if c[level] <= 0 else np.minimum(budget, 48.0 / c[level])
@@ -244,8 +249,8 @@ def truncated_monomial_integral(
         inner = level_val(level + 1, budget[..., None] - nodes)
         return np.sum(wts * f * inner, axis=-1)
 
-    val = level_val(0, np.array(S))
-    return float((2.0 * math.pi) ** n * val)
+    val = (2.0 * math.pi) ** n * level_val(0, S)
+    return float(val) if radius.ndim == 0 else val
 
 
 def default_radius_sweep(alpha, eta: float, pattern: SignedWeightPattern):
@@ -255,10 +260,7 @@ def default_radius_sweep(alpha, eta: float, pattern: SignedWeightPattern):
     threshold on (1..5); cases that diverge only polynomially (a zero
     coefficient from eta == 0 or a zero lambda) need the sweep extended.
     """
-    c = _axis_coefficients(eta, pattern)
-    if pattern.sig.degenerate:
-        c = np.where(np.asarray(pattern.sig.lambdas) == 0, 0.0, c)
-    if np.any(c < 0):
+    if np.any(pattern.axis_coefficients(eta) < 0):
         return (1.0, 2.0, 3.0, 4.0, 5.0)
     return (1.0, 2.0, 5.0, 10.0, 50.0)
 
@@ -275,7 +277,7 @@ def divergence_witness(alpha, eta: float, pattern: SignedWeightPattern, radii) -
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or any(r <= 0 for r in radii):
         raise UsageError("radii must be positive and strictly increasing")
-    return np.array([truncated_monomial_integral(alpha, eta, pattern, r) for r in radii])
+    return truncated_monomial_integral(alpha, eta, pattern, np.array(radii))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,13 @@ def cmd_kernel_table(cfg: RunConfig, out) -> int:
 
 def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
     sig = cfg.sig
-    idxs = [int(tok) for tok in which.split(",") if tok.strip()]
+    idxs = []
+    for tok in which.split(","):
+        if tok.strip():
+            try:
+                idxs.append(int(tok))
+            except ValueError:
+                raise UsageError(f"--packet: {tok.strip()!r} is not a packet index") from None
     comps = {}
     q = None
     for k in idxs:

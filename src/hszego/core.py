@@ -19,6 +19,7 @@ Conventions used throughout the package
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -42,6 +43,7 @@ __all__ = [
     "norm",
     "rel_norm",
     "composite_gauss_legendre",
+    "gauss_legendre_table",
 ]
 
 TRAPEZOID = "uniform-trapezoid"
@@ -215,7 +217,7 @@ class GridSpec:
         if self.quadrature_rule == TRAPEZOID:
             h = 2.0 * R / (m - 1)
             return (np.arange(m) - (m - 1) / 2.0) * h
-        x, _ = np.polynomial.legendre.leggauss(m)
+        x, _ = gauss_legendre_table(m)
         x = 0.5 * (x - x[::-1]) * R  # enforce exact antisymmetry
         return x
 
@@ -227,7 +229,7 @@ class GridSpec:
             w = np.full(m, h)
             w[0] = w[-1] = h / 2.0
             return w
-        _, w = np.polynomial.legendre.leggauss(m)
+        _, w = gauss_legendre_table(m)
         return 0.5 * (w + w[::-1]) * R
 
     def complex_mesh(self, n: int) -> np.ndarray:
@@ -462,12 +464,28 @@ def form_norm(u: FormField) -> float:
     return math.sqrt(sum(norm(f) ** 2 for f in u.components.values()))
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre_table(points: int, unit: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], or on [0, 1] when ``unit``.
+
+    Each table is built once and shared, so the arrays are read-only.
+    """
+    if unit:
+        x, w = gauss_legendre_table(points)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+    else:
+        x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def composite_gauss_legendre(
     a: float, b: float, total_points: int, points_per_panel: int = 16
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] with >= total_points nodes."""
     panels = max(1, -(-int(total_points) // points_per_panel))
-    xg, wg = np.polynomial.legendre.leggauss(points_per_panel)
+    xg, wg = gauss_legendre_table(points_per_panel)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

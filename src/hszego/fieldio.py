@@ -146,7 +146,8 @@ def read_form(path) -> FormField:
         raise UsageError("not a field file: missing 'data =' line")
     nl = raw.find(b"\n", head_end)
     header_text = raw[:nl].decode("utf-8")
-    payload = raw[nl + 1 :]
+    # the payload is read in place: a bytes slice would copy all of it
+    start = nl + 1
     hdr = _parse_header(header_text.splitlines())
     if hdr.get("format") != FORMAT_NAME:
         raise UsageError(f"unsupported format {hdr.get('format')!r}")
@@ -166,17 +167,18 @@ def read_form(path) -> FormField:
     mode = hdr["data"]
     if mode == "binary":
         need = count * 16 * len(keys)
-        if len(payload) != need:
-            raise UsageError(f"payload size {len(payload)} != expected {need}")
+        if len(raw) - start != need:
+            raise UsageError(f"payload size {len(raw) - start} != expected {need}")
         for ci, J in enumerate(keys):
             arr = np.frombuffer(
-                payload, dtype="<c16", count=count, offset=ci * count * 16
+                raw, dtype="<c16", count=count, offset=start + ci * count * 16
             ).astype(np.complex128)
             comps[J] = ScalarField(grid=grid, values=arr.reshape(shape))
     elif mode == "csv":
         arrays = [np.zeros(count, dtype=complex) for _ in keys]
         # payload rows are numbered as lines of the whole file
-        _read_csv_rows(payload.decode("utf-8"), header_text.count("\n") + 2, count, arrays)
+        text = str(memoryview(raw)[start:], "utf-8")
+        _read_csv_rows(text, header_text.count("\n") + 2, count, arrays)
         for ci, J in enumerate(keys):
             comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))
     else:

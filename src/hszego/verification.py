@@ -200,12 +200,12 @@ def c04_reproducing(cfg: RunConfig):
          forms.multi_exponents(2, 4), [np.zeros(2, complex), np.array([0.5 - 0.3j, -0.4 + 0.6j])]),
     ]
     for sig, grids, alphas, zs in cases:
+        polys = [{tuple(alpha): 1.0 + 0.0j} for alpha in alphas]
         for t in (0.5, 1.0, 2.0):
-            for alpha in alphas:
-                coeffs = {tuple(alpha): 1.0 + 0.0j}
-                for z in zs:
-                    lhs, rhs = bergman.gaussian_reproducing_check(coeffs, z, t, sig, grids[t])
-                    worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+            for z in zs:
+                lhs, rhs = bergman.gaussian_reproducing_check(polys, z, t, sig, grids[t])
+                for l, r in zip(lhs.tolist(), rhs.tolist()):
+                    worst = max(worst, abs(l - r) / (1.0 + abs(l)))
     return [_res("C04.reproducing", "gaussian-reproducing-identity", worst, tol_scale)]
 
 
@@ -453,8 +453,11 @@ def c11_vanishing(cfg: RunConfig):
     finite_violations = 0
     min_ratio = math.inf
     worst_fin = 0.0
+    # a truncated integral depends on the pattern only through its axis
+    # coefficients, which repeat across signatures, J and eta: evaluate each
+    # distinct (alpha, coefficients, radii or points) quadrature once
+    quad = {}
     for n in (1, 2, 3):
-        witness_pts = {1: 96, 2: 64, 3: 64}[n]
         for lams in _sign_patterns(n) + _degenerate_patterns(n):
             sig = LambdaSignature(lams)
             trivial_qs = [
@@ -468,14 +471,21 @@ def c11_vanishing(cfg: RunConfig):
                     finite_violations += sum(1 for e in report.entries if e.finite)
                 for e in report.entries:
                     pattern = bergman.SignedWeightPattern(sig=sig, J=e.J)
+                    coeffs = tuple(pattern.axis_coefficients(e.eta))
                     if not e.finite:
                         radii = bergman.default_radius_sweep(e.alpha, e.eta, pattern)
-                        vals = bergman.divergence_witness(e.alpha, e.eta, pattern, radii)
+                        key = (e.alpha, coeffs, radii)
+                        if key not in quad:
+                            quad[key] = bergman.divergence_witness(e.alpha, e.eta, pattern, radii)
+                        vals = quad[key]
                         min_ratio = min(min_ratio, float(vals[-1] / vals[0]))
                     elif n <= 2 or sum(e.alpha) <= 1:
-                        approx = bergman.truncated_monomial_integral(
-                            e.alpha, e.eta, pattern, 8.0, points=96
-                        )
+                        key = (e.alpha, coeffs, 8.0, 96)
+                        if key not in quad:
+                            quad[key] = bergman.truncated_monomial_integral(
+                                e.alpha, e.eta, pattern, 8.0, points=96
+                            )
+                        approx = quad[key]
                         worst_fin = max(worst_fin, abs(approx - e.value) / e.value)
     return [
         _res("C11a.vanish", "classifier-infinite-completeness", finite_violations, 0.0, "<="),

@@ -59,6 +59,19 @@ def test_all_criteria_present(results):
     assert sorted(results) == sorted(EXPECTED_IDS)
 
 
+# the gate's own numerics must not move when they are made cheaper
+PINNED = {
+    "C04.reproducing": "3.852055821097e-11",
+    "C11b.vanish": "2.500000000000e+03",
+    "C11c.vanish": "2.029059667534e-13",
+}
+
+
+def test_gate_numerics_pinned(results):
+    assert {cid: f"{results[cid].measured:.12e}" for cid in PINNED} == PINNED
+    assert results["C11a.vanish"].measured == 0.0
+
+
 @pytest.mark.parametrize("cid", EXPECTED_IDS)
 def test_criterion(results, cid, capsys):
     r = results[cid]

@@ -20,6 +20,7 @@ from hszego import (
     truncated_monomial_integral,
 )
 from hszego.bergman import SignedWeightPattern, default_radius_sweep
+from hszego.core import gauss_legendre_table
 
 SIG1 = LambdaSignature((1.0,))
 
@@ -97,22 +98,44 @@ def test_project_grid_mismatch(slice_grid):
 
 
 def test_reproducing_identity_constant(slice_grid):
-    lhs, rhs = gaussian_reproducing_check({(0,): 1.0}, np.array([0.0j]), 1.0, SIG1, slice_grid)
+    (lhs,), (rhs,) = gaussian_reproducing_check(
+        [{(0,): 1.0}], np.array([0.0j]), 1.0, SIG1, slice_grid
+    )
     assert lhs == 1.0
     assert rhs == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reproducing_identity_odd(slice_grid):
-    lhs, rhs = gaussian_reproducing_check({(1,): 1.0}, np.array([0.0j]), 1.0, SIG1, slice_grid)
+    (lhs,), (rhs,) = gaussian_reproducing_check(
+        [{(1,): 1.0}], np.array([0.0j]), 1.0, SIG1, slice_grid
+    )
     assert lhs == 0.0
     assert abs(rhs) < 1e-12
 
 
 def test_reproducing_identity_linear(slice_grid):
     z = np.array([0.5 + 0.0j])
-    lhs, rhs = gaussian_reproducing_check({(1,): 1.0}, z, 2.0, SIG1, slice_grid)
+    (lhs,), (rhs,) = gaussian_reproducing_check([{(1,): 1.0}], z, 2.0, SIG1, slice_grid)
     assert lhs == pytest.approx(0.5 * np.exp(-0.5))
     assert rhs == pytest.approx(lhs, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "sig, grid, z",
+    [
+        (SIG1, GridSpec(5.5, 41, 1.0, 4), np.array([0.7 - 0.4j])),
+        (LambdaSignature((1.0, 0.6)), GridSpec(4.0, 15, 1.0, 4), np.array([0.5 - 0.3j, -0.4j])),
+    ],
+)
+def test_reproducing_check_batch_matches_single(sig, grid, z):
+    n = sig.n
+    polys = [{a: 1.0} for a in itertools.product(range(3), repeat=n)]
+    polys.append({(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0})
+    lhs, rhs = gaussian_reproducing_check(polys, z, 1.3, sig, grid)
+    assert lhs.shape == rhs.shape == (len(polys),)
+    for i, g in enumerate(polys):
+        (l1,), (r1,) = gaussian_reproducing_check([g], z, 1.3, sig, grid)
+        assert lhs[i] == l1 and rhs[i] == r1
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +212,35 @@ def test_witness_zero_axis_polynomial_branch():
     vals = divergence_witness((0, 0), 1.0, pat, radii)
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] / vals[0] > 1e3
+
+
+@pytest.mark.parametrize(
+    "alpha, eta, lams, J",
+    [
+        ((2,), 1.0, (1.0,), ()),
+        ((1, 0), -1.0, (1.0, -0.7), (1,)),
+        ((0, 1, 1), 1.0, (1.0, 0.7, -1.3), (1, 3)),
+        ((1, 0, 0), 1.0, (0.0, 1.0, -1.0), (2,)),
+    ],
+)
+def test_witness_one_pass_matches_per_radius(alpha, eta, lams, J):
+    pat = _pattern(lams, J)
+    radii = default_radius_sweep(alpha, eta, pat)
+    vals = divergence_witness(alpha, eta, pat, radii)
+    single = [truncated_monomial_integral(alpha, eta, pat, r) for r in radii]
+    assert all(type(v) is float for v in single)
+    assert np.array_equal(vals, single)
+
+
+def test_gauss_legendre_table_shared_and_read_only():
+    x, w = gauss_legendre_table(64, unit=True)
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, 0.5 * (xg + 1.0)) and np.array_equal(w, 0.5 * wg)
+    assert gauss_legendre_table(64, unit=True)[0] is x
+    for arr in (x, w, *gauss_legendre_table(16)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_witness_monotone_radii_required():

@@ -185,6 +185,15 @@ def test_verify_inexact_criteria_exit_2(config_path, ran_criteria, tokens, capsy
     assert "no criterion" in capsys.readouterr().err
 
 
+def test_make_packet_bad_index_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "packet.field"
+    args = ["make-packet", "--config", config_path, "--out", str(out), "--packet", "1,abc"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--packet" in err and "'abc'" in err
+    assert not out.exists()
+
+
 def test_project_jobs_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--jobs", "2", "--in", str(tmp_path / "packet.field")])
