@@ -16,7 +16,16 @@ from . import forms, transform
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .phase import phase as phase_fn
 from .config import RunConfig
-from .core import BudgetError, FormField, HeisenbergPoint, MultiIndex, UsageError, norm, rel_norm
+from .core import (
+    TRAPEZOID,
+    BudgetError,
+    FormField,
+    HeisenbergPoint,
+    MultiIndex,
+    UsageError,
+    norm,
+    rel_norm,
+)
 from .fieldio import read_form, write_form
 from .verification import run_verification, report_text
 
@@ -149,22 +158,28 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
     lines = ["# projection report"]
     if reason is not None:
         lines.append(f"# structural zero: {reason}")
-    residuals = forms.cr_system_residual(projected, sig) if projected.components else {}
+    # the 4th-order CR stencils need the uniform-trapezoid rule; elsewhere the
+    # residual is undefined
+    fd = form.grid.quadrature_rule == TRAPEZOID
+    residuals = forms.cr_system_residual(projected, sig) if fd else {}
+    w = form.grid.field_weight_array(sig.n)
     seen = set(form.components) | set(projected.components)
     projected_nonzero = False
     for J in sorted(seen):
         nin = norm(form.components[J]) if J in form.components else 0.0
         nout = norm(projected.components[J]) if J in projected.components else 0.0
         projected_nonzero = projected_nonzero or nout > 0
-        res = residuals.get(J, 0.0)
+        res = f"{residuals.get(J, 0.0):.6e}" if fd else "n/a"
         change = "n/a"
         if nin > 0:
-            before = form.components[J].values
-            after = projected.components[J].values if J in projected.components else 0.0
-            change = f"{rel_norm(after, before, form.grid.full_weight_array(sig.n)):.6e}"
+            # a component the projector drops changes by all of itself
+            rel = 1.0
+            if J in projected.components:
+                rel = rel_norm(projected.components[J].values, form.components[J].values, w)
+            change = f"{rel:.6e}"
         lines.append(
             f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
-            f"rel_change={change} cr_residual={res:.6e}"
+            f"rel_change={change} cr_residual={res}"
         )
     gap_norm = 0.0
     if projected_nonzero:
@@ -173,7 +188,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
         gap_norm = rel_norm(
             [twice.components[J].values for J in keys],
             [projected.components[J].values for J in keys],
-            projected.grid.full_weight_array(sig.n),
+            w,
         )
     lines.append(f"idempotency_gap = {gap_norm:.6e}")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -282,9 +282,13 @@ class GridSpec:
             out = np.multiply.outer(out, w1)
         return out
 
-    def full_weight_array(self, n: int) -> np.ndarray:
-        """Weights over all 2n+1 axes: spatial (with 2^n) times vertical step."""
-        return self.spatial_weight_array(n)[..., None] * self.vertical_step
+    def field_weight_array(self, n: int) -> np.ndarray:
+        """Weights of a field's 2n spatial axes (with 2^n) times the vertical step.
+
+        The vertical weight is the same at every node, so a field's full-grid
+        quadrature sums its vertical axis first and then weights with these.
+        """
+        return self.spatial_weight_array(n) * self.vertical_step
 
     def spatial_shape(self, n: int) -> tuple[int, ...]:
         return (self.spatial_points,) * (2 * n)
@@ -423,25 +427,43 @@ def inner(u: ScalarField, v: ScalarField) -> complex:
     """Discrete L^2 pairing (u | v) = sum u * conj(v) * weights."""
     if u.grid != v.grid or u.n != v.n:
         raise UsageError("inner product needs fields on one grid")
-    w = u.grid.full_weight_array(u.n)
-    return complex(np.sum(u.values * np.conj(v.values) * w))
+    w = u.grid.field_weight_array(u.n)
+    return complex(np.sum(np.sum(u.values * np.conj(v.values), axis=-1) * w))
+
+
+def weighted_sq_sum(x: np.ndarray, w: np.ndarray, y: np.ndarray | None = None) -> float:
+    """Weighted sum of |x - y|^2 (of |x|^2 without ``y``) over every node of ``x``.
+
+    ``w`` weights the leading ``w.ndim`` axes of ``x``; any trailing axes
+    (the vertical axis of a field, see :meth:`GridSpec.field_weight_array`)
+    are summed first.  The sum runs one index of the first axis at a time, so it makes
+    no temporary the size of ``x``.
+    """
+    total = 0.0
+    for i in range(x.shape[0]):
+        d = np.ascontiguousarray(x[i] if y is None else x[i] - y[i])
+        f = d.view(np.float64).reshape(w[i].size, -1)
+        total += float(np.einsum("ij,ij->i", f, f) @ w[i].reshape(-1))
+    return total
 
 
 def norm(u: ScalarField) -> float:
-    w = u.grid.full_weight_array(u.n)
-    return float(np.sqrt(np.sum(np.abs(u.values) ** 2 * w).real))
+    return math.sqrt(weighted_sq_sum(u.values, u.grid.field_weight_array(u.n)))
 
 
 def rel_norm(a, b, w: np.ndarray) -> float:
     """Weighted relative L^2 distance ||a - b||_w / ||b||_w.
 
     ``a`` and ``b`` are sampled arrays, or lists of arrays (the components of
-    a form) whose squared norms add; the weights ``w`` broadcast against each.
+    a form) whose squared norms add.  ``w`` weights the leading axes of each
+    array and trailing axes are summed unweighted: a field takes
+    ``grid.field_weight_array(n)``, a frequency slice
+    ``grid.spatial_weight_array(n)``.
     """
     if not isinstance(a, list):
         a, b = [a], [b]
-    num = sum(float(np.sum(np.abs(x - y) ** 2 * w).real) for x, y in zip(a, b))
-    den = sum(float(np.sum(np.abs(y) ** 2 * w).real) for y in b)
+    num = sum(weighted_sq_sum(x, w, y) for x, y in zip(a, b))
+    den = sum(weighted_sq_sum(y, w) for y in b)
     return float(np.sqrt(num) / np.sqrt(den))
 
 

@@ -21,6 +21,7 @@ from .core import (
     ScalarField,
     TRAPEZOID,
     UsageError,
+    weighted_sq_sum,
 )
 from .transform import FrequencyField, scalar_pipeline_project
 
@@ -64,29 +65,6 @@ class CrOperatorChoice:
             raise UsageError("axis is 1-based")
 
 
-def _d4(vals: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    """4th-order centered first derivative along one axis."""
-    if periodic:
-        return (
-            -np.roll(vals, -2, axis)
-            + 8.0 * np.roll(vals, -1, axis)
-            - 8.0 * np.roll(vals, 1, axis)
-            + np.roll(vals, 2, axis)
-        ) / (12.0 * h)
-    out = np.zeros_like(vals)
-    L = vals.shape[axis]
-
-    def sh(k):
-        s = [slice(None)] * vals.ndim
-        s[axis] = slice(2 + k, L - 2 + k)
-        return vals[tuple(s)]
-
-    core = [slice(None)] * vals.ndim
-    core[axis] = slice(2, -2)
-    out[tuple(core)] = (-sh(2) + 8.0 * sh(1) - 8.0 * sh(-1) + sh(-2)) / (12.0 * h)
-    return out
-
-
 def _require_fd_grid(grid: GridSpec) -> None:
     if grid.quadrature_rule != TRAPEZOID:
         raise UsageError("finite differences need the uniform-trapezoid rule")
@@ -94,20 +72,78 @@ def _require_fd_grid(grid: GridSpec) -> None:
         raise UsageError("4th-order centered differences need >= 5 nodes per axis")
 
 
-def _axis_coordinate(grid: GridSpec, n: int, axis: int) -> np.ndarray:
-    """Broadcastable coordinate array of one real spatial axis (0-based)."""
-    x = grid.spatial_nodes()
-    shape = [1] * (2 * n + 1)
-    shape[axis] = x.size
-    return x.reshape(shape)
+def _interior(n: int, m: int, planes: range) -> tuple[slice, ...]:
+    """Block index: the given first-axis planes, interior on the other spatial axes."""
+    band = slice(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
+    return (slice(planes.start, planes.stop),) + (band,) * (2 * n - 1) + (slice(None),)
 
 
-def apply_cr(field: ScalarField, op: CrOperatorChoice, sig: LambdaSignature) -> ScalarField:
+def _stencil(p2, p1, m1, m2) -> np.ndarray:
+    """12h times the 4th-order centered first derivative, from the nodes at +2h, +h, -h, -2h."""
+    d = p1 - m1
+    d *= 8.0
+    d -= p2
+    d += m2
+    return d
+
+
+def _block_d4(v: np.ndarray, block: tuple[slice, ...], ax: int) -> np.ndarray:
+    """12h times the derivative along spatial axis ``ax`` on an interior block.
+
+    Reads the two nodes of ``v`` beyond each end of the block along ``ax``.
+    """
+
+    def sh(k):
+        s = list(block)
+        s[ax] = slice(block[ax].start + k, block[ax].stop + k)
+        return v[tuple(s)]
+
+    return _stencil(sh(2), sh(1), sh(-1), sh(-2))
+
+
+def _periodic_d4(vals: np.ndarray) -> np.ndarray:
+    """12h times the derivative along the periodic last axis."""
+    ext = np.concatenate((vals[..., -2:], vals, vals[..., :2]), axis=-1)
+    return _stencil(ext[..., 4:], ext[..., 3:-1], ext[..., 1:-3], ext[..., :-4])
+
+
+def _block_zj(x: np.ndarray, block: tuple[slice, ...], j: int) -> np.ndarray:
+    """z_j on a block, broadcastable against the block's values."""
+    parts = []
+    for ax in (2 * (j - 1), 2 * (j - 1) + 1):
+        shape = [1] * len(block)
+        xa = x[block[ax]]
+        shape[ax] = xa.size
+        parts.append(xa.reshape(shape))
+    return parts[0] + 1j * parts[1]
+
+
+def _block_dz(v: np.ndarray, block: tuple[slice, ...], kind: str, j: int, hs: float):
+    """d/dz_j (``kind`` "Z") or d/dzbar_j of ``v`` on an interior block."""
+    d = _block_d4(v, block, 2 * (j - 1))
+    d_im = _block_d4(v, block, 2 * (j - 1) + 1)
+    d_im *= -1j if kind == "Z" else 1j
+    d += d_im
+    d *= 0.5 / (12.0 * hs)
+    return d
+
+
+def apply_cr(
+    field: ScalarField,
+    op: CrOperatorChoice,
+    sig: LambdaSignature,
+    planes: range | None = None,
+) -> ScalarField | np.ndarray:
     """Apply Z_j or Zbar_j by 4th-order centered differences.
 
     Spatial derivatives are formed on interior nodes only (a 2-node boundary
     band is zeroed and excluded from residual norms); the vertical derivative
     uses the periodic stencil.
+
+    With ``planes``, a range of interior planes of the first spatial axis,
+    only the interior values on those planes are computed and returned as an
+    array of shape ``(len(planes),) + (m - 4,) * (2n - 1) + (N,)``, so a
+    caller can stream the operator over the grid.
     """
     _require_fd_grid(field.grid)
     n = field.n
@@ -120,22 +156,26 @@ def apply_cr(field: ScalarField, op: CrOperatorChoice, sig: LambdaSignature) -> 
     if op.structure == "hat":
         lam = abs(lam)
     grid = field.grid
-    hs = float(np.diff(grid.spatial_nodes())[0])
-    hv = grid.vertical_step
+    m = grid.spatial_points
+    interior = range(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
+    if planes is not None and (
+        planes.step != 1 or planes.start < interior.start or planes.stop > interior.stop
+    ):
+        raise UsageError(f"planes must be a unit-step range inside {interior}")
     v = field.values
-    ax_re, ax_im = 2 * (j - 1), 2 * (j - 1) + 1
-    d_re = _d4(v, ax_re, hs, periodic=False)
-    d_im = _d4(v, ax_im, hs, periodic=False)
-    d_v = _d4(v, 2 * n, hv, periodic=True)
-    xre = _axis_coordinate(grid, n, ax_re)
-    xim = _axis_coordinate(grid, n, ax_im)
-    zj = xre + 1j * xim
-    if op.kind == "Z":
-        out = 0.5 * (d_re - 1j * d_im) - 1j * lam * np.conj(zj) * d_v
-    else:
-        out = 0.5 * (d_re + 1j * d_im) + 1j * lam * zj * d_v
-    mask = interior_mask(grid, n)
-    out = out * mask[..., None]
+    block = _interior(n, m, interior if planes is None else planes)
+    x = grid.spatial_nodes()
+    zj = _block_zj(x, block, j)
+    r = _block_dz(v, block, op.kind, j, float(x[1] - x[0]))
+    d_v = _periodic_d4(v[block])
+    d_v *= (-1j * lam * np.conj(zj) if op.kind == "Z" else 1j * lam * zj) / (
+        12.0 * grid.vertical_step
+    )
+    r += d_v
+    if planes is not None:
+        return r
+    out = np.zeros_like(v)
+    out[block] = r
     return ScalarField(grid=grid, values=out)
 
 
@@ -153,8 +193,9 @@ def interior_mask(grid: GridSpec, n: int) -> np.ndarray:
 def interior_norm(field: ScalarField) -> float:
     """Weighted L^2 norm restricted to interior spatial nodes."""
     n = field.n
-    w = field.grid.full_weight_array(n) * interior_mask(field.grid, n)[..., None]
-    return float(np.sqrt(np.sum(np.abs(field.values) ** 2 * w).real))
+    grid = field.grid
+    w = grid.field_weight_array(n) * interior_mask(grid, n)
+    return math.sqrt(weighted_sq_sum(field.values, w))
 
 
 def cr_system_residual(u: FormField, sig: LambdaSignature) -> dict[MultiIndex, float]:
@@ -163,16 +204,27 @@ def cr_system_residual(u: FormField, sig: LambdaSignature) -> dict[MultiIndex, f
     For component u_J: Z_j u_J must vanish for j in J and Zbar_j u_J for j
     not in J; the returned number is the root-sum-square of the interior
     norms of all these fields.
+
+    The residual is streamed one interior plane of the first spatial axis at
+    a time (``apply_cr``'s ``planes``), so it makes no full-grid temporary.
     """
     out: dict[MultiIndex, float] = {}
     n = sig.n
+    grid = u.grid
+    if u.components:
+        # a grid too small for the stencil has no interior plane to visit
+        _require_fd_grid(grid)
+    m = grid.spatial_points
+    w = grid.field_weight_array(n)
     for J, comp in u.iter_components():
         J.validate_bound(n)
         acc = 0.0
-        for j in range(1, n + 1):
-            kind = "Z" if J.contains(j) else "Zbar"
-            r = apply_cr(comp, CrOperatorChoice(kind=kind, axis=j), sig)
-            acc += interior_norm(r) ** 2
+        for i in range(_BOUNDARY_BAND, m - _BOUNDARY_BAND):
+            plane = range(i, i + 1)
+            wb = w[_interior(n, m, plane)[:-1]]
+            for j in range(1, n + 1):
+                op = CrOperatorChoice(kind="Z" if J.contains(j) else "Zbar", axis=j)
+                acc += weighted_sq_sum(apply_cr(comp, op, sig, planes=plane), wb)
         out[J] = math.sqrt(acc)
     return out
 
@@ -195,24 +247,20 @@ def frequency_cr_residual(
     J.validate_bound(n)
     if sig.n != n:
         raise UsageError("signature dimension mismatch")
-    hs = float(np.diff(grid.spatial_nodes())[0])
-    wspat = grid.spatial_weight_array(n) * interior_mask(grid, n)
-    ts = freq.t_nodes
+    m = grid.spatial_points
+    x = grid.spatial_nodes()
+    block = _interior(n, m, range(_BOUNDARY_BAND, m - _BOUNDARY_BAND))
+    w = grid.spatial_weight_array(n)[block[:-1]] * grid.freq_step
+    vals = freq.values[block]
+    tman = freq.t_nodes.reshape([1] * (2 * n) + [-1])
     total = 0.0
     for j in range(1, n + 1):
-        ax_re, ax_im = 2 * (j - 1), 2 * (j - 1) + 1
-        zj = _axis_coordinate(grid, n, ax_re) + 1j * _axis_coordinate(grid, n, ax_im)
+        kind = "Z" if J.contains(j) else "Zbar"
+        r = _block_dz(freq.values, block, kind, j, float(x[1] - x[0]))
+        zj = _block_zj(x, block, j)
         lam = sig.lambdas[j - 1]
-        d_re = _d4(freq.values, ax_re, hs, periodic=False)
-        d_im = _d4(freq.values, ax_im, hs, periodic=False)
-        tman = ts.reshape([1] * (2 * n) + [-1])
-        if J.contains(j):
-            r = 0.5 * (d_re - 1j * d_im) - lam * np.conj(zj) * tman * freq.values
-        else:
-            r = 0.5 * (d_re + 1j * d_im) + lam * zj * tman * freq.values
-        total += float(
-            np.sum(np.abs(r) ** 2 * wspat[..., None] * grid.freq_step).real
-        )
+        r += (-lam * np.conj(zj) if kind == "Z" else lam * zj) * tman * vals
+        total += weighted_sq_sum(r, w)
     return math.sqrt(total)
 
 

@@ -87,12 +87,16 @@ class FrequencyField:
         return self.grid.freq_nodes()
 
     def spectral_energy(self) -> np.ndarray:
-        axes = tuple(range(self.values.ndim - 1))
-        return np.sum(np.abs(self.values) ** 2, axis=axes)
+        # sum of re^2 + im^2 over a float view: no temporary the field's size
+        f = self.values.view(np.float64).reshape(-1, self.values.shape[-1], 2)
+        return np.einsum("stc,stc->t", f, f)
 
     def occupied_mask(self) -> np.ndarray:
-        e = self.spectral_energy()
-        return e > OCCUPANCY_EPS * float(e.sum())
+        return _occupied(self.spectral_energy())
+
+
+def _occupied(energy: np.ndarray) -> np.ndarray:
+    return energy > OCCUPANCY_EPS * float(energy.sum())
 
 
 def _fft_phase(grid: GridSpec) -> np.ndarray:
@@ -101,14 +105,22 @@ def _fft_phase(grid: GridSpec) -> np.ndarray:
     return np.exp(-2j * np.pi * js * (N // 2) / N)
 
 
+# Bin order (ascending j) and FFT order (j mod N) differ by a half turn: bins
+# [0, h) sit at FFT positions [N - h, N) and bins [h, N) at [0, N - h), with
+# h = N // 2.  Both transforms move the two halves with slice copies fused with
+# the phase factor instead of a fancy-index gather or scatter.
+
+
 def partial_ft(field: ScalarField) -> FrequencyField:
     """Forward vertical transform onto the grid's frequency bins."""
     grid = field.grid
     N = grid.vertical_points
-    js = grid.freq_bins()
+    h = N // 2
     F = _sfft.ifft(field.values, axis=-1, workers=-1)
-    out = F.take(js % N, axis=-1)
-    out *= (N * grid.vertical_step) * _fft_phase(grid)
+    scale = (N * grid.vertical_step) * _fft_phase(grid)
+    out = np.empty_like(F)
+    np.multiply(F[..., N - h :], scale[:h], out=out[..., :h])
+    np.multiply(F[..., : N - h], scale[h:], out=out[..., h:])
     return FrequencyField(grid=grid, values=out)
 
 
@@ -116,10 +128,12 @@ def partial_ift(freq: FrequencyField) -> ScalarField:
     """Inverse vertical transform; exact inverse of :func:`partial_ft`."""
     grid = freq.grid
     N = grid.vertical_points
-    js = grid.freq_bins()
-    arr = np.zeros(freq.values.shape[:-1] + (N,), dtype=complex)
-    arr[..., js % N] = freq.values * np.conj(_fft_phase(grid))
-    u = _sfft.fft(arr, axis=-1, workers=-1)
+    h = N // 2
+    cphase = np.conj(_fft_phase(grid))
+    arr = np.empty_like(freq.values)
+    np.multiply(freq.values[..., :h], cphase[:h], out=arr[..., N - h :])
+    np.multiply(freq.values[..., h:], cphase[h:], out=arr[..., : N - h])
+    u = _sfft.fft(arr, axis=-1, workers=-1, overwrite_x=True)
     u *= grid.freq_step / (2.0 * math.pi)
     return ScalarField(grid=grid, values=u)
 
@@ -149,38 +163,6 @@ def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy) -> None:
             )
 
 
-def _project_freq_values(
-    freq: FrequencyField, sig: LambdaSignature, enforce_budget: bool
-) -> np.ndarray:
-    grid = freq.grid
-    n = freq.n
-    m = grid.spatial_points
-    ts = freq.t_nodes
-    occ = freq.occupied_mask()
-    if enforce_budget:
-        _check_budget(grid, sig, ts, freq.spectral_energy())
-    keep = [i for i in range(ts.size) if ts[i] > 0 and occ[i]]
-    out = np.zeros_like(freq.values)
-    if not keep:
-        return out
-    K = len(keep)
-    slabs = np.ascontiguousarray(
-        np.moveaxis(freq.values.take(keep, axis=-1), -1, 0).reshape((K,) + (m * m,) * n)
-    )
-    proj = _kernels.project_slices(
-        slabs,
-        ts[keep],
-        grid.freq_step,
-        grid.spatial_nodes(),
-        grid.spatial_axis_weights(),
-        tuple(sig.lambdas),
-    )
-    proj = proj.reshape((K,) + grid.spatial_shape(n))
-    for k, i in enumerate(keep):
-        out[..., i] = proj[k]
-    return out
-
-
 def scalar_pipeline_project(
     field: ScalarField, sig: LambdaSignature, enforce_budget: bool = True
 ) -> ScalarField:
@@ -191,6 +173,10 @@ def scalar_pipeline_project(
     the inverse transform.  Occupied slices outside the grid's budget window
     raise :class:`BudgetError` naming the violated budget, unless
     ``enforce_budget`` is off.
+
+    Only the projected bins are moved: they are gathered frequency-first into
+    the slab the slice projector takes, and scattered back into a zeroed
+    frequency array for the inverse transform.
     """
     if sig.degenerate or not sig.all_positive():
         raise UsageError(
@@ -199,9 +185,34 @@ def scalar_pipeline_project(
         )
     if sig.n != field.n:
         raise UsageError(f"field dimension {field.n} != signature dimension {sig.n}")
+    grid = field.grid
+    n = field.n
+    m = grid.spatial_points
     freq = partial_ft(field)
-    proj = _project_freq_values(freq, sig, enforce_budget)
-    return partial_ift(FrequencyField(grid=field.grid, values=proj))
+    ts = freq.t_nodes
+    energy = freq.spectral_energy()
+    if enforce_budget:
+        _check_budget(grid, sig, ts, energy)
+    keep = np.flatnonzero((ts > 0) & _occupied(energy))
+    K = keep.size
+    if K == 0:
+        return ScalarField(grid=grid, values=np.zeros(field.values.shape, dtype=complex))
+    slabs = np.moveaxis(freq.values, -1, 0)[keep]
+    # each array goes as soon as it is used, so at most two fields are live
+    del freq
+    proj = _kernels.project_slices(
+        slabs.reshape((K,) + (m * m,) * n),
+        ts[keep],
+        grid.freq_step,
+        grid.spatial_nodes(),
+        grid.spatial_axis_weights(),
+        tuple(sig.lambdas),
+    )
+    del slabs
+    bins = np.zeros(field.values.shape, dtype=complex)
+    np.moveaxis(bins, -1, 0)[keep] = proj.reshape((K,) + grid.spatial_shape(n))
+    del proj
+    return partial_ift(FrequencyField(grid=grid, values=bins))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +361,7 @@ def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> c
     fu = partial_ft(u)
     fg = partial_ft(g)
     ts = fu.t_nodes
-    eu = fu.spectral_energy().sum()
-    eg = fg.spectral_energy().sum()
-    occ = np.logical_and(
-        fu.spectral_energy() > OCCUPANCY_EPS * eu,
-        fg.spectral_energy() > OCCUPANCY_EPS * eg,
-    )
+    occ = fu.occupied_mask() & fg.occupied_mask()
     keep = [i for i, t in enumerate(ts) if t > 0 and occ[i]]
     if not keep:
         return 0.0 + 0.0j

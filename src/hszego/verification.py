@@ -285,7 +285,7 @@ def c07_hardy(cfg: RunConfig):
     neg_tol = cfg.tolerances["negative_frequency"]
     sig = cfg.sig
     grid = cfg.grid
-    w = grid.full_weight_array(sig.n)
+    w = grid.field_weight_array(sig.n)
     worst = 0.0
     for spec in cfg.packets:
         u = transform.make_wave_packet(spec, sig, grid)
@@ -313,7 +313,7 @@ def c08_projector_algebra(cfg: RunConfig):
     sig = cfg.sig
     fields = [random_band_field(grid, 1, rng) for _ in range(20)]
     proj = [transform.scalar_pipeline_project(u, sig) for u in fields]
-    w = grid.full_weight_array(1)
+    w = grid.field_weight_array(1)
     worst_idem = 0.0
     for u, pu in zip(fields, proj):
         ppu = transform.scalar_pipeline_project(pu, sig)
@@ -374,7 +374,7 @@ def c09_routes(cfg: RunConfig):
     d_a = transform.szego_apply_direct(u, sig, epsilon=eps_a)
     d_b = transform.szego_apply_direct(u, sig, epsilon=eps_b)
     extrap = (eps_a * d_b.values - eps_b * d_a.values) / (eps_a - eps_b)
-    worst_dir = rel_norm(extrap, vp.values, grid.full_weight_array(1))
+    worst_dir = rel_norm(extrap, vp.values, grid.field_weight_array(1))
     return [
         _res("C09a.routes", "pairing-vs-pipeline-route", worst_pair, pair_tol,
              detail="normalized by |u||g|"),
@@ -400,7 +400,7 @@ def c10_forms(cfg: RunConfig):
     p2 = _q_packet(grid, sig_m, (2,), -1, (1, 0))
     u = FormField(grid=grid, q=1, components={J1: p1, J2: p2})
     out = forms.szego_project_form(u, sig_m)
-    w = grid.full_weight_array(2)
+    w = grid.field_weight_array(2)
     worst = 0.0
     for J in (J1, J2):
         worst = max(worst, rel_norm(out.components[J].values, u.components[J].values, w))

@@ -85,6 +85,42 @@ def test_make_packet_then_project(config_path, tmp_path, capsys):
     assert set(projected.components) == {MultiIndex(())}
 
 
+def test_project_gauss_legendre_grid_reports_na_residual(tmp_path, capsys):
+    # the pipeline runs on Gauss-Legendre grids; the finite-difference CR
+    # residual is undefined there and must not abort the report
+    cfg = tmp_path / "gl.cfg"
+    # Gauss-Legendre nodes are coarser mid-box: 33 of them resolve t <= 3.06
+    text = BASE_CONFIG.replace("grid.spatial_points = 25", "grid.spatial_points = 33")
+    cfg.write_text(text + "grid.quadrature_rule = gauss-legendre\n")
+    field_path = tmp_path / "gl.field"
+    assert main(["make-packet", "--config", str(cfg), "--out", str(field_path)]) == 0
+    out_path = tmp_path / "gl-projected.field"
+    code = main(["project", "--config", str(cfg), "--in", str(field_path), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert "cr_residual=n/a" in captured.out
+    rel = float(captured.out.split("rel_change=")[1].split()[0])
+    assert rel < 1e-3
+    assert "idempotency_gap" in captured.out
+    projected = read_form(str(out_path))
+    assert projected.grid.quadrature_rule == "gauss-legendre"
+    assert set(projected.components) == {MultiIndex(())}
+
+
+def test_project_small_trapezoid_grid_exits_2(tmp_path, capsys):
+    # on a uniform grid the residual is defined but needs >= 5 nodes per axis
+    field_path = tmp_path / "small.field"
+    grid = GridSpec(4.0, 4, 16.0, 64)
+    values = np.ones(grid.field_shape(1), dtype=complex)
+    write_form(str(field_path), FormField(grid=grid, q=0, components={
+        MultiIndex(()): ScalarField(grid=grid, values=values)}))
+    code = main(["project", "--in", str(field_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "5 nodes per axis" in captured.err
+
+
 def test_project_vanishing_degree_reports_zero(tmp_path, capsys):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("lambdas = 1.0, 1.0\n")

@@ -82,6 +82,149 @@ def test_cr_residual_packet_vs_noise(grid):
     assert (res_noise / norm(noise)) / (res / norm(u)) > 20
 
 
+# -- streamed residual against an inline full-grid reference ----------------
+#
+# The reference is the whole-array stencil written out here: np.roll for the
+# periodic vertical derivative, zero-padded centered differences on the
+# spatial axes, the interior mask, and a masked weighted sum over the full
+# grid.  It shares no code with the plane-by-plane path.
+
+
+def _ref_d4(vals, axis, h, periodic):
+    if periodic:
+        return (
+            -np.roll(vals, -2, axis)
+            + 8.0 * np.roll(vals, -1, axis)
+            - 8.0 * np.roll(vals, 1, axis)
+            + np.roll(vals, 2, axis)
+        ) / (12.0 * h)
+    out = np.zeros_like(vals)
+    L = vals.shape[axis]
+    take = lambda k: np.take(vals, np.arange(2 + k, L - 2 + k), axis=axis)  # noqa: E731
+    core = [slice(None)] * vals.ndim
+    core[axis] = slice(2, L - 2)
+    out[tuple(core)] = (-take(2) + 8.0 * take(1) - 8.0 * take(-1) + take(-2)) / (12.0 * h)
+    return out
+
+
+def _ref_mask(grid, n):
+    m = grid.spatial_points
+    one = np.zeros(m)
+    one[2 : m - 2] = 1.0
+    mask = np.ones(())
+    for _ in range(2 * n):
+        mask = np.multiply.outer(mask, one)
+    return mask
+
+
+def _ref_cr(u, kind, j, lam):
+    grid, n, v = u.grid, u.n, u.values
+    x = grid.spatial_nodes()
+    hs, hv = x[1] - x[0], 2.0 * grid.vertical_radius / grid.vertical_points
+    d_re = _ref_d4(v, 2 * j - 2, hs, False)
+    d_im = _ref_d4(v, 2 * j - 1, hs, False)
+    d_v = _ref_d4(v, 2 * n, hv, True)
+    shape = [1] * (2 * n + 1)
+    shape[2 * j - 2] = x.size
+    xre = x.reshape(shape)
+    shape = [1] * (2 * n + 1)
+    shape[2 * j - 1] = x.size
+    zj = xre + 1j * x.reshape(shape)
+    if kind == "Z":
+        r = 0.5 * (d_re - 1j * d_im) - 1j * lam * np.conj(zj) * d_v
+    else:
+        r = 0.5 * (d_re + 1j * d_im) + 1j * lam * zj * d_v
+    return r * _ref_mask(grid, n)[..., None]
+
+
+def _ref_residual(u, J, sig):
+    grid, n = u.grid, u.n
+    w1 = grid.spatial_axis_weights()
+    w = np.ones(())
+    for _ in range(2 * n):
+        w = np.multiply.outer(w, w1)
+    w = (2.0**n) * w[..., None] * (2.0 * grid.vertical_radius / grid.vertical_points)
+    total = 0.0
+    for j in range(1, n + 1):
+        r = _ref_cr(u, "Z" if j in J.entries else "Zbar", j, sig.lambdas[j - 1])
+        total += float(np.sum(np.abs(r) ** 2 * w))
+    return math.sqrt(total)
+
+
+def _noise(grid, n, seed):
+    rng = np.random.default_rng(seed)
+    shape = grid.field_shape(n)
+    return ScalarField(grid=grid, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+SIG_MIXED = LambdaSignature((-1.0, 1.0))
+
+
+def _residual_cases():
+    cases = []
+    for m in (17, 33):
+        g = GridSpec(4.0, m, 16.0, 64)
+        packet = WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6)
+        cases.append((f"n1-m{m}-packet", g, SIG1, J0, packet))
+        cases.append((f"n1-m{m}-noise", g, SIG1, J0, None))
+    g2 = GridSpec(3.0, 9, 8.0, 32)
+    for J, sign in (((1,), 1), ((2,), -1)):
+        packet = WavePacketSpec(
+            alpha=(1, 0), t_low=0.9, t_high=2.6, conjugated_axes=J, vertical_sign=sign
+        )
+        cases.append((f"n2-J{J[0]}-packet", g2, SIG_MIXED, MultiIndex(J), packet))
+        cases.append((f"n2-J{J[0]}-noise", g2, SIG_MIXED, MultiIndex(J), None))
+    return cases
+
+
+def _case_field(grid, sig, spec, seed):
+    if spec is None:
+        return _noise(grid, sig.n, seed)
+    return make_wave_packet(spec, sig, grid)
+
+
+@pytest.mark.parametrize("case", _residual_cases(), ids=lambda c: c[0])
+def test_streamed_residual_matches_full_grid_reference(case):
+    _, g, sig, J, spec = case
+    u = _case_field(g, sig, spec, seed=5)
+    got = cr_system_residual(FormField(grid=g, q=J.q, components={J: u}), sig)[J]
+    want = _ref_residual(u, J, sig)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case", _residual_cases(), ids=lambda c: c[0])
+def test_apply_cr_matches_reference_and_zeroes_the_band(case):
+    _, g, sig, J, spec = case
+    u = _case_field(g, sig, spec, seed=6)
+    n = sig.n
+    band = _ref_mask(g, n) == 0
+    for j in range(1, n + 1):
+        for kind in ("Z", "Zbar"):
+            got = apply_cr(u, CrOperatorChoice(kind=kind, axis=j), sig).values
+            want = _ref_cr(u, kind, j, sig.lambdas[j - 1])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert not np.any(got[band])
+
+
+@pytest.mark.parametrize("case", _residual_cases()[1::2], ids=lambda c: c[0])
+def test_apply_cr_planes_are_rows_of_the_full_grid_result(case):
+    _, g, sig, J, _ = case
+    u = _noise(g, sig.n, seed=7)
+    m, b = g.spatial_points, 2
+    inner = (slice(b, m - b),) * (2 * sig.n - 1) + (slice(None),)
+    for j in range(1, sig.n + 1):
+        op = CrOperatorChoice(kind="Zbar", axis=j)
+        full = apply_cr(u, op, sig).values
+        for i in (b, m // 2, m - b - 1):
+            rows = apply_cr(u, op, sig, planes=range(i, i + 1))
+            assert np.array_equal(rows, full[(slice(i, i + 1),) + inner])
+        both = apply_cr(u, op, sig, planes=range(b, b + 2))
+        assert np.array_equal(both, full[(slice(b, b + 2),) + inner])
+    for bad in (range(b - 1, b), range(m - b, m - b + 1), range(b, m - b, 2)):
+        with pytest.raises(UsageError):
+            apply_cr(u, CrOperatorChoice(kind="Z", axis=1), sig, planes=bad)
+
+
 def test_frequency_residual_consistent_with_spatial(grid):
     u = make_wave_packet(
         WavePacketSpec(alpha=(0,), t_low=0.9, t_high=2.6), SIG1, grid, bin_quadrature=True

@@ -17,6 +17,7 @@ from hszego import (
     scalar_pipeline_project,
     szego_apply_direct,
 )
+from hszego import _kernels
 from hszego.transform import FrequencyField, packet_boundary_share
 
 SIG1 = LambdaSignature((1.0,))
@@ -179,6 +180,80 @@ def test_pipeline_budget_gates(grid):
     assert info.value.budget_name == "kernel-resolution"
     # the gate can be disabled explicitly
     scalar_pipeline_project(u, SIG1, enforce_budget=False)
+
+
+# -- pipeline against an inline reference ------------------------------------
+#
+# The reference keeps the whole frequency array: public partial_ft and
+# occupied_mask, the slice projector on the kept positive bins (gathered one
+# bin at a time), a full zero frequency array with the projected bins put
+# back, and public partial_ift.
+
+
+def _ref_pipeline(u, sig):
+    grid, n, m = u.grid, u.n, u.grid.spatial_points
+    freq = partial_ft(u)
+    ts = freq.t_nodes
+    occ = freq.occupied_mask()
+    keep = [i for i in range(ts.size) if ts[i] > 0 and occ[i]]
+    slabs = np.stack([freq.values[..., i] for i in keep]).reshape((len(keep),) + (m * m,) * n)
+    proj = _kernels.project_slices(
+        slabs,
+        ts[keep],
+        grid.freq_step,
+        grid.spatial_nodes(),
+        grid.spatial_axis_weights(),
+        sig.lambdas,
+    )
+    vals = np.zeros_like(freq.values)
+    for k, i in enumerate(keep):
+        vals[..., i] = proj[k].reshape(grid.spatial_shape(n))
+    return partial_ift(FrequencyField(grid=grid, values=vals)).values
+
+
+def _noise(g, n):
+    rng = np.random.default_rng(7)
+    shape = g.field_shape(n)
+    return ScalarField(grid=g, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+# budget window for lambda = (1, 1): [0.94, 1.26]
+GRID2 = GridSpec(3.5, 13, 8.0, 32)
+SIG2 = LambdaSignature((1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pipeline_matches_full_array_reference(grid, n):
+    if n == 1:
+        g, sig, spec = grid, SIG1, WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6)
+    else:
+        g, sig, spec = GRID2, SIG2, WavePacketSpec(alpha=(1, 1), t_low=0.9, t_high=1.6)
+    for u in (make_wave_packet(spec, sig, g), _noise(g, n)):
+        got = scalar_pipeline_project(u, sig, enforce_budget=False).values
+        want = _ref_pipeline(u, sig)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t_sign", [0, -1])
+def test_pipeline_without_positive_bins_returns_exact_zeros(grid, t_sign):
+    ts = grid.freq_nodes()
+    t0 = t_sign * ts[ts > 1.0][0]
+    out = scalar_pipeline_project(_tone(grid, _profile(grid), t0), SIG1)
+    assert out.values.shape == grid.field_shape(1)
+    assert not np.any(out.values)
+
+
+def test_pipeline_budget_gates_n2():
+    ts = GRID2.freq_nodes()
+    x = GRID2.spatial_nodes()
+    prof = np.exp(-np.add.outer(np.add.outer(x**2, x**2), np.add.outer(x**2, x**2)))
+    for t0, name in ((ts[ts > 0][1], "gaussian-truncation"), (ts[ts > 1.3][0], "kernel-resolution")):
+        u = ScalarField(
+            grid=GRID2, values=prof[..., None] * np.exp(-1j * t0 * GRID2.vertical_nodes())
+        )
+        with pytest.raises(BudgetError) as info:
+            scalar_pipeline_project(u, SIG2)
+        assert info.value.budget_name == name
 
 
 def test_packet_boundary_share_small(grid):
