@@ -31,18 +31,13 @@ from .core import (
     form_inner,
     form_norm,
     inner,
-    multiindex_complement,
     norm,
     slice_norm,
-    volume_weight,
 )
 from .forms import (
     CrOperatorChoice,
     apply_cr,
     cr_system_residual,
-    frequency_cr_residual,
-    interior_mask,
-    interior_norm,
     reflect_to_hat,
     szego_project_form,
     vanishing_evidence,

@@ -25,7 +25,6 @@ __all__ = [
     "SignedWeightPattern",
     "bergman_kernel",
     "bergman_project",
-    "project_slice_values",
     "gaussian_reproducing_check",
     "monomial_integral",
     "truncated_monomial_integral",
@@ -103,35 +102,30 @@ def bergman_kernel(z, w, weight: WeightSpec) -> complex:
     return complex(pref * np.exp(expo))
 
 
-def project_slice_values(
-    values: np.ndarray, t: float, lams: tuple[float, ...], grid: GridSpec
-) -> np.ndarray:
-    """Project one spatial array at frequency t; zero array for t <= 0."""
-    n = len(lams)
+def bergman_project(slice: FrequencySlice, weight: WeightSpec, grid: GridSpec) -> FrequencySlice:
+    """Slice-level projection v(z) = integral K(z, w) u(w) dmu(w) by quadrature.
+
+    The kernel vanishes for t <= 0, and so does the projected slice.
+    """
+    weight.require_positive_sig()
+    if slice.grid != grid:
+        raise UsageError("slice grid does not match the supplied grid")
+    n = weight.sig.n
+    if slice.n != n:
+        raise UsageError("slice dimension does not match the signature")
+    t = weight.t
     if t <= 0:
-        return np.zeros_like(np.asarray(values, dtype=complex))
+        return FrequencySlice(grid=grid, t=slice.t, values=np.zeros_like(slice.values))
     m = grid.spatial_points
-    slab = np.asarray(values, dtype=complex).reshape((1,) + (m * m,) * n)
     out = _kernels.project_slices(
-        slab,
+        slice.values.reshape((1,) + (m * m,) * n),
         np.array([float(t)]),
         float(t),
         grid.spatial_nodes(),
         grid.spatial_axis_weights(),
-        tuple(lams),
+        weight.sig.lambdas,
     )
-    return out.reshape(grid.spatial_shape(n))
-
-
-def bergman_project(slice: FrequencySlice, weight: WeightSpec, grid: GridSpec) -> FrequencySlice:
-    """Slice-level projection v(z) = integral K(z, w) u(w) dmu(w) by quadrature."""
-    weight.require_positive_sig()
-    if slice.grid != grid:
-        raise UsageError("slice grid does not match the supplied grid")
-    if slice.n != weight.sig.n:
-        raise UsageError("slice dimension does not match the signature")
-    out = project_slice_values(slice.values, weight.t, weight.sig.lambdas, grid)
-    return FrequencySlice(grid=grid, t=slice.t, values=out)
+    return FrequencySlice(grid=grid, t=slice.t, values=out.reshape(grid.spatial_shape(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ rejected so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import GridSpec, LambdaSignature, UsageError
 from .transform import WavePacketSpec
@@ -133,26 +133,28 @@ class RunConfig:
                 return convert(key, conv, flat.pop(key))
             return default
 
-        kwargs["lambdas"] = pop("lambdas", _floats, (1.0,))
-        kwargs["epsilon"] = pop("epsilon", float, 0.5)
-        kwargs["seed"] = pop("seed", int, 20260808)
-        kwargs["jobs"] = pop("jobs", int, 0)
-        kwargs["kernel_table_count"] = pop("kernel_table.count", int, 8)
-        kwargs["kernel_table_diag_eps"] = pop(
-            "kernel_table.diag_eps", _floats, (0.25, 0.5, 1.0, 2.0)
-        )
+        # an absent key keeps the default of RunConfig, GridSpec or WavePacketSpec
+        base = cls()
+        for key, name, conv in (
+            ("lambdas", "lambdas", _floats),
+            ("epsilon", "epsilon", float),
+            ("seed", "seed", int),
+            ("jobs", "jobs", int),
+            ("kernel_table.count", "kernel_table_count", int),
+            ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
+        ):
+            if key in flat:
+                kwargs[name] = pop(key, conv)
 
-        def grid_from(prefix: str, defaults: tuple) -> GridSpec:
-            return GridSpec(
-                spatial_radius=pop(f"{prefix}.spatial_radius", float, defaults[0]),
-                spatial_points=pop(f"{prefix}.spatial_points", int, defaults[1]),
-                vertical_radius=pop(f"{prefix}.vertical_radius", float, defaults[2]),
-                vertical_points=pop(f"{prefix}.vertical_points", int, defaults[3]),
-                quadrature_rule=pop(f"{prefix}.quadrature_rule", str, defaults[4]),
-            )
+        def given(prefix: str, keys) -> dict:
+            return {
+                name: pop(f"{prefix}.{name}", conv)
+                for name, conv in keys
+                if f"{prefix}.{name}" in flat
+            }
 
-        kwargs["grid"] = grid_from("grid", (4.0, 33, 16.0, 128, "uniform-trapezoid"))
-        kwargs["grid2"] = grid_from("grid2", (3.5, 17, 30.0, 128, "uniform-trapezoid"))
+        for prefix in ("grid", "grid2"):
+            kwargs[prefix] = replace(getattr(base, prefix), **given(prefix, GridSpec.TEXT_KEYS))
 
         packet_ids = sorted(
             {key.split(".")[1] for key in flat if key.startswith("packet.")}
@@ -165,12 +167,14 @@ class RunConfig:
                     alpha=pop(f"{prefix}.alpha", _ints, (0,)),
                     t_low=pop(f"{prefix}.t_low", float, 1.0),
                     t_high=pop(f"{prefix}.t_high", float, 2.5),
-                    conjugated_axes=pop(f"{prefix}.conjugated_axes", _ints, ()),
-                    order=pop(f"{prefix}.order", int, 4),
-                    vertical_sign=pop(f"{prefix}.vertical_sign", int, 1),
+                    **given(
+                        prefix,
+                        (("conjugated_axes", _ints), ("order", int), ("vertical_sign", int)),
+                    ),
                 )
             )
-        kwargs["packets"] = tuple(packets) if packets else _default_packets()
+        if packets:
+            kwargs["packets"] = tuple(packets)
 
         tolerances = dict(DEFAULT_TOLERANCES)
         for key in [k for k in flat if k.startswith("tolerance.")]:
@@ -193,14 +197,7 @@ class RunConfig:
             f"kernel_table.count = {self.kernel_table_count}",
             f"kernel_table.diag_eps = {','.join(repr(v) for v in self.kernel_table_diag_eps)}",
         ]
-        for prefix, g in (("grid", self.grid), ("grid2", self.grid2)):
-            lines += [
-                f"{prefix}.spatial_radius = {g.spatial_radius!r}",
-                f"{prefix}.spatial_points = {g.spatial_points}",
-                f"{prefix}.vertical_radius = {g.vertical_radius!r}",
-                f"{prefix}.vertical_points = {g.vertical_points}",
-                f"{prefix}.quadrature_rule = {g.quadrature_rule}",
-            ]
+        lines += self.grid.text_lines("grid") + self.grid2.text_lines("grid2")
         for i, p in enumerate(self.packets, start=1):
             lines += [
                 f"packet.{i}.alpha = {','.join(str(a) for a in p.alpha)}",

@@ -37,8 +37,6 @@ __all__ = [
     "ScalarField",
     "FormField",
     "FrequencySlice",
-    "volume_weight",
-    "multiindex_complement",
     "inner",
     "norm",
     "rel_norm",
@@ -172,13 +170,6 @@ class MultiIndex:
         return "(" + ",".join(str(v) for v in self.entries) + ")"
 
 
-def multiindex_complement(J: MultiIndex, n: int) -> MultiIndex:
-    """Strictly increasing complement of J inside {1, ..., n}."""
-    J.validate_bound(n)
-    present = set(J.entries)
-    return MultiIndex(tuple(j for j in range(1, n + 1) if j not in present))
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -290,42 +281,29 @@ class GridSpec:
         """
         return self.spatial_weight_array(n) * self.vertical_step
 
+    #: the grid's ``prefix.key`` names in config files and field-file headers,
+    #: with their parsers, in the order they are written and read
+    TEXT_KEYS = (
+        ("spatial_radius", float),
+        ("spatial_points", int),
+        ("vertical_radius", float),
+        ("vertical_points", int),
+        ("quadrature_rule", str),
+    )
+
+    def text_lines(self, prefix: str) -> list[str]:
+        """The grid as ``prefix.key = value`` lines: numbers by repr, the rule verbatim."""
+        lines = []
+        for name, _ in self.TEXT_KEYS:
+            v = getattr(self, name)
+            lines.append(f"{prefix}.{name} = {v if isinstance(v, str) else repr(v)}")
+        return lines
+
     def spatial_shape(self, n: int) -> tuple[int, ...]:
         return (self.spatial_points,) * (2 * n)
 
     def field_shape(self, n: int) -> tuple[int, ...]:
         return self.spatial_shape(n) + (self.vertical_points,)
-
-
-def volume_weight(grid: GridSpec, index: tuple[int, ...]) -> float:
-    """Quadrature weight at a grid node, including the 2^n measure factor.
-
-    An index of length 2n+1 addresses a node of the full grid (spatial axes
-    then vertical); length 2n addresses the spatial-only measure on C^n.
-    """
-    k = len(index)
-    if k % 2 == 1:
-        n = (k - 1) // 2
-        vertical = True
-    else:
-        n = k // 2
-        vertical = False
-    if n < 1:
-        raise UsageError("index must address at least one complex axis")
-    w1 = grid.spatial_axis_weights()
-    m = grid.spatial_points
-    total = 2.0**n
-    for i in range(2 * n):
-        ix = index[i]
-        if not 0 <= ix < m:
-            raise UsageError(f"spatial index {ix} out of range [0, {m})")
-        total *= w1[ix]
-    if vertical:
-        iv = index[-1]
-        if not 0 <= iv < grid.vertical_points:
-            raise UsageError(f"vertical index {iv} out of range [0, {grid.vertical_points})")
-        total *= grid.vertical_step
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,6 @@ __all__ = ["write_form", "read_form", "FORMAT_NAME"]
 FORMAT_NAME = "hszego-field-v1"
 
 
-def _encode_multiindex(J: MultiIndex) -> str:
-    return "(" + ",".join(str(v) for v in J.entries) + ")"
-
-
 def _decode_multiindex(text: str) -> MultiIndex:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
@@ -35,18 +31,13 @@ def _decode_multiindex(text: str) -> MultiIndex:
 
 
 def _header_lines(form: FormField, n: int, payload: str) -> list[str]:
-    g = form.grid
     keys = [J for J, _ in form.iter_components()]
     return [
         f"format = {FORMAT_NAME}",
         f"n = {n}",
         f"q = {form.q}",
-        f"components = {';'.join(_encode_multiindex(J) for J in keys)}",
-        f"grid.spatial_radius = {g.spatial_radius!r}",
-        f"grid.spatial_points = {g.spatial_points}",
-        f"grid.vertical_radius = {g.vertical_radius!r}",
-        f"grid.vertical_points = {g.vertical_points}",
-        f"grid.quadrature_rule = {g.quadrature_rule}",
+        f"components = {';'.join(str(J) for J in keys)}",
+        *form.grid.text_lines("grid"),
         f"data = {payload}",
     ]
 
@@ -155,11 +146,7 @@ def read_form(path) -> FormField:
     q = _header_value(hdr, "q", int)
     keys = _header_value(hdr, "components", _decode_components)
     grid = GridSpec(
-        spatial_radius=_header_value(hdr, "grid.spatial_radius", float),
-        spatial_points=_header_value(hdr, "grid.spatial_points", int),
-        vertical_radius=_header_value(hdr, "grid.vertical_radius", float),
-        vertical_points=_header_value(hdr, "grid.vertical_points", int),
-        quadrature_rule=_header_value(hdr, "grid.quadrature_rule", str),
+        **{name: _header_value(hdr, f"grid.{name}", conv) for name, conv in GridSpec.TEXT_KEYS}
     )
     shape = grid.field_shape(n)
     count = int(np.prod(shape))

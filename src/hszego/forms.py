@@ -23,15 +23,12 @@ from .core import (
     UsageError,
     weighted_sq_sum,
 )
-from .transform import FrequencyField, scalar_pipeline_project
+from .transform import scalar_pipeline_project
 
 __all__ = [
     "CrOperatorChoice",
     "apply_cr",
-    "interior_mask",
-    "interior_norm",
     "cr_system_residual",
-    "frequency_cr_residual",
     "reflect_to_hat",
     "szego_project_form",
     "vanishing_reason",
@@ -46,21 +43,18 @@ _BOUNDARY_BAND = 2  # nodes excluded per spatial side by the 4th-order stencil
 
 @dataclass(frozen=True)
 class CrOperatorChoice:
-    """One of the frame fields Z_j / Zbar_j, in the standard or hat structure.
+    """One of the frame fields Z_j / Zbar_j.
 
-    Z_j = d/dz_j - i*lam_j*zbar_j*d/dx_last; the hat structure replaces lam_j
-    by |lam_j|.
+    Z_j = d/dz_j - i*lam_j*zbar_j*d/dx_last; the hat structure's fields are
+    those of the signature ``sig.abs()``.
     """
 
     kind: str  # "Z" or "Zbar"
     axis: int  # 1-based
-    structure: str = "standard"
 
     def __post_init__(self):
         if self.kind not in ("Z", "Zbar"):
             raise UsageError("kind must be 'Z' or 'Zbar'")
-        if self.structure not in ("standard", "hat"):
-            raise UsageError("structure must be 'standard' or 'hat'")
         if self.axis < 1:
             raise UsageError("axis is 1-based")
 
@@ -133,16 +127,14 @@ def apply_cr(
     op: CrOperatorChoice,
     sig: LambdaSignature,
     planes: range | None = None,
-) -> ScalarField | np.ndarray:
-    """Apply Z_j or Zbar_j by 4th-order centered differences.
+) -> np.ndarray:
+    """Apply Z_j or Zbar_j by 4th-order centered differences on interior nodes.
 
-    Spatial derivatives are formed on interior nodes only (a 2-node boundary
-    band is zeroed and excluded from residual norms); the vertical derivative
-    uses the periodic stencil.
-
-    With ``planes``, a range of interior planes of the first spatial axis,
-    only the interior values on those planes are computed and returned as an
-    array of shape ``(len(planes),) + (m - 4,) * (2n - 1) + (N,)``, so a
+    Spatial derivatives exist only off a 2-node boundary band, which residual
+    norms exclude; the vertical derivative uses the periodic stencil.  The
+    result holds the interior values on ``planes``, a unit-step range of
+    interior planes of the first spatial axis (all of them by default), as
+    an array of shape ``(len(planes),) + (m - 4,) * (2n - 1) + (N,)``, so a
     caller can stream the operator over the grid.
     """
     _require_fd_grid(field.grid)
@@ -153,17 +145,15 @@ def apply_cr(
     if sig.n != n:
         raise UsageError("signature dimension mismatch")
     lam = sig.lambdas[j - 1]
-    if op.structure == "hat":
-        lam = abs(lam)
     grid = field.grid
     m = grid.spatial_points
     interior = range(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
-    if planes is not None and (
-        planes.step != 1 or planes.start < interior.start or planes.stop > interior.stop
-    ):
+    if planes is None:
+        planes = interior
+    elif planes.step != 1 or planes.start < interior.start or planes.stop > interior.stop:
         raise UsageError(f"planes must be a unit-step range inside {interior}")
     v = field.values
-    block = _interior(n, m, interior if planes is None else planes)
+    block = _interior(n, m, planes)
     x = grid.spatial_nodes()
     zj = _block_zj(x, block, j)
     r = _block_dz(v, block, op.kind, j, float(x[1] - x[0]))
@@ -172,30 +162,7 @@ def apply_cr(
         12.0 * grid.vertical_step
     )
     r += d_v
-    if planes is not None:
-        return r
-    out = np.zeros_like(v)
-    out[block] = r
-    return ScalarField(grid=grid, values=out)
-
-
-def interior_mask(grid: GridSpec, n: int) -> np.ndarray:
-    """Boolean mask over the spatial grid, False on the 2-node boundary band."""
-    m = grid.spatial_points
-    one = np.zeros(m, dtype=bool)
-    one[_BOUNDARY_BAND : m - _BOUNDARY_BAND] = True
-    mask = np.array(True)
-    for _ in range(2 * n):
-        mask = np.logical_and.outer(mask, one)
-    return mask
-
-
-def interior_norm(field: ScalarField) -> float:
-    """Weighted L^2 norm restricted to interior spatial nodes."""
-    n = field.n
-    grid = field.grid
-    w = grid.field_weight_array(n) * interior_mask(grid, n)
-    return math.sqrt(weighted_sq_sum(field.values, w))
+    return r
 
 
 def cr_system_residual(u: FormField, sig: LambdaSignature) -> dict[MultiIndex, float]:
@@ -227,41 +194,6 @@ def cr_system_residual(u: FormField, sig: LambdaSignature) -> dict[MultiIndex, f
                 acc += weighted_sq_sum(apply_cr(comp, op, sig, planes=plane), wb)
         out[J] = math.sqrt(acc)
     return out
-
-
-def frequency_cr_residual(
-    freq: FrequencyField, J: MultiIndex, sig: LambdaSignature
-) -> float:
-    """Aggregated slice-wise residual of the frequency-domain system.
-
-    With the slice orientation used here (slice t stores the transform at
-    e^{+i t x}), membership requires per slice t:
-    (d/dz_j - lam_j zbar_j t) slice = 0 for j in J and
-    (d/dzbar_j + lam_j z_j t) slice = 0 for j not in J.
-    Spatial derivatives only; slices are aggregated with the frequency-axis
-    weight.
-    """
-    grid = freq.grid
-    _require_fd_grid(grid)
-    n = freq.n
-    J.validate_bound(n)
-    if sig.n != n:
-        raise UsageError("signature dimension mismatch")
-    m = grid.spatial_points
-    x = grid.spatial_nodes()
-    block = _interior(n, m, range(_BOUNDARY_BAND, m - _BOUNDARY_BAND))
-    w = grid.spatial_weight_array(n)[block[:-1]] * grid.freq_step
-    vals = freq.values[block]
-    tman = freq.t_nodes.reshape([1] * (2 * n) + [-1])
-    total = 0.0
-    for j in range(1, n + 1):
-        kind = "Z" if J.contains(j) else "Zbar"
-        r = _block_dz(freq.values, block, kind, j, float(x[1] - x[0]))
-        zj = _block_zj(x, block, j)
-        lam = sig.lambdas[j - 1]
-        r += (-lam * np.conj(zj) if kind == "Z" else lam * zj) * tman * vals
-        total += weighted_sq_sum(r, w)
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +329,6 @@ class VanishingReport:
     q: int
     sig: LambdaSignature
     entries: tuple[VanishingEntry, ...]
-
-    def finite_exists_per_J(self) -> dict[MultiIndex, bool]:
-        out: dict[MultiIndex, bool] = {}
-        for e in self.entries:
-            out[e.J] = out.get(e.J, False) or e.finite
-        return out
 
     @property
     def all_infinite(self) -> bool:

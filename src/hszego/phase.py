@@ -36,11 +36,13 @@ __all__ = [
 
 
 class PhaseChoice(Enum):
-    """Which phase function: the two conjugate variants, or the all-|lam| one."""
+    """Which phase function: one of the two conjugate variants.
+
+    The hat structure's phase is MINUS at the signature ``sig.abs()``.
+    """
 
     MINUS = "minus"
     PLUS = "plus"
-    HAT = "hat"
 
 
 class TailTruncationWarning(UserWarning):
@@ -58,9 +60,8 @@ def phase(
     """Evaluate the chosen phase function at (x, y).
 
     MINUS: -x_last + y_last + i*sum|lam_j||z_j-w_j|^2 + i*sum lam_j*(zbar_j w_j - z_j wbar_j).
-    PLUS is its swap/negated-conjugate partner; HAT replaces lam_j by |lam_j|
-    in the antisymmetric term (and flips nothing else, since the quadratic
-    term already carries |lam_j|).  The imaginary part is always >= 0.
+    PLUS is its swap/negated-conjugate partner.  The imaginary part is
+    always >= 0.
     """
     _check_dims(x, y, sig)
     z = np.asarray(x.z)
@@ -77,10 +78,6 @@ def phase(
         return complex(-x.x_last + y.x_last - 2.0 * float(np.sum(lam * im_zbar_w)), quad)
     if choice is PhaseChoice.PLUS:
         return complex(x.x_last - y.x_last + 2.0 * float(np.sum(lam * im_zbar_w)), quad)
-    if choice is PhaseChoice.HAT:
-        return complex(
-            -x.x_last + y.x_last - 2.0 * float(np.sum(np.abs(lam) * im_zbar_w)), quad
-        )
     raise UsageError(f"unknown phase choice {choice!r}")
 
 

@@ -38,7 +38,7 @@ from .core import (
     slice_norm,
 )
 
-__all__ = ["CriterionResult", "run_verification", "report_text", "CRITERION_IDS"]
+__all__ = ["CriterionResult", "run_verification", "report_text"]
 
 
 @dataclass(frozen=True)
@@ -574,9 +574,6 @@ CRITERIA = [
     ("C12.residual", c12_residual_orders),
     ("C13.determinism", c13_determinism),
 ]
-
-CRITERION_IDS = [cid for cid, _ in CRITERIA]
-
 
 # a result id as the report prints it: number, letter suffix, short name
 _RESULT_ID = re.compile(r"(C\d\d)[a-z]\.([a-z]+)")

@@ -59,11 +59,22 @@ def test_all_criteria_present(results):
     assert sorted(results) == sorted(EXPECTED_IDS)
 
 
-# the gate's own numerics must not move when they are made cheaper
+# the gate's own numerics, and those of the phase, slice and residual code,
+# must not move when that code is made cheaper or simpler
 PINNED = {
+    "C03a.phase": "0.000000000000e+00",
+    "C03b.phase": "0.000000000000e+00",
+    "C03c.phase": "4.841008116444e-03",
     "C04.reproducing": "3.852055821097e-11",
+    "C05a.slice": "1.839681304238e-05",
+    "C05b.slice": "6.357482207287e-05",
+    "C05c.slice": "0.000000000000e+00",
+    "C05d.slice": "1.839286337333e-05",
     "C11b.vanish": "2.500000000000e+03",
     "C11c.vanish": "2.029059667534e-13",
+    "C12a.residual": "3.551788166536e+00",
+    "C12b.residual": "3.551630467054e+00",
+    "C12c.residual": "7.162007574449e+04",
 }
 
 

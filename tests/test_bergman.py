@@ -97,6 +97,13 @@ def test_project_grid_mismatch(slice_grid):
         bergman_project(sl, WeightSpec(SIG1, t=1.0), other)
 
 
+def test_project_rejects_nonpositive_lambda(slice_grid):
+    sl = _gaussian_slice(slice_grid, 1.0)
+    for lam in (-1.0, 0.0):
+        with pytest.raises(UsageError, match="all-positive"):
+            bergman_project(sl, WeightSpec(LambdaSignature((lam,)), t=1.0), slice_grid)
+
+
 def test_reproducing_identity_constant(slice_grid):
     (lhs,), (rhs,) = gaussian_reproducing_check(
         [{(0,): 1.0}], np.array([0.0j]), 1.0, SIG1, slice_grid

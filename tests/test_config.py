@@ -1,6 +1,6 @@
 import pytest
 
-from hszego import UsageError
+from hszego import UsageError, WavePacketSpec
 from hszego.config import RunConfig, parse_flat_config
 
 
@@ -66,3 +66,20 @@ def test_canonical_text_deterministic():
     b = RunConfig().canonical_text()
     assert a == b
     assert "jobs" not in a  # worker count must not affect the report digest
+
+
+def test_empty_text_is_the_default_config():
+    # from_text restates no default: an absent key keeps the dataclass's own
+    a, b = RunConfig.from_text(""), RunConfig()
+    assert a.canonical_text() == b.canonical_text()
+    assert a.jobs == b.jobs
+
+
+def test_packet_keys_default_to_wave_packet_spec():
+    cfg = RunConfig.from_text("packet.1.alpha = 1\npacket.1.t_low = 1.2\npacket.1.t_high = 2.4")
+    assert cfg.packets == (WavePacketSpec(alpha=(1,), t_low=1.2, t_high=2.4),)
+
+
+def test_canonical_text_reads_back_unchanged():
+    text = RunConfig.from_text("grid2.spatial_radius = 3.25\nlambdas = -1.0, 2.0").canonical_text()
+    assert RunConfig.from_text(text).canonical_text() == text

@@ -6,35 +6,7 @@ from hszego import (
     LambdaSignature,
     MultiIndex,
     UsageError,
-    multiindex_complement,
-    volume_weight,
 )
-
-
-def test_volume_weight_interior_n1():
-    # spatial spacing 1 (R=2, 5 nodes) and vertical spacing 1 (R=2.5, 5 nodes)
-    grid = GridSpec(2.0, 5, 2.5, 5)
-    assert volume_weight(grid, (2, 2, 2)) == pytest.approx(2.0 * 1.0**3)
-
-
-def test_volume_weight_spatial_only_n2():
-    grid = GridSpec(2.0, 5, 2.5, 5)
-    assert volume_weight(grid, (2, 2, 2, 2)) == pytest.approx(4.0 * 1.0**4)
-
-
-def test_volume_weight_boundary_halves():
-    grid = GridSpec(2.0, 5, 2.5, 5)
-    w_int = volume_weight(grid, (2, 2, 2))
-    assert volume_weight(grid, (0, 2, 2)) == pytest.approx(w_int / 2)
-    assert volume_weight(grid, (0, 4, 2)) == pytest.approx(w_int / 4)
-
-
-def test_volume_weight_out_of_range():
-    grid = GridSpec(2.0, 5, 2.5, 5)
-    with pytest.raises(UsageError):
-        volume_weight(grid, (5, 0, 0))
-    with pytest.raises(UsageError):
-        volume_weight(grid, (0, 0, 7))
 
 
 @pytest.mark.parametrize("rule", ["uniform-trapezoid", "gauss-legendre"])
@@ -50,17 +22,6 @@ def test_spatial_nodes_antisymmetric():
         grid = GridSpec(3.0, 11, 2.0, 4, quadrature_rule=rule)
         x = grid.spatial_nodes()
         assert np.array_equal(x, -x[::-1])
-
-
-def test_multiindex_complement_examples():
-    assert multiindex_complement(MultiIndex((1,)), 2) == MultiIndex((2,))
-    assert multiindex_complement(MultiIndex(()), 3) == MultiIndex((1, 2, 3))
-    assert multiindex_complement(MultiIndex((1, 2)), 4) == MultiIndex((3, 4))
-
-
-def test_multiindex_complement_out_of_range():
-    with pytest.raises(UsageError):
-        multiindex_complement(MultiIndex((3,)), 2)
 
 
 def test_multiindex_validation():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hszego import _kernels
-from hszego.bergman import gaussian_budget_window, project_slice_values
+from hszego.bergman import gaussian_budget_window
 from hszego.core import GAUSS_LEGENDRE, TRAPEZOID, GridSpec, LambdaSignature
 
 TOL = 1e-13
@@ -106,9 +106,3 @@ def test_project_slices_rejects_nonpositive_lambda():
         with pytest.raises(ValueError, match="structure constants"):
             _kernels.project_slices(slabs, ts, 1.0, x, w, lams)
 
-
-def test_project_slice_values_rejects_nonpositive_lambda():
-    grid = GridSpec(4.0, 7, 16.0, 128)
-    values = np.ones(grid.spatial_shape(2), complex)
-    with pytest.raises(ValueError, match="structure constants"):
-        project_slice_values(values, 12.4, (-1.0, 1.0), grid)

@@ -42,15 +42,6 @@ def test_phase_hand_value():
     assert phase(PhaseChoice.MINUS, x, y, SIG1) == pytest.approx(2j, abs=1e-14)
 
 
-def test_phase_hat_uses_absolute_values():
-    sig = LambdaSignature((-1.0,))
-    x = _pt([0.4 + 0.1j], 0.3)
-    y = _pt([-0.2 + 0.5j], -0.7)
-    hat = phase(PhaseChoice.HAT, x, y, sig)
-    ref = phase(PhaseChoice.MINUS, x, y, sig.abs())
-    assert hat == pytest.approx(ref, abs=1e-15)
-
-
 def test_phase_symmetries_random():
     rng = np.random.default_rng(3)
     for _ in range(50):
