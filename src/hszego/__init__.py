@@ -7,7 +7,6 @@ the monomial-integral vanishing classifier, and a verification CLI.
 
 from .bergman import (
     SignedWeightPattern,
-    WeightSpec,
     bergman_kernel,
     bergman_project,
     default_radius_sweep,

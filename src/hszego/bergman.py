@@ -21,7 +21,6 @@ from .core import (
 )
 
 __all__ = [
-    "WeightSpec",
     "SignedWeightPattern",
     "bergman_kernel",
     "bergman_project",
@@ -37,21 +36,6 @@ __all__ = [
 #: pointwise tolerance defining the truncation/resolution budgets
 BUDGET_TOL = 1e-10
 _LOG_TOL = -math.log(BUDGET_TOL)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Gaussian weight t * sum(lam_j |w_j|^2) at a fixed frequency t.
-
-    The kernel with this weight is identically zero for t <= 0.
-    """
-
-    sig: LambdaSignature
-    t: float
-
-    def require_positive_sig(self) -> None:
-        if not self.sig.all_positive():
-            raise UsageError("Bergman weight needs an all-positive signature")
 
 
 @dataclass(frozen=True)
@@ -80,42 +64,47 @@ class SignedWeightPattern:
 # ---------------------------------------------------------------------------
 
 
-def bergman_kernel(z, w, weight: WeightSpec) -> complex:
-    """Pointwise weighted Bergman kernel; zero for t <= 0.
+def _require_positive(sig: LambdaSignature) -> None:
+    if not sig.all_positive():
+        raise UsageError("Bergman weight needs an all-positive signature")
+
+
+def bergman_kernel(z, w, sig: LambdaSignature, t: float) -> complex:
+    """Pointwise Bergman kernel of the weight t * sum(lam_j |w_j|^2); zero for t <= 0.
 
     K(z, w) = 1_(t>0) * (t^n/pi^n) * prod(lam) *
               exp(-t*sum lam_j|w_j-z_j|^2 - t*sum lam_j*(w_j zbar_j - wbar_j z_j)).
     """
-    weight.require_positive_sig()
-    t = weight.t
+    _require_positive(sig)
     if t <= 0:
         return 0.0 + 0.0j
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    lam = np.asarray(weight.sig.lambdas)
-    if z.shape != w.shape or z.shape != (weight.sig.n,):
+    lam = np.asarray(sig.lambdas)
+    if z.shape != w.shape or z.shape != (sig.n,):
         raise UsageError("z, w must both have the signature's dimension")
     expo = -t * np.sum(lam * np.abs(w - z) ** 2) - t * np.sum(
         lam * (w * np.conj(z) - np.conj(w) * z)
     )
-    pref = (t**weight.sig.n / math.pi**weight.sig.n) * float(np.prod(lam))
+    pref = (t**sig.n / math.pi**sig.n) * float(np.prod(lam))
     return complex(pref * np.exp(expo))
 
 
-def bergman_project(slice: FrequencySlice, weight: WeightSpec, grid: GridSpec) -> FrequencySlice:
+def bergman_project(slice: FrequencySlice, sig: LambdaSignature) -> FrequencySlice:
     """Slice-level projection v(z) = integral K(z, w) u(w) dmu(w) by quadrature.
 
-    The kernel vanishes for t <= 0, and so does the projected slice.
+    K is the Bergman kernel of the weight ``slice.t`` * sum(lam_j |w_j|^2) on
+    the slice's own grid.  It vanishes for t <= 0, and so does the projected
+    slice.
     """
-    weight.require_positive_sig()
-    if slice.grid != grid:
-        raise UsageError("slice grid does not match the supplied grid")
-    n = weight.sig.n
+    _require_positive(sig)
+    n = sig.n
     if slice.n != n:
         raise UsageError("slice dimension does not match the signature")
-    t = weight.t
+    grid = slice.grid
+    t = slice.t
     if t <= 0:
-        return FrequencySlice(grid=grid, t=slice.t, values=np.zeros_like(slice.values))
+        return FrequencySlice(grid=grid, t=t, values=np.zeros_like(slice.values))
     m = grid.spatial_points
     out = _kernels.project_slices(
         slice.values.reshape((1,) + (m * m,) * n),
@@ -123,9 +112,9 @@ def bergman_project(slice: FrequencySlice, weight: WeightSpec, grid: GridSpec) -
         float(t),
         grid.spatial_nodes(),
         grid.spatial_axis_weights(),
-        weight.sig.lambdas,
+        sig.lambdas,
     )
-    return FrequencySlice(grid=grid, t=slice.t, values=out.reshape(grid.spatial_shape(n)))
+    return FrequencySlice(grid=grid, t=t, values=out.reshape(grid.spatial_shape(n)))
 
 
 # ---------------------------------------------------------------------------

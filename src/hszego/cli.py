@@ -202,7 +202,9 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, out: str | None, jobs: int | None, criteria) -> int:
+def cmd_verify(cfg: RunConfig, out: str | None, jobs: int, criteria) -> int:
+    if jobs < 0:
+        raise UsageError(f"--jobs must be >= 0 (0 = one worker per core), got {jobs}")
     include = None
     if criteria:
         include = [tok.strip() for tok in criteria.split(",") if tok.strip()]
@@ -248,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the verification suite")
     vf.add_argument("--config", default=None)
     vf.add_argument("--out", default=None)
-    vf.add_argument("--jobs", type=int, default=None)
+    vf.add_argument("--jobs", type=int, default=0, help="criteria run at once; 0 = one per core")
     vf.add_argument("--criteria", default=None, help="comma list of criterion ids")
     return ap
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import GridSpec, LambdaSignature, UsageError
+from .core import GridSpec, LambdaSignature, UsageError, text_value
 from .transform import WavePacketSpec
 
 __all__ = ["RunConfig", "parse_flat_config", "DEFAULT_TOLERANCES"]
@@ -68,6 +68,31 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in items)
 
 
+#: the top-level keys as (key, RunConfig field, parser), in the order they
+#: are written; every one of them enters the report's config digest
+_KEYS = (
+    ("lambdas", "lambdas", _floats),
+    ("epsilon", "epsilon", float),
+    ("seed", "seed", int),
+    ("kernel_table.count", "kernel_table_count", int),
+    ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
+)
+
+#: the ``packet.N.name`` keys: WavePacketSpec fields with their parsers
+_PACKET_KEYS = (
+    ("alpha", _ints),
+    ("t_low", float),
+    ("t_high", float),
+    ("conjugated_axes", _ints),
+    ("order", int),
+    ("vertical_sign", int),
+)
+
+#: the values of the packet keys a config leaves out whose WavePacketSpec
+#: field has no default
+_PACKET_FALLBACK = {"alpha": (0,), "t_low": 1.0, "t_high": 2.5}
+
+
 def _default_packets() -> tuple[WavePacketSpec, ...]:
     # order-6 envelopes of width >= 2.2 keep the periodic wrap-around of the
     # synthesized packets far below the wrap budget on the default vertical box
@@ -87,7 +112,6 @@ class RunConfig:
     lambdas: tuple[float, ...] = (1.0,)
     epsilon: float = 0.5
     seed: int = 20260808
-    jobs: int = 0  # 0 = one worker per available core
     grid: GridSpec = field(default_factory=lambda: GridSpec(4.0, 33, 16.0, 128))
     grid2: GridSpec = field(default_factory=lambda: GridSpec(3.5, 17, 30.0, 128))
     packets: tuple[WavePacketSpec, ...] = field(default_factory=_default_packets)
@@ -101,8 +125,6 @@ class RunConfig:
                 raise UsageError(f"tolerance {name} must be strictly positive")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be > 0")
-        if self.jobs < 0:
-            raise UsageError("jobs must be >= 0")
 
     @property
     def sig(self) -> LambdaSignature:
@@ -120,68 +142,38 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, flat: dict[str, str]) -> "RunConfig":
         flat = dict(flat)
-        kwargs = {}
 
-        def convert(key, conv, text):
+        def parse(key, conv):
             try:
-                return conv(text)
+                return conv(flat.pop(key))
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
 
-        def pop(key, conv, default=None):
-            if key in flat:
-                return convert(key, conv, flat.pop(key))
-            return default
-
-        # an absent key keeps the default of RunConfig, GridSpec or WavePacketSpec
-        base = cls()
-        for key, name, conv in (
-            ("lambdas", "lambdas", _floats),
-            ("epsilon", "epsilon", float),
-            ("seed", "seed", int),
-            ("jobs", "jobs", int),
-            ("kernel_table.count", "kernel_table_count", int),
-            ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
-        ):
-            if key in flat:
-                kwargs[name] = pop(key, conv)
-
         def given(prefix: str, keys) -> dict:
             return {
-                name: pop(f"{prefix}.{name}", conv)
-                for name, conv in keys
-                if f"{prefix}.{name}" in flat
+                name: parse(prefix + name, conv) for name, conv in keys if prefix + name in flat
             }
 
+        # an absent key keeps the default of RunConfig, GridSpec or WavePacketSpec
+        kwargs = {name: parse(key, conv) for key, name, conv in _KEYS if key in flat}
+        base = cls()
         for prefix in ("grid", "grid2"):
-            kwargs[prefix] = replace(getattr(base, prefix), **given(prefix, GridSpec.TEXT_KEYS))
-
-        packet_ids = sorted(
-            {key.split(".")[1] for key in flat if key.startswith("packet.")}
+            grid = given(f"{prefix}.", GridSpec.TEXT_KEYS)
+            kwargs[prefix] = replace(getattr(base, prefix), **grid)
+        packet_ids = sorted({key.split(".")[1] for key in flat if key.startswith("packet.")})
+        packets = tuple(
+            WavePacketSpec(**{**_PACKET_FALLBACK, **given(f"packet.{pid}.", _PACKET_KEYS)})
+            for pid in packet_ids
         )
-        packets = []
-        for pid in packet_ids:
-            prefix = f"packet.{pid}"
-            packets.append(
-                WavePacketSpec(
-                    alpha=pop(f"{prefix}.alpha", _ints, (0,)),
-                    t_low=pop(f"{prefix}.t_low", float, 1.0),
-                    t_high=pop(f"{prefix}.t_high", float, 2.5),
-                    **given(
-                        prefix,
-                        (("conjugated_axes", _ints), ("order", int), ("vertical_sign", int)),
-                    ),
-                )
-            )
         if packets:
-            kwargs["packets"] = tuple(packets)
+            kwargs["packets"] = packets
 
         tolerances = dict(DEFAULT_TOLERANCES)
         for key in [k for k in flat if k.startswith("tolerance.")]:
             name = key.split(".", 1)[1]
             if name not in tolerances:
                 raise UsageError(f"unknown tolerance {name!r}")
-            tolerances[name] = convert(key, float, flat.pop(key))
+            tolerances[name] = parse(key, float)
         kwargs["tolerances"] = tolerances
 
         if flat:
@@ -190,22 +182,11 @@ class RunConfig:
 
     def canonical_text(self) -> str:
         """Deterministic serialization (used for the report's config digest)."""
-        lines = [
-            f"lambdas = {','.join(repr(v) for v in self.lambdas)}",
-            f"epsilon = {self.epsilon!r}",
-            f"seed = {self.seed}",
-            f"kernel_table.count = {self.kernel_table_count}",
-            f"kernel_table.diag_eps = {','.join(repr(v) for v in self.kernel_table_diag_eps)}",
-        ]
+        lines = [f"{key} = {text_value(getattr(self, name))}" for key, name, _ in _KEYS]
         lines += self.grid.text_lines("grid") + self.grid2.text_lines("grid2")
         for i, p in enumerate(self.packets, start=1):
             lines += [
-                f"packet.{i}.alpha = {','.join(str(a) for a in p.alpha)}",
-                f"packet.{i}.t_low = {p.t_low!r}",
-                f"packet.{i}.t_high = {p.t_high!r}",
-                f"packet.{i}.conjugated_axes = {','.join(str(a) for a in p.conjugated_axes)}",
-                f"packet.{i}.order = {p.order}",
-                f"packet.{i}.vertical_sign = {p.vertical_sign}",
+                f"packet.{i}.{name} = {text_value(getattr(p, name))}" for name, _ in _PACKET_KEYS
             ]
         for name in sorted(self.tolerances):
             lines.append(f"tolerance.{name} = {self.tolerances[name]!r}")

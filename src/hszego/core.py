@@ -292,18 +292,25 @@ class GridSpec:
     )
 
     def text_lines(self, prefix: str) -> list[str]:
-        """The grid as ``prefix.key = value`` lines: numbers by repr, the rule verbatim."""
-        lines = []
-        for name, _ in self.TEXT_KEYS:
-            v = getattr(self, name)
-            lines.append(f"{prefix}.{name} = {v if isinstance(v, str) else repr(v)}")
-        return lines
+        """The grid as ``prefix.key = value`` lines (see :func:`text_value`)."""
+        return [
+            f"{prefix}.{name} = {text_value(getattr(self, name))}" for name, _ in self.TEXT_KEYS
+        ]
 
     def spatial_shape(self, n: int) -> tuple[int, ...]:
         return (self.spatial_points,) * (2 * n)
 
     def field_shape(self, n: int) -> tuple[int, ...]:
         return self.spatial_shape(n) + (self.vertical_points,)
+
+
+def text_value(v) -> str:
+    """Config and field-file text of a value: strings verbatim, tuples comma-joined, else repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return ",".join(text_value(x) for x in v)
+    return repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +488,11 @@ def gauss_legendre_table(points: int, unit: bool = False) -> tuple[np.ndarray, n
 
 
 def composite_gauss_legendre(
-    a: float, b: float, total_points: int, points_per_panel: int = 16
+    a: float, b: float, total_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b] with >= total_points nodes."""
-    panels = max(1, -(-int(total_points) // points_per_panel))
-    xg, wg = gauss_legendre_table(points_per_panel)
+    """Composite Gauss-Legendre nodes/weights on [a, b]: 16-node panels, >= total_points nodes."""
+    panels = max(1, -(-int(total_points) // 16))
+    xg, wg = gauss_legendre_table(16)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -10,6 +10,7 @@ payload: one ``component,flat_index,re,im`` row per value with %.17g floats
 from __future__ import annotations
 
 import io
+import os
 
 import numpy as np
 
@@ -128,46 +129,48 @@ def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarr
 
 
 def read_form(path) -> FormField:
-    """Read a field file written by :func:`write_form`."""
+    """Read a field file written by :func:`write_form`.
+
+    A binary payload is read straight into one aligned array per component,
+    so the file's bytes are never held a second time.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    # header ends at the newline after the 'data = ...' line
-    head_end = raw.find(b"data = ")
-    if head_end < 0:
-        raise UsageError("not a field file: missing 'data =' line")
-    nl = raw.find(b"\n", head_end)
-    header_text = raw[:nl].decode("utf-8")
-    # the payload is read in place: a bytes slice would copy all of it
-    start = nl + 1
-    hdr = _parse_header(header_text.splitlines())
-    if hdr.get("format") != FORMAT_NAME:
-        raise UsageError(f"unsupported format {hdr.get('format')!r}")
-    n = _header_value(hdr, "n", int)
-    q = _header_value(hdr, "q", int)
-    keys = _header_value(hdr, "components", _decode_components)
-    grid = GridSpec(
-        **{name: _header_value(hdr, f"grid.{name}", conv) for name, conv in GridSpec.TEXT_KEYS}
-    )
-    shape = grid.field_shape(n)
-    count = int(np.prod(shape))
-    comps: dict[MultiIndex, ScalarField] = {}
-    mode = hdr["data"]
-    if mode == "binary":
-        need = count * 16 * len(keys)
-        if len(raw) - start != need:
-            raise UsageError(f"payload size {len(raw) - start} != expected {need}")
-        for ci, J in enumerate(keys):
-            arr = np.frombuffer(
-                raw, dtype="<c16", count=count, offset=start + ci * count * 16
-            ).astype(np.complex128)
-            comps[J] = ScalarField(grid=grid, values=arr.reshape(shape))
-    elif mode == "csv":
-        arrays = [np.zeros(count, dtype=complex) for _ in keys]
-        # payload rows are numbered as lines of the whole file
-        text = str(memoryview(raw)[start:], "utf-8")
-        _read_csv_rows(text, header_text.count("\n") + 2, count, arrays)
-        for ci, J in enumerate(keys):
-            comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))
-    else:
-        raise UsageError(f"unknown payload mode {mode!r}")
+        # header ends at the newline after the 'data = ...' line
+        head = []
+        while not head or b"data = " not in head[-1]:
+            line = fh.readline()
+            if not line:
+                raise UsageError("not a field file: missing 'data =' line")
+            head.append(line)
+        hdr = _parse_header(b"".join(head).decode("utf-8").splitlines())
+        if hdr.get("format") != FORMAT_NAME:
+            raise UsageError(f"unsupported format {hdr.get('format')!r}")
+        n = _header_value(hdr, "n", int)
+        q = _header_value(hdr, "q", int)
+        keys = _header_value(hdr, "components", _decode_components)
+        grid = GridSpec(
+            **{name: _header_value(hdr, f"grid.{name}", conv) for name, conv in GridSpec.TEXT_KEYS}
+        )
+        shape = grid.field_shape(n)
+        count = int(np.prod(shape))
+        comps: dict[MultiIndex, ScalarField] = {}
+        mode = hdr["data"]
+        if mode == "binary":
+            need = count * 16 * len(keys)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != need:
+                raise UsageError(f"payload size {size} != expected {need}")
+            for J in keys:
+                arr = np.empty(shape, dtype="<c16")
+                fh.readinto(arr)
+                comps[J] = ScalarField(grid=grid, values=arr)
+        elif mode == "csv":
+            arrays = [np.zeros(count, dtype=complex) for _ in keys]
+            # payload rows are numbered as lines of the whole file
+            text = fh.read().decode("utf-8")
+            _read_csv_rows(text, len(head) + 1, count, arrays)
+            for ci, J in enumerate(keys):
+                comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))
+        else:
+            raise UsageError(f"unknown payload mode {mode!r}")
     return FormField(grid=grid, q=q, components=comps)

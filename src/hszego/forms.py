@@ -259,9 +259,7 @@ def vanishing_reason(q: int, sig: LambdaSignature) -> str | None:
     return None
 
 
-def szego_project_form(
-    u: FormField, sig: LambdaSignature, enforce_budget: bool = True
-) -> FormField:
+def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     """Orthogonal projector onto the degree-q harmonic space.
 
     Structural zero whenever the signature is degenerate or q differs from
@@ -287,7 +285,7 @@ def szego_project_form(
         if comp is None:
             continue
         v = reflect_to_hat(comp, block, sig)
-        w = scalar_pipeline_project(v, hat, enforce_budget=enforce_budget)
+        w = scalar_pipeline_project(v, hat)
         out[J] = reflect_to_hat(w, block, sig)
     return FormField(grid=u.grid, q=q, components=out)
 
@@ -335,13 +333,11 @@ class VanishingReport:
         return not any(e.finite for e in self.entries)
 
 
-def vanishing_evidence(
-    q: int, sig: LambdaSignature, max_alpha: int = 2, eta0: float = 1.0
-) -> VanishingReport:
+def vanishing_evidence(q: int, sig: LambdaSignature) -> VanishingReport:
     """Classifier sweep behind the vanishing theorem.
 
     For each strictly increasing J of length q, both signs of the dual
-    frequency, and every |alpha| <= max_alpha, classifies the weighted
+    frequency (eta = +-1), and every |alpha| <= 2, classifies the weighted
     monomial integral.  When the signature is degenerate or q differs from
     both signature counts, every entry must come back Infinite.
     """
@@ -352,8 +348,8 @@ def vanishing_evidence(
     for combo in itertools.combinations(range(1, n + 1), q):
         J = MultiIndex(combo)
         pattern = SignedWeightPattern(sig=sig, J=J)
-        for eta in (eta0, -eta0):
-            for alpha in multi_exponents(n, max_alpha):
+        for eta in (1.0, -1.0):
+            for alpha in multi_exponents(n, 2):
                 val = monomial_integral(alpha, eta, pattern)
                 entries.append(VanishingEntry(J=J, eta=eta, alpha=alpha, value=val))
     return VanishingReport(q=q, sig=sig, entries=tuple(entries))

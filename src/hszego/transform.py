@@ -265,11 +265,10 @@ def make_wave_packet(
     spec: WavePacketSpec,
     sig: LambdaSignature,
     grid: GridSpec,
-    t_points: int = 64,
     bin_quadrature: bool = False,
 ) -> ScalarField:
     """Synthesize u(zeta, x) = integral g(t) zeta~^alpha e^{-t |lam|-Gaussian}
-    e^{-i sign t x} dt on the grid (composite Gauss-Legendre in t).
+    e^{-i sign t x} dt on the grid (64-node composite Gauss-Legendre in t).
 
     Every quadrature node contributes an exact solution of the tangential CR
     system, so the synthesized field solves it regardless of the t-rule.  The
@@ -308,7 +307,7 @@ def make_wave_packet(
         tq = ts[sel]
         wq = np.full(tq.size, grid.freq_step)
     else:
-        tq, wq = composite_gauss_legendre(spec.t_low, spec.t_high, t_points)
+        tq, wq = composite_gauss_legendre(spec.t_low, spec.t_high, 64)
     g = envelope_values(spec, tq)
     zeta = grid.complex_mesh(n).reshape(-1, n)
     for j in spec.conjugated_axes:
@@ -383,13 +382,13 @@ def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> c
 # ---------------------------------------------------------------------------
 
 
-def _plateau_cutoff(t: np.ndarray, epsilon: float, order: int = 4) -> np.ndarray:
-    """Smooth cutoff: 1 on [0, 1/eps], bump taper to 0 at 2/eps."""
+def _plateau_cutoff(t: np.ndarray, epsilon: float) -> np.ndarray:
+    """Smooth cutoff: 1 on [0, 1/eps], bump (1 - s^2)^4 taper to 0 at 2/eps."""
     th = epsilon * np.asarray(t, dtype=float)
     out = np.zeros_like(th)
     out[th <= 1.0] = 1.0
     mid = (th > 1.0) & (th < 2.0)
-    out[mid] = (1.0 - (th[mid] - 1.0) ** 2) ** order
+    out[mid] = (1.0 - (th[mid] - 1.0) ** 2) ** 4
     return out
 
 

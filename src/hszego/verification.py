@@ -75,17 +75,15 @@ def _random_profile(grid: GridSpec, n: int, rng) -> np.ndarray:
     return vals
 
 
-def random_band_field(
-    grid: GridSpec, n: int, rng, band=(0.9, 4.8), modes=6, two_sided=True
-) -> ScalarField:
-    """Band-limited random field: Gaussian-bump profiles on exact tone bins."""
+def random_band_field(grid: GridSpec, n: int, rng, band=(0.9, 4.8), modes=6) -> ScalarField:
+    """Band-limited random field: Gaussian-bump profiles on exact tone bins, ~40 % negative."""
     ts = grid.freq_nodes()
     pos = np.where((ts >= band[0]) & (ts <= band[1]))[0]
     xk = grid.vertical_nodes()
     vals = np.zeros(grid.field_shape(n), dtype=complex)
     for _ in range(modes):
         t = ts[rng.choice(pos)]
-        if two_sided and rng.random() < 0.4:
+        if rng.random() < 0.4:
             t = -t
         vals += _random_profile(grid, n, rng)[..., None] * np.exp(-1j * t * xk)
     return ScalarField(grid=grid, values=vals)
@@ -229,13 +227,12 @@ def c05_slices(cfg: RunConfig):
             zc = grid.complex_mesh(n)
             wspat = grid.spatial_weight_array(n)
             gauss = lambda tt: np.exp(-tt * np.sum(np.abs(zc) ** 2, axis=-1))
-            weight = bergman.WeightSpec(sig=sig, t=t)
             for alpha in alphas:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
                 for ax, a in enumerate(alpha):
                     mono = mono * zc[..., ax] ** a
                 sl = FrequencySlice(grid=grid, t=t, values=mono * gauss(t))
-                out = bergman.bergman_project(sl, weight, grid)
+                out = bergman.bergman_project(sl, sig)
                 worst_rep = max(worst_rep, rel_norm(out.values, sl.values, wspat))
             for alpha in antis:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
@@ -243,7 +240,7 @@ def c05_slices(cfg: RunConfig):
                     mono = mono * np.conj(zc[..., ax]) ** a
                 sl = FrequencySlice(grid=grid, t=t, values=mono * gauss(t))
                 nrm = slice_norm(sl)
-                out = bergman.bergman_project(sl, weight, grid)
+                out = bergman.bergman_project(sl, sig)
                 worst_ann = max(worst_ann, slice_norm(out) / nrm)
             for _ in range(nrand):
                 # random bumps carry the frequency's Gaussian envelope so the
@@ -251,9 +248,9 @@ def c05_slices(cfg: RunConfig):
                 sl = FrequencySlice(
                     grid=grid, t=t, values=_random_profile(grid, n, rng) * gauss(t)
                 )
-                out = bergman.bergman_project(sl, weight, grid)
+                out = bergman.bergman_project(sl, sig)
                 worst_con = max(worst_con, slice_norm(out) / slice_norm(sl) - 1.0)
-                out2 = bergman.bergman_project(out, weight, grid)
+                out2 = bergman.bergman_project(out, sig)
                 worst_idem = max(worst_idem, rel_norm(out2.values, out.values, wspat))
     return [
         _res("C05a.slice", "holomorphic-gaussian-reproduction", worst_rep, rep_tol),
@@ -598,10 +595,12 @@ def _matches(cid: str, include) -> bool:
     return False
 
 
-def run_verification(cfg: RunConfig, include=None, jobs=None):
+def run_verification(cfg: RunConfig, include=None, jobs=0):
     """Run (a subset of) the criteria; returns results in registry order.
 
-    Raises ``UsageError`` when a token of ``include`` names no criterion.
+    ``jobs`` criteria run at once on threads, 0 meaning one per core; the
+    results do not depend on it.  Raises ``UsageError`` when a token of
+    ``include`` names no criterion.
     """
     if include is not None:
         unknown = [tok for tok in include if not any(_matches(cid, [tok]) for cid, _ in CRITERIA)]
@@ -610,8 +609,6 @@ def run_verification(cfg: RunConfig, include=None, jobs=None):
                 f"no criterion is named by {unknown}; name one as C05, C05.slices or C05a.slice"
             )
     chosen = [(cid, fn) for cid, fn in CRITERIA if _matches(cid, include)]
-    if jobs is None:
-        jobs = cfg.jobs
     if jobs == 0:
         import os
 

@@ -10,7 +10,6 @@ from hszego import (
     LambdaSignature,
     MultiIndex,
     UsageError,
-    WeightSpec,
     bergman_kernel,
     bergman_project,
     divergence_witness,
@@ -26,14 +25,12 @@ SIG1 = LambdaSignature((1.0,))
 
 
 def test_kernel_zero_for_nonpositive_t():
-    assert bergman_kernel([0.3j], [0.1], WeightSpec(SIG1, t=0.0)) == 0.0
-    assert bergman_kernel([0.3j], [0.1], WeightSpec(SIG1, t=-2.0)) == 0.0
+    assert bergman_kernel([0.3j], [0.1], SIG1, 0.0) == 0.0
+    assert bergman_kernel([0.3j], [0.1], SIG1, -2.0) == 0.0
 
 
 def test_kernel_diagonal_value():
-    assert bergman_kernel([0.4 - 0.2j], [0.4 - 0.2j], WeightSpec(SIG1, t=1.0)) == pytest.approx(
-        1.0 / np.pi
-    )
+    assert bergman_kernel([0.4 - 0.2j], [0.4 - 0.2j], SIG1, 1.0) == pytest.approx(1.0 / np.pi)
 
 
 def test_kernel_hermitian():
@@ -42,14 +39,14 @@ def test_kernel_hermitian():
     for _ in range(20):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        kzw = bergman_kernel(z, w, WeightSpec(sig, t=0.7))
-        kwz = bergman_kernel(w, z, WeightSpec(sig, t=0.7))
+        kzw = bergman_kernel(z, w, sig, 0.7)
+        kwz = bergman_kernel(w, z, sig, 0.7)
         assert kzw == pytest.approx(np.conj(kwz), rel=1e-13)
 
 
 def test_kernel_requires_positive_sig():
     with pytest.raises(UsageError):
-        bergman_kernel([0.0j], [0.0j], WeightSpec(LambdaSignature((-1.0,)), t=1.0))
+        bergman_kernel([0.0j], [0.0j], LambdaSignature((-1.0,)), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +66,7 @@ def _gaussian_slice(grid, t, extra=None):
 def test_project_reproduces_constant_gaussian(slice_grid):
     t = 1.0
     sl = _gaussian_slice(slice_grid, t)
-    out = bergman_project(sl, WeightSpec(SIG1, t=t), slice_grid)
+    out = bergman_project(sl, SIG1)
     err = slice_norm(
         FrequencySlice(grid=slice_grid, t=t, values=out.values - sl.values)
     )
@@ -79,29 +76,24 @@ def test_project_reproduces_constant_gaussian(slice_grid):
 def test_project_annihilates_antiholomorphic(slice_grid):
     t = 1.0
     sl = _gaussian_slice(slice_grid, t, extra=lambda Z: np.conj(Z))
-    out = bergman_project(sl, WeightSpec(SIG1, t=t), slice_grid)
+    out = bergman_project(sl, SIG1)
     assert slice_norm(out) / slice_norm(sl) < 1e-6
 
 
 def test_project_zero_for_negative_t(slice_grid):
+    # the weight's t is the slice's own: a slice labelled t <= 0 projects to zero
     sl = _gaussian_slice(slice_grid, 1.0)
-    neg = FrequencySlice(grid=slice_grid, t=-1.0, values=sl.values)
-    out = bergman_project(neg, WeightSpec(SIG1, t=-1.0), slice_grid)
-    assert np.all(out.values == 0)
-
-
-def test_project_grid_mismatch(slice_grid):
-    other = GridSpec(5.5, 41, 2.0, 4)
-    sl = _gaussian_slice(slice_grid, 1.0)
-    with pytest.raises(UsageError):
-        bergman_project(sl, WeightSpec(SIG1, t=1.0), other)
+    for t in (-1.0, 0.0):
+        out = bergman_project(FrequencySlice(grid=slice_grid, t=t, values=sl.values), SIG1)
+        assert out.t == t and out.grid == slice_grid
+        assert np.all(out.values == 0)
 
 
 def test_project_rejects_nonpositive_lambda(slice_grid):
     sl = _gaussian_slice(slice_grid, 1.0)
     for lam in (-1.0, 0.0):
         with pytest.raises(UsageError, match="all-positive"):
-            bergman_project(sl, WeightSpec(LambdaSignature((lam,)), t=1.0), slice_grid)
+            bergman_project(sl, LambdaSignature((lam,)))
 
 
 def test_reproducing_identity_constant(slice_grid):

@@ -167,6 +167,12 @@ def test_verify_subset_and_determinism(config_path, tmp_path, capsys):
     assert "C01.gamma" in text and "PASS" in text
 
 
+def test_verify_negative_jobs_exits_2(config_path, ran_criteria, capsys):
+    assert main(["verify", "--config", config_path, "--jobs", "-3", "--criteria", "C01"]) == 2
+    assert ran_criteria == []
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_budget_violation_fails(tmp_path, capsys):
     cfg = tmp_path / "bad_budget.cfg"
     cfg.write_text(BASE_CONFIG.replace("grid.spatial_radius = 4.0", "grid.spatial_radius = 1.5"))

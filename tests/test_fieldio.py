@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,28 @@ def test_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a field file at all\n")
     with pytest.raises(UsageError):
         read_form(path)
+
+
+def test_binary_read_holds_the_payload_once(tmp_path):
+    # each component is read straight into its own aligned array: no copy of
+    # the file's bytes sits next to the decoded values
+    grid = GridSpec(2.0, 9, 3.0, 64)
+    shape = grid.field_shape(2)
+    rng = np.random.default_rng(5)
+    comps = {
+        MultiIndex((j,)): ScalarField(grid=grid, values=rng.normal(size=shape) + 0j)
+        for j in (1, 2)
+    }
+    path = tmp_path / "f.bin"
+    write_form(path, FormField(grid=grid, q=1, components=comps))
+    payload = sum(f.values.nbytes for f in comps.values())
+    tracemalloc.start()
+    try:
+        back = read_form(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * payload
+    for J, comp in comps.items():
+        assert back.components[J].values.flags.aligned
+        assert np.array_equal(back.components[J].values, comp.values)

@@ -270,18 +270,16 @@ def test_packet_boundary_share_small(grid):
 def test_concurrent_slice_projection_matches_sequential(grid):
     from concurrent.futures import ThreadPoolExecutor
 
-    from hszego import FrequencySlice, WeightSpec, bergman_project
+    from hszego import FrequencySlice, bergman_project
 
     rng = np.random.default_rng(3)
     slices = []
     for t in (1.0, 1.3, 1.6, 1.9):
         vals = _profile(grid) * (rng.normal() + 1j * rng.normal())
         slices.append(FrequencySlice(grid=grid, t=t, values=vals))
-    seq = [bergman_project(s, WeightSpec(SIG1, t=s.t), grid) for s in slices]
+    seq = [bergman_project(s, SIG1) for s in slices]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        par = list(
-            pool.map(lambda s: bergman_project(s, WeightSpec(SIG1, t=s.t), grid), slices)
-        )
+        par = list(pool.map(lambda s: bergman_project(s, SIG1), slices))
     for a, b in zip(seq, par):
         assert np.array_equal(a.values, b.values)
 
