@@ -44,7 +44,6 @@ from .forms import (
 )
 from .phase import (
     PhaseChoice,
-    TailTruncationWarning,
     fio_quadrature,
     gamma_moment,
     phase,

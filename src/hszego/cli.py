@@ -14,10 +14,8 @@ import numpy as np
 
 from . import forms, transform
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
-from .phase import phase as phase_fn
 from .config import RunConfig
 from .core import (
-    TRAPEZOID,
     BudgetError,
     FormField,
     HeisenbergPoint,
@@ -70,11 +68,7 @@ def cmd_kernel_table(cfg: RunConfig, out) -> int:
 
     def emit(x, y, eps):
         closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, eps)
-        ph = phase_fn(PhaseChoice.MINUS, x, y, sig)
-        t_max = 40.0 / (ph.imag + eps)
-        quad = fio_quadrature(
-            x, y, sig, PhaseChoice.MINUS, eps, t_max=t_max, t_points=600
-        )
+        quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, eps)
         gap = abs(closed - quad)
         base = _point_cells(x) + _point_cells(y) + [f"{eps:.17g}"]
         for val, route in ((closed, "closed-form"), (quad, "fio-quadrature")):
@@ -158,10 +152,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
     lines = ["# projection report"]
     if reason is not None:
         lines.append(f"# structural zero: {reason}")
-    # the 4th-order CR stencils need the uniform-trapezoid rule; elsewhere the
-    # residual is undefined
-    fd = form.grid.quadrature_rule == TRAPEZOID
-    residuals = forms.cr_system_residual(projected, sig) if fd else {}
+    residuals = forms.cr_system_residual(projected, sig)
     w = form.grid.field_weight_array(sig.n)
     seen = set(form.components) | set(projected.components)
     projected_nonzero = False
@@ -169,7 +160,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
         nin = norm(form.components[J]) if J in form.components else 0.0
         nout = norm(projected.components[J]) if J in projected.components else 0.0
         projected_nonzero = projected_nonzero or nout > 0
-        res = f"{residuals.get(J, 0.0):.6e}" if fd else "n/a"
+        res = f"{residuals.get(J, 0.0):.6e}"
         change = "n/a"
         if nin > 0:
             # a component the projector drops changes by all of itself

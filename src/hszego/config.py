@@ -7,36 +7,12 @@ rejected so typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .core import GridSpec, LambdaSignature, UsageError, text_value
 from .transform import WavePacketSpec
 
-__all__ = ["RunConfig", "parse_flat_config", "DEFAULT_TOLERANCES"]
-
-#: acceptance budgets; ``>=`` comparators mean larger measured values pass
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "gamma_moment": 1e-9,
-    "kernel_fio_agreement": 1e-6,
-    "phase_identity": 1e-12,
-    "gaussian_reproducing": 1e-6,
-    "slice_reproduction": 1e-4,
-    "slice_annihilation": 1e-4,
-    "slice_contraction": 1e-6,
-    "slice_idempotency": 2e-4,
-    "parseval": 1e-8,
-    "hardy_reproduction": 1e-3,
-    "negative_frequency": 1e-3,
-    "idempotency": 2e-3,
-    "self_adjointness": 1e-3,
-    "pairing_route": 1e-4,
-    "direct_route": 5e-3,
-    "form_reproduction": 1e-3,
-    "witness_ratio": 1e3,
-    "finite_match": 1e-6,
-    "residual_order": 3.5,
-    "noise_margin": 1e3,
-    "wrap_share": 1e-8,
-}
+__all__ = ["RunConfig", "parse_flat_config"]
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -78,7 +54,8 @@ _KEYS = (
     ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
 )
 
-#: the ``packet.N.name`` keys: WavePacketSpec fields with their parsers
+#: the ``packet.N.name`` keys: WavePacketSpec fields with their parsers;
+#: ``alpha``, ``t_low`` and ``t_high`` have no default and must be given
 _PACKET_KEYS = (
     ("alpha", _ints),
     ("t_low", float),
@@ -87,10 +64,6 @@ _PACKET_KEYS = (
     ("order", int),
     ("vertical_sign", int),
 )
-
-#: the values of the packet keys a config leaves out whose WavePacketSpec
-#: field has no default
-_PACKET_FALLBACK = {"alpha": (0,), "t_low": 1.0, "t_high": 2.5}
 
 
 def _default_packets() -> tuple[WavePacketSpec, ...]:
@@ -105,9 +78,39 @@ def _default_packets() -> tuple[WavePacketSpec, ...]:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a verification or CLI run needs, with desk-scale defaults."""
+    """Everything a verification or CLI run needs, with desk-scale defaults.
+
+    The acceptance budgets are constants of the gate, not settings of a run.
+    """
+
+    #: acceptance budgets; ``>=`` comparators mean larger measured values pass
+    tolerances = MappingProxyType(
+        {
+            "gamma_moment": 1e-9,
+            "kernel_fio_agreement": 1e-6,
+            "phase_identity": 1e-12,
+            "gaussian_reproducing": 1e-6,
+            "slice_reproduction": 1e-4,
+            "slice_annihilation": 1e-4,
+            "slice_contraction": 1e-6,
+            "slice_idempotency": 2e-4,
+            "parseval": 1e-8,
+            "hardy_reproduction": 1e-3,
+            "negative_frequency": 1e-3,
+            "idempotency": 2e-3,
+            "self_adjointness": 1e-3,
+            "pairing_route": 1e-4,
+            "direct_route": 5e-3,
+            "form_reproduction": 1e-3,
+            "witness_ratio": 1e3,
+            "finite_match": 1e-6,
+            "residual_order": 3.5,
+            "noise_margin": 1e3,
+            "wrap_share": 1e-8,
+        }
+    )
 
     lambdas: tuple[float, ...] = (1.0,)
     epsilon: float = 0.5
@@ -115,14 +118,10 @@ class RunConfig:
     grid: GridSpec = field(default_factory=lambda: GridSpec(4.0, 33, 16.0, 128))
     grid2: GridSpec = field(default_factory=lambda: GridSpec(3.5, 17, 30.0, 128))
     packets: tuple[WavePacketSpec, ...] = field(default_factory=_default_packets)
-    tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     kernel_table_count: int = 8
     kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise UsageError(f"tolerance {name} must be strictly positive")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be > 0")
 
@@ -154,6 +153,15 @@ class RunConfig:
                 name: parse(prefix + name, conv) for name, conv in keys if prefix + name in flat
             }
 
+        def packet(pid: str, keys: dict) -> WavePacketSpec:
+            for name in ("alpha", "t_low", "t_high"):
+                if name not in keys:
+                    raise UsageError(f"config lacks key 'packet.{pid}.{name}'")
+            try:
+                return WavePacketSpec(**keys)
+            except UsageError as exc:
+                raise UsageError(f"packet {pid}: {exc}") from None
+
         # an absent key keeps the default of RunConfig, GridSpec or WavePacketSpec
         kwargs = {name: parse(key, conv) for key, name, conv in _KEYS if key in flat}
         base = cls()
@@ -161,20 +169,9 @@ class RunConfig:
             grid = given(f"{prefix}.", GridSpec.TEXT_KEYS)
             kwargs[prefix] = replace(getattr(base, prefix), **grid)
         packet_ids = sorted({key.split(".")[1] for key in flat if key.startswith("packet.")})
-        packets = tuple(
-            WavePacketSpec(**{**_PACKET_FALLBACK, **given(f"packet.{pid}.", _PACKET_KEYS)})
-            for pid in packet_ids
-        )
+        packets = tuple(packet(pid, given(f"packet.{pid}.", _PACKET_KEYS)) for pid in packet_ids)
         if packets:
             kwargs["packets"] = packets
-
-        tolerances = dict(DEFAULT_TOLERANCES)
-        for key in [k for k in flat if k.startswith("tolerance.")]:
-            name = key.split(".", 1)[1]
-            if name not in tolerances:
-                raise UsageError(f"unknown tolerance {name!r}")
-            tolerances[name] = parse(key, float)
-        kwargs["tolerances"] = tolerances
 
         if flat:
             raise UsageError(f"unknown config keys: {sorted(flat)}")
@@ -188,6 +185,4 @@ class RunConfig:
             lines += [
                 f"packet.{i}.{name} = {text_value(getattr(p, name))}" for name, _ in _PACKET_KEYS
             ]
-        for name in sorted(self.tolerances):
-            lines.append(f"tolerance.{name} = {self.tolerances[name]!r}")
         return "\n".join(lines) + "\n"

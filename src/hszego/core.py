@@ -44,10 +44,6 @@ __all__ = [
     "gauss_legendre_table",
 ]
 
-TRAPEZOID = "uniform-trapezoid"
-GAUSS_LEGENDRE = "gauss-legendre"
-
-
 class UsageError(ValueError):
     """Caller violated a precondition (bad arguments, mismatched grids)."""
 
@@ -180,9 +176,9 @@ class GridSpec:
     """Axis-uniform tensor grid and quadrature descriptor.
 
     ``spatial_points`` counts nodes per real spatial axis on the closed box
-    [-spatial_radius, spatial_radius].  The vertical axis is periodic with
-    ``vertical_points`` nodes of spacing 2*vertical_radius/vertical_points.
-    The frequency axis is the vertical axis' Fourier-bin axis; ``freq_max``
+    [-spatial_radius, spatial_radius], weighted by the uniform trapezoid
+    rule.  The vertical axis is periodic with ``vertical_points`` nodes of
+    spacing 2*vertical_radius/vertical_points.  The frequency axis is the vertical axis' Fourier-bin axis; ``freq_max``
     and ``freq_points`` are derived from it.
     """
 
@@ -190,38 +186,28 @@ class GridSpec:
     spatial_points: int
     vertical_radius: float
     vertical_points: int
-    quadrature_rule: str = TRAPEZOID
 
     def __post_init__(self):
         if self.spatial_points < 2 or self.vertical_points < 2:
             raise UsageError("all point counts must be >= 2")
         if self.spatial_radius <= 0 or self.vertical_radius <= 0:
             raise UsageError("all radii must be > 0")
-        if self.quadrature_rule not in (TRAPEZOID, GAUSS_LEGENDRE):
-            raise UsageError(f"unknown quadrature rule {self.quadrature_rule!r}")
 
     # -- nodes ---------------------------------------------------------------
 
     def spatial_nodes(self) -> np.ndarray:
         """Per-axis spatial nodes, exactly antisymmetric about 0."""
         m, R = self.spatial_points, self.spatial_radius
-        if self.quadrature_rule == TRAPEZOID:
-            h = 2.0 * R / (m - 1)
-            return (np.arange(m) - (m - 1) / 2.0) * h
-        x, _ = gauss_legendre_table(m)
-        x = 0.5 * (x - x[::-1]) * R  # enforce exact antisymmetry
-        return x
+        h = 2.0 * R / (m - 1)
+        return (np.arange(m) - (m - 1) / 2.0) * h
 
     def spatial_axis_weights(self) -> np.ndarray:
-        """Per-axis 1-D quadrature weights (no 2^n factor)."""
+        """Per-axis 1-D trapezoid weights (no 2^n factor)."""
         m, R = self.spatial_points, self.spatial_radius
-        if self.quadrature_rule == TRAPEZOID:
-            h = 2.0 * R / (m - 1)
-            w = np.full(m, h)
-            w[0] = w[-1] = h / 2.0
-            return w
-        _, w = gauss_legendre_table(m)
-        return 0.5 * (w + w[::-1]) * R
+        h = 2.0 * R / (m - 1)
+        w = np.full(m, h)
+        w[0] = w[-1] = h / 2.0
+        return w
 
     def complex_mesh(self, n: int) -> np.ndarray:
         """Complex coordinates z_j = x_(2j-1) + i*x_(2j) of the spatial grid.
@@ -288,7 +274,6 @@ class GridSpec:
         ("spatial_points", int),
         ("vertical_radius", float),
         ("vertical_points", int),
-        ("quadrature_rule", str),
     )
 
     def text_lines(self, prefix: str) -> list[str]:
@@ -305,9 +290,7 @@ class GridSpec:
 
 
 def text_value(v) -> str:
-    """Config and field-file text of a value: strings verbatim, tuples comma-joined, else repr."""
-    if isinstance(v, str):
-        return v
+    """Config and field-file text of a value: tuples comma-joined, else repr."""
     if isinstance(v, tuple):
         return ",".join(text_value(x) for x in v)
     return repr(v)

@@ -88,8 +88,11 @@ def _header_value(hdr: dict[str, str], key: str, conv):
         raise UsageError(f"field file header {key!r}: {exc}") from None
 
 
-def _decode_components(text: str) -> list[MultiIndex]:
-    return [_decode_multiindex(tok) for tok in text.split(";") if tok.strip()]
+def _decode_components(text: str, n: int) -> list[MultiIndex]:
+    keys = [_decode_multiindex(tok) for tok in text.split(";") if tok.strip()]
+    for J in keys:
+        J.validate_bound(n)
+    return keys
 
 
 def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarray]) -> None:
@@ -145,12 +148,17 @@ def read_form(path) -> FormField:
         hdr = _parse_header(b"".join(head).decode("utf-8").splitlines())
         if hdr.get("format") != FORMAT_NAME:
             raise UsageError(f"unsupported format {hdr.get('format')!r}")
+        grid_keys = [(f"grid.{name}", name, conv) for name, conv in GridSpec.TEXT_KEYS]
+        known = {"format", "n", "q", "components", "data", *(key for key, _, _ in grid_keys)}
+        for key in hdr:
+            if key not in known:
+                raise UsageError(f"field file header has unknown key {key!r}")
         n = _header_value(hdr, "n", int)
         q = _header_value(hdr, "q", int)
-        keys = _header_value(hdr, "components", _decode_components)
-        grid = GridSpec(
-            **{name: _header_value(hdr, f"grid.{name}", conv) for name, conv in GridSpec.TEXT_KEYS}
-        )
+        if not 0 <= q <= n:
+            raise UsageError(f"field file header 'q': degree {q} out of range 0..{n}")
+        keys = _header_value(hdr, "components", lambda text: _decode_components(text, n))
+        grid = GridSpec(**{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys})
         shape = grid.field_shape(n)
         count = int(np.prod(shape))
         comps: dict[MultiIndex, ScalarField] = {}

@@ -19,7 +19,6 @@ from .core import (
     LambdaSignature,
     MultiIndex,
     ScalarField,
-    TRAPEZOID,
     UsageError,
     weighted_sq_sum,
 )
@@ -60,8 +59,6 @@ class CrOperatorChoice:
 
 
 def _require_fd_grid(grid: GridSpec) -> None:
-    if grid.quadrature_rule != TRAPEZOID:
-        raise UsageError("finite differences need the uniform-trapezoid rule")
     if grid.spatial_points < 5 or grid.vertical_points < 5:
         raise UsageError("4th-order centered differences need >= 5 nodes per axis")
 

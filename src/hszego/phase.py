@@ -12,7 +12,6 @@ integral_0^inf e^{-t s} t^m dt = m! * s^-(m+1).
 from __future__ import annotations
 
 import math
-import warnings
 from enum import Enum
 
 import numpy as np
@@ -27,7 +26,6 @@ from .core import (
 
 __all__ = [
     "PhaseChoice",
-    "TailTruncationWarning",
     "phase",
     "szego_kernel_scalar",
     "fio_quadrature",
@@ -43,10 +41,6 @@ class PhaseChoice(Enum):
 
     MINUS = "minus"
     PLUS = "plus"
-
-
-class TailTruncationWarning(UserWarning):
-    """The damped t-integral was cut before its tail became negligible."""
 
 
 def _check_dims(x: HeisenbergPoint, y: HeisenbergPoint, sig: LambdaSignature) -> None:
@@ -114,33 +108,23 @@ def fio_quadrature(
     sig: LambdaSignature,
     choice: PhaseChoice = PhaseChoice.MINUS,
     epsilon: float = 1.0,
-    t_max: float = 50.0,
-    t_points: int = 800,
 ) -> complex:
     """Evaluate c0 * integral_0^t_max t^n e^{i t phi(x,y)} e^{-eps t} dt.
 
-    Composite Gauss-Legendre in t; the panel count adapts to the oscillation
-    rate |Re phi| so the requested ``t_points`` is a floor, not a cap.  Warns
-    with :class:`TailTruncationWarning` when t_max*(Im phi + eps) < 20, i.e.
-    when the discarded tail is not negligible.
+    The range t_max = 40 / (Im phi + eps) cuts the integrand where its
+    envelope has decayed by e^-40, so the discarded tail is negligible.
+    Composite Gauss-Legendre in t with at least 600 nodes; the panel count
+    adapts to the oscillation rate |Re phi|.
     """
     if epsilon <= 0:
         raise UsageError(f"epsilon must be > 0, got {epsilon}")
-    if t_max <= 0 or t_points < 2:
-        raise UsageError("t_max must be > 0 and t_points >= 2")
     _check_dims(x, y, sig)
     n = sig.n
     ph = phase(choice, x, y, sig)
-    decay = ph.imag + epsilon
-    if t_max * decay < 20.0:
-        warnings.warn(
-            f"t_max*(Im phi + eps) = {t_max * decay:.3g} < 20: tail not negligible",
-            TailTruncationWarning,
-            stacklevel=2,
-        )
-    # ensure ~10 nodes per oscillation period on top of the requested budget
+    t_max = 40.0 / (ph.imag + epsilon)
+    # ensure ~10 nodes per oscillation period on top of the 600-node floor
     periods = abs(ph.real) * t_max / (2.0 * math.pi)
-    npts = max(int(t_points), int(10 * periods) + 16)
+    npts = max(600, int(10 * periods) + 16)
     tn, tw = composite_gauss_legendre(0.0, t_max, npts)
     vals = tn**n * np.exp((1j * ph - epsilon) * tn)
     return complex(sig.c0() * np.sum(tw * vals))

@@ -148,12 +148,8 @@ def c02_kernel_fio(cfg: RunConfig):
             x = _random_point(n, rng)
             y = _random_point(n, rng)
             for eps in (0.25, 1.0):
-                ph = phase_fn(PhaseChoice.MINUS, x, y, sig)
-                t_max = 40.0 / (ph.imag + eps)
                 closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, eps)
-                quad = fio_quadrature(
-                    x, y, sig, PhaseChoice.MINUS, eps, t_max=t_max, t_points=600
-                )
+                quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, eps)
                 worst = max(worst, abs(quad - closed) / abs(closed))
     return [_res("C02.fio", "closed-form-vs-fio-kernel", worst, tol)]
 

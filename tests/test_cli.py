@@ -85,29 +85,6 @@ def test_make_packet_then_project(config_path, tmp_path, capsys):
     assert set(projected.components) == {MultiIndex(())}
 
 
-def test_project_gauss_legendre_grid_reports_na_residual(tmp_path, capsys):
-    # the pipeline runs on Gauss-Legendre grids; the finite-difference CR
-    # residual is undefined there and must not abort the report
-    cfg = tmp_path / "gl.cfg"
-    # Gauss-Legendre nodes are coarser mid-box: 33 of them resolve t <= 3.06
-    text = BASE_CONFIG.replace("grid.spatial_points = 25", "grid.spatial_points = 33")
-    cfg.write_text(text + "grid.quadrature_rule = gauss-legendre\n")
-    field_path = tmp_path / "gl.field"
-    assert main(["make-packet", "--config", str(cfg), "--out", str(field_path)]) == 0
-    out_path = tmp_path / "gl-projected.field"
-    code = main(["project", "--config", str(cfg), "--in", str(field_path), "--out", str(out_path)])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert captured.err == ""
-    assert "cr_residual=n/a" in captured.out
-    rel = float(captured.out.split("rel_change=")[1].split()[0])
-    assert rel < 1e-3
-    assert "idempotency_gap" in captured.out
-    projected = read_form(str(out_path))
-    assert projected.grid.quadrature_rule == "gauss-legendre"
-    assert set(projected.components) == {MultiIndex(())}
-
-
 def test_project_small_trapezoid_grid_exits_2(tmp_path, capsys):
     # on a uniform grid the residual is defined but needs >= 5 nodes per axis
     field_path = tmp_path / "small.field"
@@ -246,13 +223,33 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, key",
     [("seed = abc", "seed"), ("grid.spatial_points = 3.5", "grid.spatial_points"),
-     ("tolerance.parseval = tiny", "tolerance.parseval"), ("project.q = 1", "project.q")],
+     ("tolerance.parseval = tiny", "tolerance.parseval"), ("project.q = 1", "project.q"),
+     ("tolerance.hardy_reproduction = 1", "tolerance.hardy_reproduction"),
+     ("grid.quadrature_rule = gauss-legendre", "grid.quadrature_rule"),
+     ("grid2.quadrature_rule = uniform-trapezoid", "grid2.quadrature_rule")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
     p.write_text(f"lambdas = 1.0\n{line}\n")
     assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("packet.1.t_low = 3.0", "'packet.1.alpha'"),
+        ("packet.1.alpha = 0\npacket.1.t_low = 3.0", "'packet.1.t_high'"),
+        ("packet.1.alpha = 0\npacket.1.t_low = 3.0\npacket.1.t_high = 2.0",
+         "packet 1: envelope needs 0 < t_low < t_high"),
+    ],
+    ids=["t_low-only", "no-t_high", "empty-envelope"],
+)
+def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message):
+    p = tmp_path / "packet.cfg"
+    p.write_text(text + "\n")
+    assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _csv_field(tmp_path):
@@ -282,6 +279,9 @@ def _first_row(text):
         ("index-range", "line {row}"),
         ("duplicate", "line {row2}"),
         ("missing-row", "expected 36"),
+        ("negative-q", "'q'"),
+        ("component-above-n", "'components'"),
+        ("unknown-header-key", "'grid.quadrature_rule'"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -300,6 +300,12 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace(second + "\n", first + "\n")
     elif case == "missing-row":
         text = text.replace(second + "\n", "")
+    elif case == "negative-q":
+        text = text.replace("q = 0\n", "q = -1\n")
+    elif case == "component-above-n":
+        text = text.replace("q = 0\n", "q = 1\n").replace("components = ()", "components = (3)")
+    elif case == "unknown-header-key":
+        text = text.replace("data = ", "grid.quadrature_rule = gauss-legendre\ndata = ")
     path.write_text(text)
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from hszego import UsageError, WavePacketSpec
@@ -42,7 +44,6 @@ def test_from_text_overrides():
         packet.1.alpha = 1
         packet.1.t_low = 1.2
         packet.1.t_high = 2.4
-        tolerance.hardy_reproduction = 5e-3
         """
     )
     assert cfg.lambdas == (2.0,)
@@ -51,7 +52,6 @@ def test_from_text_overrides():
     assert cfg.grid.freq_points == 64
     assert len(cfg.packets) == 1
     assert cfg.packets[0].t_high == 2.4
-    assert cfg.tolerances["hardy_reproduction"] == 5e-3
 
 
 def test_unknown_keys_rejected():
@@ -59,6 +59,18 @@ def test_unknown_keys_rejected():
         RunConfig.from_text("grid.spatial_pionts = 17")
     with pytest.raises(UsageError):
         RunConfig.from_text("tolerance.nonsense = 1.0")
+
+
+def test_tolerances_are_constants():
+    cfg = RunConfig()
+    assert cfg.tolerances["wrap_share"] == 1e-8
+    with pytest.raises(TypeError):
+        cfg.tolerances["wrap_share"] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        cfg.tolerances = {}
+    with pytest.raises(UsageError, match="tolerance.wrap_share"):
+        RunConfig.from_text("tolerance.wrap_share = 1.0")
+    assert "tolerance" not in cfg.canonical_text()
 
 
 def test_canonical_text_deterministic():

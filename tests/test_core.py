@@ -9,19 +9,17 @@ from hszego import (
 )
 
 
-@pytest.mark.parametrize("rule", ["uniform-trapezoid", "gauss-legendre"])
-@pytest.mark.parametrize("n", [1, 2])
-def test_quadrature_integrates_constants(rule, n):
-    grid = GridSpec(1.7, 9, 2.0, 4, quadrature_rule=rule)
+@pytest.mark.parametrize("n", [1, 2], ids=["1-uniform-trapezoid", "2-uniform-trapezoid"])
+def test_quadrature_integrates_constants(n):
+    grid = GridSpec(1.7, 9, 2.0, 4)
     total = float(np.sum(grid.spatial_weight_array(n)))
     assert total == pytest.approx(2.0**n * (2 * 1.7) ** (2 * n), rel=1e-13)
 
 
 def test_spatial_nodes_antisymmetric():
-    for rule in ("uniform-trapezoid", "gauss-legendre"):
-        grid = GridSpec(3.0, 11, 2.0, 4, quadrature_rule=rule)
-        x = grid.spatial_nodes()
-        assert np.array_equal(x, -x[::-1])
+    grid = GridSpec(3.0, 11, 2.0, 4)
+    x = grid.spatial_nodes()
+    assert np.array_equal(x, -x[::-1])
 
 
 def test_multiindex_validation():
@@ -56,8 +54,6 @@ def test_gridspec_validation():
         GridSpec(0.0, 5, 1.0, 4)
     with pytest.raises(UsageError):
         GridSpec(1.0, 1, 1.0, 4)
-    with pytest.raises(UsageError):
-        GridSpec(1.0, 5, 1.0, 4, quadrature_rule="simpson")
 
 
 def test_freq_axis_matches_vertical_bins():

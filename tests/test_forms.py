@@ -14,6 +14,8 @@ from hszego import (
     WavePacketSpec,
     apply_cr,
     cr_system_residual,
+    form_inner,
+    form_norm,
     make_wave_packet,
     monomial_integral,
     norm,
@@ -25,6 +27,7 @@ from hszego import (
     vanishing_reason,
 )
 from hszego.bergman import SignedWeightPattern
+from hszego.verification import random_band_field
 
 SIG1 = LambdaSignature((1.0,))
 J0 = MultiIndex(())
@@ -68,10 +71,6 @@ def test_apply_cr_grid_requirements():
     u = ScalarField(grid=coarse, values=np.ones(coarse.field_shape(1), dtype=complex))
     with pytest.raises(UsageError):
         apply_cr(u, CrOperatorChoice(kind="Z", axis=1), SIG1)
-    gl = GridSpec(4.0, 9, 8.0, 16, quadrature_rule="gauss-legendre")
-    v = ScalarField(grid=gl, values=np.ones(gl.field_shape(1), dtype=complex))
-    with pytest.raises(UsageError):
-        apply_cr(v, CrOperatorChoice(kind="Z", axis=1), SIG1)
 
 
 def test_cr_residual_packet_vs_noise(grid):
@@ -392,3 +391,92 @@ def test_vanishing_evidence_reports():
     assert finite_J == {MultiIndex((1,)), MultiIndex((2,))}
     rep3 = vanishing_evidence(0, LambdaSignature((0.0, 1.0)))
     assert rep3.all_infinite
+
+
+# -- the n=2 mixed-signature projector: exact discrete symmetries -------------
+
+SIG_MIXED = LambdaSignature((-1.0, 1.0))
+
+
+def _form_of(grid, values_by_axis):
+    return FormField(grid=grid, q=1, components={
+        MultiIndex((j,)): ScalarField(grid=grid, values=v) for j, v in values_by_axis.items()
+    })
+
+
+@pytest.fixture(scope="module")
+def mixed_case():
+    """Two q=1 forms of exact-bin tones inside the budget window, and P of the first.
+
+    Both components of each form carry Gaussian-bump profiles on the bins
+    t = +-1.047 and +-1.152, which the window [0.94, 1.26] of this grid holds.
+    """
+    grid = GridSpec(3.5, 13, 30.0, 32)
+    rng = np.random.default_rng(8)
+    u, v = (
+        _form_of(grid, {
+            j: random_band_field(grid, 2, rng, band=(0.95, 1.25)).values for j in (1, 2)
+        })
+        for _ in range(2)
+    )
+    return u, v, szego_project_form(u, SIG_MIXED)
+
+
+def test_mixed_projector_is_self_adjoint(mixed_case):
+    u, v, pu = mixed_case
+    pv = szego_project_form(v, SIG_MIXED)
+    gap = abs(form_inner(pu, v) - form_inner(u, pv)) / (form_norm(u) * form_norm(v))
+    assert form_norm(pu) > 0.1 * form_norm(u)
+    assert gap < 1e-14
+
+
+def test_mixed_projector_commutes_with_vertical_roll(mixed_case):
+    u, _, pu = mixed_case
+    rolled = _form_of(u.grid, {J.entries[0]: np.roll(f.values, 1, axis=-1)
+                               for J, f in u.iter_components()})
+    p_rolled = szego_project_form(rolled, SIG_MIXED)
+    for J, f in pu.iter_components():
+        diff = np.max(np.abs(p_rolled.components[J].values - np.roll(f.values, 1, axis=-1)))
+        assert diff < 1e-13 * np.max(np.abs(f.values)), J
+
+
+def _conjugate_swap(values):
+    """u(z1, z2, x) -> u(zbar2, zbar1, x): swap the complex axes, flip both imaginary ones."""
+    return np.flip(np.transpose(values, (2, 3, 0, 1, 4)), axis=(1, 3))
+
+
+def test_mixed_projector_commutes_with_conjugate_swap(mixed_case):
+    # (z1, z2) -> (zbar2, zbar1) keeps sum |lam_j||z_j - w_j|^2 and
+    # sum lam_j Im(zbar_j w_j) for lam = (-1, 1), so it is an exact symmetry of
+    # this structure's kernel; the hat structure (1, 1) does not have it
+    u, _, pu = mixed_case
+    swapped = _form_of(u.grid, {J.entries[0]: _conjugate_swap(f.values)
+                                for J, f in u.iter_components()})
+    p_swapped = szego_project_form(swapped, SIG_MIXED)
+    for J, f in pu.iter_components():
+        diff = np.max(np.abs(p_swapped.components[J].values - _conjugate_swap(f.values)))
+        assert diff < 1e-13 * np.max(np.abs(f.values)), J
+
+
+def _keep_sign(values, sign):
+    """The content of ``values`` on the vertical bins t with sign(t) == sign.
+
+    A tone e^{-itx} sits at t; numpy's FFT files it under frequency -t.
+    """
+    spec = np.fft.fft(values, axis=-1)
+    spec[..., ~(-sign * np.fft.fftfreq(values.shape[-1]) > 0)] = 0
+    return np.fft.ifft(spec, axis=-1)
+
+
+def test_mixed_projector_zeroes_wrong_sign_bins(mixed_case):
+    # component (1,) is projected on t > 0 and (2,) on t < 0, the bins its
+    # reflection (which negates the vertical coordinate) carries to t > 0
+    u, _, _ = mixed_case
+    wrong = _form_of(u.grid, {
+        1: _keep_sign(u.components[MultiIndex((1,))].values, -1),
+        2: _keep_sign(u.components[MultiIndex((2,))].values, +1),
+    })
+    assert form_norm(wrong) > 0.1 * form_norm(u)
+    out = szego_project_form(wrong, SIG_MIXED)
+    for J, f in out.iter_components():
+        assert not np.any(f.values), J

@@ -6,7 +6,6 @@ from hszego import (
     HeisenbergPoint,
     LambdaSignature,
     PhaseChoice,
-    TailTruncationWarning,
     UsageError,
     fio_quadrature,
     gamma_moment,
@@ -127,7 +126,7 @@ def test_fio_matches_gamma_closed_form():
     assert ph.imag == pytest.approx(0.5)
     c0 = 1.0 / (2 * np.pi**2)
     expected = c0 * gamma_moment(1, 0.5 - 1j * ph.real + 0.5)
-    got = fio_quadrature(x, y, SIG1, epsilon=0.5, t_max=60.0, t_points=800)
+    got = fio_quadrature(x, y, SIG1, epsilon=0.5)
     assert got == pytest.approx(expected, rel=1e-8)
 
 
@@ -138,17 +137,6 @@ def test_fio_three_way_agreement():
         for _ in range(5):
             x = _pt(rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal())
             y = _pt(rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal())
-            eps = 0.5
-            ph = phase(PhaseChoice.MINUS, x, y, sig)
-            closed = szego_kernel_scalar(x, y, sig, epsilon=eps)
-            quad = fio_quadrature(
-                x, y, sig, epsilon=eps, t_max=40.0 / (ph.imag + eps), t_points=600
-            )
+            closed = szego_kernel_scalar(x, y, sig, epsilon=0.5)
+            quad = fio_quadrature(x, y, sig, epsilon=0.5)
             assert quad == pytest.approx(closed, rel=1e-6)
-
-
-def test_fio_tail_warning():
-    x = _pt([0.1], 0.0)
-    y = _pt([0.0], 0.0)
-    with pytest.warns(TailTruncationWarning):
-        fio_quadrature(x, y, SIG1, epsilon=0.5, t_max=1.0, t_points=64)

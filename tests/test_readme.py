@@ -1,8 +1,9 @@
 """The README's "Library surface" block names only what the package exports,
 and every export is either read by the package itself or documented there.
-Its configuration block parses, and every defaulted parameter of the
-package is set by some call."""
+Its configuration block parses, every defaulted parameter of the package is
+set by some call, and the count of settable values is pinned."""
 
+import argparse
 import ast
 import math
 import re
@@ -10,6 +11,7 @@ import types
 from pathlib import Path
 
 import hszego
+from hszego import cli
 from hszego.config import RunConfig, parse_flat_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,8 +69,7 @@ def test_readme_config_block_parses_and_names_every_key():
     flat = parse_flat_config(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
     written = RunConfig.from_mapping(flat).canonical_text().splitlines()
     keys = {line.split(" = ", 1)[0] for line in written}
-    # one tolerance line stands for all of them
-    assert sorted(k for k in keys if not k.startswith("tolerance.") and k not in flat) == []
+    assert sorted(keys - set(flat)) == []
 
 
 def _defaulted_parameters():
@@ -120,3 +121,60 @@ def test_every_default_is_set_by_some_call():
         )
     ]
     assert unset == []
+
+
+def _init_fields() -> list[tuple[str, str]]:
+    """(class, field) of each dataclass field of the package that ``__init__`` takes."""
+    out = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                continue
+            for stmt in node.body:
+                if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+                    continue
+                value = stmt.value
+                if isinstance(value, ast.Call) and any(
+                    kw.arg == "init" and getattr(kw.value, "value", True) is False
+                    for kw in value.keywords
+                ):
+                    continue
+                out.append((node.name, stmt.target.id))
+    return out
+
+
+def _config_keys() -> set[str]:
+    """Every key the default config writes, with ``packet.N.*`` counted once."""
+    lines = RunConfig().canonical_text().splitlines()
+    return {re.sub(r"^packet\.\d+\.", "packet.N.", line.split(" = ", 1)[0]) for line in lines}
+
+
+def _cli_flags() -> list[tuple[str, str]]:
+    """(parser, first option string) of each CLI option other than ``-h``."""
+    top = cli._build_parser()
+    parsers = [top] + [
+        sub
+        for action in top._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+    return [
+        (parser.prog, action.option_strings[0])
+        for parser in parsers
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+def test_settable_value_count():
+    # every value a caller, config file or command line can set; a new
+    # option has to raise this figure on purpose
+    counts = {
+        "defaulted parameters": len(_defaulted_parameters()),
+        "dataclass fields": len(_init_fields()),
+        "config keys": len(_config_keys()),
+        "cli flags": len(_cli_flags()),
+    }
+    assert sum(counts.values()) == 103, counts
