@@ -88,10 +88,14 @@ def _header_value(hdr: dict[str, str], key: str, conv):
         raise UsageError(f"field file header {key!r}: {exc}") from None
 
 
-def _decode_components(text: str, n: int) -> list[MultiIndex]:
+def _decode_components(text: str, n: int, q: int) -> list[MultiIndex]:
     keys = [_decode_multiindex(tok) for tok in text.split(";") if tok.strip()]
     for J in keys:
         J.validate_bound(n)
+        if J.q != q:
+            raise ValueError(f"component {J} has length {J.q}, expected q={q}")
+    if len(set(keys)) != len(keys):
+        raise ValueError("a component is listed twice")
     return keys
 
 
@@ -154,10 +158,12 @@ def read_form(path) -> FormField:
             if key not in known:
                 raise UsageError(f"field file header has unknown key {key!r}")
         n = _header_value(hdr, "n", int)
+        if n < 1:
+            raise UsageError(f"field file header 'n': dimension {n} is not >= 1")
         q = _header_value(hdr, "q", int)
         if not 0 <= q <= n:
             raise UsageError(f"field file header 'q': degree {q} out of range 0..{n}")
-        keys = _header_value(hdr, "components", lambda text: _decode_components(text, n))
+        keys = _header_value(hdr, "components", lambda text: _decode_components(text, n, q))
         grid = GridSpec(**{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys})
         shape = grid.field_shape(n)
         count = int(np.prod(shape))

@@ -22,7 +22,9 @@ from .core import (
     UsageError,
     weighted_sq_sum,
 )
-from .transform import scalar_pipeline_project
+from . import transform
+# unused here; perfbench/spans.py wraps the scalar pipeline at this binding too
+from .transform import scalar_pipeline_project  # noqa: F401
 
 __all__ = [
     "CrOperatorChoice",
@@ -265,11 +267,24 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     by the block reflection, runs the scalar frequency pipeline there, and
     transports back.  Components with other labels are annihilated.
     """
+    return _project_form(u, sig, False)[0]
+
+
+def _project_form(
+    u: FormField, sig: LambdaSignature, idempotency: bool
+) -> tuple[FormField, float]:
+    """:func:`szego_project_form`, and with ``idempotency`` the gap ||PPu - Pu|| / ||Pu||.
+
+    The reflections are exact index permutations and the weights are
+    symmetric, so the gap's squared sums are the hat pipelines' sums, added
+    over the components.  The gap reads 0.0 when the projection is zero or
+    ``idempotency`` is off.
+    """
     if u.components and sig.n != u.n:
         raise UsageError("signature dimension mismatch")
     q = u.q
     if vanishing_reason(q, sig) is not None:
-        return FormField(grid=u.grid, q=q, components={})
+        return FormField(grid=u.grid, q=q, components={}), 0.0
     hat = sig.abs()
     out: dict[MultiIndex, ScalarField] = {}
     branches = []
@@ -277,14 +292,18 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
         branches.append((MultiIndex(sig.negative_axes), "minus_block"))
     if q == sig.n_plus:
         branches.append((MultiIndex(sig.positive_axes), "plus_block"))
+    gap_sq = norm_sq = 0.0
     for J, block in branches:
         comp = u.component(J)
         if comp is None:
             continue
         v = reflect_to_hat(comp, block, sig)
-        w = scalar_pipeline_project(v, hat)
+        w, gap_j, norm_j = transform._pipeline(v, hat, True, idempotency)
         out[J] = reflect_to_hat(w, block, sig)
-    return FormField(grid=u.grid, q=q, components=out)
+        gap_sq += gap_j
+        norm_sq += norm_j
+    gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0
+    return FormField(grid=u.grid, q=q, components=out), gap
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .core import (
     ScalarField,
     UsageError,
     composite_gauss_legendre,
+    weighted_sq_sum,
 )
 
 __all__ = [
@@ -178,6 +179,22 @@ def scalar_pipeline_project(
     the slab the slice projector takes, and scattered back into a zeroed
     frequency array for the inverse transform.
     """
+    return _pipeline(field, sig, enforce_budget, False)[0]
+
+
+def _pipeline(
+    field: ScalarField, sig: LambdaSignature, enforce_budget: bool, idempotency: bool
+) -> tuple[ScalarField, float, float]:
+    """:func:`scalar_pipeline_project`, and with ``idempotency`` its gap sums.
+
+    Returns the projection Pu and, when ``idempotency`` is set, the squared
+    spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
+    bins (0.0 and 0.0 otherwise).  On the periodic grid Parseval holds to
+    roundoff, so their ratio is the squared relative gap of the field; its
+    constant cancels.  P(Pu) projects only the bins occupied in Pu's own
+    spectrum, so each other projected bin counts its whole energy in the
+    first sum, and no budget is checked on Pu.
+    """
     if sig.degenerate or not sig.all_positive():
         raise UsageError(
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
@@ -196,23 +213,43 @@ def scalar_pipeline_project(
     keep = np.flatnonzero((ts > 0) & _occupied(energy))
     K = keep.size
     if K == 0:
-        return ScalarField(grid=grid, values=np.zeros(field.values.shape, dtype=complex))
+        zero = ScalarField(grid=grid, values=np.zeros(field.values.shape, dtype=complex))
+        return zero, 0.0, 0.0
     slabs = np.moveaxis(freq.values, -1, 0)[keep]
     # each array goes as soon as it is used, so at most two fields are live
     del freq
-    proj = _kernels.project_slices(
-        slabs.reshape((K,) + (m * m,) * n),
-        ts[keep],
-        grid.freq_step,
-        grid.spatial_nodes(),
-        grid.spatial_axis_weights(),
-        tuple(sig.lambdas),
+    # passed by position: perfbench/spans.py reads the slice projector's arguments so
+    consts = (
+        grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas)
     )
+    proj = _kernels.project_slices(slabs.reshape((K,) + (m * m,) * n), ts[keep], *consts)
     del slabs
+    gap_sq = norm_sq = 0.0
+    if idempotency:
+        gap_sq, norm_sq = _idempotency_sums(proj, ts[keep], consts, grid.spatial_weight_array(n))
     bins = np.zeros(field.values.shape, dtype=complex)
     np.moveaxis(bins, -1, 0)[keep] = proj.reshape((K,) + grid.spatial_shape(n))
     del proj
-    return partial_ift(FrequencyField(grid=grid, values=bins))
+    return partial_ift(FrequencyField(grid=grid, values=bins)), gap_sq, norm_sq
+
+
+def _idempotency_sums(proj, ts, consts, w) -> tuple[float, float]:
+    """Weighted ||P(proj) - proj||^2 and ||proj||^2 over the projected slices.
+
+    ``consts`` are the slice projector's arguments after the frequencies and
+    ``w`` the spatial weight array.  Slices not occupied in ``proj``'s own
+    spectrum are not projected again and count as wholly changed.
+    """
+    K = proj.shape[0]
+    flat = proj.reshape(K, -1)
+    f = flat.view(np.float64)
+    idx = np.flatnonzero(_occupied(np.einsum("ks,ks->k", f, f)))
+    diff = _kernels.project_slices(proj[idx], ts[idx], *consts).reshape(idx.size, -1)
+    for j, k in enumerate(idx):
+        diff[j] -= flat[k]
+    wk = np.broadcast_to(w.reshape(1, -1), flat.shape)
+    rest = np.delete(flat, idx, axis=0)
+    return weighted_sq_sum(diff, wk) + weighted_sq_sum(rest, wk), weighted_sq_sum(flat, wk)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from hszego import FormField, GridSpec, MultiIndex, ScalarField, verification
+from hszego import (
+    FormField,
+    GridSpec,
+    LambdaSignature,
+    MultiIndex,
+    ScalarField,
+    WavePacketSpec,
+    make_wave_packet,
+    szego_project_form,
+    transform,
+    verification,
+)
 from hszego.cli import main
+from hszego.config import RunConfig
 from hszego.fieldio import read_form, write_form
 
 BASE_CONFIG = """
@@ -127,6 +139,65 @@ def test_project_budget_violation_exits_3(config_path, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "gaussian-truncation" in err
+
+
+def _annihilated_packet_file(tmp_path, bin_quadrature):
+    """A q=0 field file of a packet on the negative bins of lambda = (1,), default grid."""
+    grid = RunConfig().grid
+    spec = WavePacketSpec(
+        alpha=(0,), t_low=1.0, t_high=3.2, order=6, conjugated_axes=(1,), vertical_sign=-1
+    )
+    u = make_wave_packet(spec, LambdaSignature((1.0,)), grid, bin_quadrature=bin_quadrature)
+    form = FormField(grid=grid, q=0, components={MultiIndex(()): u})
+    path = tmp_path / "annihilated.field"
+    write_form(path, form)
+    return path, form
+
+
+def test_project_annihilated_packet_exits_0(tmp_path, capsys):
+    # the packet's vertical seam leaks ~1e-5 of it onto positive bins up to the
+    # top one; the budget judges the input, not that leakage's projection
+    path, _ = _annihilated_packet_file(tmp_path, False)
+    assert main(["project", "--in", str(path)]) == 0
+    report = capsys.readouterr().out
+    nin = float(report.split("norm_in=")[1].split()[0])
+    nout = float(report.split("norm_out=")[1].split()[0])
+    assert 0 < nout < 1e-5 * nin
+    assert "idempotency_gap = " in report
+
+
+def test_project_exactly_annihilated_packet(tmp_path, capsys):
+    # on the frequency bins the packet is exactly periodic: no positive bin is
+    # occupied, the projection is exactly zero and so is its gap (no 0/0)
+    path, form = _annihilated_packet_file(tmp_path, True)
+    sig = LambdaSignature((1.0,))
+    assert not np.any(szego_project_form(form, sig).components[MultiIndex(())].values)
+    assert main(["project", "--in", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert "norm_out=0.000000e+00" in report
+    assert report.endswith("idempotency_gap = 0.000000e+00\n")
+
+
+def test_project_transforms_once(config_path, tmp_path, monkeypatch):
+    # the idempotency gap comes from the one projection pass; a second pass
+    # would transform the field again
+    field_path = tmp_path / "packet.field"
+    assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
+    calls = {"partial_ft": 0, "partial_ift": 0}
+
+    def counted(name):
+        original = getattr(transform, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(transform, name, counted(name))
+    assert main(["project", "--config", config_path, "--in", str(field_path)]) == 0
+    assert calls == {"partial_ft": 1, "partial_ift": 1}
 
 
 def test_verify_subset_and_determinism(config_path, tmp_path, capsys):
@@ -282,6 +353,9 @@ def _first_row(text):
         ("negative-q", "'q'"),
         ("component-above-n", "'components'"),
         ("unknown-header-key", "'grid.quadrature_rule'"),
+        ("zero-n", "'n'"),
+        ("repeated-component", "'components'"),
+        ("component-length", "'components'"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -306,6 +380,12 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("q = 0\n", "q = 1\n").replace("components = ()", "components = (3)")
     elif case == "unknown-header-key":
         text = text.replace("data = ", "grid.quadrature_rule = gauss-legendre\ndata = ")
+    elif case == "zero-n":
+        text = text.replace("n = 1\n", "n = 0\n")
+    elif case == "repeated-component":
+        text = text.replace("q = 0\n", "q = 1\n").replace("components = ()", "components = (1);(1)")
+    elif case == "component-length":
+        text = text.replace("q = 0\n", "q = 1\n")
     path.write_text(text)
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err

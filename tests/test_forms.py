@@ -27,6 +27,8 @@ from hszego import (
     vanishing_reason,
 )
 from hszego.bergman import SignedWeightPattern
+from hszego.core import rel_norm
+from hszego.forms import _project_form
 from hszego.verification import random_band_field
 
 SIG1 = LambdaSignature((1.0,))
@@ -480,3 +482,57 @@ def test_mixed_projector_zeroes_wrong_sign_bins(mixed_case):
     out = szego_project_form(wrong, SIG_MIXED)
     for J, f in out.iter_components():
         assert not np.any(f.values), J
+
+
+# -- the idempotency gap of one projection pass --------------------------------
+
+
+def _two_pass_gap(pu, project):
+    """||P(Pu) - Pu|| / ||Pu|| with P(Pu) from an explicit second projection."""
+    ppu = project(pu)
+    keys = sorted(pu.components)
+    return rel_norm(
+        [ppu.components[J].values for J in keys],
+        [pu.components[J].values for J in keys],
+        pu.grid.field_weight_array(pu.n),
+    )
+
+
+def test_one_pass_gap_matches_two_projections_n1(grid):
+    u = make_wave_packet(WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6), SIG1, grid)
+    form = FormField(grid=grid, q=0, components={J0: u})
+    pu, gap = _project_form(form, SIG1, True)
+    ref_pu = szego_project_form(form, SIG1)
+    assert np.array_equal(pu.components[J0].values, ref_pu.components[J0].values)
+    ref = _two_pass_gap(pu, lambda f: szego_project_form(f, SIG1))
+    assert 0 < ref < 1e-3
+    assert abs(gap - ref) <= 1e-10 * ref
+
+
+def test_one_pass_gap_of_an_annihilated_packet(grid):
+    # the output is the ~1e-4 seam leakage of a wrong-sign packet; it reaches
+    # bins above the ceiling, so the second projection runs with no budget
+    spec = WavePacketSpec(
+        alpha=(1,), t_low=0.9, t_high=2.6, conjugated_axes=(1,), vertical_sign=-1
+    )
+    form = FormField(grid=grid, q=0, components={J0: make_wave_packet(spec, SIG1, grid)})
+    pu, gap = _project_form(form, SIG1, True)
+    assert 0 < form_norm(pu) < 1e-3 * form_norm(form)
+    ref = _two_pass_gap(pu, lambda f: FormField(grid=grid, q=0, components={
+        J0: scalar_pipeline_project(f.components[J0], SIG1, enforce_budget=False)}))
+    assert abs(gap - ref) <= 1e-10 * ref
+
+
+def test_one_pass_gap_matches_two_projections_mixed_n2(mixed_case):
+    u, _, pu = mixed_case
+    one, gap = _project_form(u, SIG_MIXED, True)
+    for J, f in pu.iter_components():
+        assert np.array_equal(one.components[J].values, f.values), J
+    ref = _two_pass_gap(pu, lambda f: szego_project_form(f, SIG_MIXED))
+    assert 0 < ref < 1e-1
+    assert abs(gap - ref) <= 1e-10 * ref
+
+
+def test_one_pass_gap_of_a_zero_projection_is_zero(mixed_case):
+    u, _, _ = mixed_case
+    assert _project_form(u, LambdaSignature((1.0, 1.0)), True)[1] == 0.0

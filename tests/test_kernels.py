@@ -63,6 +63,24 @@ def test_factored_matches_dense(m, lams, radius):
         assert err <= TOL, (k, float(t), err)
 
 
+def test_three_axes_match_dense():
+    """n >= 3 contracts one axis at a time; n = 3 at m = 3 is S = 729 nodes."""
+    grid = GridSpec(2.0, 3, 16.0, 128)
+    lams = (0.5, 1.0, 2.0)  # unequal, so a permuted axis order shows
+    ts = np.array([0.3, 1.1, 2.7])
+    rng = np.random.default_rng(3)
+    shape = (ts.size,) + (9,) * 3
+    slabs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = _kernels.project_slices(
+        slabs, ts, grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), lams
+    )
+    assert out.shape == slabs.shape
+    for k, t in enumerate(ts):
+        dense = _dense_project(grid, lams, float(t), slabs[k].reshape(-1))
+        err = np.linalg.norm(out[k].reshape(-1) - dense) / np.linalg.norm(dense)
+        assert err <= TOL, (k, float(t), err)
+
+
 def test_factors_underflow_beyond_745():
     """At the top bin t*lam*(2R)^2 > 745: corner factors are exactly 0 and still agree."""
     grid = GridSpec(4.0, 33, 16.0, 128)

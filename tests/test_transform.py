@@ -17,8 +17,9 @@ from hszego import (
     scalar_pipeline_project,
     szego_apply_direct,
 )
-from hszego import _kernels
-from hszego.transform import FrequencyField, packet_boundary_share
+from hszego import _kernels, transform
+from hszego.core import rel_norm
+from hszego.transform import OCCUPANCY_EPS, FrequencyField, packet_boundary_share
 
 SIG1 = LambdaSignature((1.0,))
 
@@ -353,3 +354,24 @@ def test_direct_route_nyquist_guard():
     )
     with pytest.raises(UsageError):
         szego_apply_direct(u, SIG1, epsilon=0.05)
+
+
+def test_gap_counts_a_bin_the_projection_empties():
+    # bin t1 holds 6e-14 of the input's energy, mostly anti-holomorphic, so the
+    # projection keeps only ~3e-21 of the output's there: below the occupancy
+    # share, so the gap does not project it again and counts all of it
+    grid = GridSpec(4.0, 33, 16.0, 128)
+    ts = grid.freq_nodes()
+    t0, t1 = (ts[np.argmin(np.abs(ts - t))] for t in (0.9, 3.0))
+    z = grid.complex_mesh(1)[..., 0]
+    u = _tone(grid, np.exp(-t0 * np.abs(z) ** 2), t0)
+    mixed = (1e-6 * np.conj(z) + 1e-10) * np.exp(-t1 * np.abs(z) ** 2)
+    u = ScalarField(grid=grid, values=u.values + _tone(grid, mixed, t1).values)
+    pu, gap_sq, norm_sq = transform._pipeline(u, SIG1, True, True)
+    share = partial_ft(pu).spectral_energy()
+    share /= share.sum()
+    assert 0.1 * OCCUPANCY_EPS < share[ts == t1][0] < 0.5 * OCCUPANCY_EPS
+    ppu = scalar_pipeline_project(pu, SIG1)
+    ref = rel_norm(ppu.values, pu.values, grid.field_weight_array(1))
+    # the gap is ~2e-10, so the two-pass reference carries ~1e-8 of roundoff
+    assert abs(np.sqrt(gap_sq / norm_sq) - ref) <= 1e-6 * ref
