@@ -18,11 +18,12 @@ def active_backend() -> str:
 # per-axis projector factors
 #
 # Per complex axis, the weighted projector matrix at frequency t is
-#   (t*lam/pi) * E   with
-#   E[(a,b),(c,d)] = exp(-t*lam*((xc-xa)^2 + (xd-xb)^2)
-#                        - 2i*t*lam*(xa*xd - xb*xc)) * 2*w[c]*w[d].
-# With G = exp(-t*lam*(x-x')^2) and F = exp(-2i*t*lam*x*x'), both m x m, each
-# entry splits exactly as
+#   (|t*lam|/pi) * E   with
+#   E[(a,b),(c,d)] = exp(-|t*lam|*((xc-xa)^2 + (xd-xb)^2)
+#                        - 2i*t*lam*(xa*xd - xb*xc)) * 2*w[c]*w[d],
+# holomorphic in z = xa + i*xb where t*lam > 0 and antiholomorphic where
+# t*lam < 0.  With G = exp(-|t*lam|*(x-x')^2) and F = exp(-2i*t*lam*x*x'),
+# both m x m, each entry splits exactly as
 #   E[(a,b),(c,d)] = N[(a,b),c] * M[(a,b),d],
 #   M[(a,b),d] = F[a,d] * G[b,d] * sqrt(2)*w[d],
 #   N[(a,b),c] = G[a,c] * conj(F[b,c]) * sqrt(2)*w[c],
@@ -35,7 +36,7 @@ def axis_projector_exp(nodes, w, t, lam):
     x = np.asarray(nodes, dtype=np.float64)
     m = x.size
     tl = float(t) * float(lam)
-    G = np.exp(-tl * (x[:, None] - x[None, :]) ** 2)
+    G = np.exp(-abs(tl) * (x[:, None] - x[None, :]) ** 2)
     F = np.exp(-2j * tl * np.multiply.outer(x, x))
     sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
     M = (F[:, None, :] * (G * sw)[None, :, :]).reshape(m * m, m)
@@ -54,30 +55,30 @@ def pair_exp(Q, t):
 
 
 def project_slices(slabs, ts, bin_step, nodes, w, lams):
-    """Project each slice at its positive frequency ``ts[i]``.
+    """Project each slice at its nonzero frequency ``ts[i]`` with the signed slice kernel
+    prod_j (|t lam_j|/pi) e^{-|t lam_j||z_j-w_j|^2 - t lam_j (zbar_j w_j - z_j wbar_j)}:
+    the phi_minus slice at t > 0 and the phi_plus slice at t < 0.
 
-    ``slabs``: (K, m^2) for n == 1, (K, m^2, m^2) for n == 2, generally
-    (K,) + (m^2,)*n with one reshaped block per complex axis; ``ts`` must be
-    positive, and so must ``lams`` (a lambda_j <= 0 makes the Gaussian factor
-    grow instead of decay).  Each slice is projected on its own; ``bin_step``
-    is not used.  Returns the same shape.
+    ``slabs``: (K,) + (m^2,)*n with one reshaped block per complex axis;
+    ``ts`` and ``lams`` must be nonzero.  Each slice is projected on its
+    own; ``bin_step`` is not used.  Returns the same shape.
     """
     n = len(lams)
     out = np.zeros_like(slabs)
     m = nodes.size
     if slabs.shape[1:] != (m * m,) * n:
         raise ValueError("slab shape does not match (m*m,)*n")
-    if np.any(ts <= 0):
-        raise ValueError("project_slices expects positive frequencies only")
-    if any(lam <= 0 for lam in lams):
-        raise ValueError("project_slices expects positive structure constants only")
+    if np.any(ts == 0):
+        raise ValueError("project_slices expects nonzero frequencies only")
+    if any(lam == 0 for lam in lams):
+        raise ValueError("project_slices expects nonzero structure constants only")
     if ts.size == 0:
         return out
     for i in range(ts.size):
         t = float(ts[i])
         pref = 1.0
         for lam in lams:
-            pref *= t * lam / np.pi
+            pref *= abs(t * lam) / np.pi
         factors = [axis_projector_exp(nodes, w, t, lam) for lam in lams]
         if n == 1:
             # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]

@@ -16,20 +16,23 @@ __all__ = ["RunConfig", "parse_flat_config"]
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment; blank lines ignored."""
+    """Parse ``key = value`` lines of a config file or field file header.
+
+    '#' starts a comment and blank lines are ignored; an error names the line.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+            raise UsageError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if not key:
-            raise UsageError(f"config line {lineno}: empty key")
+            raise UsageError(f"line {lineno}: empty key")
         if key in out:
-            raise UsageError(f"config line {lineno}: duplicate key {key!r}")
+            raise UsageError(f"line {lineno}: duplicate key {key!r}")
         out[key] = val.strip()
     return out
 

@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from .config import parse_flat_config
 from .core import FormField, GridSpec, MultiIndex, ScalarField, UsageError
 
 __all__ = ["write_form", "read_form", "FORMAT_NAME"]
@@ -67,16 +68,6 @@ def write_form(path, form: FormField, fmt: str = "binary", n: int | None = None)
             for idx in range(flat.size):
                 v = flat[idx]
                 fh.write(f"{ci},{idx},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def _parse_header(lines: list[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in lines:
-        if "=" not in line:
-            raise UsageError(f"malformed header line {line!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-    return out
 
 
 def _header_value(hdr: dict[str, str], key: str, conv):
@@ -149,7 +140,7 @@ def read_form(path) -> FormField:
             if not line:
                 raise UsageError("not a field file: missing 'data =' line")
             head.append(line)
-        hdr = _parse_header(b"".join(head).decode("utf-8").splitlines())
+        hdr = parse_flat_config(b"".join(head).decode("utf-8"))
         if hdr.get("format") != FORMAT_NAME:
             raise UsageError(f"unsupported format {hdr.get('format')!r}")
         grid_keys = [(f"grid.{name}", name, conv) for name, conv in GridSpec.TEXT_KEYS]

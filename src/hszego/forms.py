@@ -1,7 +1,8 @@
 """(0,q)-form machinery: tangential CR operators and residual systems,
-component extraction, the conjugation/reflection reduction to the auxiliary
-all-positive structure, assembly of the general projector, and the
-vanishing-evidence classifier report.
+component extraction, the block reflections to the auxiliary all-positive
+structure (the reference the projector is tested against), assembly of the
+general projector from the signed slice kernel, and the vanishing-evidence
+classifier report.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def reflect_to_hat(field: ScalarField, which: str, sig: LambdaSignature) -> Scal
     conjugates the positive axes and negates the vertical coordinate.  Both
     are involutions realized as exact index permutations of the value array
     (the grids are symmetric axis-wise), so applying twice is bit-exact
-    identity.
+    identity.  Around the all-positive scalar pipeline they give
+    :func:`szego_project_form`'s branches, which tests check against.
     """
     if sig.degenerate:
         raise UsageError("reflection needs a non-degenerate signature")
@@ -262,10 +264,12 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     """Orthogonal projector onto the degree-q harmonic space.
 
     Structural zero whenever the signature is degenerate or q differs from
-    both signature counts.  Otherwise each active branch extracts its
-    distinguished component, transports it to the all-positive hat structure
-    by the block reflection, runs the scalar frequency pipeline there, and
-    transports back.  Components with other labels are annihilated.
+    both signature counts.  Otherwise the frequency pipeline projects each
+    active branch's own-sign bins with the signed slice kernel: the phi_minus
+    slices at t > 0 for q = n_minus (J the negative axes), the phi_plus
+    slices at t < 0 for q = n_plus (J the positive axes).  Components with
+    other labels are annihilated.  :func:`reflect_to_hat` around the
+    all-positive scalar pipeline is the reference tests compare against.
     """
     return _project_form(u, sig, False)[0]
 
@@ -275,9 +279,8 @@ def _project_form(
 ) -> tuple[FormField, float]:
     """:func:`szego_project_form`, and with ``idempotency`` the gap ||PPu - Pu|| / ||Pu||.
 
-    The reflections are exact index permutations and the weights are
-    symmetric, so the gap's squared sums are the hat pipelines' sums, added
-    over the components.  The gap reads 0.0 when the projection is zero or
+    The gap's squared sums are the pipelines' sums, added over the
+    components.  The gap reads 0.0 when the projection is zero or
     ``idempotency`` is off.
     """
     if u.components and sig.n != u.n:
@@ -285,21 +288,19 @@ def _project_form(
     q = u.q
     if vanishing_reason(q, sig) is not None:
         return FormField(grid=u.grid, q=q, components={}), 0.0
-    hat = sig.abs()
     out: dict[MultiIndex, ScalarField] = {}
+    # the slice at t serves the component J = {j : t*lam_j < 0}
     branches = []
     if q == sig.n_minus:
-        branches.append((MultiIndex(sig.negative_axes), "minus_block"))
+        branches.append((MultiIndex(sig.negative_axes), 1))
     if q == sig.n_plus:
-        branches.append((MultiIndex(sig.positive_axes), "plus_block"))
+        branches.append((MultiIndex(sig.positive_axes), -1))
     gap_sq = norm_sq = 0.0
-    for J, block in branches:
+    for J, side in branches:
         comp = u.component(J)
         if comp is None:
             continue
-        v = reflect_to_hat(comp, block, sig)
-        w, gap_j, norm_j = transform._pipeline(v, hat, True, idempotency)
-        out[J] = reflect_to_hat(w, block, sig)
+        out[J], gap_j, norm_j = transform._pipeline(comp, sig, side, True, idempotency)
         gap_sq += gap_j
         norm_sq += norm_j
     gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0

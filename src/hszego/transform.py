@@ -144,11 +144,12 @@ def partial_ift(freq: FrequencyField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy) -> None:
+def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy, sel) -> None:
+    """Raise :class:`BudgetError` when an occupied bin of ``sel`` has |t| outside the window."""
     t_floor, t_ceiling = gaussian_budget_window(grid, sig)
     total = float(energy.sum())
-    for t, e in zip(ts, energy):
-        if t <= 0 or e <= BUDGET_OCCUPANCY * total:
+    for t, e in zip(np.abs(ts[sel]), energy[sel]):
+        if e <= BUDGET_OCCUPANCY * total:
             continue
         if t < t_floor:
             raise BudgetError(
@@ -179,13 +180,24 @@ def scalar_pipeline_project(
     the slab the slice projector takes, and scattered back into a zeroed
     frequency array for the inverse transform.
     """
-    return _pipeline(field, sig, enforce_budget, False)[0]
+    if sig.degenerate or not sig.all_positive():
+        raise UsageError(
+            "scalar pipeline needs an all-positive signature; mixed or degenerate "
+            "signatures are handled by the form-level projector"
+        )
+    return _pipeline(field, sig, 1, enforce_budget, False)[0]
 
 
 def _pipeline(
-    field: ScalarField, sig: LambdaSignature, enforce_budget: bool, idempotency: bool
+    field: ScalarField, sig: LambdaSignature, side: int, enforce_budget: bool, idempotency: bool
 ) -> tuple[ScalarField, float, float]:
-    """:func:`scalar_pipeline_project`, and with ``idempotency`` its gap sums.
+    """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
+
+    ``side`` +1 takes the bins at t > 0 (phi_minus slices, which serve the
+    component on the negative axes of the non-degenerate ``sig``), -1 those
+    at t < 0 (phi_plus, the positive axes), and only bins whose mirror -t is
+    a bin: the Nyquist bin -N/2 of an even grid is on neither side.  The
+    budget is checked on the |t| of the side's bins.
 
     Returns the projection Pu and, when ``idempotency`` is set, the squared
     spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
@@ -195,11 +207,6 @@ def _pipeline(
     spectrum, so each other projected bin counts its whole energy in the
     first sum, and no budget is checked on Pu.
     """
-    if sig.degenerate or not sig.all_positive():
-        raise UsageError(
-            "scalar pipeline needs an all-positive signature; mixed or degenerate "
-            "signatures are handled by the form-level projector"
-        )
     if sig.n != field.n:
         raise UsageError(f"field dimension {field.n} != signature dimension {sig.n}")
     grid = field.grid
@@ -208,9 +215,10 @@ def _pipeline(
     freq = partial_ft(field)
     ts = freq.t_nodes
     energy = freq.spectral_energy()
+    sel = (side * ts > 0) & (np.abs(ts) <= ts[-1])
     if enforce_budget:
-        _check_budget(grid, sig, ts, energy)
-    keep = np.flatnonzero((ts > 0) & _occupied(energy))
+        _check_budget(grid, sig, ts, energy, sel)
+    keep = np.flatnonzero(sel & _occupied(energy))
     K = keep.size
     if K == 0:
         zero = ScalarField(grid=grid, values=np.zeros(field.values.shape, dtype=complex))
@@ -429,16 +437,12 @@ def _plateau_cutoff(t: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
-def szego_apply_direct(
-    field: ScalarField,
-    sig: LambdaSignature,
-    epsilon: float,
-    t_points: int = 512,
-) -> ScalarField:
+def szego_apply_direct(field: ScalarField, sig: LambdaSignature, epsilon: float) -> ScalarField:
     """Apply the projector by direct dense quadrature of the oscillatory kernel.
 
     K(x, y) = c0 * integral_0^inf t^n chi(eps*t) e^{i t phi_minus(x, y)} dt with
-    the smooth plateau cutoff chi, evaluated node-by-node over the full grid
+    the smooth plateau cutoff chi (512 Gauss-Legendre nodes in t on
+    [0, 2/eps]), evaluated node-by-node over the full grid
     (vertical differences wrapped to the periodic cell).  For band-limited
     inputs whose occupied bins lie inside the plateau [0, 1/eps] this equals
     the un-damped projector; it is the independent oracle for the pipeline.
@@ -464,7 +468,7 @@ def szego_apply_direct(
             f"cutoff support 2/eps={t_max:.4g} exceeds the vertical Nyquist "
             f"frequency {nyquist:.4g}; increase eps or refine the vertical axis"
         )
-    tn, tw = composite_gauss_legendre(0.0, t_max, t_points)
+    tn, tw = composite_gauss_legendre(0.0, t_max, 512)
     cq = sig.c0() * tw * tn**n * _plateau_cutoff(tn, epsilon)
     xk = grid.vertical_nodes()
     Rv = grid.vertical_radius

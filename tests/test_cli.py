@@ -356,6 +356,8 @@ def _first_row(text):
         ("zero-n", "'n'"),
         ("repeated-component", "'components'"),
         ("component-length", "'components'"),
+        ("repeated-q", "duplicate key 'q'"),
+        ("repeated-grid-key", "duplicate key 'grid.spatial_points'"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -386,6 +388,10 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("q = 0\n", "q = 1\n").replace("components = ()", "components = (1);(1)")
     elif case == "component-length":
         text = text.replace("q = 0\n", "q = 1\n")
+    elif case == "repeated-q":
+        text = text.replace("data = ", "q = 0\ndata = ")
+    elif case == "repeated-grid-key":
+        text = text.replace("data = ", "grid.spatial_points = 3\ndata = ")
     path.write_text(text)
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err

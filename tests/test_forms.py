@@ -26,7 +26,7 @@ from hszego import (
     vanishing_evidence,
     vanishing_reason,
 )
-from hszego.bergman import SignedWeightPattern
+from hszego.bergman import SignedWeightPattern, gaussian_budget_window
 from hszego.core import rel_norm
 from hszego.forms import _project_form
 from hszego.verification import random_band_field
@@ -471,8 +471,8 @@ def _keep_sign(values, sign):
 
 
 def test_mixed_projector_zeroes_wrong_sign_bins(mixed_case):
-    # component (1,) is projected on t > 0 and (2,) on t < 0, the bins its
-    # reflection (which negates the vertical coordinate) carries to t > 0
+    # component (1,) is projected on t > 0 (the phi_minus slices) and (2,) on
+    # t < 0 (the phi_plus slices)
     u, _, _ = mixed_case
     wrong = _form_of(u.grid, {
         1: _keep_sign(u.components[MultiIndex((1,))].values, -1),
@@ -482,6 +482,58 @@ def test_mixed_projector_zeroes_wrong_sign_bins(mixed_case):
     out = szego_project_form(wrong, SIG_MIXED)
     for J, f in out.iter_components():
         assert not np.any(f.values), J
+
+
+# -- the signed slice kernel against the reflection to the hat structure -------
+
+
+def _hat_reference(f, sig, which):
+    """reflect_to_hat o scalar_pipeline_project(., |sig|) o reflect_to_hat."""
+    hat = scalar_pipeline_project(reflect_to_hat(f, which, sig), sig.abs())
+    return reflect_to_hat(hat, which, sig)
+
+
+def _assert_matches_hat_reference(grid, lams, q, nyquist_tone=0.0):
+    sig = LambdaSignature(lams)
+    branches = {}
+    if q == sig.n_minus:
+        branches[MultiIndex(sig.negative_axes)] = "minus_block"
+    if q == sig.n_plus:
+        branches[MultiIndex(sig.positive_axes)] = "plus_block"
+    rng = np.random.default_rng(12)
+    comps = {}
+    for J in branches:
+        # exact tones on in-window bins, ~40 % of them negative
+        f = random_band_field(grid, sig.n, rng, band=gaussian_budget_window(grid, sig), modes=8)
+        # bin -N/2 of an even grid is its own mirror: no side projects it
+        tone = np.exp(-1j * grid.freq_nodes()[0] * grid.vertical_nodes())
+        comps[J] = ScalarField(grid=grid, values=f.values + nyquist_tone * tone)
+    out = szego_project_form(FormField(grid=grid, q=q, components=comps), sig)
+    assert set(out.components) == set(branches)
+    for J, which in branches.items():
+        want = _hat_reference(comps[J], sig, which).values
+        got = out.components[J].values
+        assert np.linalg.norm(want) > 0.1 * np.linalg.norm(comps[J].values), J
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (J, which)
+
+
+@pytest.mark.parametrize("lams", [(1.0,), (-1.0,)])
+@pytest.mark.parametrize("q", [0, 1])
+def test_signed_kernel_matches_hat_reference_odd_grid(lams, q):
+    _assert_matches_hat_reference(GridSpec(3.4, 17, 20.0, 65), lams, q)
+
+
+@pytest.mark.parametrize("lams, q", [
+    ((-1.0, 1.0), 1), ((-1.0, -1.0), 0), ((-1.0, -1.0), 2), ((-1.0, 1.3), 1),
+])
+def test_signed_kernel_matches_hat_reference_n2(lams, q):
+    _assert_matches_hat_reference(GridSpec(3.5, 13, 30.0, 32), lams, q)
+
+
+def test_signed_kernel_leaves_the_nyquist_bin_to_neither_side():
+    # q = n_plus projects t < 0; the tone on bin -N/2 (|t| far above the
+    # ceiling, but too weak for the budget check) must come out zero
+    _assert_matches_hat_reference(GridSpec(3.4, 17, 20.0, 64), (1.0,), 1, nyquist_tone=1e-4)
 
 
 # -- the idempotency gap of one projection pass --------------------------------

@@ -105,19 +105,43 @@ def test_project_slices_rejects_bad_input():
     x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
     with pytest.raises(ValueError):
         _kernels.project_slices(np.zeros((1, 80), complex), np.array([1.0]), 1.0, x, w, (1.0,))
-    with pytest.raises(ValueError):
-        _kernels.project_slices(np.zeros((1, 81), complex), np.array([-1.0]), 1.0, x, w, (1.0,))
+    with pytest.raises(ValueError, match="frequencies"):
+        _kernels.project_slices(np.zeros((1, 81), complex), np.array([0.0]), 1.0, x, w, (1.0,))
     empty = _kernels.project_slices(np.zeros((0, 81), complex), np.zeros(0), 1.0, x, w, (1.0,))
     assert empty.shape == (0, 81)
 
 
-def test_project_slices_rejects_nonpositive_lambda():
-    """lambda_j <= 0 would make the Gaussian factor overflow; it is refused, not returned as inf."""
+def test_project_slices_rejects_zero_lambda():
+    """lambda_j = 0 has no Gaussian weight to project on; it is refused, not returned as nan."""
     grid = GridSpec(4.0, 7, 16.0, 128)
     x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
     ts = np.array([1.0, 12.4])
     slabs = np.ones((2, 49, 49), complex)
-    for lams in ((-1.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(ValueError, match="structure constants"):
-            _kernels.project_slices(slabs, ts, 1.0, x, w, lams)
+    with pytest.raises(ValueError, match="structure constants"):
+        _kernels.project_slices(slabs, ts, 1.0, x, w, (1.0, 0.0))
 
+
+def _flipped_hat_projection(slab, t, x, w, lams):
+    """Flip the imaginary coordinate of each axis with t*lam_j < 0, project at
+    |t| and |lam|, and flip back: the hat structure's slice projector."""
+    m, n = x.size, len(lams)
+    axes = tuple(2 * j + 1 for j, lam in enumerate(lams) if t * lam < 0)
+    s = np.flip(slab.reshape((m,) * (2 * n)), axes).reshape((1,) + (m * m,) * n)
+    hat = _kernels.project_slices(s, np.array([abs(t)]), 1.0, x, w, tuple(map(abs, lams)))
+    return np.flip(hat.reshape((m,) * (2 * n)), axes).reshape(slab.shape)
+
+
+@pytest.mark.parametrize("lams", [(-1.0,), (-0.5, 2.0), (0.5, -2.0), (-0.5, -2.0)])
+def test_signed_slices_are_flipped_hat_slices(lams):
+    """t*lam_j < 0 conjugates z_j: the slice kernel is antiholomorphic on that axis."""
+    m = 9 if len(lams) == 1 else 5
+    grid = GridSpec(3.5, m, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    ts = np.array([-1.3, 0.6, 2.1, -0.4])
+    rng = np.random.default_rng(5)
+    shape = (ts.size,) + (m * m,) * len(lams)
+    slabs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = _kernels.project_slices(slabs, ts, 1.0, x, w, lams)
+    for k, t in enumerate(ts):
+        want = _flipped_hat_projection(slabs[k], float(t), x, w, lams)
+        assert np.linalg.norm(out[k] - want) <= TOL * np.linalg.norm(want), (k, float(t))

@@ -1,4 +1,5 @@
-"""Peak traced allocation of the streamed CR residual and the scalar pipeline.
+"""Peak traced allocation of the streamed CR residual, the scalar pipeline and
+the form projector.
 
 numpy reports its array buffers to tracemalloc, so the traced peak between
 start and stop is the largest set of temporaries a call holds at once.  The
@@ -17,7 +18,9 @@ from hszego import (
     MultiIndex,
     ScalarField,
     cr_system_residual,
+    forms,
     scalar_pipeline_project,
+    szego_project_form,
 )
 
 GRID = GridSpec(3.5, 13, 8.0, 32)
@@ -60,3 +63,35 @@ def test_pipeline_peak_bounded(component):
         component.values.nbytes,
     )
     assert share < 2.25
+
+
+@pytest.fixture(scope="module")
+def in_window_component():
+    # a random profile on the bins t = +-1.18 only, inside the budget window
+    # [0.94, 1.26] of GRID, so the branch on either side projects something
+    rng = np.random.default_rng(1)
+    tone = np.cos(3 * GRID.freq_step * GRID.vertical_nodes())
+    return ScalarField(grid=GRID, values=rng.normal(size=GRID.spatial_shape(2))[..., None] * tone)
+
+
+@pytest.mark.parametrize("J", [MultiIndex((1,)), MultiIndex((2,))], ids=["t>0", "t<0"])
+def test_form_branch_peak_bounded(in_window_component, J):
+    # one branch holds what the scalar pipeline holds, about 2 components; a
+    # copy of the component reflected to the hat structure would add a third
+    form = FormField(grid=GRID, q=1, components={J: in_window_component})
+    share = _peak_share(
+        lambda: szego_project_form(form, SIG), in_window_component.values.nbytes
+    )
+    assert share < 2.5
+
+
+def test_form_projector_does_not_reflect(in_window_component, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the form projector reflected a component")
+
+    monkeypatch.setattr(forms, "reflect_to_hat", refuse)
+    both = {MultiIndex((j,)): in_window_component for j in (1, 2)}
+    out = szego_project_form(FormField(grid=GRID, q=1, components=both), SIG)
+    assert set(out.components) == set(both)
+    for J, f in out.iter_components():
+        assert np.linalg.norm(f.values) > 0.01 * np.linalg.norm(in_window_component.values), J

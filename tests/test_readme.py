@@ -177,4 +177,4 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 103, counts
+    assert sum(counts.values()) == 102, counts

@@ -342,7 +342,7 @@ def test_direct_route_agrees_on_small_grid():
     spec = WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.3, order=4)
     u = make_wave_packet(spec, SIG1, grid)
     vp = scalar_pipeline_project(u, SIG1)
-    vd = szego_apply_direct(u, SIG1, epsilon=0.43, t_points=256)
+    vd = szego_apply_direct(u, SIG1, epsilon=0.43)
     rel = norm(ScalarField(grid=grid, values=vd.values - vp.values)) / norm(vp)
     assert rel < 5e-3
 
@@ -367,7 +367,7 @@ def test_gap_counts_a_bin_the_projection_empties():
     u = _tone(grid, np.exp(-t0 * np.abs(z) ** 2), t0)
     mixed = (1e-6 * np.conj(z) + 1e-10) * np.exp(-t1 * np.abs(z) ** 2)
     u = ScalarField(grid=grid, values=u.values + _tone(grid, mixed, t1).values)
-    pu, gap_sq, norm_sq = transform._pipeline(u, SIG1, True, True)
+    pu, gap_sq, norm_sq = transform._pipeline(u, SIG1, 1, True, True)
     share = partial_ft(pu).spectral_energy()
     share /= share.sum()
     assert 0.1 * OCCUPANCY_EPS < share[ts == t1][0] < 0.5 * OCCUPANCY_EPS
