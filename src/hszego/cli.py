@@ -8,11 +8,13 @@ violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import forms, transform
+from .bergman import gaussian_budget_window
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .config import RunConfig
 from .core import (
@@ -20,9 +22,10 @@ from .core import (
     FormField,
     HeisenbergPoint,
     MultiIndex,
+    ScalarField,
     UsageError,
     norm,
-    rel_norm,
+    weighted_sq_sum,
 )
 from .fieldio import read_form, write_form
 from .verification import run_verification, report_text
@@ -147,34 +150,59 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
         raise UsageError(
             f"input field has n={form.n} but config lambdas have n={sig.n}"
         )
-    reason = forms.vanishing_reason(form.q, sig)
-    # the idempotency gap comes from the projected bins of this one pass
-    projected, gap = forms._project_form(form, sig, True)
+    grid, q = form.grid, form.q
+    # each component is projected and reported before the next, and its
+    # input goes as soon as it is reported
+    inputs = dict(form.components)
+    del form
+    reason = forms.vanishing_reason(q, sig)
     lines = ["# projection report"]
     if reason is not None:
         lines.append(f"# structural zero: {reason}")
-    residuals = forms.cr_system_residual(projected, sig)
-    w = form.grid.field_weight_array(sig.n)
-    seen = set(form.components) | set(projected.components)
-    for J in sorted(seen):
-        nin = norm(form.components[J]) if J in form.components else 0.0
-        nout = norm(projected.components[J]) if J in projected.components else 0.0
-        res = f"{residuals.get(J, 0.0):.6e}"
+    w = grid.field_weight_array(sig.n)
+    projected: dict[MultiIndex, ScalarField] = {}
+    gap_sq = norm_sq = 0.0
+    outside = False
+    for J in sorted(inputs):
+        u = inputs.pop(J)
+        # the idempotency gap comes from the projected bins of this one pass
+        one, gap_j, norm_j, outside_j = forms._project_form(
+            FormField(grid=grid, q=q, components={J: u}), sig, True
+        )
+        gap_sq += gap_j
+        norm_sq += norm_j
+        outside |= outside_j
+        res = f"{forms.cr_system_residual(one, sig).get(J, 0.0):.6e}"
+        pu = one.component(J)
+        del one
+        # one sum of the input serves norm_in and rel_change
+        nin = math.sqrt(weighted_sq_sum(u.values, w))
+        nout = norm(pu) if pu is not None else 0.0
         change = "n/a"
         if nin > 0:
             # a component the projector drops changes by all of itself
             rel = 1.0
-            if J in projected.components:
-                rel = rel_norm(projected.components[J].values, form.components[J].values, w)
+            if pu is not None:
+                rel = math.sqrt(weighted_sq_sum(pu.values, w, u.values)) / nin
             change = f"{rel:.6e}"
+        del u
+        if pu is not None:
+            projected[J] = pu
         lines.append(
             f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
             f"rel_change={change} cr_residual={res}"
         )
+    if outside:
+        t_floor, t_ceiling = gaussian_budget_window(grid, sig)
+        lines.append(
+            "# idempotency_gap measured on bins of Pu outside the budget window "
+            f"[t_floor, t_ceiling] = [{t_floor:.6g}, {t_ceiling:.6g}]"
+        )
+    gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0
     lines.append(f"idempotency_gap = {gap:.6e}")
     sys.stdout.write("\n".join(lines) + "\n")
     if out is not None:
-        write_form(out, projected, fmt=fmt, n=sig.n)
+        write_form(out, FormField(grid=grid, q=q, components=projected), fmt=fmt, n=sig.n)
     return 0
 
 

@@ -276,18 +276,21 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
 
 def _project_form(
     u: FormField, sig: LambdaSignature, idempotency: bool
-) -> tuple[FormField, float]:
-    """:func:`szego_project_form`, and with ``idempotency`` the gap ||PPu - Pu|| / ||Pu||.
+) -> tuple[FormField, float, float, bool]:
+    """:func:`szego_project_form`, and with ``idempotency`` the sums of the gap ||PPu - Pu|| / ||Pu||.
 
-    The gap's squared sums are the pipelines' sums, added over the
-    components.  The gap reads 0.0 when the projection is zero or
-    ``idempotency`` is off.
+    The squared sums ||P(Pu) - Pu||^2 and ||Pu||^2 and the flag of a
+    significant bin of Pu outside the budget window are the pipelines',
+    added (or-ed) over the components; they read 0.0, 0.0 and False when
+    ``idempotency`` is off.  The components are projected one at a time,
+    so a caller can pass a one-component form and drop its input before the
+    next.
     """
     if u.components and sig.n != u.n:
         raise UsageError("signature dimension mismatch")
     q = u.q
     if vanishing_reason(q, sig) is not None:
-        return FormField(grid=u.grid, q=q, components={}), 0.0
+        return FormField(grid=u.grid, q=q, components={}), 0.0, 0.0, False
     out: dict[MultiIndex, ScalarField] = {}
     # the slice at t serves the component J = {j : t*lam_j < 0}
     branches = []
@@ -296,15 +299,16 @@ def _project_form(
     if q == sig.n_plus:
         branches.append((MultiIndex(sig.positive_axes), -1))
     gap_sq = norm_sq = 0.0
+    outside = False
     for J, side in branches:
         comp = u.component(J)
         if comp is None:
             continue
-        out[J], gap_j, norm_j = transform._pipeline(comp, sig, side, True, idempotency)
+        out[J], gap_j, norm_j, outside_j = transform._pipeline(comp, sig, side, True, idempotency)
         gap_sq += gap_j
         norm_sq += norm_j
-    gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0
-    return FormField(grid=u.grid, q=q, components=out), gap
+        outside |= outside_j
+    return FormField(grid=u.grid, q=q, components=out), gap_sq, norm_sq, outside
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,16 @@ class FrequencyField:
         return self.grid.freq_nodes()
 
     def spectral_energy(self) -> np.ndarray:
-        # sum of re^2 + im^2 over a float view: no temporary the field's size
-        f = self.values.view(np.float64).reshape(-1, self.values.shape[-1], 2)
-        return np.einsum("stc,stc->t", f, f)
+        return _spectral_energy(self.values)
 
     def occupied_mask(self) -> np.ndarray:
         return _occupied(self.spectral_energy())
+
+
+def _spectral_energy(values: np.ndarray) -> np.ndarray:
+    # sum of re^2 + im^2 over a float view: no temporary the field's size
+    f = values.view(np.float64).reshape(-1, values.shape[-1], 2)
+    return np.einsum("stc,stc->t", f, f)
 
 
 def _occupied(energy: np.ndarray) -> np.ndarray:
@@ -109,34 +113,52 @@ def _fft_phase(grid: GridSpec) -> np.ndarray:
 # Bin order (ascending j) and FFT order (j mod N) differ by a half turn: bins
 # [0, h) sit at FFT positions [N - h, N) and bins [h, N) at [0, N - h), with
 # h = N // 2.  Both transforms move the two halves with slice copies fused with
-# the phase factor instead of a fancy-index gather or scatter.
+# the phase factor instead of a fancy-index gather or scatter; the pipeline
+# scales the halves in place and stays in FFT order.
+
+
+def _halves(N: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """The (bins, FFT positions) slice pairs of the two halves the half turn swaps."""
+    h = N // 2
+    return (slice(0, h), slice(N - h, N)), (slice(h, N), slice(0, N - h))
+
+
+def _fft_positions(N: int) -> np.ndarray:
+    """The FFT position of each bin."""
+    return (np.arange(N) - N // 2) % N
+
+
+def _forward_fft(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled vertical FFT of ``field`` in FFT order, and the per-bin scale onto the slices."""
+    grid = field.grid
+    F = _sfft.ifft(field.values, axis=-1, workers=-1)
+    return F, (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
+
+
+def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
+    """The field of phase-corrected slices ``arr`` in FFT order; ``arr`` is overwritten."""
+    u = _sfft.fft(arr, axis=-1, workers=-1, overwrite_x=True)
+    u *= grid.freq_step / (2.0 * math.pi)
+    return ScalarField(grid=grid, values=u)
 
 
 def partial_ft(field: ScalarField) -> FrequencyField:
     """Forward vertical transform onto the grid's frequency bins."""
-    grid = field.grid
-    N = grid.vertical_points
-    h = N // 2
-    F = _sfft.ifft(field.values, axis=-1, workers=-1)
-    scale = (N * grid.vertical_step) * _fft_phase(grid)
+    F, scale = _forward_fft(field)
     out = np.empty_like(F)
-    np.multiply(F[..., N - h :], scale[:h], out=out[..., :h])
-    np.multiply(F[..., : N - h], scale[h:], out=out[..., h:])
-    return FrequencyField(grid=grid, values=out)
+    for bins, pos in _halves(field.grid.vertical_points):
+        np.multiply(F[..., pos], scale[bins], out=out[..., bins])
+    return FrequencyField(grid=field.grid, values=out)
 
 
 def partial_ift(freq: FrequencyField) -> ScalarField:
     """Inverse vertical transform; exact inverse of :func:`partial_ft`."""
     grid = freq.grid
-    N = grid.vertical_points
-    h = N // 2
     cphase = np.conj(_fft_phase(grid))
     arr = np.empty_like(freq.values)
-    np.multiply(freq.values[..., :h], cphase[:h], out=arr[..., N - h :])
-    np.multiply(freq.values[..., h:], cphase[h:], out=arr[..., : N - h])
-    u = _sfft.fft(arr, axis=-1, workers=-1, overwrite_x=True)
-    u *= grid.freq_step / (2.0 * math.pi)
-    return ScalarField(grid=grid, values=u)
+    for bins, pos in _halves(grid.vertical_points):
+        np.multiply(freq.values[..., bins], cphase[bins], out=arr[..., pos])
+    return _inverse_fft(arr, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +166,33 @@ def partial_ift(freq: FrequencyField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
+def _outside_window(grid: GridSpec, sig: LambdaSignature, ts, energy) -> np.ndarray:
+    """Bins holding more than ``BUDGET_OCCUPANCY`` of ``energy``'s total with |t| outside the window."""
+    t_floor, t_ceiling = gaussian_budget_window(grid, sig)
+    t = np.abs(ts)
+    # written so that a NaN energy counts as significant
+    significant = ~(energy <= BUDGET_OCCUPANCY * float(energy.sum()))
+    return significant & ((t < t_floor) | (t > t_ceiling))
+
+
 def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy, sel) -> None:
     """Raise :class:`BudgetError` when an occupied bin of ``sel`` has |t| outside the window."""
+    bad = np.flatnonzero(sel & _outside_window(grid, sig, ts, energy))
+    if bad.size == 0:
+        return
     t_floor, t_ceiling = gaussian_budget_window(grid, sig)
-    total = float(energy.sum())
-    for t, e in zip(np.abs(ts[sel]), energy[sel]):
-        if e <= BUDGET_OCCUPANCY * total:
-            continue
-        if t < t_floor:
-            raise BudgetError(
-                "gaussian-truncation",
-                f"occupied slice t={t:.6g} below truncation floor {t_floor:.6g} "
-                f"(spatial_radius={grid.spatial_radius} too small for this frequency)",
-            )
-        if t > t_ceiling:
-            raise BudgetError(
-                "kernel-resolution",
-                f"occupied slice t={t:.6g} above resolution ceiling {t_ceiling:.6g} "
-                f"(spatial step too coarse for this frequency)",
-            )
+    t = np.abs(ts[bad[0]])
+    if t < t_floor:
+        raise BudgetError(
+            "gaussian-truncation",
+            f"occupied slice t={t:.6g} below truncation floor {t_floor:.6g} "
+            f"(spatial_radius={grid.spatial_radius} too small for this frequency)",
+        )
+    raise BudgetError(
+        "kernel-resolution",
+        f"occupied slice t={t:.6g} above resolution ceiling {t_ceiling:.6g} "
+        f"(spatial step too coarse for this frequency)",
+    )
 
 
 def scalar_pipeline_project(
@@ -176,9 +206,9 @@ def scalar_pipeline_project(
     raise :class:`BudgetError` naming the violated budget, unless
     ``enforce_budget`` is off.
 
-    Only the projected bins are moved: they are gathered frequency-first into
-    the slab the slice projector takes, and scattered back into a zeroed
-    frequency array for the inverse transform.
+    The projection works in place in one array the field's size: the
+    forward FFT's output, which keeps FFT order.  The projected bins pass
+    through the slice projector a few at a time.
     """
     if sig.degenerate or not sig.all_positive():
         raise UsageError(
@@ -188,9 +218,34 @@ def scalar_pipeline_project(
     return _pipeline(field, sig, 1, enforce_budget, False)[0]
 
 
+#: projected bins per slab: the slabs, the slice projector's output and the
+#: idempotency gap's second projection are the only working memory beside
+#: the field-sized array
+_SLAB_BINS = 8
+
+
+def _slabs(K: int) -> list[tuple[int, int]]:
+    """Bounds of the slabs of ``K`` projected bins, ``_SLAB_BINS`` bins each.
+
+    No slab holds a single bin beside others: numpy's einsum sums a single
+    row along another path, and Pu's occupancy must read as from one einsum
+    over all projected bins.
+    """
+    bounds = list(range(0, K, _SLAB_BINS)) + [K]
+    if K > 1 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of True in the 1-D ``mask``."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[::2], edges[1::2]))
+
+
 def _pipeline(
     field: ScalarField, sig: LambdaSignature, side: int, enforce_budget: bool, idempotency: bool
-) -> tuple[ScalarField, float, float]:
+) -> tuple[ScalarField, float, float, bool]:
     """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
 
     ``side`` +1 takes the bins at t > 0 (phi_minus slices, which serve the
@@ -201,63 +256,104 @@ def _pipeline(
 
     Returns the projection Pu and, when ``idempotency`` is set, the squared
     spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
-    bins (0.0 and 0.0 otherwise).  On the periodic grid Parseval holds to
-    roundoff, so their ratio is the squared relative gap of the field; its
-    constant cancels.  P(Pu) projects only the bins occupied in Pu's own
-    spectrum, so each other projected bin counts its whole energy in the
-    first sum, and no budget is checked on Pu.
+    bins, and whether a bin holding more than ``BUDGET_OCCUPANCY`` of Pu's
+    energy lies outside the budget window (0.0, 0.0 and False otherwise).
+    On the periodic grid Parseval holds to roundoff, so the sums' ratio is
+    the squared relative gap of the field; its constant cancels.  P(Pu)
+    projects only the bins occupied in Pu's own spectrum, so each other
+    projected bin counts its whole energy in the first sum, and no budget
+    is checked on Pu.
+
+    One array the field's size is made: the forward FFT, scaled onto the
+    bins in place and kept in FFT order.  The projected bins, contiguous
+    runs in that order, go through the slice projector a slab at a time and
+    are written back with the inverse phase; the other bins are zeroed and
+    the inverse FFT runs in place.
     """
     if sig.n != field.n:
         raise UsageError(f"field dimension {field.n} != signature dimension {sig.n}")
     grid = field.grid
     n = field.n
-    m = grid.spatial_points
-    freq = partial_ft(field)
-    ts = freq.t_nodes
-    energy = freq.spectral_energy()
+    N = grid.vertical_points
+    F, scale = _forward_fft(field)
+    for bins, pos in _halves(N):
+        np.multiply(F[..., pos], scale[bins], out=F[..., pos])
+    position = _fft_positions(N)
+    ts = grid.freq_nodes()
+    energy = _spectral_energy(F)[position]
     sel = (side * ts > 0) & (np.abs(ts) <= ts[-1])
     if enforce_budget:
         _check_budget(grid, sig, ts, energy, sel)
     keep = np.flatnonzero(sel & _occupied(energy))
-    K = keep.size
-    if K == 0:
-        zero = ScalarField(grid=grid, values=np.zeros(field.values.shape, dtype=complex))
-        return zero, 0.0, 0.0
-    slabs = np.moveaxis(freq.values, -1, 0)[keep]
-    # each array goes as soon as it is used, so at most two fields are live
-    del freq
+    dropped = np.ones(N, dtype=bool)
+    dropped[position[keep]] = False
+    for lo, hi in _runs(dropped):
+        F[..., lo:hi] = 0
+    if keep.size == 0:
+        return ScalarField(grid=grid, values=F), 0.0, 0.0, False
+    m = grid.spatial_points
     # passed by position: perfbench/spans.py reads the slice projector's arguments so
     consts = (
         grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas)
     )
-    proj = _kernels.project_slices(slabs.reshape((K,) + (m * m,) * n), ts[keep], *consts)
-    del slabs
-    gap_sq = norm_sq = 0.0
-    if idempotency:
-        gap_sq, norm_sq = _idempotency_sums(proj, ts[keep], consts, grid.spatial_weight_array(n))
-    bins = np.zeros(field.values.shape, dtype=complex)
-    np.moveaxis(bins, -1, 0)[keep] = proj.reshape((K,) + grid.spatial_shape(n))
-    del proj
-    return partial_ift(FrequencyField(grid=grid, values=bins)), gap_sq, norm_sq
+    cphase = np.conj(_fft_phase(grid)).reshape((-1,) + (1,) * (2 * n))
+    w = grid.spatial_weight_array(n).reshape(1, -1)
+    # per projected bin: Pu's energy, its weighted ||Pu||^2 and ||P(Pu) - Pu||^2.
+    # Which bins are occupied in Pu needs Pu's total energy, known only after
+    # the last slab, so P(Pu) is taken on every bin with energy as its slab
+    # passes, and only the occupied bins' differences enter the gap
+    rows = np.zeros((3, keep.size))
+    by_bin = np.moveaxis(F, -1, 0)
+    for lo, hi in _slabs(keep.size):
+        ks = keep[lo:hi]
+        # a run of FFT positions moves as a slice, faster than an index gather
+        first, last = position[ks[0]], position[ks[-1]]
+        at = slice(first, last + 1) if last - first == hi - lo - 1 else position[ks]
+        slab = np.ascontiguousarray(by_bin[at]).reshape((hi - lo,) + (m * m,) * n)
+        proj = _kernels.project_slices(slab, ts[ks], *consts)
+        del slab
+        if idempotency:
+            _idempotency_rows(proj, ts[ks], consts, w, rows[:, lo:hi])
+        proj = proj.reshape((hi - lo,) + grid.spatial_shape(n))
+        proj *= cphase[ks]
+        by_bin[at] = proj
+        del proj
+    pu = _inverse_fft(F, grid)
+    if not idempotency:
+        return pu, 0.0, 0.0, False
+    energy_pu, norms, gaps = rows
+    again = _occupied(energy_pu)
+    # bin by bin in ascending t: the order weighted_sq_sum takes over a stack
+    # of all projected bins
+    gap_sq = rest_sq = norm_sq = 0.0
+    for k in np.flatnonzero(again):
+        gap_sq += float(gaps[k])
+    for k in np.flatnonzero(~again):
+        rest_sq += float(norms[k])
+    for k in range(keep.size):
+        norm_sq += float(norms[k])
+    outside = bool(np.any(_outside_window(grid, sig, ts[keep], energy_pu)))
+    return pu, gap_sq + rest_sq, norm_sq, outside
 
 
-def _idempotency_sums(proj, ts, consts, w) -> tuple[float, float]:
-    """Weighted ||P(proj) - proj||^2 and ||proj||^2 over the projected slices.
+def _idempotency_rows(proj, ts, consts, w, out) -> None:
+    """Fill ``out`` with each projected slice's energy, weighted ||proj||^2 and ||P(proj) - proj||^2.
 
     ``consts`` are the slice projector's arguments after the frequencies and
-    ``w`` the spatial weight array.  Slices not occupied in ``proj``'s own
-    spectrum are not projected again and count as wholly changed.
+    ``w`` the flat spatial weights as one row.  Slices with no energy are not
+    projected again; their third row entry stays 0.
     """
     K = proj.shape[0]
     flat = proj.reshape(K, -1)
     f = flat.view(np.float64)
-    idx = np.flatnonzero(_occupied(np.einsum("ks,ks->k", f, f)))
+    out[0] = np.einsum("ks,ks->k", f, f)
+    idx = np.flatnonzero(out[0] > 0)
     diff = _kernels.project_slices(proj[idx], ts[idx], *consts).reshape(idx.size, -1)
     for j, k in enumerate(idx):
         diff[j] -= flat[k]
-    wk = np.broadcast_to(w.reshape(1, -1), flat.shape)
-    rest = np.delete(flat, idx, axis=0)
-    return weighted_sq_sum(diff, wk) + weighted_sq_sum(rest, wk), weighted_sq_sum(flat, wk)
+        out[2, k] = weighted_sq_sum(diff[j : j + 1], w)
+    for k in range(K):
+        out[1, k] = weighted_sq_sum(flat[k : k + 1], w)
 
 
 # ---------------------------------------------------------------------------

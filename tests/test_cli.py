@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hszego import (
     transform,
     verification,
 )
+from hszego.bergman import gaussian_budget_window
 from hszego.cli import main
 from hszego.config import RunConfig
 from hszego.fieldio import read_form, write_form
@@ -178,26 +181,65 @@ def test_project_exactly_annihilated_packet(tmp_path, capsys):
     assert report.endswith("idempotency_gap = 0.000000e+00\n")
 
 
-def test_project_transforms_once(config_path, tmp_path, monkeypatch):
-    # the idempotency gap comes from the one projection pass; a second pass
-    # would transform the field again
-    field_path = tmp_path / "packet.field"
-    assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
-    calls = {"partial_ft": 0, "partial_ift": 0}
+def _count_ffts(monkeypatch):
+    """Count the vertical FFTs of ``transform``: ifft runs the forward transform, fft the inverse."""
+    calls = {"forward": 0, "inverse": 0}
+    fft = transform._sfft
 
-    def counted(name):
-        original = getattr(transform, name)
-
-        def call(*args):
-            calls[name] += 1
-            return original(*args)
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
 
         return call
 
-    for name in calls:
-        monkeypatch.setattr(transform, name, counted(name))
+    monkeypatch.setattr(transform, "_sfft", types.SimpleNamespace(
+        ifft=counted("forward", fft.ifft), fft=counted("inverse", fft.fft)))
+    return calls
+
+
+def test_project_transforms_once(config_path, tmp_path, monkeypatch, capsys):
+    # one forward and one inverse vertical FFT per projected component: the
+    # idempotency gap comes from the one projection pass, and a second pass
+    # would transform the field again
+    field_path = tmp_path / "packet.field"
+    assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
+    calls = _count_ffts(monkeypatch)
     assert main(["project", "--config", config_path, "--in", str(field_path)]) == 0
-    assert calls == {"partial_ft": 1, "partial_ift": 1}
+    assert calls == {"forward": 1, "inverse": 1}
+    # both components of a mixed q=1 form are projected, each on its own
+    # side's bins t = +-1.18 inside this grid's window
+    grid = GridSpec(3.5, 13, 8.0, 32)
+    rng = np.random.default_rng(1)
+    tone = np.cos(3 * grid.freq_step * grid.vertical_nodes())
+    comp = ScalarField(grid=grid, values=rng.normal(size=grid.spatial_shape(2))[..., None] * tone)
+    path = tmp_path / "two.field"
+    write_form(path, FormField(grid=grid, q=1, components={
+        MultiIndex((j,)): comp for j in (1, 2)}), n=2)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("lambdas = -1.0, 1.0\n")
+    capsys.readouterr()
+    calls.update(forward=0, inverse=0)
+    assert main(["project", "--config", str(cfg), "--in", str(path)]) == 0
+    assert calls == {"forward": 2, "inverse": 2}
+    assert capsys.readouterr().out.count("norm_out=") == 2
+
+
+def test_project_flags_a_gap_measured_outside_the_window(config_path, tmp_path, capsys):
+    # an annihilated packet leaves only its seam leakage, which reaches bins
+    # above the resolution ceiling: the report says so before the gap line.
+    # An in-window packet's report has no such line
+    window = "# idempotency_gap measured on bins of Pu outside the budget window"
+    path, _ = _annihilated_packet_file(tmp_path, False)
+    assert main(["project", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith(window) and lines[-1].startswith("idempotency_gap = ")
+    floor, ceiling = gaussian_budget_window(RunConfig().grid, RunConfig().sig)
+    assert f"[{floor:.6g}, {ceiling:.6g}]" in lines[-2]
+    field_path = tmp_path / "packet.field"
+    assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
+    assert main(["project", "--config", config_path, "--in", str(field_path)]) == 0
+    assert window not in capsys.readouterr().out
 
 
 def test_verify_subset_and_determinism(config_path, tmp_path, capsys):

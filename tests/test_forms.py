@@ -460,6 +460,45 @@ def test_mixed_projector_commutes_with_conjugate_swap(mixed_case):
         assert diff < 1e-13 * np.max(np.abs(f.values)), J
 
 
+def _rotate(values, j):
+    """u(.., z_j, .., x) -> u(.., i*z_j, .., x): (x_j, y_j) -> (-y_j, x_j) on axis j.
+
+    An exact index permutation of the value array on the square symmetric grid.
+    """
+    a, b = 2 * (j - 1), 2 * (j - 1) + 1
+    return np.flip(np.swapaxes(values, a, b), axis=b)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_mixed_projector_commutes_with_axis_rotation(mixed_case, j):
+    # z_j -> i*z_j keeps |z_j - w_j|^2 and Im(zbar_j w_j), so it is an exact
+    # symmetry of the kernel of any signature; on the grid it exchanges the
+    # real and the imaginary direction of axis j
+    u, _, pu = mixed_case
+    rotated = _form_of(u.grid, {J.entries[0]: _rotate(f.values, j)
+                                for J, f in u.iter_components()})
+    p_rotated = szego_project_form(rotated, SIG_MIXED)
+    for J, f in pu.iter_components():
+        diff = np.max(np.abs(p_rotated.components[J].values - _rotate(f.values, j)))
+        assert diff < 1e-13 * np.max(np.abs(f.values)), J
+
+
+def test_hat_pipeline_commutes_with_axis_swap():
+    # (z1, z2) -> (z2, z1) is an exact symmetry of the kernel of lambda = (1, 1)
+    grid = GridSpec(3.5, 13, 30.0, 32)
+    sig = LambdaSignature((1.0, 1.0))
+    u = random_band_field(grid, 2, np.random.default_rng(9), band=(0.95, 1.25))
+    pu = scalar_pipeline_project(u, sig)
+    assert norm(pu) > 0.1 * norm(u)
+
+    def swap(values):
+        return np.transpose(values, (2, 3, 0, 1, 4))
+
+    p_swapped = scalar_pipeline_project(ScalarField(grid=grid, values=swap(u.values)), sig)
+    diff = np.max(np.abs(p_swapped.values - swap(pu.values)))
+    assert diff < 1e-13 * np.max(np.abs(pu.values))
+
+
 def _keep_sign(values, sign):
     """The content of ``values`` on the vertical bins t with sign(t) == sign.
 
@@ -539,6 +578,12 @@ def test_signed_kernel_leaves_the_nyquist_bin_to_neither_side():
 # -- the idempotency gap of one projection pass --------------------------------
 
 
+def _one_pass_gap(u, sig):
+    """Pu and the gap ||P(Pu) - Pu|| / ||Pu|| from the sums of one projection pass."""
+    pu, gap_sq, norm_sq, _ = _project_form(u, sig, True)
+    return pu, math.sqrt(gap_sq / norm_sq) if norm_sq > 0 else 0.0
+
+
 def _two_pass_gap(pu, project):
     """||P(Pu) - Pu|| / ||Pu|| with P(Pu) from an explicit second projection."""
     ppu = project(pu)
@@ -553,7 +598,7 @@ def _two_pass_gap(pu, project):
 def test_one_pass_gap_matches_two_projections_n1(grid):
     u = make_wave_packet(WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6), SIG1, grid)
     form = FormField(grid=grid, q=0, components={J0: u})
-    pu, gap = _project_form(form, SIG1, True)
+    pu, gap = _one_pass_gap(form, SIG1)
     ref_pu = szego_project_form(form, SIG1)
     assert np.array_equal(pu.components[J0].values, ref_pu.components[J0].values)
     ref = _two_pass_gap(pu, lambda f: szego_project_form(f, SIG1))
@@ -568,7 +613,7 @@ def test_one_pass_gap_of_an_annihilated_packet(grid):
         alpha=(1,), t_low=0.9, t_high=2.6, conjugated_axes=(1,), vertical_sign=-1
     )
     form = FormField(grid=grid, q=0, components={J0: make_wave_packet(spec, SIG1, grid)})
-    pu, gap = _project_form(form, SIG1, True)
+    pu, gap = _one_pass_gap(form, SIG1)
     assert 0 < form_norm(pu) < 1e-3 * form_norm(form)
     ref = _two_pass_gap(pu, lambda f: FormField(grid=grid, q=0, components={
         J0: scalar_pipeline_project(f.components[J0], SIG1, enforce_budget=False)}))
@@ -577,7 +622,7 @@ def test_one_pass_gap_of_an_annihilated_packet(grid):
 
 def test_one_pass_gap_matches_two_projections_mixed_n2(mixed_case):
     u, _, pu = mixed_case
-    one, gap = _project_form(u, SIG_MIXED, True)
+    one, gap = _one_pass_gap(u, SIG_MIXED)
     for J, f in pu.iter_components():
         assert np.array_equal(one.components[J].values, f.values), J
     ref = _two_pass_gap(pu, lambda f: szego_project_form(f, SIG_MIXED))
@@ -587,4 +632,4 @@ def test_one_pass_gap_matches_two_projections_mixed_n2(mixed_case):
 
 def test_one_pass_gap_of_a_zero_projection_is_zero(mixed_case):
     u, _, _ = mixed_case
-    assert _project_form(u, LambdaSignature((1.0, 1.0)), True)[1] == 0.0
+    assert _one_pass_gap(u, LambdaSignature((1.0, 1.0)))[1] == 0.0

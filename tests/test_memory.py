@@ -1,11 +1,14 @@
-"""Peak traced allocation of the streamed CR residual, the scalar pipeline and
-the form projector.
+"""Peak traced allocation of the streamed CR residual, the scalar pipeline,
+the form projector and ``hszego project``.
 
 numpy reports its array buffers to tracemalloc, so the traced peak between
 start and stop is the largest set of temporaries a call holds at once.  The
-input field is allocated before tracing starts and is not counted.
+input field is allocated before tracing starts and is not counted, except
+by ``hszego project``, which reads it from its file.
 """
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,8 @@ from hszego import (
     scalar_pipeline_project,
     szego_project_form,
 )
+from hszego.cli import main
+from hszego.fieldio import write_form
 
 GRID = GridSpec(3.5, 13, 8.0, 32)
 SIG = LambdaSignature((-1.0, 1.0))
@@ -55,14 +60,15 @@ def test_residual_streams_planes(component):
 
 
 def test_pipeline_peak_bounded(component):
-    # about 2 components: the forward transform and its reordered copy, and
-    # later the zeroed bins and the inverse transform's reordered copy.  The
-    # frequency array must be gone before the bins are scattered back
+    # one component, the forward transform projected and transformed back in
+    # place, plus the slabs of _SLAB_BINS of this grid's 32 bins (1.67 in
+    # all); a reordered copy of the transform or a zeroed bins array would
+    # add a whole component
     share = _peak_share(
         lambda: scalar_pipeline_project(component, SIG.abs(), enforce_budget=False),
         component.values.nbytes,
     )
-    assert share < 2.25
+    assert share < 1.8
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +82,14 @@ def in_window_component():
 
 @pytest.mark.parametrize("J", [MultiIndex((1,)), MultiIndex((2,))], ids=["t>0", "t<0"])
 def test_form_branch_peak_bounded(in_window_component, J):
-    # one branch holds what the scalar pipeline holds, about 2 components; a
-    # copy of the component reflected to the hat structure would add a third
+    # one branch holds what the scalar pipeline holds: one component and a
+    # slab of the one bin it projects (1.21 in all); a copy of the component
+    # reflected to the hat structure would add a second
     form = FormField(grid=GRID, q=1, components={J: in_window_component})
     share = _peak_share(
         lambda: szego_project_form(form, SIG), in_window_component.values.nbytes
     )
-    assert share < 2.5
+    assert share < 1.4
 
 
 def test_form_projector_does_not_reflect(in_window_component, monkeypatch):
@@ -95,3 +102,23 @@ def test_form_projector_does_not_reflect(in_window_component, monkeypatch):
     assert set(out.components) == set(both)
     for J, f in out.iter_components():
         assert np.linalg.norm(f.values) > 0.01 * np.linalg.norm(in_window_component.values), J
+
+
+def test_project_streams_components(in_window_component, tmp_path):
+    # both inputs are read (2 components); each is projected and reported
+    # before the next, and its input goes before the next is projected, so
+    # the peak is the second input, the first output and the second working
+    # array (3.26 in all).  Holding every input and output to the end made 5
+    path = tmp_path / "two.field"
+    write_form(path, FormField(grid=GRID, q=1, components={
+        MultiIndex((j,)): in_window_component for j in (1, 2)}), n=2)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("lambdas = -1.0, 1.0\n")
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        share = _peak_share(
+            lambda: main(["project", "--config", str(cfg), "--in", str(path)]),
+            in_window_component.values.nbytes,
+        )
+    assert report.getvalue().count("norm_out=") == 2
+    assert share < 3.6

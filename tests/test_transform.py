@@ -367,7 +367,7 @@ def test_gap_counts_a_bin_the_projection_empties():
     u = _tone(grid, np.exp(-t0 * np.abs(z) ** 2), t0)
     mixed = (1e-6 * np.conj(z) + 1e-10) * np.exp(-t1 * np.abs(z) ** 2)
     u = ScalarField(grid=grid, values=u.values + _tone(grid, mixed, t1).values)
-    pu, gap_sq, norm_sq = transform._pipeline(u, SIG1, 1, True, True)
+    pu, gap_sq, norm_sq, _ = transform._pipeline(u, SIG1, 1, True, True)
     share = partial_ft(pu).spectral_energy()
     share /= share.sum()
     assert 0.1 * OCCUPANCY_EPS < share[ts == t1][0] < 0.5 * OCCUPANCY_EPS
