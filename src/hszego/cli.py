@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import forms, transform
-from .bergman import gaussian_budget_window
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .config import RunConfig
 from .core import (
@@ -162,16 +161,16 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
     w = grid.field_weight_array(sig.n)
     projected: dict[MultiIndex, ScalarField] = {}
     gap_sq = norm_sq = 0.0
-    outside = False
+    window = None
     for J in sorted(inputs):
         u = inputs.pop(J)
         # the idempotency gap comes from the projected bins of this one pass
-        one, gap_j, norm_j, outside_j = forms._project_form(
+        one, gap_j, norm_j, window_j = forms._project_form(
             FormField(grid=grid, q=q, components={J: u}), sig, True
         )
         gap_sq += gap_j
         norm_sq += norm_j
-        outside |= outside_j
+        window = window or window_j
         res = f"{forms.cr_system_residual(one, sig).get(J, 0.0):.6e}"
         pu = one.component(J)
         del one
@@ -192,8 +191,8 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
             f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
             f"rel_change={change} cr_residual={res}"
         )
-    if outside:
-        t_floor, t_ceiling = gaussian_budget_window(grid, sig)
+    if window is not None:
+        t_floor, t_ceiling = window
         lines.append(
             "# idempotency_gap measured on bins of Pu outside the budget window "
             f"[t_floor, t_ceiling] = [{t_floor:.6g}, {t_ceiling:.6g}]"

@@ -276,13 +276,13 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
 
 def _project_form(
     u: FormField, sig: LambdaSignature, idempotency: bool
-) -> tuple[FormField, float, float, bool]:
+) -> tuple[FormField, float, float, tuple[float, float] | None]:
     """:func:`szego_project_form`, and with ``idempotency`` the sums of the gap ||PPu - Pu|| / ||Pu||.
 
-    The squared sums ||P(Pu) - Pu||^2 and ||Pu||^2 and the flag of a
-    significant bin of Pu outside the budget window are the pipelines',
-    added (or-ed) over the components; they read 0.0, 0.0 and False when
-    ``idempotency`` is off.  The components are projected one at a time,
+    The squared sums ||P(Pu) - Pu||^2 and ||Pu||^2 are the pipelines',
+    added over the components, and the budget window is returned when any
+    pipeline found a significant bin of Pu outside it; they read 0.0, 0.0
+    and None when ``idempotency`` is off.  The components are projected one at a time,
     so a caller can pass a one-component form and drop its input before the
     next.
     """
@@ -290,7 +290,7 @@ def _project_form(
         raise UsageError("signature dimension mismatch")
     q = u.q
     if vanishing_reason(q, sig) is not None:
-        return FormField(grid=u.grid, q=q, components={}), 0.0, 0.0, False
+        return FormField(grid=u.grid, q=q, components={}), 0.0, 0.0, None
     out: dict[MultiIndex, ScalarField] = {}
     # the slice at t serves the component J = {j : t*lam_j < 0}
     branches = []
@@ -299,16 +299,16 @@ def _project_form(
     if q == sig.n_plus:
         branches.append((MultiIndex(sig.positive_axes), -1))
     gap_sq = norm_sq = 0.0
-    outside = False
+    window = None
     for J, side in branches:
         comp = u.component(J)
         if comp is None:
             continue
-        out[J], gap_j, norm_j, outside_j = transform._pipeline(comp, sig, side, True, idempotency)
+        out[J], gap_j, norm_j, window_j = transform._pipeline(comp, sig, side, True, idempotency)
         gap_sq += gap_j
         norm_sq += norm_j
-        outside |= outside_j
-    return FormField(grid=u.grid, q=q, components=out), gap_sq, norm_sq, outside
+        window = window or window_j
+    return FormField(grid=u.grid, q=q, components=out), gap_sq, norm_sq, window
 
 
 # ---------------------------------------------------------------------------

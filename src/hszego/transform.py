@@ -224,19 +224,6 @@ def scalar_pipeline_project(
 _SLAB_BINS = 8
 
 
-def _slabs(K: int) -> list[tuple[int, int]]:
-    """Bounds of the slabs of ``K`` projected bins, ``_SLAB_BINS`` bins each.
-
-    No slab holds a single bin beside others: numpy's einsum sums a single
-    row along another path, and Pu's occupancy must read as from one einsum
-    over all projected bins.
-    """
-    bounds = list(range(0, K, _SLAB_BINS)) + [K]
-    if K > 1 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) of each run of True in the 1-D ``mask``."""
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
@@ -245,7 +232,7 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 def _pipeline(
     field: ScalarField, sig: LambdaSignature, side: int, enforce_budget: bool, idempotency: bool
-) -> tuple[ScalarField, float, float, bool]:
+) -> tuple[ScalarField, float, float, tuple[float, float] | None]:
     """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
 
     ``side`` +1 takes the bins at t > 0 (phi_minus slices, which serve the
@@ -256,8 +243,9 @@ def _pipeline(
 
     Returns the projection Pu and, when ``idempotency`` is set, the squared
     spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
-    bins, and whether a bin holding more than ``BUDGET_OCCUPANCY`` of Pu's
-    energy lies outside the budget window (0.0, 0.0 and False otherwise).
+    bins, and the budget window (t_floor, t_ceiling) when a bin holding
+    more than ``BUDGET_OCCUPANCY`` of Pu's energy lies outside it (0.0, 0.0
+    and None otherwise).
     On the periodic grid Parseval holds to roundoff, so the sums' ratio is
     the squared relative gap of the field; its constant cancels.  P(Pu)
     projects only the bins occupied in Pu's own spectrum, so each other
@@ -265,10 +253,12 @@ def _pipeline(
     is checked on Pu.
 
     One array the field's size is made: the forward FFT, scaled onto the
-    bins in place and kept in FFT order.  The projected bins, contiguous
-    runs in that order, go through the slice projector a slab at a time and
-    are written back with the inverse phase; the other bins are zeroed and
-    the inverse FFT runs in place.
+    bins in place and kept in FFT order.  The projected bins go through the
+    slice projector a slab at a time and are written back with the inverse
+    phase; the other bins are zeroed and the inverse FFT runs in place.
+    With ``idempotency`` the phase waits for a second pass over the slabs,
+    which projects again the bins occupied in Pu: which those are needs
+    Pu's total energy, known only after the first pass.
     """
     if sig.n != field.n:
         raise UsageError(f"field dimension {field.n} != signature dimension {sig.n}")
@@ -290,39 +280,49 @@ def _pipeline(
     for lo, hi in _runs(dropped):
         F[..., lo:hi] = 0
     if keep.size == 0:
-        return ScalarField(grid=grid, values=F), 0.0, 0.0, False
-    m = grid.spatial_points
+        return ScalarField(grid=grid, values=F), 0.0, 0.0, None
     # passed by position: perfbench/spans.py reads the slice projector's arguments so
     consts = (
         grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas)
     )
+    slab_shape = (grid.spatial_points**2,) * n
     cphase = np.conj(_fft_phase(grid)).reshape((-1,) + (1,) * (2 * n))
     w = grid.spatial_weight_array(n).reshape(1, -1)
-    # per projected bin: Pu's energy, its weighted ||Pu||^2 and ||P(Pu) - Pu||^2.
-    # Which bins are occupied in Pu needs Pu's total energy, known only after
-    # the last slab, so P(Pu) is taken on every bin with energy as its slab
-    # passes, and only the occupied bins' differences enter the gap
+    # per projected bin: Pu's energy, its weighted ||Pu||^2 and ||P(Pu) - Pu||^2
     rows = np.zeros((3, keep.size))
+    slabs = [(lo, keep[lo : lo + _SLAB_BINS]) for lo in range(0, keep.size, _SLAB_BINS)]
     by_bin = np.moveaxis(F, -1, 0)
-    for lo, hi in _slabs(keep.size):
-        ks = keep[lo:hi]
-        # a run of FFT positions moves as a slice, faster than an index gather
-        first, last = position[ks[0]], position[ks[-1]]
-        at = slice(first, last + 1) if last - first == hi - lo - 1 else position[ks]
-        slab = np.ascontiguousarray(by_bin[at]).reshape((hi - lo,) + (m * m,) * n)
-        proj = _kernels.project_slices(slab, ts[ks], *consts)
-        del slab
+    for lo, ks in slabs:
+        at = position[ks]
+        proj = _kernels.project_slices(by_bin[at].reshape((ks.size,) + slab_shape), ts[ks], *consts)
+        proj = proj.reshape((ks.size,) + grid.spatial_shape(n))
         if idempotency:
-            _idempotency_rows(proj, ts[ks], consts, w, rows[:, lo:hi])
-        proj = proj.reshape((hi - lo,) + grid.spatial_shape(n))
-        proj *= cphase[ks]
+            flat = proj.reshape(ks.size, -1)
+            f = flat.view(np.float64)
+            rows[0, lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
+            for j in range(ks.size):
+                rows[1, lo + j] = weighted_sq_sum(flat[j : j + 1], w)
+        else:
+            proj *= cphase[ks]
         by_bin[at] = proj
         del proj
-    pu = _inverse_fft(F, grid)
     if not idempotency:
-        return pu, 0.0, 0.0, False
+        return _inverse_fft(F, grid), 0.0, 0.0, None
     energy_pu, norms, gaps = rows
     again = _occupied(energy_pu)
+    for lo, ks in slabs:
+        at = position[ks]
+        pu = by_bin[at]
+        idx = np.flatnonzero(again[lo : lo + ks.size])
+        flat = pu[idx].reshape(idx.size, -1)
+        diff = _kernels.project_slices(flat.reshape((idx.size,) + slab_shape), ts[ks[idx]], *consts)
+        diff = diff.reshape(idx.size, -1)
+        for j, k in enumerate(idx):
+            diff[j] -= flat[j]
+            gaps[lo + k] = weighted_sq_sum(diff[j : j + 1], w)
+        pu *= cphase[ks]
+        by_bin[at] = pu
+        del pu
     # bin by bin in ascending t: the order weighted_sq_sum takes over a stack
     # of all projected bins
     gap_sq = rest_sq = norm_sq = 0.0
@@ -332,28 +332,10 @@ def _pipeline(
         rest_sq += float(norms[k])
     for k in range(keep.size):
         norm_sq += float(norms[k])
-    outside = bool(np.any(_outside_window(grid, sig, ts[keep], energy_pu)))
-    return pu, gap_sq + rest_sq, norm_sq, outside
-
-
-def _idempotency_rows(proj, ts, consts, w, out) -> None:
-    """Fill ``out`` with each projected slice's energy, weighted ||proj||^2 and ||P(proj) - proj||^2.
-
-    ``consts`` are the slice projector's arguments after the frequencies and
-    ``w`` the flat spatial weights as one row.  Slices with no energy are not
-    projected again; their third row entry stays 0.
-    """
-    K = proj.shape[0]
-    flat = proj.reshape(K, -1)
-    f = flat.view(np.float64)
-    out[0] = np.einsum("ks,ks->k", f, f)
-    idx = np.flatnonzero(out[0] > 0)
-    diff = _kernels.project_slices(proj[idx], ts[idx], *consts).reshape(idx.size, -1)
-    for j, k in enumerate(idx):
-        diff[j] -= flat[k]
-        out[2, k] = weighted_sq_sum(diff[j : j + 1], w)
-    for k in range(K):
-        out[1, k] = weighted_sq_sum(flat[k : k + 1], w)
+    window = None
+    if np.any(_outside_window(grid, sig, ts[keep], energy_pu)):
+        window = gaussian_budget_window(grid, sig)
+    return _inverse_fft(F, grid), gap_sq + rest_sq, norm_sq, window
 
 
 # ---------------------------------------------------------------------------

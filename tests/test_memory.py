@@ -108,7 +108,7 @@ def test_project_streams_components(in_window_component, tmp_path):
     # both inputs are read (2 components); each is projected and reported
     # before the next, and its input goes before the next is projected, so
     # the peak is the second input, the first output and the second working
-    # array (3.26 in all).  Holding every input and output to the end made 5
+    # array (3.29 in all).  Holding every input and output to the end made 5
     path = tmp_path / "two.field"
     write_form(path, FormField(grid=GRID, q=1, components={
         MultiIndex((j,)): in_window_component for j in (1, 2)}), n=2)
