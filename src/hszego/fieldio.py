@@ -10,6 +10,7 @@ payload: one ``component,flat_index,re,im`` row per value with %.17g floats
 from __future__ import annotations
 
 import io
+import math
 import os
 
 import numpy as np
@@ -58,8 +59,8 @@ def write_form(path, form: FormField, fmt: str = "binary", n: int | None = None)
         with open(path, "wb") as fh:
             fh.write(header.encode("utf-8"))
             for J in keys:
-                arr = np.ascontiguousarray(form.components[J].values, dtype="<c16")
-                fh.write(arr.tobytes())
+                # the array's own buffer: no bytes copy of the component
+                fh.write(np.ascontiguousarray(form.components[J].values, dtype="<c16"))
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
@@ -91,9 +92,11 @@ def _decode_components(text: str, n: int, q: int) -> list[MultiIndex]:
 
 
 def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarray]) -> None:
-    """Fill ``arrays`` from ``component,flat_index,re,im`` rows, each exactly once."""
+    """Fill ``arrays`` from ``component,flat_index,re,im`` rows, each exactly once.
+
+    The caller has checked that ``text`` holds one non-blank line per value.
+    """
     seen = [np.zeros(count, dtype=bool) for _ in arrays]
-    rows = 0
     for lineno, line in enumerate(io.StringIO(text), start=first_line):
         line = line.strip()
         if not line:
@@ -118,12 +121,6 @@ def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarr
             raise UsageError(f"line {lineno}: duplicate row for component {ci}, index {idx}")
         seen[ci][idx] = True
         arrays[ci][idx] = value
-        rows += 1
-    if rows != len(arrays) * count:
-        raise UsageError(
-            f"csv payload has {rows} rows, expected {len(arrays) * count} "
-            f"({len(arrays)} components x {count} points)"
-        )
 
 
 def read_form(path) -> FormField:
@@ -157,9 +154,9 @@ def read_form(path) -> FormField:
         keys = _header_value(hdr, "components", lambda text: _decode_components(text, n, q))
         grid = GridSpec(**{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys})
         shape = grid.field_shape(n)
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         comps: dict[MultiIndex, ScalarField] = {}
-        mode = hdr["data"]
+        mode = _header_value(hdr, "data", str)
         if mode == "binary":
             need = count * 16 * len(keys)
             size = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -170,9 +167,17 @@ def read_form(path) -> FormField:
                 fh.readinto(arr)
                 comps[J] = ScalarField(grid=grid, values=arr)
         elif mode == "csv":
+            text = fh.read().decode("utf-8")
+            # counted before the arrays are made, so a header's grid is
+            # never allocated for a payload that cannot fill it
+            rows = sum(1 for line in io.StringIO(text) if line.strip())
+            if rows != len(keys) * count:
+                raise UsageError(
+                    f"csv payload has {rows} rows, expected {len(keys) * count} "
+                    f"({len(keys)} components x {count} points)"
+                )
             arrays = [np.zeros(count, dtype=complex) for _ in keys]
             # payload rows are numbered as lines of the whole file
-            text = fh.read().decode("utf-8")
             _read_csv_rows(text, len(head) + 1, count, arrays)
             for ci, J in enumerate(keys):
                 comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))

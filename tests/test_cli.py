@@ -1,3 +1,4 @@
+import collections
 import types
 
 import numpy as np
@@ -10,6 +11,7 @@ from hszego import (
     MultiIndex,
     ScalarField,
     WavePacketSpec,
+    _kernels,
     make_wave_packet,
     szego_project_form,
     transform,
@@ -144,11 +146,11 @@ def test_project_budget_violation_exits_3(config_path, tmp_path, capsys):
     assert "gaussian-truncation" in err
 
 
-def _annihilated_packet_file(tmp_path, bin_quadrature):
+def _annihilated_packet_file(tmp_path, bin_quadrature, alpha=0):
     """A q=0 field file of a packet on the negative bins of lambda = (1,), default grid."""
     grid = RunConfig().grid
     spec = WavePacketSpec(
-        alpha=(0,), t_low=1.0, t_high=3.2, order=6, conjugated_axes=(1,), vertical_sign=-1
+        alpha=(alpha,), t_low=1.0, t_high=3.2, order=6, conjugated_axes=(1,), vertical_sign=-1
     )
     u = make_wave_packet(spec, LambdaSignature((1.0,)), grid, bin_quadrature=bin_quadrature)
     form = FormField(grid=grid, q=0, components={MultiIndex(()): u})
@@ -167,6 +169,37 @@ def test_project_annihilated_packet_exits_0(tmp_path, capsys):
     nout = float(report.split("norm_out=")[1].split()[0])
     assert 0 < nout < 1e-5 * nin
     assert "idempotency_gap = " in report
+
+
+def _count_slices(monkeypatch):
+    """Count the slices ``_kernels.project_slices`` is handed, by frequency."""
+    seen = collections.Counter()
+    project_slices = _kernels.project_slices
+
+    def counted(slabs, ts, *consts):
+        seen.update(ts.tolist())
+        return project_slices(slabs, ts, *consts)
+
+    monkeypatch.setattr(_kernels, "project_slices", counted)
+    return seen
+
+
+def test_project_projects_each_kept_bin_twice(tmp_path, monkeypatch, capsys):
+    # one pass over the slabs: each kept bin is projected, and for the gap
+    # projected again straight away, whether or not it is occupied in Pu.
+    # This packet's seam leakage occupies 63 positive bins, and its
+    # projection empties one of them below the occupancy share
+    path, form = _annihilated_packet_file(tmp_path, False, alpha=1)
+    ts = RunConfig().grid.freq_nodes()
+    u = form.components[MultiIndex(())]
+    kept = ts[(ts > 0) & (ts <= ts[-1]) & transform.partial_ft(u).occupied_mask()].tolist()
+    seen = _count_slices(monkeypatch)
+    pu = szego_project_form(form, LambdaSignature((1.0,))).components[MultiIndex(())]
+    assert seen == collections.Counter(kept)
+    assert np.count_nonzero(transform.partial_ft(pu).occupied_mask()) < len(kept) == 63
+    seen.clear()
+    assert main(["project", "--in", str(path)]) == 0
+    assert seen == collections.Counter(2 * kept)
 
 
 def test_project_exactly_annihilated_packet(tmp_path, capsys):
@@ -400,6 +433,8 @@ def _first_row(text):
         ("component-length", "'components'"),
         ("repeated-q", "duplicate key 'q'"),
         ("repeated-grid-key", "duplicate key 'grid.spatial_points'"),
+        ("commented-data", "'data'"),
+        ("oversized-grid", "csv payload has 36 rows, expected 40000000000 "),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -434,6 +469,11 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("data = ", "q = 0\ndata = ")
     elif case == "repeated-grid-key":
         text = text.replace("data = ", "grid.spatial_points = 3\ndata = ")
+    elif case == "commented-data":
+        text = text.replace("data = ", "# data = ")
+    elif case == "oversized-grid":
+        # 4e10 points, 596 GiB: the header's grid is never allocated
+        text = text.replace("grid.spatial_points = 3\n", "grid.spatial_points = 100000\n")
     path.write_text(text)
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err

@@ -97,3 +97,27 @@ def test_binary_read_holds_the_payload_once(tmp_path):
     for J, comp in comps.items():
         assert back.components[J].values.flags.aligned
         assert np.array_equal(back.components[J].values, comp.values)
+
+
+def test_binary_write_copies_no_component(tmp_path):
+    # each component is written from its own buffer: no bytes copy of it is
+    # made on the way to the file
+    grid = GridSpec(2.0, 9, 3.0, 64)
+    shape = grid.field_shape(2)
+    rng = np.random.default_rng(6)
+    comps = {
+        MultiIndex((j,)): ScalarField(grid=grid, values=rng.normal(size=shape) + 1j)
+        for j in (1, 2)
+    }
+    form = FormField(grid=grid, q=1, components=comps)
+    path = tmp_path / "f.bin"
+    tracemalloc.start()
+    try:
+        write_form(path, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * comps[MultiIndex((1,))].values.nbytes
+    back = read_form(path)
+    for J, comp in comps.items():
+        assert np.array_equal(back.components[J].values, comp.values)
