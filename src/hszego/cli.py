@@ -18,6 +18,7 @@ from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .config import RunConfig
 from .core import (
     BudgetError,
+    DomainError,
     FormField,
     HeisenbergPoint,
     MultiIndex,
@@ -164,16 +165,16 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
     window = None
     for J in sorted(inputs):
         u = inputs.pop(J)
-        # the idempotency gap comes from the projected bins of this one pass
-        one, gap_j, norm_j, window_j = forms._project_form(
-            FormField(grid=grid, q=q, components={J: u}), sig, True
-        )
-        gap_sq += gap_j
-        norm_sq += norm_j
-        window = window or window_j
-        res = f"{forms.cr_system_residual(one, sig).get(J, 0.0):.6e}"
-        pu = one.component(J)
-        del one
+        side = forms.component_side(J, sig)
+        pu = None
+        res = 0.0
+        if side is not None:
+            # the idempotency gap comes from the projected bins of this one pass
+            pu, gap_j, norm_j, window_j = transform._pipeline(u, sig, side, True)
+            gap_sq += gap_j
+            norm_sq += norm_j
+            window = window or window_j
+            res = forms.cr_system_residual(pu, J, sig)
         # one sum of the input serves norm_in and rel_change
         nin = math.sqrt(weighted_sq_sum(u.values, w))
         nout = norm(pu) if pu is not None else 0.0
@@ -189,7 +190,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
             projected[J] = pu
         lines.append(
             f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
-            f"rel_change={change} cr_residual={res}"
+            f"rel_change={change} cr_residual={res:.6e}"
         )
     if window is not None:
         t_floor, t_ceiling = window
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget violation [{exc.budget_name}]: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

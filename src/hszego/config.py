@@ -6,10 +6,11 @@ rejected so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .core import GridSpec, LambdaSignature, UsageError, text_value
+from .core import GridSpec, LambdaSignature, UsageError, finite_float, text_value
 from .transform import WavePacketSpec
 
 __all__ = ["RunConfig", "parse_flat_config"]
@@ -39,7 +40,7 @@ def parse_flat_config(text: str) -> dict[str, str]:
 
 def _floats(text: str) -> tuple[float, ...]:
     items = [tok for tok in text.split(",") if tok.strip()]
-    return tuple(float(tok) for tok in items)
+    return tuple(finite_float(tok) for tok in items)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -47,13 +48,20 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in items)
 
 
+def _non_negative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise ValueError(f"{v} is negative")
+    return v
+
+
 #: the top-level keys as (key, RunConfig field, parser), in the order they
 #: are written; every one of them enters the report's config digest
 _KEYS = (
     ("lambdas", "lambdas", _floats),
-    ("epsilon", "epsilon", float),
-    ("seed", "seed", int),
-    ("kernel_table.count", "kernel_table_count", int),
+    ("epsilon", "epsilon", finite_float),
+    ("seed", "seed", _non_negative_int),
+    ("kernel_table.count", "kernel_table_count", _non_negative_int),
     ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
 )
 
@@ -125,8 +133,8 @@ class RunConfig:
     kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise UsageError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise UsageError("epsilon must be finite and > 0")
 
     @property
     def sig(self) -> LambdaSignature:

@@ -85,6 +85,8 @@ class LambdaSignature:
         lams = tuple(float(v) for v in self.lambdas)
         if len(lams) == 0:
             raise UsageError("signature needs at least one entry")
+        if not all(math.isfinite(v) for v in lams):
+            raise UsageError(f"structure constants must be finite, got {lams}")
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "n_minus", sum(1 for v in lams if v < 0))
         object.__setattr__(self, "n_plus", sum(1 for v in lams if v > 0))
@@ -171,6 +173,14 @@ class MultiIndex:
 # ---------------------------------------------------------------------------
 
 
+def finite_float(text: str) -> float:
+    """Parse a config or header number; ``ValueError`` unless it is finite."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return v
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-uniform tensor grid and quadrature descriptor.
@@ -190,8 +200,8 @@ class GridSpec:
     def __post_init__(self):
         if self.spatial_points < 2 or self.vertical_points < 2:
             raise UsageError("all point counts must be >= 2")
-        if self.spatial_radius <= 0 or self.vertical_radius <= 0:
-            raise UsageError("all radii must be > 0")
+        if not all(0 < r < math.inf for r in (self.spatial_radius, self.vertical_radius)):
+            raise UsageError("all radii must be finite and > 0")
 
     # -- nodes ---------------------------------------------------------------
 
@@ -270,9 +280,9 @@ class GridSpec:
     #: the grid's ``prefix.key`` names in config files and field-file headers,
     #: with their parsers, in the order they are written and read
     TEXT_KEYS = (
-        ("spatial_radius", float),
+        ("spatial_radius", finite_float),
         ("spatial_points", int),
-        ("vertical_radius", float),
+        ("vertical_radius", finite_float),
         ("vertical_points", int),
     )
 
@@ -378,9 +388,6 @@ class FormField:
         for f in self.components.values():
             return f.n
         raise UsageError("empty form has no intrinsic dimension; keep a zero component")
-
-    def component(self, J: MultiIndex) -> ScalarField | None:
-        return self.components.get(J)
 
     def iter_components(self) -> Iterator[tuple[MultiIndex, ScalarField]]:
         return iter(sorted(self.components.items()))

@@ -165,35 +165,31 @@ def apply_cr(
     return r
 
 
-def cr_system_residual(u: FormField, sig: LambdaSignature) -> dict[MultiIndex, float]:
-    """Per-component interior residual of the tangential CR membership system.
+def cr_system_residual(u: ScalarField, J: MultiIndex, sig: LambdaSignature) -> float:
+    """Interior residual of the tangential CR membership system of the component u_J.
 
-    For component u_J: Z_j u_J must vanish for j in J and Zbar_j u_J for j
-    not in J; the returned number is the root-sum-square of the interior
-    norms of all these fields.
+    Z_j u_J must vanish for j in J and Zbar_j u_J for j not in J; the
+    returned number is the root-sum-square of the interior norms of all
+    these fields.
 
     The residual is streamed one interior plane of the first spatial axis at
     a time (``apply_cr``'s ``planes``), so it makes no full-grid temporary.
     """
-    out: dict[MultiIndex, float] = {}
     n = sig.n
+    J.validate_bound(n)
     grid = u.grid
-    if u.components:
-        # a grid too small for the stencil has no interior plane to visit
-        _require_fd_grid(grid)
+    # a grid too small for the stencil has no interior plane to visit
+    _require_fd_grid(grid)
     m = grid.spatial_points
     w = grid.field_weight_array(n)
-    for J, comp in u.iter_components():
-        J.validate_bound(n)
-        acc = 0.0
-        for i in range(_BOUNDARY_BAND, m - _BOUNDARY_BAND):
-            plane = range(i, i + 1)
-            wb = w[_interior(n, m, plane)[:-1]]
-            for j in range(1, n + 1):
-                op = CrOperatorChoice(kind="Z" if J.contains(j) else "Zbar", axis=j)
-                acc += weighted_sq_sum(apply_cr(comp, op, sig, planes=plane), wb)
-        out[J] = math.sqrt(acc)
-    return out
+    acc = 0.0
+    for i in range(_BOUNDARY_BAND, m - _BOUNDARY_BAND):
+        plane = range(i, i + 1)
+        wb = w[_interior(n, m, plane)[:-1]]
+        for j in range(1, n + 1):
+            op = CrOperatorChoice(kind="Z" if J.contains(j) else "Zbar", axis=j)
+            acc += weighted_sq_sum(apply_cr(u, op, sig, planes=plane), wb)
+    return math.sqrt(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -260,55 +256,37 @@ def vanishing_reason(q: int, sig: LambdaSignature) -> str | None:
     return None
 
 
+def component_side(J: MultiIndex, sig: LambdaSignature) -> int | None:
+    """The side (+1 for t > 0, -1 for t < 0) whose slices serve the component J, or None.
+
+    None when the projector annihilates u_J: ``sig`` is degenerate or J is
+    the axes of neither side.  A form's labels all have length q, so this
+    covers the structural zeros of q outside {n_minus, n_plus}.
+    """
+    if not sig.degenerate:
+        for side in (1, -1):
+            if J.entries == transform._side_axes(sig, side):
+                return side
+    return None
+
+
 def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     """Orthogonal projector onto the degree-q harmonic space.
 
-    Structural zero whenever the signature is degenerate or q differs from
-    both signature counts.  Otherwise the frequency pipeline projects each
-    active branch's own-sign bins with the signed slice kernel: the phi_minus
-    slices at t > 0 for q = n_minus (J the negative axes), the phi_plus
-    slices at t < 0 for q = n_plus (J the positive axes).  Components with
-    other labels are annihilated.  :func:`reflect_to_hat` around the
-    all-positive scalar pipeline is the reference tests compare against.
-    """
-    return _project_form(u, sig, False)[0]
-
-
-def _project_form(
-    u: FormField, sig: LambdaSignature, idempotency: bool
-) -> tuple[FormField, float, float, tuple[float, float] | None]:
-    """:func:`szego_project_form`, and with ``idempotency`` the sums of the gap ||PPu - Pu|| / ||Pu||.
-
-    The squared sums ||P(Pu) - Pu||^2 and ||Pu||^2 are the pipelines',
-    added over the components, and the budget window is returned when any
-    pipeline found a significant bin of Pu outside it; they read 0.0, 0.0
-    and None when ``idempotency`` is off.  The components are projected one at a time,
-    so a caller can pass a one-component form and drop its input before the
-    next.
+    The frequency pipeline projects each component that :func:`component_side`
+    keeps on its side's bins with the signed slice kernel, one component at a
+    time; the other components are annihilated.  :func:`reflect_to_hat`
+    around the all-positive scalar pipeline is the reference tests compare
+    against.
     """
     if u.components and sig.n != u.n:
         raise UsageError("signature dimension mismatch")
-    q = u.q
-    if vanishing_reason(q, sig) is not None:
-        return FormField(grid=u.grid, q=q, components={}), 0.0, 0.0, None
     out: dict[MultiIndex, ScalarField] = {}
-    # the slice at t serves the component J = {j : t*lam_j < 0}
-    branches = []
-    if q == sig.n_minus:
-        branches.append((MultiIndex(sig.negative_axes), 1))
-    if q == sig.n_plus:
-        branches.append((MultiIndex(sig.positive_axes), -1))
-    gap_sq = norm_sq = 0.0
-    window = None
-    for J, side in branches:
-        comp = u.component(J)
-        if comp is None:
-            continue
-        out[J], gap_j, norm_j, window_j = transform._pipeline(comp, sig, side, True, idempotency)
-        gap_sq += gap_j
-        norm_sq += norm_j
-        window = window or window_j
-    return FormField(grid=u.grid, q=q, components=out), gap_sq, norm_sq, window
+    for J, comp in u.iter_components():
+        side = component_side(J, sig)
+        if side is not None:
+            out[J] = transform._pipeline(comp, sig, side, False)[0]
+    return FormField(grid=u.grid, q=u.q, components=out)
 
 
 # ---------------------------------------------------------------------------

@@ -195,16 +195,13 @@ def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy, sel) -> None
     )
 
 
-def scalar_pipeline_project(
-    field: ScalarField, sig: LambdaSignature, enforce_budget: bool = True
-) -> ScalarField:
+def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarField:
     """Scalar projector via the frequency pipeline.
 
     Forward transform, Gaussian-weight projection of every occupied positive
     slice (slices at t <= 0 are annihilated by the weight's indicator), then
     the inverse transform.  Occupied slices outside the grid's budget window
-    raise :class:`BudgetError` naming the violated budget, unless
-    ``enforce_budget`` is off.
+    raise :class:`BudgetError` naming the violated budget.
 
     The projection works in place in one array the field's size: the
     forward FFT's output, which keeps FFT order.  The projected bins pass
@@ -215,7 +212,15 @@ def scalar_pipeline_project(
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
             "signatures are handled by the form-level projector"
         )
-    return _pipeline(field, sig, 1, enforce_budget, False)[0]
+    return _pipeline(field, sig, 1, False)[0]
+
+
+def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
+    """The axes J of the component the slices of ``side`` serve (t * lam_j < 0 exactly on J).
+
+    The negative axes for side +1 (t > 0), the positive axes for -1 (t < 0).
+    """
+    return sig.negative_axes if side > 0 else sig.positive_axes
 
 
 #: projected bins per slab: the slabs, the slice projector's output and the
@@ -225,15 +230,15 @@ _SLAB_BINS = 8
 
 
 def _pipeline(
-    field: ScalarField, sig: LambdaSignature, side: int, enforce_budget: bool, idempotency: bool
+    field: ScalarField, sig: LambdaSignature, side: int, idempotency: bool
 ) -> tuple[ScalarField, float, float, tuple[float, float] | None]:
     """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
 
-    ``side`` +1 takes the bins at t > 0 (phi_minus slices, which serve the
-    component on the negative axes of the non-degenerate ``sig``), -1 those
-    at t < 0 (phi_plus, the positive axes), and only bins whose mirror -t is
-    a bin: the Nyquist bin -N/2 of an even grid is on neither side.  The
-    budget is checked on the |t| of the side's bins.
+    ``side`` +1 takes the bins at t > 0 (phi_minus slices), -1 those at
+    t < 0 (phi_plus); :func:`_side_axes` names the component they serve.
+    Only bins whose mirror -t is a bin count: the Nyquist bin -N/2 of an
+    even grid is on neither side.  The budget is checked on the |t| of the
+    side's bins.
 
     Returns the projection Pu and, when ``idempotency`` is set, the squared
     spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
@@ -266,8 +271,7 @@ def _pipeline(
     ts = grid.freq_nodes()
     energy = _spectral_energy(F)[position]
     sel = (side * ts > 0) & (np.abs(ts) <= ts[-1])
-    if enforce_budget:
-        _check_budget(grid, sig, ts, energy, sel)
+    _check_budget(grid, sig, ts, energy, sel)
     keep = np.flatnonzero(sel & _occupied(energy))
     dropped = np.ones(N, dtype=bool)
     dropped[position[keep]] = False
@@ -356,10 +360,6 @@ def envelope_values(spec: WavePacketSpec, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _required_conjugation(sig: LambdaSignature, vertical_sign: int) -> tuple[int, ...]:
-    return sig.negative_axes if vertical_sign > 0 else sig.positive_axes
-
-
 def make_wave_packet(
     spec: WavePacketSpec,
     sig: LambdaSignature,
@@ -372,8 +372,8 @@ def make_wave_packet(
     Every quadrature node contributes an exact solution of the tangential CR
     system, so the synthesized field solves it regardless of the t-rule.  The
     conjugation pattern must match the signature: square-integrable solutions
-    exist only when the conjugated axes are exactly the negative ones (for
-    vertical_sign +1) or exactly the positive ones (for vertical_sign -1).
+    exist only when the conjugated axes are the :func:`_side_axes` of
+    ``vertical_sign``.
 
     ``bin_quadrature`` collocates the envelope on the grid's frequency bins
     instead of Gauss-Legendre nodes; the packet is then exactly periodic in
@@ -392,7 +392,7 @@ def make_wave_packet(
         )
     if sig.degenerate:
         raise UsageError("degenerate signature admits no square-integrable packet")
-    need = _required_conjugation(sig, spec.vertical_sign)
+    need = _side_axes(sig, spec.vertical_sign)
     if spec.conjugated_axes != need:
         raise UsageError(
             f"conjugation pattern {spec.conjugated_axes} with vertical_sign="

@@ -503,14 +503,10 @@ def c12_residual_orders(cfg: RunConfig):
         # then pure stencil truncation error, which is what the order measures
         u = transform.make_wave_packet(spec, sig, grid, bin_quadrature=True)
         nu = norm(u)
-        r = forms.cr_system_residual(
-            FormField(grid=grid, q=0, components={J0: u}), sig
-        )[J0]
+        r = forms.cr_system_residual(u, J0, sig)
         res_packet.append(r / nu)
         v = transform.scalar_pipeline_project(u, sig)
-        rp = forms.cr_system_residual(
-            FormField(grid=grid, q=0, components={J0: v}), sig
-        )[J0]
+        rp = forms.cr_system_residual(v, J0, sig)
         res_proj.append(rp / norm(v))
         finest = grid
     orders_packet = [math.log2(a / b) for a, b in zip(res_packet, res_packet[1:])]
@@ -519,9 +515,7 @@ def c12_residual_orders(cfg: RunConfig):
         size=finest.field_shape(1)
     )
     noise = ScalarField(grid=finest, values=noise_vals)
-    rn = forms.cr_system_residual(
-        FormField(grid=finest, q=0, components={J0: noise}), sig
-    )[J0] / norm(noise)
+    rn = forms.cr_system_residual(noise, J0, sig) / norm(noise)
     margin = rn / res_packet[-1]
     return [
         _res("C12a.residual", "packet-residual-order", min(orders_packet), order_tol, ">=",

@@ -86,6 +86,14 @@ def test_kernel_table_empty_is_header_only(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 1
 
 
+def test_kernel_table_degenerate_signature_exits_2(tmp_path, capsys):
+    # the closed-form kernel of a degenerate structure is undefined (DomainError)
+    p = tmp_path / "degenerate.cfg"
+    p.write_text("lambdas = 0.0\n")
+    assert main(["kernel-table", "--config", str(p), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: degenerate signature")
+
+
 def test_make_packet_then_project(config_path, tmp_path, capsys):
     field_path = tmp_path / "packet.field"
     assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
@@ -372,11 +380,16 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("tolerance.parseval = tiny", "tolerance.parseval"), ("project.q = 1", "project.q"),
      ("tolerance.hardy_reproduction = 1", "tolerance.hardy_reproduction"),
      ("grid.quadrature_rule = gauss-legendre", "grid.quadrature_rule"),
-     ("grid2.quadrature_rule = uniform-trapezoid", "grid2.quadrature_rule")],
+     ("grid2.quadrature_rule = uniform-trapezoid", "grid2.quadrature_rule"),
+     ("lambdas = nan", "lambdas"), ("lambdas = 1.0, inf", "lambdas"),
+     ("epsilon = nan", "epsilon"), ("kernel_table.diag_eps = 0.5, nan", "kernel_table.diag_eps"),
+     ("kernel_table.count = -3", "kernel_table.count"), ("seed = -1", "seed"),
+     ("grid.vertical_radius = nan", "grid.vertical_radius"),
+     ("grid2.spatial_radius = inf", "grid2.spatial_radius")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
-    p.write_text(f"lambdas = 1.0\n{line}\n")
+    p.write_text(f"{line}\n")
     assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
     assert repr(key) in capsys.readouterr().err
 
@@ -435,6 +448,8 @@ def _first_row(text):
         ("repeated-grid-key", "duplicate key 'grid.spatial_points'"),
         ("commented-data", "'data'"),
         ("oversized-grid", "csv payload has 36 rows, expected 40000000000 "),
+        ("nan-radius", "field file header 'grid.spatial_radius': 'nan' is not a finite number"),
+        ("inf-radius", "field file header 'grid.vertical_radius': 'inf' is not a finite number"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -474,6 +489,10 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
     elif case == "oversized-grid":
         # 4e10 points, 596 GiB: the header's grid is never allocated
         text = text.replace("grid.spatial_points = 3\n", "grid.spatial_points = 100000\n")
+    elif case == "nan-radius":
+        text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = nan\n")
+    elif case == "inf-radius":
+        text = text.replace("grid.vertical_radius = 3.0\n", "grid.vertical_radius = inf\n")
     path.write_text(text)
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err

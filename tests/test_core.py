@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def test_gridspec_validation():
         GridSpec(0.0, 5, 1.0, 4)
     with pytest.raises(UsageError):
         GridSpec(1.0, 1, 1.0, 4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            GridSpec(bad, 5, 1.0, 4)
+        with pytest.raises(UsageError):
+            GridSpec(1.0, 5, bad, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_signature_rejects_non_finite_values(bad):
+    with pytest.raises(UsageError):
+        LambdaSignature((1.0, bad))
 
 
 def test_freq_axis_matches_vertical_bins():

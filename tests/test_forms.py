@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,9 +27,9 @@ from hszego import (
     vanishing_evidence,
     vanishing_reason,
 )
+from hszego import forms, transform
 from hszego.bergman import SignedWeightPattern, gaussian_budget_window
 from hszego.core import rel_norm
-from hszego.forms import _project_form
 from hszego.verification import random_band_field
 
 SIG1 = LambdaSignature((1.0,))
@@ -79,11 +80,11 @@ def test_cr_residual_packet_vs_noise(grid):
     u = make_wave_packet(
         WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6), SIG1, grid, bin_quadrature=True
     )
-    res = cr_system_residual(FormField(grid=grid, q=0, components={J0: u}), SIG1)[J0]
+    res = cr_system_residual(u, J0, SIG1)
     rng = np.random.default_rng(0)
     shape = grid.field_shape(1)
     noise = ScalarField(grid=grid, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    res_noise = cr_system_residual(FormField(grid=grid, q=0, components={J0: noise}), SIG1)[J0]
+    res_noise = cr_system_residual(noise, J0, SIG1)
     assert res / norm(u) < 0.15
     assert (res_noise / norm(noise)) / (res / norm(u)) > 20
 
@@ -229,7 +230,7 @@ def _case_field(grid, sig, spec, seed):
 def test_streamed_residual_matches_full_grid_reference(case):
     _, g, sig, J, spec = case
     u = _case_field(g, sig, spec, seed=5)
-    got = cr_system_residual(FormField(grid=g, q=J.q, components={J: u}), sig)[J]
+    got = cr_system_residual(u, J, sig)
     want = _ref_residual(u, J, sig)
     assert abs(got - want) <= 1e-12 * want
 
@@ -383,6 +384,47 @@ def test_project_form_output_keys_subset(grid):
         ScalarField(grid=grid, values=out.components[J1].values - u.values)
     ) / norm(u)
     assert rel < 1e-3
+
+
+def _side_rule_signatures():
+    """Every sign pattern of (1, 0.7, 1.3)[:n] and one degenerate signature, n <= 3."""
+    base = (1.0, 0.7, 1.3)
+    out = []
+    for n in (1, 2, 3):
+        out += [tuple(s * b for s, b in zip(signs, base))
+                for signs in itertools.product((1, -1), repeat=n)]
+        out.append(base[: n - 1] + (0.0,))
+    return out
+
+
+@pytest.mark.parametrize("lams", _side_rule_signatures(), ids=str)
+def test_side_rule_keeps_the_axes_of_a_side(lams):
+    # side +1 (t > 0) serves J = {j : lam_j < 0}, side -1 (t < 0) J = {j :
+    # lam_j > 0}, and a degenerate signature no J: the form projector keeps
+    # exactly those labels and make_wave_packet accepts exactly those pairs
+    sig = LambdaSignature(lams)
+    n = sig.n
+    served = {}
+    if 0.0 not in lams:
+        served = {1: tuple(j for j in range(1, n + 1) if lams[j - 1] < 0),
+                  -1: tuple(j for j in range(1, n + 1) if lams[j - 1] > 0)}
+    grid = GridSpec(2.0, 3, 4.0, 8)
+    zero = ScalarField(grid=grid, values=np.zeros(grid.field_shape(n), dtype=complex))
+    for q in range(n + 1):
+        labels = list(itertools.combinations(range(1, n + 1), q))
+        form = FormField(grid=grid, q=q, components={MultiIndex(J): zero for J in labels})
+        out = szego_project_form(form, sig)
+        kept = [J for J in labels if J in served.values()]
+        assert sorted(out.components) == [MultiIndex(J) for J in kept], q
+        assert not any(np.any(f.values) for f in out.components.values())
+        for J, side in itertools.product(labels, (1, -1)):
+            spec = WavePacketSpec(alpha=(0,) * n, t_low=0.5, t_high=1.5,
+                                  conjugated_axes=J, vertical_sign=side)
+            if served.get(side) == J:
+                make_wave_packet(spec, sig, grid)
+            else:
+                with pytest.raises(UsageError):
+                    make_wave_packet(spec, sig, grid)
 
 
 def test_vanishing_evidence_reports():
@@ -579,8 +621,18 @@ def test_signed_kernel_leaves_the_nyquist_bin_to_neither_side():
 
 
 def _one_pass_gap(u, sig):
-    """Pu and the gap ||P(Pu) - Pu|| / ||Pu|| from the sums of one projection pass."""
-    pu, gap_sq, norm_sq, _ = _project_form(u, sig, True)
+    """Pu and the gap ||P(Pu) - Pu|| / ||Pu|| from the sums of one projection pass.
+
+    The pipeline's sums are added over the components as ``hszego project`` adds them.
+    """
+    out, gap_sq, norm_sq = {}, 0.0, 0.0
+    for J, f in u.iter_components():
+        side = forms.component_side(J, sig)
+        if side is not None:
+            out[J], gap_j, norm_j, _ = transform._pipeline(f, sig, side, True)
+            gap_sq += gap_j
+            norm_sq += norm_j
+    pu = FormField(grid=u.grid, q=u.q, components=out)
     return pu, math.sqrt(gap_sq / norm_sq) if norm_sq > 0 else 0.0
 
 
@@ -606,7 +658,7 @@ def test_one_pass_gap_matches_two_projections_n1(grid):
     assert abs(gap - ref) <= 1e-10 * ref
 
 
-def test_one_pass_gap_of_an_annihilated_packet(grid):
+def test_one_pass_gap_of_an_annihilated_packet(grid, monkeypatch):
     # the output is the ~1e-4 seam leakage of a wrong-sign packet; it reaches
     # bins above the ceiling, so the second projection runs with no budget
     spec = WavePacketSpec(
@@ -615,8 +667,9 @@ def test_one_pass_gap_of_an_annihilated_packet(grid):
     form = FormField(grid=grid, q=0, components={J0: make_wave_packet(spec, SIG1, grid)})
     pu, gap = _one_pass_gap(form, SIG1)
     assert 0 < form_norm(pu) < 1e-3 * form_norm(form)
+    monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
     ref = _two_pass_gap(pu, lambda f: FormField(grid=grid, q=0, components={
-        J0: scalar_pipeline_project(f.components[J0], SIG1, enforce_budget=False)}))
+        J0: scalar_pipeline_project(f.components[J0], SIG1)}))
     assert abs(gap - ref) <= 1e-10 * ref
 
 

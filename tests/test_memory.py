@@ -54,21 +54,22 @@ def _peak_share(fn, nbytes):
 def test_residual_streams_planes(component):
     # one interior plane at a time: a small fraction of one component
     # (a whole-grid stencil holds several components' worth)
-    form = FormField(grid=GRID, q=1, components={J: component})
-    share = _peak_share(lambda: cr_system_residual(form, SIG), component.values.nbytes)
+    share = _peak_share(lambda: cr_system_residual(component, J, SIG), component.values.nbytes)
     assert share < 0.5
 
 
 @pytest.mark.parametrize("idempotency, bound", [(False, 1.8), (True, 2.0)], ids=["pu", "gap"])
-def test_pipeline_peak_bounded(component, idempotency, bound):
+def test_pipeline_peak_bounded(component, idempotency, bound, monkeypatch):
     # one component, the forward transform projected and transformed back in
     # place, plus the slabs of _SLAB_BINS of this grid's 32 bins (1.67 in
     # all, with or without the gap: each slab's second projection is made
     # and dropped before the next slab is gathered); a reordered copy of the
     # transform or a zeroed bins array would add a whole component, and a
-    # second pass over the slabs for the gap made 2.29
+    # second pass over the slabs for the gap made 2.29.  The broadband input
+    # fills bins outside the budget window, so the budget check is skipped
+    monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
     share = _peak_share(
-        lambda: transform._pipeline(component, SIG.abs(), 1, False, idempotency),
+        lambda: transform._pipeline(component, SIG.abs(), 1, idempotency),
         component.values.nbytes,
     )
     assert share < bound
