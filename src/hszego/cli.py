@@ -8,6 +8,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -22,12 +23,12 @@ from .core import (
     FormField,
     HeisenbergPoint,
     MultiIndex,
-    ScalarField,
     UsageError,
     norm,
     weighted_sq_sum,
 )
-from .fieldio import read_form, write_form
+# read_form stays bound here: perfbench/spans.py wraps cli.read_form
+from .fieldio import FieldReader, FieldWriter, read_form, write_form  # noqa: F401
 from .verification import run_verification, report_text
 
 
@@ -144,65 +145,67 @@ def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
 
 
 def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
-    form = read_form(inp)
     sig = cfg.sig
-    if form.components and form.n != sig.n:
-        raise UsageError(
-            f"input field has n={form.n} but config lambdas have n={sig.n}"
-        )
-    grid, q = form.grid, form.q
-    # each component is projected and reported before the next, and its
-    # input goes as soon as it is reported
-    inputs = dict(form.components)
-    del form
-    reason = forms.vanishing_reason(q, sig)
-    lines = ["# projection report"]
-    if reason is not None:
-        lines.append(f"# structural zero: {reason}")
-    w = grid.field_weight_array(sig.n)
-    projected: dict[MultiIndex, ScalarField] = {}
-    gap_sq = norm_sq = 0.0
-    window = None
-    for J in sorted(inputs):
-        u = inputs.pop(J)
-        side = forms.component_side(J, sig)
-        pu = None
-        res = 0.0
-        if side is not None:
-            # the idempotency gap comes from the projected bins of this one pass
-            pu, gap_j, norm_j, window_j = transform._pipeline(u, sig, side, True)
-            gap_sq += gap_j
-            norm_sq += norm_j
-            window = window or window_j
-            res = forms.cr_system_residual(pu, J, sig)
-        # one sum of the input serves norm_in and rel_change
-        nin = math.sqrt(weighted_sq_sum(u.values, w))
-        nout = norm(pu) if pu is not None else 0.0
-        change = "n/a"
-        if nin > 0:
+    with FieldReader(inp) as src, contextlib.ExitStack() as stack:
+        if src.n != sig.n:
+            raise UsageError(
+                f"field file header 'n': input field has n={src.n} but config lambdas "
+                f"have n={sig.n}"
+            )
+        grid, q = src.grid, src.q
+        sides = {J: forms.component_side(J, sig) for J in sorted(src.keys)}
+        dst = None
+        if out is not None:
+            # the header lists the components the projector keeps; the file
+            # appears at ``out`` only once each is written
+            kept = [J for J, side in sides.items() if side is not None]
+            dst = stack.enter_context(FieldWriter(out, grid, sig.n, q, kept, fmt))
+        reason = forms.vanishing_reason(q, sig)
+        lines = ["# projection report"]
+        if reason is not None:
+            lines.append(f"# structural zero: {reason}")
+        w = grid.field_weight_array(sig.n)
+        gap_sq = norm_sq = 0.0
+        window = None
+        # one component in memory at a time: read, projected in its own
+        # buffer, reported, written and dropped before the next is read
+        for J, side in sides.items():
+            u = src.read(J)
+            nin = math.sqrt(weighted_sq_sum(u, w))
+            nout = res = 0.0
             # a component the projector drops changes by all of itself
             rel = 1.0
-            if pu is not None:
-                rel = math.sqrt(weighted_sq_sum(pu.values, w, u.values)) / nin
-            change = f"{rel:.6e}"
-        del u
-        if pu is not None:
-            projected[J] = pu
-        lines.append(
-            f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
-            f"rel_change={change} cr_residual={res:.6e}"
-        )
-    if window is not None:
-        t_floor, t_ceiling = window
-        lines.append(
-            "# idempotency_gap measured on bins of Pu outside the budget window "
-            f"[t_floor, t_ceiling] = [{t_floor:.6g}, {t_ceiling:.6g}]"
-        )
-    gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0
-    lines.append(f"idempotency_gap = {gap:.6e}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    if out is not None:
-        write_form(out, FormField(grid=grid, q=q, components=projected), fmt=fmt, n=sig.n)
+            pu = None
+            if side is not None:
+                # the idempotency gap and ||Pu - u|| come from the projected
+                # bins of this one pass; Pu overwrites u
+                pu, gap_j, norm_j, change_j, window_j = transform._pipeline(
+                    grid, u, sig, side, True
+                )
+                gap_sq += gap_j
+                norm_sq += norm_j
+                window = window or window_j
+                res = forms.cr_system_residual(pu, J, sig)
+                nout = norm(pu)
+                if nin > 0:
+                    rel = math.sqrt(grid.freq_step / (2.0 * math.pi) * change_j) / nin
+            change = f"{rel:.6e}" if nin > 0 else "n/a"
+            lines.append(
+                f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
+                f"rel_change={change} cr_residual={res:.6e}"
+            )
+            if pu is not None and dst is not None:
+                dst.write(pu.values)
+            del u, pu
+        if window is not None:
+            t_floor, t_ceiling = window
+            lines.append(
+                "# idempotency_gap measured on bins of Pu outside the budget window "
+                f"[t_floor, t_ceiling] = [{t_floor:.6g}, {t_ceiling:.6g}]"
+            )
+        gap = math.sqrt(gap_sq) / math.sqrt(norm_sq) if norm_sq > 0 else 0.0
+        lines.append(f"idempotency_gap = {gap:.6e}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import io
 import math
 import os
+import secrets
 
 import numpy as np
 
 from .config import parse_flat_config
 from .core import FormField, GridSpec, MultiIndex, ScalarField, UsageError
 
-__all__ = ["write_form", "read_form", "FORMAT_NAME"]
+__all__ = ["FieldReader", "FieldWriter", "write_form", "read_form", "FORMAT_NAME"]
 
 FORMAT_NAME = "hszego-field-v1"
 
@@ -33,42 +34,93 @@ def _decode_multiindex(text: str) -> MultiIndex:
     return MultiIndex(tuple(int(v) for v in inner.split(",")))
 
 
-def _header_lines(form: FormField, n: int, payload: str) -> list[str]:
-    keys = [J for J, _ in form.iter_components()]
+def _header_lines(grid: GridSpec, n: int, q: int, keys: list, payload: str) -> list[str]:
     return [
         f"format = {FORMAT_NAME}",
         f"n = {n}",
-        f"q = {form.q}",
+        f"q = {q}",
         f"components = {';'.join(str(J) for J in keys)}",
-        *form.grid.text_lines("grid"),
+        *grid.text_lines("grid"),
         f"data = {payload}",
     ]
 
 
+class FieldWriter:
+    """A field file written one component at a time, in the order of ``keys``.
+
+    The header is written when the writer opens, into a temporary file in
+    the directory of ``path``.  Leaving the ``with`` block after every listed
+    component is written moves it onto ``path`` (``os.replace``); leaving it
+    any other way removes it, so a file already at ``path`` keeps its bytes.
+    """
+
+    def __init__(self, path, grid: GridSpec, n: int, q: int, keys, fmt: str):
+        if fmt not in ("binary", "csv"):
+            raise UsageError("format must be 'binary' or 'csv'")
+        self._path = os.fspath(path)
+        self._keys = list(keys)
+        self._csv = fmt == "csv"
+        self._written = 0
+        head, name = os.path.split(self._path)
+        self._tmp = os.path.join(head, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        try:
+            # created as open(path, "w") creates a file: the umask applies
+            fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self._path) from None
+        self._fh = os.fdopen(fd, "w", encoding="utf-8") if self._csv else os.fdopen(fd, "wb")
+        header = "\n".join(_header_lines(grid, n, q, self._keys, fmt)) + "\n"
+        try:
+            self._fh.write(header if self._csv else header.encode("utf-8"))
+        except BaseException:
+            self._fh.close()
+            os.unlink(self._tmp)
+            raise
+
+    def write(self, values: np.ndarray) -> None:
+        """Write the next component's values."""
+        ci = self._written
+        self._written += 1
+        if not self._csv:
+            # the array's own buffer: no bytes copy of the component
+            self._fh.write(np.ascontiguousarray(values, dtype="<c16"))
+            return
+        flat = values.reshape(-1)
+        for idx in range(flat.size):
+            v = flat[idx]
+            self._fh.write(f"{ci},{idx},{v.real:.17g},{v.imag:.17g}\n")
+
+    def __enter__(self) -> "FieldWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # a file whose payload does not match its header is never published
+        complete = exc_type is None and self._written == len(self._keys)
+        moved = False
+        try:
+            self._fh.close()
+            if complete:
+                os.replace(self._tmp, self._path)
+                moved = True
+        finally:
+            if not moved:
+                os.unlink(self._tmp)
+        if exc_type is None and not complete:
+            raise UsageError(
+                f"field file closed after {self._written} of {len(self._keys)} components"
+            )
+
+
 def write_form(path, form: FormField, fmt: str = "binary", n: int | None = None) -> None:
     """Write a FormField; ``n`` is required for empty (zero) forms."""
-    if fmt not in ("binary", "csv"):
-        raise UsageError("format must be 'binary' or 'csv'")
     if n is None:
         if not form.components:
             raise UsageError("writing an empty form requires the dimension n")
         n = form.n
-    header = "\n".join(_header_lines(form, n, fmt)) + "\n"
     keys = [J for J, _ in form.iter_components()]
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8"))
-            for J in keys:
-                # the array's own buffer: no bytes copy of the component
-                fh.write(np.ascontiguousarray(form.components[J].values, dtype="<c16"))
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for ci, J in enumerate(keys):
-            flat = form.components[J].values.reshape(-1)
-            for idx in range(flat.size):
-                v = flat[idx]
-                fh.write(f"{ci},{idx},{v.real:.17g},{v.imag:.17g}\n")
+    with FieldWriter(path, form.grid, n, form.q, keys, fmt) as out:
+        for J in keys:
+            out.write(form.components[J].values)
 
 
 def _header_value(hdr: dict[str, str], key: str, conv):
@@ -123,13 +175,26 @@ def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarr
         arrays[ci][idx] = value
 
 
-def read_form(path) -> FormField:
-    """Read a field file written by :func:`write_form`.
+class FieldReader:
+    """An open field file: the header is parsed and checked once, and each
+    component is read on request into a new array the caller owns.
 
-    A binary payload is read straight into one aligned array per component,
-    so the file's bytes are never held a second time.
+    A binary payload is read one component at a time, with ``readinto`` at
+    the component's offset into its own aligned, writable array, so only the
+    components asked for are ever in memory.  A CSV payload is for small
+    grids and is read whole when the file is opened.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._open()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _open(self) -> None:
+        fh = self._fh
         # header ends at the newline after the 'data = ...' line
         head = []
         while not head or b"data = " not in head[-1]:
@@ -151,36 +216,65 @@ def read_form(path) -> FormField:
         q = _header_value(hdr, "q", int)
         if not 0 <= q <= n:
             raise UsageError(f"field file header 'q': degree {q} out of range 0..{n}")
-        keys = _header_value(hdr, "components", lambda text: _decode_components(text, n, q))
-        grid = GridSpec(**{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys})
-        shape = grid.field_shape(n)
-        count = math.prod(shape)
-        comps: dict[MultiIndex, ScalarField] = {}
+        self.n, self.q = n, q
+        self.keys = _header_value(hdr, "components", lambda text: _decode_components(text, n, q))
+        self.grid = GridSpec(
+            **{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys}
+        )
+        self._shape = self.grid.field_shape(n)
+        count = math.prod(self._shape)
+        self._start = fh.tell()
+        self._csv = None
         mode = _header_value(hdr, "data", str)
         if mode == "binary":
-            need = count * 16 * len(keys)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            need = count * 16 * len(self.keys)
+            size = os.fstat(fh.fileno()).st_size - self._start
             if size != need:
                 raise UsageError(f"payload size {size} != expected {need}")
-            for J in keys:
-                arr = np.empty(shape, dtype="<c16")
-                fh.readinto(arr)
-                comps[J] = ScalarField(grid=grid, values=arr)
         elif mode == "csv":
             text = fh.read().decode("utf-8")
             # counted before the arrays are made, so a header's grid is
             # never allocated for a payload that cannot fill it
             rows = sum(1 for line in io.StringIO(text) if line.strip())
-            if rows != len(keys) * count:
+            if rows != len(self.keys) * count:
                 raise UsageError(
-                    f"csv payload has {rows} rows, expected {len(keys) * count} "
-                    f"({len(keys)} components x {count} points)"
+                    f"csv payload has {rows} rows, expected {len(self.keys) * count} "
+                    f"({len(self.keys)} components x {count} points)"
                 )
-            arrays = [np.zeros(count, dtype=complex) for _ in keys]
+            self._csv = [np.zeros(count, dtype=complex) for _ in self.keys]
             # payload rows are numbered as lines of the whole file
-            _read_csv_rows(text, len(head) + 1, count, arrays)
-            for ci, J in enumerate(keys):
-                comps[J] = ScalarField(grid=grid, values=arrays[ci].reshape(shape))
+            _read_csv_rows(text, len(head) + 1, count, self._csv)
         else:
             raise UsageError(f"unknown payload mode {mode!r}")
-    return FormField(grid=grid, q=q, components=comps)
+
+    def read(self, J: MultiIndex) -> np.ndarray:
+        """The values of component ``J``, in a new writable array."""
+        i = self.keys.index(J)
+        if self._csv is not None:
+            return self._csv[i].reshape(self._shape).copy()
+        arr = np.empty(self._shape, dtype="<c16")
+        self._fh.seek(self._start + i * arr.nbytes)
+        got = self._fh.readinto(arr)
+        if got != arr.nbytes:
+            raise UsageError(f"payload truncated: component {J} has {got} of {arr.nbytes} bytes")
+        return arr
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "FieldReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_form(path) -> FormField:
+    """Read a field file written by :func:`write_form`.
+
+    A binary payload is read straight into one aligned array per component,
+    so the file's bytes are never held a second time.
+    """
+    with FieldReader(path) as src:
+        comps = {J: ScalarField(grid=src.grid, values=src.read(J)) for J in src.keys}
+    return FormField(grid=src.grid, q=src.q, components=comps)

@@ -128,10 +128,14 @@ def _fft_positions(N: int) -> np.ndarray:
     return (np.arange(N) - N // 2) % N
 
 
-def _forward_fft(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """The unscaled vertical FFT of ``field`` in FFT order, and the per-bin scale onto the slices."""
-    grid = field.grid
-    F = _sfft.ifft(field.values, axis=-1, workers=-1)
+def _forward_fft(
+    values: np.ndarray, grid: GridSpec, overwrite: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled vertical FFT of ``values`` in FFT order, and the per-bin scale onto the slices.
+
+    With ``overwrite`` the transform is made in ``values``' own buffer.
+    """
+    F = _sfft.ifft(values, axis=-1, workers=-1, overwrite_x=overwrite)
     return F, (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
 
 
@@ -144,7 +148,7 @@ def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
 
 def partial_ft(field: ScalarField) -> FrequencyField:
     """Forward vertical transform onto the grid's frequency bins."""
-    F, scale = _forward_fft(field)
+    F, scale = _forward_fft(field.values, field.grid, False)
     out = np.empty_like(F)
     for bins, pos in _halves(field.grid.vertical_points):
         np.multiply(F[..., pos], scale[bins], out=out[..., bins])
@@ -203,8 +207,8 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
     the inverse transform.  Occupied slices outside the grid's budget window
     raise :class:`BudgetError` naming the violated budget.
 
-    The projection works in place in one array the field's size: the
-    forward FFT's output, which keeps FFT order.  The projected bins pass
+    The projection works in place in one copy of the field's values: the
+    forward FFT overwrites it and keeps FFT order.  The projected bins pass
     through the slice projector a few at a time.
     """
     if sig.degenerate or not sig.all_positive():
@@ -212,7 +216,7 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
             "signatures are handled by the form-level projector"
         )
-    return _pipeline(field, sig, 1, False)[0]
+    return _pipeline(field.grid, field.values.copy(), sig, 1, False)[0]
 
 
 def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
@@ -230,41 +234,45 @@ _SLAB_BINS = 8
 
 
 def _pipeline(
-    field: ScalarField, sig: LambdaSignature, side: int, idempotency: bool
-) -> tuple[ScalarField, float, float, tuple[float, float] | None]:
+    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int, idempotency: bool
+) -> tuple[ScalarField, float, float, float, tuple[float, float] | None]:
     """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
 
-    ``side`` +1 takes the bins at t > 0 (phi_minus slices), -1 those at
+    ``values`` are a field's samples on ``grid``, in an array the caller
+    hands over: the projection is made in its buffer, and Pu comes back in
+    it.  ``side`` +1 takes the bins at t > 0 (phi_minus slices), -1 those at
     t < 0 (phi_plus); :func:`_side_axes` names the component they serve.
     Only bins whose mirror -t is a bin count: the Nyquist bin -N/2 of an
     even grid is on neither side.  The budget is checked on the |t| of the
     side's bins.
 
     Returns the projection Pu and, when ``idempotency`` is set, the squared
-    spatially weighted sums ||P(Pu) - Pu||^2 and ||Pu||^2 over the projected
-    bins, and the budget window (t_floor, t_ceiling) when a bin holding
-    more than ``BUDGET_OCCUPANCY`` of Pu's energy lies outside it (0.0, 0.0
-    and None otherwise).
-    On the periodic grid Parseval holds to roundoff, so the sums' ratio is
-    the squared relative gap of the field; its constant cancels.  P(Pu)
-    keeps only the bins occupied in Pu's own spectrum, so each other
-    projected bin counts its whole energy in the first sum, and no budget
-    is checked on Pu.
+    sums over bins of spatially weighted slice norms ||P(Pu) - Pu||^2,
+    ||Pu||^2 and ||Pu - u||^2, and the budget window (t_floor, t_ceiling)
+    when a bin holding more than ``BUDGET_OCCUPANCY`` of Pu's energy lies
+    outside it (0.0 and None otherwise).  On the periodic grid Parseval
+    holds to roundoff: a sum times dt / (2 pi) is the field's squared
+    weighted norm, and the ratio of two sums is the squared relative
+    distance.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
+    each other projected bin counts its whole energy in the first sum, and
+    no budget is checked on Pu.  Pu - u is P s_t - s_t on the projected
+    bins and -s_t on every other bin, whose weighted energy is taken before
+    it is zeroed.
 
-    One array the field's size is made: the forward FFT, scaled onto the
-    bins in place and kept in FFT order.  The other bins are zeroed, the
-    projected bins go through the slice projector a slab at a time and are
-    written back with the inverse phase, and the inverse FFT runs in place.
-    With ``idempotency`` each slab is projected a second time as soon as it
-    is projected, and each bin's energy, norm and gap are kept: which bins
-    are occupied in Pu needs Pu's total energy, known only after the loop.
+    No array the field's size is made: the forward FFT runs in place, is
+    scaled onto the bins in place and kept in FFT order.  The other bins are
+    zeroed, the projected bins go through the slice projector a slab at a
+    time and are written back with the inverse phase, and the inverse FFT
+    runs in place.  With ``idempotency`` each slab is projected a second
+    time as soon as it is projected, and each bin's energy, norm and gap are
+    kept: which bins are occupied in Pu needs Pu's total energy, known only
+    after the loop.
     """
-    if sig.n != field.n:
-        raise UsageError(f"field dimension {field.n} != signature dimension {sig.n}")
-    grid = field.grid
-    n = field.n
+    n = (values.ndim - 1) // 2
+    if sig.n != n:
+        raise UsageError(f"field dimension {n} != signature dimension {sig.n}")
     N = grid.vertical_points
-    F, scale = _forward_fft(field)
+    F, scale = _forward_fft(values, grid, True)
     for bins, pos in _halves(N):
         np.multiply(F[..., pos], scale[bins], out=F[..., pos])
     position = _fft_positions(N)
@@ -275,11 +283,21 @@ def _pipeline(
     keep = np.flatnonzero(sel & _occupied(energy))
     dropped = np.ones(N, dtype=bool)
     dropped[position[keep]] = False
+    change = 0.0
+    if idempotency:
+        # ||s_t||^2_w at every FFT position, one first-axis row at a time:
+        # no temporary the field's size
+        w_rows = grid.spatial_weight_array(n).reshape(F.shape[0], -1)
+        weighted = np.zeros(2 * N)
+        for i in range(F.shape[0]):
+            f = F[i].view(np.float64).reshape(w_rows.shape[1], 2 * N)
+            weighted += np.einsum("s,sk,sk->k", w_rows[i], f, f)
+        change = float(weighted.reshape(N, 2).sum(axis=1)[dropped].sum())
     # a masked copy walks F in memory order: an index assignment on the bin
     # axis is ~3x slower
     np.copyto(F, 0, where=dropped)
     if keep.size == 0:
-        return ScalarField(grid=grid, values=F), 0.0, 0.0, None
+        return ScalarField(grid=grid, values=F), 0.0, 0.0, change, None
     # passed by position: perfbench/spans.py reads the slice projector's arguments so
     consts = (
         grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas)
@@ -287,17 +305,25 @@ def _pipeline(
     slab_shape = (grid.spatial_points**2,) * n
     cphase = np.conj(_fft_phase(grid)).reshape((-1,) + (1,) * (2 * n))
     w = grid.spatial_weight_array(n).reshape(1, -1)
-    # per projected bin: Pu's energy, its weighted ||Pu||^2 and ||P(Pu) - Pu||^2
-    energy_pu, norms, gaps = np.zeros((3, keep.size))
+    # per projected bin: Pu's energy, its weighted ||Pu||^2, ||P(Pu) - Pu||^2
+    # and ||Pu - u||^2
+    energy_pu, norms, gaps, changes = np.zeros((4, keep.size))
     by_bin = np.moveaxis(F, -1, 0)
     for lo in range(0, keep.size, _SLAB_BINS):
         ks = keep[lo : lo + _SLAB_BINS]
         at = position[ks]
-        proj = _kernels.project_slices(by_bin[at].reshape((ks.size,) + slab_shape), ts[ks], *consts)
+        slab = by_bin[at].reshape((ks.size,) + slab_shape)
+        proj = _kernels.project_slices(slab, ts[ks], *consts)
         if idempotency:
             flat = proj.reshape(ks.size, -1)
             f = flat.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
+            # s_t - P s_t in the gathered slab, dropped before the second projection
+            slab = slab.reshape(ks.size, -1)
+            slab -= flat
+            for j in range(ks.size):
+                changes[lo + j] = weighted_sq_sum(slab[j : j + 1], w)
+            del slab
             diff = _kernels.project_slices(proj, ts[ks], *consts).reshape(ks.size, -1)
             diff -= flat
             for j in range(ks.size):
@@ -310,12 +336,13 @@ def _pipeline(
         del proj
     pu = _inverse_fft(F, grid)
     if not idempotency:
-        return pu, 0.0, 0.0, None
+        return pu, 0.0, 0.0, 0.0, None
     again = _occupied(energy_pu)
     window = None
     if np.any(_outside_window(grid, sig, ts[keep], energy_pu)):
         window = gaussian_budget_window(grid, sig)
-    return pu, float(gaps[again].sum() + norms[~again].sum()), float(norms.sum()), window
+    change += float(changes.sum())
+    return pu, float(gaps[again].sum() + norms[~again].sum()), float(norms.sum()), change, window
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +385,11 @@ def envelope_values(spec: WavePacketSpec, t: np.ndarray) -> np.ndarray:
     inside = np.abs(s) < 1
     out[inside] = (1.0 - s[inside] ** 2) ** spec.order
     return out
+
+
+#: spatial rows a packet is synthesized in at a time: beside the field, one
+#: block's T x rows profile is the largest array, and no T x S profile is made
+_PACKET_ROWS = 4096
 
 
 def make_wave_packet(
@@ -417,11 +449,14 @@ def make_wave_packet(
     for j, a in enumerate(spec.alpha):
         if a:
             mono *= zeta[:, j] ** a
-    prof = np.exp(-np.outer(tq, gabs)).astype(complex)  # (T, S)
-    prof *= mono[None, :]
-    prof *= (wq * g)[:, None]
     tones = np.exp(-1j * spec.vertical_sign * np.outer(tq, grid.vertical_nodes()))
-    u = prof.T @ tones
+    u = np.empty((S, tones.shape[1]), dtype=complex)
+    for lo in range(0, S, _PACKET_ROWS):
+        rows = slice(lo, lo + _PACKET_ROWS)
+        prof = np.exp(-np.outer(tq, gabs[rows])).astype(complex)  # (T, rows)
+        prof *= mono[None, rows]
+        prof *= (wq * g)[:, None]
+        np.matmul(prof.T, tones, out=u[rows])
     return ScalarField(grid=grid, values=u.reshape(grid.field_shape(n)))
 
 

@@ -1,4 +1,5 @@
 import collections
+import os
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from hszego import (
     ScalarField,
     WavePacketSpec,
     _kernels,
+    fieldio,
     make_wave_packet,
     szego_project_form,
     transform,
@@ -498,3 +500,80 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message.format(row=row, row2=row + 1) in err
+
+
+# -- one component at a time: the header's n, an atomic --out, short reads ----
+
+
+def test_project_checks_an_empty_forms_dimension(tmp_path, capsys):
+    # an empty form has no component to take n from; the header's n is
+    # checked against the config all the same
+    grid = GridSpec(3.5, 9, 8.0, 16)
+    path = tmp_path / "empty.field"
+    write_form(path, FormField(grid=grid, q=1, components={}), n=1)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("lambdas = -1.0, 1.0\n")
+    out = tmp_path / "out.field"
+    argv = ["project", "--config", str(cfg), "--in", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    assert "'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _two_component_form(tmp_path, broadband_second):
+    """An n=2 q=1 form for lambda = (-1, 1) whose first component lies inside the window."""
+    grid = GridSpec(3.5, 13, 8.0, 32)
+    rng = np.random.default_rng(4)
+    tone = np.cos(3 * grid.freq_step * grid.vertical_nodes())
+    first = ScalarField(grid=grid, values=rng.normal(size=grid.spatial_shape(2))[..., None] * tone)
+    second = first
+    if broadband_second:
+        shape = grid.field_shape(2)
+        second = ScalarField(grid=grid, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    path = tmp_path / "two.field"
+    write_form(path, FormField(grid=grid, q=1, components={
+        MultiIndex((1,)): first, MultiIndex((2,)): second}), n=2)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("lambdas = -1.0, 1.0\n")
+    return path, cfg
+
+
+@pytest.mark.parametrize("failure", ["budget", "truncated"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_project_out_is_atomic(tmp_path, monkeypatch, capsys, failure, existing):
+    # the second component fails after the first is written to the output's
+    # temporary file: no new file appears, an existing one keeps its bytes,
+    # and no temporary file is left
+    path, cfg = _two_component_form(tmp_path, broadband_second=failure == "budget")
+    if failure == "truncated":
+        read = fieldio.FieldReader.read
+
+        def read_then_truncate(self, J):
+            values = read(self, J)
+            os.truncate(path, os.path.getsize(path) - 16)
+            return values
+
+        monkeypatch.setattr(fieldio.FieldReader, "read", read_then_truncate)
+    out = tmp_path / "out.field"
+    if existing:
+        out.write_bytes(b"old bytes\n")
+    before = sorted(os.listdir(tmp_path))
+    code = main(["project", "--config", str(cfg), "--in", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if failure == "budget":
+        assert code == 3 and "budget violation" in err
+    else:
+        assert code == 2 and "payload truncated" in err
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing:
+        assert out.read_bytes() == b"old bytes\n"
+
+
+def test_project_out_streams_what_write_form_writes(tmp_path, capsys):
+    # the streamed --out file is the file write_form makes of the projection
+    path, cfg = _two_component_form(tmp_path, broadband_second=False)
+    out = tmp_path / "out.field"
+    assert main(["project", "--config", str(cfg), "--in", str(path), "--out", str(out)]) == 0
+    ref = tmp_path / "ref.field"
+    write_form(ref, szego_project_form(read_form(path), LambdaSignature((-1.0, 1.0))), n=2)
+    assert out.read_bytes() == ref.read_bytes()

@@ -1,10 +1,11 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hszego import FormField, GridSpec, MultiIndex, ScalarField, UsageError
-from hszego.fieldio import read_form, write_form
+from hszego.fieldio import FieldReader, FieldWriter, read_form, write_form
 
 
 @pytest.fixture
@@ -121,3 +122,31 @@ def test_binary_write_copies_no_component(tmp_path):
     back = read_form(path)
     for J, comp in comps.items():
         assert np.array_equal(back.components[J].values, comp.values)
+
+
+def test_short_read_is_refused(tmp_path):
+    # the size is checked when the file is opened; a file cut short after
+    # that must not hand back uninitialized memory
+    grid = GridSpec(2.0, 5, 3.0, 8)
+    shape = grid.field_shape(2)
+    comps = {
+        MultiIndex((j,)): ScalarField(grid=grid, values=np.full(shape, j + 0j)) for j in (1, 2)
+    }
+    path = tmp_path / "f.bin"
+    write_form(path, FormField(grid=grid, q=1, components=comps))
+    with FieldReader(path) as src:
+        os.truncate(path, os.path.getsize(path) - 16)
+        assert np.array_equal(src.read(MultiIndex((1,))), comps[MultiIndex((1,))].values)
+        with pytest.raises(UsageError, match="payload truncated"):
+            src.read(MultiIndex((2,)))
+
+
+def test_writer_publishes_only_a_complete_file(tmp_path, small_form):
+    # a writer closed before its last component removes its temporary file
+    # and leaves the path as it was
+    path = tmp_path / "f.bin"
+    keys = [J for J, _ in small_form.iter_components()] + [MultiIndex((2,))]
+    with pytest.raises(UsageError, match="closed after 1 of 2"):
+        with FieldWriter(path, small_form.grid, 2, 1, keys, "binary") as out:
+            out.write(small_form.components[MultiIndex((1,))].values)
+    assert os.listdir(tmp_path) == []

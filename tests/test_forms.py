@@ -629,7 +629,9 @@ def _one_pass_gap(u, sig):
     for J, f in u.iter_components():
         side = forms.component_side(J, sig)
         if side is not None:
-            out[J], gap_j, norm_j, _ = transform._pipeline(f, sig, side, True)
+            out[J], gap_j, norm_j, _, _ = transform._pipeline(
+                u.grid, f.values.copy(), sig, side, True
+            )
             gap_sq += gap_j
             norm_sq += norm_j
     pu = FormField(grid=u.grid, q=u.q, components=out)

@@ -2,10 +2,11 @@
 and every export is either read by the package itself or documented there.
 Its configuration block parses, every defaulted parameter of the package is
 set by some call of the package or the benchmark harness, and the count of
-settable values is pinned."""
+settable values is pinned.  Every package binding the harness wraps resolves."""
 
 import argparse
 import ast
+import importlib
 import math
 import re
 import types
@@ -183,3 +184,23 @@ def test_settable_value_count():
         "cli flags": len(_cli_flags()),
     }
     assert sum(counts.values()) == 101, counts
+
+
+def test_harness_bindings_resolve():
+    # perfbench/spans.py wraps the package's functions at these bindings
+    # (module, attribute); a moved or renamed name breaks only a traced
+    # benchmark run, so it is checked here
+    tree = ast.parse((HARNESS / "spans.py").read_text(encoding="utf-8"))
+    bindings = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"]
+    )
+    missing = []
+    for entry in bindings.elts:
+        module, attr = entry.elts[0].id, entry.elts[1].value
+        owner = importlib.import_module(f"hszego.{module}")
+        if not callable(getattr(owner, attr, None)):
+            missing.append(f"{module}.{attr}")
+    assert len(bindings.elts) > 20
+    assert missing == []

@@ -18,7 +18,7 @@ from hszego import (
     szego_apply_direct,
 )
 from hszego import _kernels, transform
-from hszego.core import rel_norm
+from hszego.core import composite_gauss_legendre, rel_norm, weighted_sq_sum
 from hszego.transform import OCCUPANCY_EPS, FrequencyField, packet_boundary_share
 
 SIG1 = LambdaSignature((1.0,))
@@ -367,7 +367,7 @@ def test_gap_counts_a_bin_the_projection_empties():
     u = _tone(grid, np.exp(-t0 * np.abs(z) ** 2), t0)
     mixed = (1e-6 * np.conj(z) + 1e-10) * np.exp(-t1 * np.abs(z) ** 2)
     u = ScalarField(grid=grid, values=u.values + _tone(grid, mixed, t1).values)
-    pu, gap_sq, norm_sq, _ = transform._pipeline(u, SIG1, 1, True)
+    pu, gap_sq, norm_sq, _, _ = transform._pipeline(grid, u.values.copy(), SIG1, 1, True)
     share = partial_ft(pu).spectral_energy()
     share /= share.sum()
     assert 0.1 * OCCUPANCY_EPS < share[ts == t1][0] < 0.5 * OCCUPANCY_EPS
@@ -375,3 +375,62 @@ def test_gap_counts_a_bin_the_projection_empties():
     ref = rel_norm(ppu.values, pu.values, grid.field_weight_array(1))
     # the gap is ~2e-10, so the two-pass reference carries ~1e-8 of roundoff
     assert abs(np.sqrt(gap_sq / norm_sq) - ref) <= 1e-6 * ref
+
+
+# -- block synthesis and the pipeline's ||Pu - u|| ------------------------------
+
+
+def _one_gemm_packet(spec, sig, grid):
+    """The packet from the whole T x S profile and one GEMM."""
+    n = sig.n
+    tq, wq = composite_gauss_legendre(spec.t_low, spec.t_high, 64)
+    g = transform.envelope_values(spec, tq)
+    zeta = grid.complex_mesh(n).reshape(-1, n)
+    for j in spec.conjugated_axes:
+        zeta[:, j - 1] = np.conj(zeta[:, j - 1])
+    gabs = np.abs(zeta) ** 2 @ np.abs(np.asarray(sig.lambdas))
+    mono = np.ones(zeta.shape[0], dtype=complex)
+    for j, a in enumerate(spec.alpha):
+        if a:
+            mono *= zeta[:, j] ** a
+    prof = np.exp(-np.outer(tq, gabs)).astype(complex)
+    prof *= mono[None, :]
+    prof *= (wq * g)[:, None]
+    tones = np.exp(-1j * spec.vertical_sign * np.outer(tq, grid.vertical_nodes()))
+    return (prof.T @ tones).reshape(grid.field_shape(n))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packet_blocks_match_one_gemm(sign):
+    # S = 91^2 = 8281 rows: two whole blocks and a ragged tail of 89
+    grid = GridSpec(4.0, 91, 16.0, 32)
+    S = grid.spatial_points**2
+    assert S > 2 * transform._PACKET_ROWS and S % transform._PACKET_ROWS
+    spec = WavePacketSpec(
+        alpha=(2,), t_low=0.9, t_high=2.6, conjugated_axes=(1,) if sign < 0 else (),
+        vertical_sign=sign,
+    )
+    got = make_wave_packet(spec, SIG1, grid).values
+    assert np.array_equal(got, _one_gemm_packet(spec, SIG1, grid))
+
+
+@pytest.mark.parametrize("N", [128, 127], ids=["even", "odd"])
+@pytest.mark.parametrize("side", [1, -1])
+def test_pipeline_change_matches_the_spatial_sum(N, side):
+    # ||Pu - u||^2 from the slices (P s_t - s_t on the projected bins, s_t
+    # on the others) times dt / (2 pi) is the spatial weighted sum: content
+    # on both sides, and a weak broadband floor on every bin
+    grid = GridSpec(4.0, 21, 16.0, N)
+    plus = make_wave_packet(WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6), SIG1, grid)
+    minus = make_wave_packet(
+        WavePacketSpec(alpha=(0,), t_low=1.0, t_high=2.4, conjugated_axes=(1,), vertical_sign=-1),
+        SIG1, grid,
+    )
+    rng = np.random.default_rng(3)
+    shape = grid.field_shape(1)
+    floor = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    u = plus.values + 0.5 * minus.values + floor
+    pu, _, _, change_sq, _ = transform._pipeline(grid, u.copy(), SIG1, side, True)
+    want = weighted_sq_sum(pu.values, grid.field_weight_array(1), u)
+    got = grid.freq_step / (2 * np.pi) * change_sq
+    assert abs(got - want) <= 1e-12 * want
