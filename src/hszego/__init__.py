@@ -6,8 +6,7 @@ the monomial-integral vanishing classifier, and a verification CLI.
 """
 
 from .bergman import (
-    SignedWeightPattern,
-    bergman_kernel,
+    axis_coefficients,
     bergman_project,
     default_radius_sweep,
     divergence_witness,
@@ -20,7 +19,6 @@ from .core import (
     BudgetError,
     DomainError,
     FormField,
-    FrequencySlice,
     GridSpec,
     HeisenbergPoint,
     LambdaSignature,
@@ -31,7 +29,6 @@ from .core import (
     form_norm,
     inner,
     norm,
-    slice_norm,
 )
 from .forms import (
     CrOperatorChoice,

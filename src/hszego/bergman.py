@@ -1,18 +1,16 @@
-"""Weighted Bergman kernel on C^n with diagonal Gaussian weight, slice-wise
-projection, the Gaussian reproducing identity, and the monomial-integral
+"""Slice-wise weighted Bergman projection on C^n with diagonal Gaussian
+weight, the Gaussian reproducing identity, and the monomial-integral
 finiteness classifier with its numerical divergence witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .core import (
-    FrequencySlice,
     GridSpec,
     LambdaSignature,
     MultiIndex,
@@ -21,8 +19,7 @@ from .core import (
 )
 
 __all__ = [
-    "SignedWeightPattern",
-    "bergman_kernel",
+    "axis_coefficients",
     "bergman_project",
     "gaussian_reproducing_check",
     "monomial_integral",
@@ -38,29 +35,21 @@ BUDGET_TOL = 1e-10
 _LOG_TOL = -math.log(BUDGET_TOL)
 
 
-@dataclass(frozen=True)
-class SignedWeightPattern:
-    """Signed quadratic form sum_{k in J} lam_k|z_k|^2 - sum_{k not in J} lam_k|z_k|^2."""
+def axis_coefficients(sig: LambdaSignature, J: MultiIndex, eta: float) -> np.ndarray:
+    """Per-axis coefficients c_j = 2*eta*s_j*lam_j of the weight e^{-sum c_j|z_j|^2}.
 
-    sig: LambdaSignature
-    J: MultiIndex
-
-    def __post_init__(self):
-        self.J.validate_bound(self.sig.n)
-
-    def signs(self) -> np.ndarray:
-        """Per-axis sign s_j: +1 for j in J, -1 otherwise."""
-        return np.array(
-            [1.0 if self.J.contains(j) else -1.0 for j in range(1, self.sig.n + 1)]
-        )
-
-    def axis_coefficients(self, eta: float) -> np.ndarray:
-        """Per-axis exponent coefficients c_j = 2*eta*s_j*lam_j of the monomial integral."""
-        return 2.0 * eta * self.signs() * np.asarray(self.sig.lambdas)
+    s_j = +1 for j in J and -1 otherwise, so sum c_j|z_j|^2 is 2*eta times the
+    signed form sum_{j in J} lam_j|z_j|^2 - sum_{j not in J} lam_j|z_j|^2.
+    The monomial integrals below depend on the signature, J and eta only
+    through these coefficients.
+    """
+    J.validate_bound(sig.n)
+    signs = np.array([1.0 if J.contains(j) else -1.0 for j in range(1, sig.n + 1)])
+    return 2.0 * eta * signs * np.asarray(sig.lambdas)
 
 
 # ---------------------------------------------------------------------------
-# kernel and slice projection
+# slice projection
 # ---------------------------------------------------------------------------
 
 
@@ -69,52 +58,35 @@ def _require_positive(sig: LambdaSignature) -> None:
         raise UsageError("Bergman weight needs an all-positive signature")
 
 
-def bergman_kernel(z, w, sig: LambdaSignature, t: float) -> complex:
-    """Pointwise Bergman kernel of the weight t * sum(lam_j |w_j|^2); zero for t <= 0.
-
-    K(z, w) = 1_(t>0) * (t^n/pi^n) * prod(lam) *
-              exp(-t*sum lam_j|w_j-z_j|^2 - t*sum lam_j*(w_j zbar_j - wbar_j z_j)).
-    """
-    _require_positive(sig)
-    if t <= 0:
-        return 0.0 + 0.0j
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    lam = np.asarray(sig.lambdas)
-    if z.shape != w.shape or z.shape != (sig.n,):
-        raise UsageError("z, w must both have the signature's dimension")
-    expo = -t * np.sum(lam * np.abs(w - z) ** 2) - t * np.sum(
-        lam * (w * np.conj(z) - np.conj(w) * z)
-    )
-    pref = (t**sig.n / math.pi**sig.n) * float(np.prod(lam))
-    return complex(pref * np.exp(expo))
-
-
-def bergman_project(slice: FrequencySlice, sig: LambdaSignature) -> FrequencySlice:
+def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> np.ndarray:
     """Slice-level projection v(z) = integral K(z, w) u(w) dmu(w) by quadrature.
 
-    K is the Bergman kernel of the weight ``slice.t`` * sum(lam_j |w_j|^2) on
-    the slice's own grid.  It vanishes for t <= 0, and so does the projected
-    slice.
+    ``values`` samples u on the spatial grid, shape ``grid.spatial_shape(n)``.
+    K is the Bergman kernel of the weight t * sum(lam_j |w_j|^2),
+    K(z, w) = (t^n/pi^n) * prod(lam) *
+              exp(-t*sum lam_j|w_j-z_j|^2 - t*sum lam_j*(w_j zbar_j - wbar_j z_j)),
+    for t > 0; it vanishes for t <= 0, and so does the projected slice.
     """
     _require_positive(sig)
     n = sig.n
-    if slice.n != n:
-        raise UsageError("slice dimension does not match the signature")
-    grid = slice.grid
-    t = slice.t
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    if values.shape != grid.spatial_shape(n):
+        raise UsageError(
+            f"slice shape {values.shape} does not match grid spatial shape "
+            f"{grid.spatial_shape(n)} of the signature's dimension"
+        )
     if t <= 0:
-        return FrequencySlice(grid=grid, t=t, values=np.zeros_like(slice.values))
+        return np.zeros_like(values)
     m = grid.spatial_points
     out = _kernels.project_slices(
-        slice.values.reshape((1,) + (m * m,) * n),
+        values.reshape((1,) + (m * m,) * n),
         np.array([float(t)]),
         float(t),
         grid.spatial_nodes(),
         grid.spatial_axis_weights(),
         sig.lambdas,
     )
-    return FrequencySlice(grid=grid, t=t, values=out.reshape(grid.spatial_shape(n)))
+    return out.reshape(grid.spatial_shape(n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +151,19 @@ def gaussian_reproducing_check(
 # ---------------------------------------------------------------------------
 
 
-def monomial_integral(alpha, eta: float, pattern: SignedWeightPattern) -> float:
-    """Classify/evaluate integral |z^alpha|^2 e^{-2 eta ltilde|z|^2} dmu(z).
+def monomial_integral(alpha, c) -> float:
+    """Classify/evaluate integral |z^alpha|^2 e^{-sum c_j|z_j|^2} dmu(z).
 
-    Returns ``math.inf`` when the integral diverges (some lambda_j == 0, or
-    some per-axis exponent coefficient 2*eta*s_j*lam_j <= 0); otherwise the
+    ``c`` holds the per-axis coefficients (see :func:`axis_coefficients`).
+    Returns ``math.inf`` when the integral diverges, i.e. when some
+    c_j <= 0 (a zero lambda_j or eta == 0 gives c_j == 0); otherwise the
     closed-form value prod_j 2*pi*alpha_j! / c_j^(alpha_j+1), which carries
     the 2^n measure factor (2*pi per axis).
     """
-    n = pattern.sig.n
+    c = np.asarray(c, dtype=float)
     alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != n or any(a < 0 for a in alpha):
+    if len(alpha) != c.size or any(a < 0 for a in alpha):
         raise UsageError("alpha must be a length-n tuple of nonnegative integers")
-    if pattern.sig.degenerate:
-        return math.inf
-    c = pattern.axis_coefficients(eta)
     if np.any(c <= 0):
         return math.inf
     val = 1.0
@@ -202,9 +172,7 @@ def monomial_integral(alpha, eta: float, pattern: SignedWeightPattern) -> float:
     return val
 
 
-def truncated_monomial_integral(
-    alpha, eta: float, pattern: SignedWeightPattern, radius, points: int = 64
-):
+def truncated_monomial_integral(alpha, c, radius, points: int = 64):
     """The same integral restricted to the ball |z| <= radius.
 
     Per-axis polar reduction gives (2*pi)^n times an integral of
@@ -215,9 +183,9 @@ def truncated_monomial_integral(
     radius gives a float; an array of radii gives an array of the same
     shape, all evaluated in one pass.
     """
-    n = pattern.sig.n
+    c = np.asarray(c, dtype=float)
+    n = c.size
     alpha = tuple(int(a) for a in alpha)
-    c = pattern.axis_coefficients(eta)
     radius = np.asarray(radius, dtype=float)
     S = radius * radius
     x01, w01 = gauss_legendre_table(points, unit=True)
@@ -236,31 +204,31 @@ def truncated_monomial_integral(
     return float(val) if radius.ndim == 0 else val
 
 
-def default_radius_sweep(alpha, eta: float, pattern: SignedWeightPattern):
-    """Radius sweep for the divergence witness.
+def default_radius_sweep(c):
+    """Radius sweep for the divergence witness of the coefficients ``c``.
 
-    Exponentially divergent cases (some axis coefficient < 0) grow past any
-    threshold on (1..5); cases that diverge only polynomially (a zero
-    coefficient from eta == 0 or a zero lambda) need the sweep extended.
+    Exponentially divergent cases (some c_j < 0) grow past any threshold on
+    (1..5); cases that diverge only polynomially (a zero coefficient from
+    eta == 0 or a zero lambda) need the sweep extended.
     """
-    if np.any(pattern.axis_coefficients(eta) < 0):
+    if np.any(np.asarray(c) < 0):
         return (1.0, 2.0, 3.0, 4.0, 5.0)
     return (1.0, 2.0, 5.0, 10.0, 50.0)
 
 
-def divergence_witness(alpha, eta: float, pattern: SignedWeightPattern, radii) -> np.ndarray:
+def divergence_witness(alpha, c, radii) -> np.ndarray:
     """Truncated integrals over balls of the given radii for a divergent case.
 
     Only valid when :func:`monomial_integral` classified the case Infinite;
     calling it on a finite case is a usage error.  The returned sequence is
     strictly increasing, and grows without bound as the radii do.
     """
-    if not math.isinf(monomial_integral(alpha, eta, pattern)):
+    if not math.isinf(monomial_integral(alpha, c)):
         raise UsageError("divergence_witness requires an Infinite classification")
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or any(r <= 0 for r in radii):
         raise UsageError("radii must be positive and strictly increasing")
-    return truncated_monomial_integral(alpha, eta, pattern, np.array(radii))
+    return truncated_monomial_integral(alpha, c, np.array(radii))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,26 @@ rejected so typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .core import GridSpec, LambdaSignature, UsageError, finite_float, text_value
 from .transform import WavePacketSpec
 
-__all__ = ["RunConfig", "parse_flat_config"]
+__all__ = ["RunConfig", "parse_flat_config", "decode_text"]
+
+
+def decode_text(data: bytes, where: str, first_line: int) -> str:
+    """``data`` as UTF-8 text; an error names ``where`` and the line.
+
+    ``first_line`` is the file's line number of the first line of ``data``.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = first_line + data.count(b"\n", 0, exc.start)
+        raise UsageError(f"{where}: line {lineno} is not UTF-8 text") from None
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -146,8 +159,8 @@ class RunConfig:
 
     @classmethod
     def from_path(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        with open(path, "rb") as fh:
+            return cls.from_text(decode_text(fh.read(), f"config file {str(path)!r}", 1))
 
     @classmethod
     def from_mapping(cls, flat: dict[str, str]) -> "RunConfig":
@@ -164,7 +177,7 @@ class RunConfig:
                 name: parse(prefix + name, conv) for name, conv in keys if prefix + name in flat
             }
 
-        def packet(pid: str, keys: dict) -> WavePacketSpec:
+        def packet(pid: int, keys: dict) -> WavePacketSpec:
             for name in ("alpha", "t_low", "t_high"):
                 if name not in keys:
                     raise UsageError(f"config lacks key 'packet.{pid}.{name}'")
@@ -179,8 +192,18 @@ class RunConfig:
         for prefix in ("grid", "grid2"):
             grid = given(f"{prefix}.", GridSpec.TEXT_KEYS)
             kwargs[prefix] = replace(getattr(base, prefix), **grid)
-        packet_ids = sorted({key.split(".")[1] for key in flat if key.startswith("packet.")})
-        packets = tuple(packet(pid, given(f"packet.{pid}.", _PACKET_KEYS)) for pid in packet_ids)
+        packet_ids = set()
+        for key in flat:
+            if key.startswith("packet."):
+                pid = key.split(".")[1]
+                if not re.fullmatch(r"[1-9][0-9]*", pid):
+                    raise UsageError(
+                        f"config key {key!r}: packet id {pid!r} is not a positive integer"
+                    )
+                packet_ids.add(int(pid))
+        packets = tuple(
+            packet(pid, given(f"packet.{pid}.", _PACKET_KEYS)) for pid in sorted(packet_ids)
+        )
         if packets:
             kwargs["packets"] = packets
 

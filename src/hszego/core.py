@@ -34,11 +34,15 @@ __all__ = [
     "HeisenbergPoint",
     "MultiIndex",
     "GridSpec",
+    "finite_float",
+    "text_value",
     "ScalarField",
     "FormField",
-    "FrequencySlice",
     "inner",
     "norm",
+    "form_inner",
+    "form_norm",
+    "weighted_sq_sum",
     "rel_norm",
     "composite_gauss_legendre",
     "gauss_legendre_table",
@@ -342,31 +346,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencySlice:
-    """Spatial data at one fixed frequency t."""
-
-    grid: GridSpec
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _lock(self.values)
-        if v.ndim % 2 == 1:
-            raise UsageError(f"frequency slice needs 2n axes, got shape {v.shape}")
-        n = v.ndim // 2
-        if v.shape != self.grid.spatial_shape(n):
-            raise UsageError(
-                f"slice shape {v.shape} does not match grid spatial shape "
-                f"{self.grid.spatial_shape(n)}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.ndim // 2
-
-
-@dataclass(frozen=True, eq=False)
 class FormField:
     """A (0,q)-form: strictly increasing multi-indices -> scalar component fields."""
 
@@ -440,11 +419,6 @@ def rel_norm(a, b, w: np.ndarray) -> float:
     num = sum(weighted_sq_sum(x, w, y) for x, y in zip(a, b))
     den = sum(weighted_sq_sum(y, w) for y in b)
     return float(np.sqrt(num) / np.sqrt(den))
-
-
-def slice_norm(a: FrequencySlice) -> float:
-    w = a.grid.spatial_weight_array(a.n)
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2 * w).real))
 
 
 def form_inner(u: FormField, v: FormField) -> complex:

@@ -16,7 +16,7 @@ import secrets
 
 import numpy as np
 
-from .config import parse_flat_config
+from .config import decode_text, parse_flat_config
 from .core import FormField, GridSpec, MultiIndex, ScalarField, UsageError
 
 __all__ = ["FieldReader", "FieldWriter", "write_form", "read_form", "FORMAT_NAME"]
@@ -188,12 +188,12 @@ class FieldReader:
     def __init__(self, path):
         self._fh = open(path, "rb")
         try:
-            self._open()
+            self._open(f"field file {str(path)!r}")
         except BaseException:
             self._fh.close()
             raise
 
-    def _open(self) -> None:
+    def _open(self, where: str) -> None:
         fh = self._fh
         # header ends at the newline after the 'data = ...' line
         head = []
@@ -202,7 +202,7 @@ class FieldReader:
             if not line:
                 raise UsageError("not a field file: missing 'data =' line")
             head.append(line)
-        hdr = parse_flat_config(b"".join(head).decode("utf-8"))
+        hdr = parse_flat_config(decode_text(b"".join(head), where, 1))
         if hdr.get("format") != FORMAT_NAME:
             raise UsageError(f"unsupported format {hdr.get('format')!r}")
         grid_keys = [(f"grid.{name}", name, conv) for name, conv in GridSpec.TEXT_KEYS]
@@ -232,7 +232,7 @@ class FieldReader:
             if size != need:
                 raise UsageError(f"payload size {size} != expected {need}")
         elif mode == "csv":
-            text = fh.read().decode("utf-8")
+            text = decode_text(fh.read(), where, len(head) + 1)
             # counted before the arrays are made, so a header's grid is
             # never allocated for a payload that cannot fill it
             rows = sum(1 for line in io.StringIO(text) if line.strip())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import SignedWeightPattern, monomial_integral
+from .bergman import axis_coefficients, monomial_integral
 from .core import (
     FormField,
     GridSpec,
@@ -35,7 +35,6 @@ __all__ = [
     "szego_project_form",
     "vanishing_reason",
     "VanishingEntry",
-    "VanishingReport",
     "vanishing_evidence",
     "multi_exponents",
 ]
@@ -321,18 +320,7 @@ class VanishingEntry:
         return math.isfinite(self.value)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    q: int
-    sig: LambdaSignature
-    entries: tuple[VanishingEntry, ...]
-
-    @property
-    def all_infinite(self) -> bool:
-        return not any(e.finite for e in self.entries)
-
-
-def vanishing_evidence(q: int, sig: LambdaSignature) -> VanishingReport:
+def vanishing_evidence(q: int, sig: LambdaSignature) -> tuple[VanishingEntry, ...]:
     """Classifier sweep behind the vanishing theorem.
 
     For each strictly increasing J of length q, both signs of the dual
@@ -346,9 +334,9 @@ def vanishing_evidence(q: int, sig: LambdaSignature) -> VanishingReport:
     entries = []
     for combo in itertools.combinations(range(1, n + 1), q):
         J = MultiIndex(combo)
-        pattern = SignedWeightPattern(sig=sig, J=J)
         for eta in (1.0, -1.0):
+            c = axis_coefficients(sig, J, eta)
             for alpha in multi_exponents(n, 2):
-                val = monomial_integral(alpha, eta, pattern)
+                val = monomial_integral(alpha, c)
                 entries.append(VanishingEntry(J=J, eta=eta, alpha=alpha, value=val))
-    return VanishingReport(q=q, sig=sig, entries=tuple(entries))
+    return tuple(entries)

@@ -79,8 +79,8 @@ def szego_kernel_scalar(
     x: HeisenbergPoint,
     y: HeisenbergPoint,
     sig: LambdaSignature,
-    choice: PhaseChoice = PhaseChoice.MINUS,
-    epsilon: float = 1.0,
+    choice: PhaseChoice,
+    epsilon: float,
 ) -> complex:
     """Regularized closed-form kernel c0 * n! * (-i*(phi+i*eps))**-(n+1).
 
@@ -106,8 +106,8 @@ def fio_quadrature(
     x: HeisenbergPoint,
     y: HeisenbergPoint,
     sig: LambdaSignature,
-    choice: PhaseChoice = PhaseChoice.MINUS,
-    epsilon: float = 1.0,
+    choice: PhaseChoice,
+    epsilon: float,
 ) -> complex:
     """Evaluate c0 * integral_0^t_max t^n e^{i t phi(x,y)} e^{-eps t} dt.
 

@@ -22,7 +22,6 @@ from .phase import phase as phase_fn
 from .config import RunConfig
 from .core import (
     FormField,
-    FrequencySlice,
     GridSpec,
     HeisenbergPoint,
     LambdaSignature,
@@ -35,7 +34,7 @@ from .core import (
     inner,
     norm,
     rel_norm,
-    slice_norm,
+    weighted_sq_sum,
 )
 
 __all__ = ["CriterionResult", "run_verification", "report_text"]
@@ -223,31 +222,29 @@ def c05_slices(cfg: RunConfig):
             zc = grid.complex_mesh(n)
             wspat = grid.spatial_weight_array(n)
             gauss = lambda tt: np.exp(-tt * np.sum(np.abs(zc) ** 2, axis=-1))
+            nrm = lambda v: math.sqrt(weighted_sq_sum(v, wspat))
             for alpha in alphas:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
                 for ax, a in enumerate(alpha):
                     mono = mono * zc[..., ax] ** a
-                sl = FrequencySlice(grid=grid, t=t, values=mono * gauss(t))
-                out = bergman.bergman_project(sl, sig)
-                worst_rep = max(worst_rep, rel_norm(out.values, sl.values, wspat))
+                sl = mono * gauss(t)
+                out = bergman.bergman_project(sl, t, grid, sig)
+                worst_rep = max(worst_rep, rel_norm(out, sl, wspat))
             for alpha in antis:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
                 for ax, a in enumerate(alpha):
                     mono = mono * np.conj(zc[..., ax]) ** a
-                sl = FrequencySlice(grid=grid, t=t, values=mono * gauss(t))
-                nrm = slice_norm(sl)
-                out = bergman.bergman_project(sl, sig)
-                worst_ann = max(worst_ann, slice_norm(out) / nrm)
+                sl = mono * gauss(t)
+                out = bergman.bergman_project(sl, t, grid, sig)
+                worst_ann = max(worst_ann, nrm(out) / nrm(sl))
             for _ in range(nrand):
                 # random bumps carry the frequency's Gaussian envelope so the
                 # intermediate coherent tails stay inside the box
-                sl = FrequencySlice(
-                    grid=grid, t=t, values=_random_profile(grid, n, rng) * gauss(t)
-                )
-                out = bergman.bergman_project(sl, sig)
-                worst_con = max(worst_con, slice_norm(out) / slice_norm(sl) - 1.0)
-                out2 = bergman.bergman_project(out, sig)
-                worst_idem = max(worst_idem, rel_norm(out2.values, out.values, wspat))
+                sl = _random_profile(grid, n, rng) * gauss(t)
+                out = bergman.bergman_project(sl, t, grid, sig)
+                worst_con = max(worst_con, nrm(out) / nrm(sl) - 1.0)
+                out2 = bergman.bergman_project(out, t, grid, sig)
+                worst_idem = max(worst_idem, rel_norm(out2, out, wspat))
     return [
         _res("C05a.slice", "holomorphic-gaussian-reproduction", worst_rep, rep_tol),
         _res("C05b.slice", "antiholomorphic-annihilation", worst_ann, ann_tol),
@@ -446,7 +443,7 @@ def c11_vanishing(cfg: RunConfig):
     finite_violations = 0
     min_ratio = math.inf
     worst_fin = 0.0
-    # a truncated integral depends on the pattern only through its axis
+    # a truncated integral depends on (sig, J, eta) only through the axis
     # coefficients, which repeat across signatures, J and eta: evaluate each
     # distinct (alpha, coefficients, radii or points) quadrature once
     quad = {}
@@ -457,26 +454,24 @@ def c11_vanishing(cfg: RunConfig):
                 q for q in range(n + 1)
                 if sig.degenerate or q not in (sig.n_minus, sig.n_plus)
             ]
-            good_qs = [q for q in range(n + 1) if q not in trivial_qs]
             for q in range(n + 1):
-                report = forms.vanishing_evidence(q, sig)
-                if q in trivial_qs and not report.all_infinite:
-                    finite_violations += sum(1 for e in report.entries if e.finite)
-                for e in report.entries:
-                    pattern = bergman.SignedWeightPattern(sig=sig, J=e.J)
-                    coeffs = tuple(pattern.axis_coefficients(e.eta))
+                entries = forms.vanishing_evidence(q, sig)
+                if q in trivial_qs:
+                    finite_violations += sum(1 for e in entries if e.finite)
+                for e in entries:
+                    c = bergman.axis_coefficients(sig, e.J, e.eta)
                     if not e.finite:
-                        radii = bergman.default_radius_sweep(e.alpha, e.eta, pattern)
-                        key = (e.alpha, coeffs, radii)
+                        radii = bergman.default_radius_sweep(c)
+                        key = (e.alpha, tuple(c), radii)
                         if key not in quad:
-                            quad[key] = bergman.divergence_witness(e.alpha, e.eta, pattern, radii)
+                            quad[key] = bergman.divergence_witness(e.alpha, c, radii)
                         vals = quad[key]
                         min_ratio = min(min_ratio, float(vals[-1] / vals[0]))
                     elif n <= 2 or sum(e.alpha) <= 1:
-                        key = (e.alpha, coeffs, 8.0, 96)
+                        key = (e.alpha, tuple(c), 8.0, 96)
                         if key not in quad:
                             quad[key] = bergman.truncated_monomial_integral(
-                                e.alpha, e.eta, pattern, 8.0, points=96
+                                e.alpha, c, 8.0, points=96
                             )
                         approx = quad[key]
                         worst_fin = max(worst_fin, abs(approx - e.value) / e.value)

@@ -387,13 +387,18 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("epsilon = nan", "epsilon"), ("kernel_table.diag_eps = 0.5, nan", "kernel_table.diag_eps"),
      ("kernel_table.count = -3", "kernel_table.count"), ("seed = -1", "seed"),
      ("grid.vertical_radius = nan", "grid.vertical_radius"),
-     ("grid2.spatial_radius = inf", "grid2.spatial_radius")],
+     ("grid2.spatial_radius = inf", "grid2.spatial_radius"),
+     ("packet.foo.alpha = 0", "packet.foo.alpha"), ("packet.0.t_low = 1.0", "packet.0.t_low"),
+     ("packet.01.alpha = 0", "packet.01.alpha"),
+     ("lambdas = 1.0\xff", "{path}")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
-    p.write_text(f"{line}\n")
+    # latin-1 writes each character as one byte, so a line can hold a byte
+    # that is not UTF-8; the file is then named instead of a key
+    p.write_bytes(f"{line}\n".encode("latin-1"))
     assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
-    assert repr(key) in capsys.readouterr().err
+    assert repr(key.format(path=str(p))) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -452,6 +457,8 @@ def _first_row(text):
         ("oversized-grid", "csv payload has 36 rows, expected 40000000000 "),
         ("nan-radius", "field file header 'grid.spatial_radius': 'nan' is not a finite number"),
         ("inf-radius", "field file header 'grid.vertical_radius': 'inf' is not a finite number"),
+        ("non-utf8-header", "field file {path!r}: line 2 is not UTF-8 text"),
+        ("non-utf8-csv", "field file {path!r}: line {row} is not UTF-8 text"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -495,11 +502,16 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = nan\n")
     elif case == "inf-radius":
         text = text.replace("grid.vertical_radius = 3.0\n", "grid.vertical_radius = inf\n")
-    path.write_text(text)
+    elif case == "non-utf8-header":
+        text = text.replace("n = 1\n", "n = 1\xff\n")
+    elif case == "non-utf8-csv":
+        text = text.replace(first + "\n", first + "\xff\n")
+    # latin-1 writes each character as one byte: "\xff" stays a byte that is not UTF-8
+    path.write_bytes(text.encode("latin-1"))
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert message.format(row=row, row2=row + 1) in err
+    assert message.format(row=row, row2=row + 1, path=str(path)) in err
 
 
 # -- one component at a time: the header's n, an atomic --out, short reads ----

@@ -94,3 +94,14 @@ def test_packet_keys_default_to_wave_packet_spec():
 def test_canonical_text_reads_back_unchanged():
     text = RunConfig.from_text("grid2.spatial_radius = 3.25\nlambdas = -1.0, 2.0").canonical_text()
     assert RunConfig.from_text(text).canonical_text() == text
+
+
+def test_packet_ids_order_as_integers():
+    text = "".join(
+        f"packet.{i}.alpha = 0\npacket.{i}.t_low = 1.0\npacket.{i}.t_high = {1.0 + i}\n"
+        for i in (11, 2, 10, 1, 9)
+    )
+    cfg = RunConfig.from_text(text)
+    assert [p.t_high for p in cfg.packets] == [2.0, 3.0, 10.0, 11.0, 12.0]
+    # the canonical text numbers the packets 1..k in that order
+    assert "packet.5.t_high = 12.0" in cfg.canonical_text()

@@ -71,8 +71,8 @@ def test_kernel_diagonal_value():
 def test_kernel_epsilon_monotone():
     x = _pt([0.5], 0.1)
     y = _pt([-0.3 + 0.2j], -1.0)
-    v1 = abs(szego_kernel_scalar(x, y, SIG1, epsilon=0.5))
-    v2 = abs(szego_kernel_scalar(x, y, SIG1, epsilon=1.5))
+    v1 = abs(szego_kernel_scalar(x, y, SIG1, PhaseChoice.MINUS, epsilon=0.5))
+    v2 = abs(szego_kernel_scalar(x, y, SIG1, PhaseChoice.MINUS, epsilon=1.5))
     assert v2 < v1
 
 
@@ -82,17 +82,17 @@ def test_kernel_hermitian():
     for _ in range(20):
         x = _pt(rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal())
         y = _pt(rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal())
-        kxy = szego_kernel_scalar(x, y, sig, epsilon=0.8)
-        kyx = szego_kernel_scalar(y, x, sig, epsilon=0.8)
+        kxy = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, epsilon=0.8)
+        kyx = szego_kernel_scalar(y, x, sig, PhaseChoice.MINUS, epsilon=0.8)
         assert kxy == pytest.approx(np.conj(kyx), rel=1e-12)
 
 
 def test_kernel_errors():
     x = _pt([0.0j], 0.0)
     with pytest.raises(UsageError):
-        szego_kernel_scalar(x, x, SIG1, epsilon=0.0)
+        szego_kernel_scalar(x, x, SIG1, PhaseChoice.MINUS, epsilon=0.0)
     with pytest.raises(DomainError):
-        szego_kernel_scalar(x, x, LambdaSignature((0.0,)), epsilon=1.0)
+        szego_kernel_scalar(x, x, LambdaSignature((0.0,)), PhaseChoice.MINUS, epsilon=1.0)
 
 
 def test_gamma_moment_values():
@@ -126,7 +126,7 @@ def test_fio_matches_gamma_closed_form():
     assert ph.imag == pytest.approx(0.5)
     c0 = 1.0 / (2 * np.pi**2)
     expected = c0 * gamma_moment(1, 0.5 - 1j * ph.real + 0.5)
-    got = fio_quadrature(x, y, SIG1, epsilon=0.5)
+    got = fio_quadrature(x, y, SIG1, PhaseChoice.MINUS, epsilon=0.5)
     assert got == pytest.approx(expected, rel=1e-8)
 
 
@@ -137,6 +137,6 @@ def test_fio_three_way_agreement():
         for _ in range(5):
             x = _pt(rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal())
             y = _pt(rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal())
-            closed = szego_kernel_scalar(x, y, sig, epsilon=0.5)
-            quad = fio_quadrature(x, y, sig, epsilon=0.5)
+            closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, epsilon=0.5)
+            quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, epsilon=0.5)
             assert quad == pytest.approx(closed, rel=1e-6)

@@ -2,7 +2,9 @@
 and every export is either read by the package itself or documented there.
 Its configuration block parses, every defaulted parameter of the package is
 set by some call of the package or the benchmark harness, and the count of
-settable values is pinned.  Every package binding the harness wraps resolves."""
+settable values is pinned.  Every package binding the harness wraps resolves,
+and so do the modules' ``__all__`` lists, which cover what the package
+imports from its own modules."""
 
 import argparse
 import ast
@@ -183,7 +185,7 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 101, counts
+    assert sum(counts.values()) == 89, counts
 
 
 def test_harness_bindings_resolve():
@@ -204,3 +206,25 @@ def test_harness_bindings_resolve():
             missing.append(f"{module}.{attr}")
     assert len(bindings.elts) > 20
     assert missing == []
+
+
+def test_module_all_lists_resolve_and_cover_package_imports():
+    # a name deleted from a module but left in its __all__ fails the first
+    # check; a name the package imports from a module that does not list it
+    # (e.g. a re-export through hszego/__init__.py) fails the second
+    missing, unlisted = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "hszego" if path.stem == "__init__" else f"hszego.{path.stem}"
+        module = importlib.import_module(name)
+        listed = getattr(module, "__all__", ())  # the private _kernels has none
+        missing += [f"{name}.{attr}" for attr in listed if not hasattr(module, attr)]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                owner = importlib.import_module(f"hszego.{node.module}")
+                unlisted += [
+                    f"{path.stem}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in getattr(owner, "__all__", ())
+                ]
+    assert missing == []
+    assert unlisted == []

@@ -271,18 +271,18 @@ def test_packet_boundary_share_small(grid):
 def test_concurrent_slice_projection_matches_sequential(grid):
     from concurrent.futures import ThreadPoolExecutor
 
-    from hszego import FrequencySlice, bergman_project
+    from hszego import bergman_project
 
     rng = np.random.default_rng(3)
     slices = []
     for t in (1.0, 1.3, 1.6, 1.9):
         vals = _profile(grid) * (rng.normal() + 1j * rng.normal())
-        slices.append(FrequencySlice(grid=grid, t=t, values=vals))
-    seq = [bergman_project(s, SIG1) for s in slices]
+        slices.append((vals, t))
+    seq = [bergman_project(v, t, grid, SIG1) for v, t in slices]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        par = list(pool.map(lambda s: bergman_project(s, SIG1), slices))
+        par = list(pool.map(lambda s: bergman_project(s[0], s[1], grid, SIG1), slices))
     for a, b in zip(seq, par):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
