@@ -1,5 +1,10 @@
 """Hot numeric kernels: numpy exponentials and BLAS contractions.
 
+A frequency slice's projector is built once by :func:`slice_operator` and
+applied by :func:`apply_slice_operator` to every slice that needs it: the
+scalar pipeline applies it to s_t and, for the idempotency gap, to P s_t.
+:func:`project_slices` builds and applies one operator per slice.
+
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.
 """
@@ -50,14 +55,53 @@ def pair_exp(Q, t):
 
 
 # ---------------------------------------------------------------------------
-# multi-slice projection driver
+# slice operator: built once per frequency, applied to as many slices as needed
 # ---------------------------------------------------------------------------
 
 
-def project_slices(slabs, ts, bin_step, nodes, w, lams):
-    """Project each slice at its nonzero frequency ``ts[i]`` with the signed slice kernel
+def slice_operator(t, nodes, w, lams):
+    """The signed slice kernel at nonzero frequency t,
     prod_j (|t lam_j|/pi) e^{-|t lam_j||z_j-w_j|^2 - t lam_j (zbar_j w_j - z_j wbar_j)}:
     the phi_minus slice at t > 0 and the phi_plus slice at t < 0.
+
+    Returns ``(pref, axes)`` with the prefactor prod_j |t lam_j|/pi and one
+    entry per complex axis: the factor pair ``(M, N)`` for n = 1, the
+    assembled m^2 x m^2 axis matrix for n >= 2.  :func:`apply_slice_operator`
+    applies it.
+    """
+    t = float(t)
+    pref = 1.0
+    for lam in lams:
+        pref *= abs(t * lam) / np.pi
+    factors = [axis_projector_exp(nodes, w, t, lam) for lam in lams]
+    if len(lams) == 1:
+        return pref, factors
+    # m^(2(n-1)) columns per axis: one GEMM on the assembled axis matrix
+    # beats contracting factor by factor
+    m = nodes.size
+    return pref, [(N[:, :, None] * M[:, None, :]).reshape(m * m, m * m) for M, N in factors]
+
+
+def apply_slice_operator(op, s):
+    """Apply a :func:`slice_operator` to one slice ``s`` of shape (m^2,)*n; returns a new array."""
+    pref, axes = op
+    n = len(axes)
+    if n == 1:
+        # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
+        M, N = axes[0]
+        m = M.shape[1]
+        Y = M @ s.reshape(m, m).T
+        return pref * np.einsum("ij,ij->i", N, Y)
+    if n == 2:
+        return pref * (axes[0] @ s @ axes[1].T)
+    v = s
+    for ax in range(n):
+        v = np.tensordot(axes[ax], v, axes=([1], [ax]))
+    return pref * np.transpose(v, axes=tuple(range(n - 1, -1, -1)))
+
+
+def project_slices(slabs, ts, bin_step, nodes, w, lams):
+    """Project each slice at its nonzero frequency ``ts[i]`` with :func:`slice_operator`.
 
     ``slabs``: (K,) + (m^2,)*n with one reshaped block per complex axis;
     ``ts`` and ``lams`` must be nonzero.  Each slice is projected on its
@@ -72,30 +116,8 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
         raise ValueError("project_slices expects nonzero frequencies only")
     if any(lam == 0 for lam in lams):
         raise ValueError("project_slices expects nonzero structure constants only")
-    if ts.size == 0:
-        return out
     for i in range(ts.size):
-        t = float(ts[i])
-        pref = 1.0
-        for lam in lams:
-            pref *= abs(t * lam) / np.pi
-        factors = [axis_projector_exp(nodes, w, t, lam) for lam in lams]
-        if n == 1:
-            # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
-            M, N = factors[0]
-            Y = M @ slabs[i].reshape(m, m).T
-            out[i] = pref * np.einsum("ij,ij->i", N, Y)
-            continue
-        # m^(2(n-1)) columns per axis: one GEMM on the assembled axis matrix
-        # beats contracting factor by factor
-        mats = [(N[:, :, None] * M[:, None, :]).reshape(m * m, m * m) for M, N in factors]
-        if n == 2:
-            out[i] = pref * (mats[0] @ slabs[i] @ mats[1].T)
-        else:
-            v = slabs[i]
-            for ax in range(n):
-                v = np.tensordot(mats[ax], v, axes=([1], [ax]))
-            out[i] = pref * np.transpose(v, axes=tuple(range(n - 1, -1, -1)))
+        out[i] = apply_slice_operator(slice_operator(ts[i], nodes, w, lams), slabs[i])
     return out
 
 

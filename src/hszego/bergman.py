@@ -181,7 +181,8 @@ def truncated_monomial_integral(alpha, c, radius, points: int = 64):
     Decaying axes are integrated only out to ~48 e-folds, which keeps the
     nodes where the integrand lives even on very large simplexes.  A scalar
     radius gives a float; an array of radii gives an array of the same
-    shape, all evaluated in one pass.
+    shape, evaluated one radius at a time (the innermost level holds
+    points^n nodes per radius).
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -200,7 +201,8 @@ def truncated_monomial_integral(alpha, c, radius, points: int = 64):
         inner = level_val(level + 1, budget[..., None] - nodes)
         return np.sum(wts * f * inner, axis=-1)
 
-    val = (2.0 * math.pi) ** n * level_val(0, S)
+    vals = np.array([level_val(0, s) for s in S.reshape(-1)]).reshape(S.shape)
+    val = (2.0 * math.pi) ** n * vals
     return float(val) if radius.ndim == 0 else val
 
 

@@ -218,7 +218,7 @@ def cmd_verify(cfg: RunConfig, out: str | None, jobs: int, criteria) -> int:
     if jobs < 0:
         raise UsageError(f"--jobs must be >= 0 (0 = one worker per core), got {jobs}")
     include = None
-    if criteria:
+    if criteria is not None:
         include = [tok.strip() for tok in criteria.split(",") if tok.strip()]
     results = run_verification(cfg, include=include, jobs=jobs)
     if include is not None and not results:

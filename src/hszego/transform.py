@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _sfft
 
 from . import _kernels
 from .bergman import gaussian_budget_window
@@ -135,13 +134,13 @@ def _forward_fft(
 
     With ``overwrite`` the transform is made in ``values``' own buffer.
     """
-    F = _sfft.ifft(values, axis=-1, workers=-1, overwrite_x=overwrite)
+    F = np.fft.ifft(values, axis=-1, out=values if overwrite else None)
     return F, (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
 
 
 def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
     """The field of phase-corrected slices ``arr`` in FFT order; ``arr`` is overwritten."""
-    u = _sfft.fft(arr, axis=-1, workers=-1, overwrite_x=True)
+    u = np.fft.fft(arr, axis=-1, out=arr)
     u *= grid.freq_step / (2.0 * math.pi)
     return ScalarField(grid=grid, values=u)
 
@@ -208,8 +207,8 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
     raise :class:`BudgetError` naming the violated budget.
 
     The projection works in place in one copy of the field's values: the
-    forward FFT overwrites it and keeps FFT order.  The projected bins pass
-    through the slice projector a few at a time.
+    forward FFT overwrites it and keeps FFT order.  The projected bins are
+    gathered a few at a time and projected one slice at a time.
     """
     if sig.degenerate or not sig.all_positive():
         raise UsageError(
@@ -227,9 +226,8 @@ def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
     return sig.negative_axes if side > 0 else sig.positive_axes
 
 
-#: projected bins per slab: the slabs, the slice projector's output and the
-#: idempotency gap's second projection are the only working memory beside
-#: the field-sized array
+#: projected bins per slab: a slab, one slice operator and its output are
+#: the only working memory beside the field-sized array
 _SLAB_BINS = 8
 
 
@@ -261,12 +259,12 @@ def _pipeline(
 
     No array the field's size is made: the forward FFT runs in place, is
     scaled onto the bins in place and kept in FFT order.  The other bins are
-    zeroed, the projected bins go through the slice projector a slab at a
-    time and are written back with the inverse phase, and the inverse FFT
-    runs in place.  With ``idempotency`` each slab is projected a second
-    time as soon as it is projected, and each bin's energy, norm and gap are
-    kept: which bins are occupied in Pu needs Pu's total energy, known only
-    after the loop.
+    zeroed, the projected bins are gathered a slab at a time, each slice is
+    projected in its slab row and the slab is written back with the inverse
+    phase, and the inverse FFT runs in place.  Each bin's slice operator is
+    built once: with ``idempotency`` it is applied to s_t and then to P s_t,
+    and each bin's energy, norm and gap are kept: which bins are occupied in
+    Pu needs Pu's total energy, known only after the loop.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
@@ -298,10 +296,7 @@ def _pipeline(
     np.copyto(F, 0, where=dropped)
     if keep.size == 0:
         return ScalarField(grid=grid, values=F), 0.0, 0.0, change, None
-    # passed by position: perfbench/spans.py reads the slice projector's arguments so
-    consts = (
-        grid.freq_step, grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas)
-    )
+    consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
     slab_shape = (grid.spatial_points**2,) * n
     cphase = np.conj(_fft_phase(grid)).reshape((-1,) + (1,) * (2 * n))
     w = grid.spatial_weight_array(n).reshape(1, -1)
@@ -313,27 +308,30 @@ def _pipeline(
         ks = keep[lo : lo + _SLAB_BINS]
         at = position[ks]
         slab = by_bin[at].reshape((ks.size,) + slab_shape)
-        proj = _kernels.project_slices(slab, ts[ks], *consts)
+        rows = slab.reshape(ks.size, -1)
+        for j, t in enumerate(ts[ks]):
+            # one operator per bin, applied to s_t and, for the gap, to P s_t
+            op = _kernels.slice_operator(t, *consts)
+            p = _kernels.apply_slice_operator(op, slab[j])
+            if idempotency:
+                changes[lo + j] = weighted_sq_sum(rows[j : j + 1], w, p.reshape(1, -1))
+            slab[j] = p
+            if idempotency:
+                norms[lo + j] = weighted_sq_sum(rows[j : j + 1], w)
+                twice = _kernels.apply_slice_operator(op, slab[j]).reshape(1, -1)
+                gaps[lo + j] = weighted_sq_sum(twice, w, rows[j : j + 1])
+                del twice
+        # nothing of this slab may outlive it: the next slab is gathered
+        # while whatever is still referenced here is held
+        del op, p
         if idempotency:
-            flat = proj.reshape(ks.size, -1)
-            f = flat.view(np.float64)
+            f = rows.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
-            # s_t - P s_t in the gathered slab, dropped before the second projection
-            slab = slab.reshape(ks.size, -1)
-            slab -= flat
-            for j in range(ks.size):
-                changes[lo + j] = weighted_sq_sum(slab[j : j + 1], w)
-            del slab
-            diff = _kernels.project_slices(proj, ts[ks], *consts).reshape(ks.size, -1)
-            diff -= flat
-            for j in range(ks.size):
-                norms[lo + j] = weighted_sq_sum(flat[j : j + 1], w)
-                gaps[lo + j] = weighted_sq_sum(diff[j : j + 1], w)
-            del flat, f, diff
-        proj = proj.reshape((ks.size,) + grid.spatial_shape(n))
-        proj *= cphase[ks]
-        by_bin[at] = proj
-        del proj
+            del f
+        slab = slab.reshape((ks.size,) + grid.spatial_shape(n))
+        slab *= cphase[ks]
+        by_bin[at] = slab
+        del slab, rows
     pu = _inverse_fft(F, grid)
     if not idempotency:
         return pu, 0.0, 0.0, 0.0, None

@@ -1,6 +1,5 @@
 import collections
 import os
-import types
 
 import numpy as np
 import pytest
@@ -181,35 +180,46 @@ def test_project_annihilated_packet_exits_0(tmp_path, capsys):
     assert "idempotency_gap = " in report
 
 
-def _count_slices(monkeypatch):
-    """Count the slices ``_kernels.project_slices`` is handed, by frequency."""
-    seen = collections.Counter()
-    project_slices = _kernels.project_slices
+def _count_slice_operators(monkeypatch):
+    """Count, by frequency, the slice operators ``_kernels`` builds and their applications."""
+    built, applied = collections.Counter(), collections.Counter()
+    slice_operator, apply_slice_operator = _kernels.slice_operator, _kernels.apply_slice_operator
+    freq = {}
 
-    def counted(slabs, ts, *consts):
-        seen.update(ts.tolist())
-        return project_slices(slabs, ts, *consts)
+    def build(t, *consts):
+        op = slice_operator(t, *consts)
+        built[float(t)] += 1
+        freq[id(op)] = float(t)
+        return op
 
-    monkeypatch.setattr(_kernels, "project_slices", counted)
-    return seen
+    def apply(op, s):
+        applied[freq[id(op)]] += 1
+        return apply_slice_operator(op, s)
+
+    monkeypatch.setattr(_kernels, "slice_operator", build)
+    monkeypatch.setattr(_kernels, "apply_slice_operator", apply)
+    return built, applied
 
 
 def test_project_projects_each_kept_bin_twice(tmp_path, monkeypatch, capsys):
-    # one pass over the slabs: each kept bin is projected, and for the gap
-    # projected again straight away, whether or not it is occupied in Pu.
-    # This packet's seam leakage occupies 63 positive bins, and its
-    # projection empties one of them below the occupancy share
+    # one pass over the slabs: each kept bin's operator is built once and
+    # applied to the slice, and for the gap applied again straight away,
+    # whether or not the bin is occupied in Pu.  This packet's seam leakage
+    # occupies 63 positive bins, and its projection empties one of them
+    # below the occupancy share
     path, form = _annihilated_packet_file(tmp_path, False, alpha=1)
     ts = RunConfig().grid.freq_nodes()
     u = form.components[MultiIndex(())]
     kept = ts[(ts > 0) & (ts <= ts[-1]) & transform.partial_ft(u).occupied_mask()].tolist()
-    seen = _count_slices(monkeypatch)
+    built, applied = _count_slice_operators(monkeypatch)
     pu = szego_project_form(form, LambdaSignature((1.0,))).components[MultiIndex(())]
-    assert seen == collections.Counter(kept)
+    assert built == applied == collections.Counter(kept)
     assert np.count_nonzero(transform.partial_ft(pu).occupied_mask()) < len(kept) == 63
-    seen.clear()
+    built.clear()
+    applied.clear()
     assert main(["project", "--in", str(path)]) == 0
-    assert seen == collections.Counter(2 * kept)
+    assert built == collections.Counter(kept)
+    assert applied == collections.Counter(2 * kept)
 
 
 def test_project_exactly_annihilated_packet(tmp_path, capsys):
@@ -227,7 +237,6 @@ def test_project_exactly_annihilated_packet(tmp_path, capsys):
 def _count_ffts(monkeypatch):
     """Count the vertical FFTs of ``transform``: ifft runs the forward transform, fft the inverse."""
     calls = {"forward": 0, "inverse": 0}
-    fft = transform._sfft
 
     def counted(kind, fn):
         def call(*args, **kwargs):
@@ -236,8 +245,9 @@ def _count_ffts(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(transform, "_sfft", types.SimpleNamespace(
-        ifft=counted("forward", fft.ifft), fft=counted("inverse", fft.fft)))
+    fft = transform.np.fft
+    monkeypatch.setattr(fft, "ifft", counted("forward", fft.ifft))
+    monkeypatch.setattr(fft, "fft", counted("inverse", fft.fft))
     return calls
 
 
@@ -353,7 +363,7 @@ def test_verify_criteria_select_exactly(config_path, ran_criteria, tokens, selec
 
 
 # C1 is no prefix of C10..C13; a token that names nothing fails the whole list
-@pytest.mark.parametrize("tokens", ["C1", "C5", "C05.slice", "C05a.bogus", "C05a", "C05,C1", ","])
+@pytest.mark.parametrize("tokens", ["C1", "C5", "C05.slice", "C05a.bogus", "C05a", "C05,C1", ",", ""])
 def test_verify_inexact_criteria_exit_2(config_path, ran_criteria, tokens, capsys):
     assert main(["verify", "--config", config_path, "--criteria", tokens]) == 2
     assert ran_criteria == []

@@ -4,13 +4,17 @@ Its configuration block parses, every defaulted parameter of the package is
 set by some call of the package or the benchmark harness, and the count of
 settable values is pinned.  Every package binding the harness wraps resolves,
 and so do the modules' ``__all__`` lists, which cover what the package
-imports from its own modules."""
+imports from its own modules.  The package runs on numpy alone, as the
+README's install line says."""
 
 import argparse
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -228,3 +232,17 @@ def test_module_all_lists_resolve_and_cover_package_imports():
                 ]
     assert missing == []
     assert unlisted == []
+
+
+def test_package_imports_no_scipy():
+    # numpy is the one runtime dependency: a fresh interpreter that imports
+    # the package and its CLI loads no scipy module
+    code = (
+        "import sys, hszego, hszego.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+    assert "# runtime deps: numpy\n" in README.read_text(encoding="utf-8")
