@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import PANEL_NODES
+
 
 def active_backend() -> str:
     """Name of the kernel backend; numpy is the only one."""
@@ -159,20 +161,41 @@ def pairing_sum(Q, su, sg, ts, coeffs, wspat):
 
 
 # ---------------------------------------------------------------------------
-# direct kernel route:  out += c_t * exp(-t*Q) @ uw @ exp(i*t*dwrap)^T
+# direct kernel route:  out_e += c_e(t) * exp(-t*Q) @ uw @ exp(i*t*dwrap)^T
 # ---------------------------------------------------------------------------
 
 
 def direct_kernel_apply(Q, uw, dwrap, tn, cq):
-    """Apply the t-integrated direct kernel to weighted samples ``uw``.
+    """Apply the t-integrated direct kernel to weighted samples ``uw``, once per cutoff.
 
     ``Q``: (S, S) spatial quadratic phase; ``dwrap``: (N, N) wrapped vertical
-    differences (rows index output x, columns input y); ``tn``/``cq``:
-    quadrature nodes and coefficient weights of the symbol integral.
+    differences (rows index output x, columns input y); ``tn``: the nodes of
+    one composite Gauss-Legendre rule with equal-width panels of
+    ``PANEL_NODES`` nodes; ``cq``: (C, T) coefficient weights of the symbol
+    integral, one row per cutoff.  Returns (C, S, N): one output per row.
+
+    Each node's Z = (exp(-t*Q) @ uw) @ exp(i*t*dwrap)^T is computed once
+    and added into every output with its row's weight; a node whose weights
+    are all zero is skipped.  Node k*PANEL_NODES + j is the first panel's
+    node j plus k panel widths h, so exp(-t*Q) is stepped, not recomputed:
+    for each j it starts at exp(-tn[j]*Q) and is multiplied by exp(-h*Q)
+    from one panel to the next, PANEL_NODES + 1 exponentials in all.
     """
-    out = np.zeros_like(uw)
-    for t, c in zip(tn, cq):
-        E = pair_exp(Q, float(t))
-        V = np.exp(1j * t * dwrap)
-        out += c * ((E @ uw) @ V.T)
+    panels, rest = divmod(tn.size, PANEL_NODES)
+    if panels < 2 or rest or cq.shape[-1] != tn.size:
+        raise ValueError("direct_kernel_apply expects two or more whole panels and one weight per node")
+    out = np.zeros((cq.shape[0],) + uw.shape, dtype=uw.dtype)
+    D = pair_exp(Q, float(tn[PANEL_NODES] - tn[0]))
+    for j in range(PANEL_NODES):
+        E = pair_exp(Q, float(tn[j]))
+        for k in range(panels):
+            if k:
+                E *= D
+            i = k * PANEL_NODES + j
+            if not cq[:, i].any():
+                continue
+            V = np.exp(1j * tn[i] * dwrap)
+            Z = (E @ uw) @ V.T
+            for e in range(cq.shape[0]):
+                out[e] += cq[e, i] * Z
     return out

@@ -117,8 +117,10 @@ def gaussian_reproducing_check(
     rhs = (prod|lam|/pi^n) * t^n * integral e^{-t|lam||z-w|^2 - t lam(zbar w - z wbar)}
           e^{-t|lam||w|^2} g(w) dmu(w), evaluated by the grid quadrature.
     Holomorphic g with finite weighted norm must give lhs == rhs.  The mesh
-    and the kernel depend only on (t, z) and are built once per call; the
-    two complex arrays hold one entry per polynomial.
+    and the kernel depend only on (t, z) and are built once per call, the
+    kernel one row of the first mesh axis at a time so that its exponent's
+    temporaries stay one row long; the two complex arrays hold one entry
+    per polynomial.
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -132,12 +134,14 @@ def gaussian_reproducing_check(
     damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
     W = grid.complex_mesh(n)
     wts = grid.spatial_weight_array(n)
-    expo = (
-        -t * np.einsum("j,...j->...", lam, np.abs(W - z) ** 2)
-        - t * np.einsum("j,...j->...", lam, np.conj(z) * W - z * np.conj(W))
-        - t * np.einsum("j,...j->...", lam, np.abs(W) ** 2)
-    )
-    K = np.exp(expo)
+    K = np.empty(W.shape[:-1], dtype=complex)
+    for i, Wi in enumerate(W):
+        expo = (
+            -t * np.einsum("j,...j->...", lam, np.abs(Wi - z) ** 2)
+            - t * np.einsum("j,...j->...", lam, np.conj(z) * Wi - z * np.conj(Wi))
+            - t * np.einsum("j,...j->...", lam, np.abs(Wi) ** 2)
+        )
+        np.exp(expo, out=K[i])
     lhs, rhs = [], []
     for g_coeffs in polys:
         lhs.append(complex(damp * _eval_poly(g_coeffs, z[None, :])[0]))

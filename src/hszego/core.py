@@ -46,6 +46,7 @@ __all__ = [
     "rel_norm",
     "composite_gauss_legendre",
     "gauss_legendre_table",
+    "PANEL_NODES",
 ]
 
 class UsageError(ValueError):
@@ -229,8 +230,12 @@ class GridSpec:
         Shape (*spatial_shape(n), n); flat callers reshape to (-1, n).
         """
         x = self.spatial_nodes()
-        axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
-        return np.stack([axes[2 * j] + 1j * axes[2 * j + 1] for j in range(n)], axis=-1)
+        out = np.empty((x.size,) * (2 * n) + (n,), dtype=np.complex128)
+        for j in range(n):
+            # the node vector broadcast along real axis 2j, then along 2j+1
+            out[..., j].real = x.reshape((-1,) + (1,) * (2 * n - 1 - 2 * j))
+            out[..., j].imag = x.reshape((-1,) + (1,) * (2 * n - 2 - 2 * j))
+        return out
 
     def vertical_nodes(self) -> np.ndarray:
         N = self.vertical_points
@@ -451,12 +456,21 @@ def gauss_legendre_table(points: int, unit: bool = False) -> tuple[np.ndarray, n
     return x, w
 
 
+# nodes per panel of composite_gauss_legendre; the direct kernel route steps
+# its exponentials from one panel to the next by this stride
+PANEL_NODES = 16
+
+
 def composite_gauss_legendre(
     a: float, b: float, total_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b]: 16-node panels, >= total_points nodes."""
-    panels = max(1, -(-int(total_points) // 16))
-    xg, wg = gauss_legendre_table(16)
+    """Composite Gauss-Legendre nodes/weights on [a, b] with >= total_points nodes.
+
+    Equal-width panels of PANEL_NODES nodes each, panel by panel, so node
+    k*PANEL_NODES + j sits at the first panel's node j plus k panel widths.
+    """
+    panels = max(1, -(-int(total_points) // PANEL_NODES))
+    xg, wg = gauss_legendre_table(PANEL_NODES)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -524,18 +524,27 @@ def _plateau_cutoff(t: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
-def szego_apply_direct(field: ScalarField, sig: LambdaSignature, epsilon: float) -> ScalarField:
-    """Apply the projector by direct dense quadrature of the oscillatory kernel.
+def szego_apply_direct(
+    field: ScalarField, sig: LambdaSignature, epsilons
+) -> tuple[ScalarField, ...]:
+    """Apply the projector by direct dense quadrature of the oscillatory kernel, once per eps.
 
     K(x, y) = c0 * integral_0^inf t^n chi(eps*t) e^{i t phi_minus(x, y)} dt with
-    the smooth plateau cutoff chi (512 Gauss-Legendre nodes in t on
-    [0, 2/eps]), evaluated node-by-node over the full grid
-    (vertical differences wrapped to the periodic cell).  For band-limited
-    inputs whose occupied bins lie inside the plateau [0, 1/eps] this equals
-    the un-damped projector; it is the independent oracle for the pipeline.
+    the smooth plateau cutoff chi, evaluated over the full grid (vertical
+    differences wrapped to the periodic cell).  One rule of 512
+    Gauss-Legendre nodes in t on [0, 2/min(eps)] serves every eps of
+    ``epsilons``: each node's dense kernel term is computed once and added
+    into each output with that eps' cutoff weight, and exp(-tQ) is stepped
+    from panel to panel (see ``_kernels.direct_kernel_apply``).  Returns one
+    field per eps, in order.  For band-limited inputs whose occupied bins
+    lie inside the plateau [0, 1/eps] this equals the un-damped projector;
+    it is the independent oracle for the pipeline.
     """
-    if epsilon <= 0:
-        raise UsageError("epsilon must be > 0")
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons:
+        raise UsageError("direct route needs at least one epsilon")
+    if not all(0 < e < math.inf for e in epsilons):
+        raise UsageError(f"every epsilon must be finite and > 0, got {epsilons}")
     if sig.degenerate or not sig.all_positive():
         raise UsageError("direct route needs an all-positive signature")
     n = sig.n
@@ -548,7 +557,7 @@ def szego_apply_direct(field: ScalarField, sig: LambdaSignature, epsilon: float)
     if S * S > 4_000_000:
         raise UsageError("direct kernel route is a micro-grid oracle (S^2 too large)")
     Q = _kernels.phase_quadratic(zc, sig.lambdas)
-    t_max = 2.0 / epsilon
+    t_max = 2.0 / min(epsilons)
     nyquist = math.pi / grid.vertical_step
     if t_max > nyquist:
         raise UsageError(
@@ -556,7 +565,7 @@ def szego_apply_direct(field: ScalarField, sig: LambdaSignature, epsilon: float)
             f"frequency {nyquist:.4g}; increase eps or refine the vertical axis"
         )
     tn, tw = composite_gauss_legendre(0.0, t_max, 512)
-    cq = sig.c0() * tw * tn**n * _plateau_cutoff(tn, epsilon)
+    cq = np.stack([sig.c0() * tw * tn**n * _plateau_cutoff(tn, e) for e in epsilons])
     xk = grid.vertical_nodes()
     Rv = grid.vertical_radius
     d = xk[None, :] - xk[:, None]
@@ -564,4 +573,4 @@ def szego_apply_direct(field: ScalarField, sig: LambdaSignature, epsilon: float)
     N = grid.vertical_points
     uw = (field.values.reshape(S, N) * wspat[:, None]) * grid.vertical_step
     out = _kernels.direct_kernel_apply(Q, uw, dwrap, tn, cq)
-    return ScalarField(grid=grid, values=out.reshape(grid.field_shape(n)))
+    return tuple(ScalarField(grid=grid, values=o.reshape(grid.field_shape(n))) for o in out)

@@ -8,6 +8,7 @@ so reports are byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import re
@@ -361,8 +362,7 @@ def c09_routes(cfg: RunConfig):
     u = transform.make_wave_packet(spec, sig, grid)
     vp = transform.scalar_pipeline_project(u, sig)
     eps_a, eps_b = 0.43, 0.40
-    d_a = transform.szego_apply_direct(u, sig, epsilon=eps_a)
-    d_b = transform.szego_apply_direct(u, sig, epsilon=eps_b)
+    d_a, d_b = transform.szego_apply_direct(u, sig, (eps_a, eps_b))
     extrap = (eps_a * d_b.values - eps_b * d_a.values) / (eps_a - eps_b)
     worst_dir = rel_norm(extrap, vp.values, grid.field_weight_array(1))
     return [
@@ -580,6 +580,26 @@ def _matches(cid: str, include) -> bool:
     return False
 
 
+#: glibc's mallopt parameter for the number of malloc arenas
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Make threads started from now on allocate from glibc's main arena.
+
+    Each new thread otherwise gets an arena of its own, which keeps the
+    pages it frees; C13's worker threads then left ~10 MB per arena behind
+    that the next call's criteria could not reuse, so a process that ran the
+    gate again peaked ~10 MB higher on its second and third call.  A no-op
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def run_verification(cfg: RunConfig, include=None, jobs=0):
     """Run (a subset of) the criteria; returns results in registry order.
 
@@ -603,6 +623,7 @@ def run_verification(cfg: RunConfig, include=None, jobs=0):
         for i, (_, fn) in enumerate(chosen):
             results[i] = fn(cfg)
     else:
+        _one_malloc_arena()
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(fn, cfg) for _, fn in chosen]
             for i, fut in enumerate(futures):

@@ -75,3 +75,17 @@ def test_freq_axis_matches_vertical_bins():
     assert ts.size == 128
     assert np.allclose(np.diff(ts), np.pi / 16.0)
     assert grid.freq_max == pytest.approx(64 * np.pi / 16.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 5], ids=["even", "odd-with-zero-node"])
+def test_complex_mesh_matches_meshgrid(n, m):
+    grid = GridSpec(2.0, m, 1.0, 4)
+    x = grid.spatial_nodes()
+    axes = np.meshgrid(*([x] * (2 * n)), indexing="ij")
+    ref = np.stack([axes[2 * j] + 1j * axes[2 * j + 1] for j in range(n)], axis=-1)
+    mesh = grid.complex_mesh(n)
+    assert mesh.shape == grid.spatial_shape(n) + (n,)
+    assert np.array_equal(mesh, ref)
+    assert np.array_equal(np.signbit(mesh.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(mesh.imag), np.signbit(ref.imag))

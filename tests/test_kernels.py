@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from hszego import _kernels
+from hszego import _kernels, transform
 from hszego.bergman import gaussian_budget_window
-from hszego.core import GridSpec, LambdaSignature
+from hszego.core import GridSpec, LambdaSignature, composite_gauss_legendre
 
 TOL = 1e-13
 
@@ -145,3 +145,24 @@ def test_signed_slices_are_flipped_hat_slices(lams):
     for k, t in enumerate(ts):
         want = _flipped_hat_projection(slabs[k], float(t), x, w, lams)
         assert np.linalg.norm(out[k] - want) <= TOL * np.linalg.norm(want), (k, float(t))
+
+
+def test_stepped_direct_kernel_matches_per_node_exponentials():
+    """exp(-tQ) stepped from panel to panel agrees with one exponential per node."""
+    grid = GridSpec(3.4, 17, 20.0, 65)  # the C09 micro grid
+    zc = grid.complex_mesh(1).reshape(-1, 1)
+    Q = _kernels.phase_quadratic(zc, (1.0,))
+    xk = grid.vertical_nodes()
+    d = xk[None, :] - xk[:, None]
+    dwrap = (d + grid.vertical_radius) % (2.0 * grid.vertical_radius) - grid.vertical_radius
+    tn, tw = composite_gauss_legendre(0.0, 2.0 / 0.40, 512)
+    cq = np.stack([tw * tn * transform._plateau_cutoff(tn, eps) for eps in (0.43, 0.40)])
+    rng = np.random.default_rng(9)
+    uw = rng.standard_normal((zc.shape[0], xk.size)) + 1j * rng.standard_normal((zc.shape[0], xk.size))
+    out = _kernels.direct_kernel_apply(Q, uw, dwrap, tn, cq)
+    ref = np.zeros_like(out)
+    for i, t in enumerate(tn):
+        Z = (np.exp(-t * Q) @ uw) @ np.exp(1j * t * dwrap).T
+        ref += cq[:, i, None, None] * Z
+    for e in range(cq.shape[0]):
+        assert np.linalg.norm(out[e] - ref[e]) <= 1e-13 * np.linalg.norm(ref[e]), e

@@ -1,6 +1,7 @@
 """Peak traced allocation of the streamed CR residual, the scalar pipeline,
 wave-packet synthesis, the form projector, ``hszego project`` and the
-classifier's truncated monomial quadrature.
+classifier's truncated monomial quadrature, and the resident peak of a
+process that runs the gate's threaded criterion twice.
 
 numpy reports its array buffers to tracemalloc, so the traced peak between
 start and stop is the largest set of temporaries a call holds at once.  The
@@ -10,11 +11,17 @@ by ``hszego project``, which reads it from its file.
 
 import contextlib
 import io
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hszego
 from hszego import (
     FormField,
     GridSpec,
@@ -168,3 +175,49 @@ def test_five_radius_quadrature_peak_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_complex_mesh_holds_only_its_output():
+    # one preallocated complex array filled from broadcast node vectors; a
+    # meshgrid of 2n real axes and their stack held three outputs' worth
+    grid = GridSpec(4.6, 25, 1.0, 4)
+    nbytes = 25**4 * 2 * 16
+    assert _peak_share(lambda: grid.complex_mesh(2), nbytes) <= 1.1
+
+
+def test_reproducing_check_builds_its_kernel_in_row_blocks():
+    # C04's n=2 case: mesh (12.5 MB), kernel and one polynomial's temporaries
+    # (6.25 MB each); the exponent over the whole mesh held 54 MB
+    sig = LambdaSignature((1.0, 1.0))
+    grid = GridSpec(6.5 / np.sqrt(2.0), 25, 1.0, 4)
+    polys = [{alpha: 1.0 + 0.0j} for alpha in forms.multi_exponents(2, 4)]
+    z = np.array([0.5 - 0.3j, -0.4 + 0.6j])
+    tracemalloc.start()
+    try:
+        bergman.gaussian_reproducing_check(polys, z, 1.0, sig, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42e6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc arenas are glibc's")
+def test_second_gate_call_peaks_where_the_first_did():
+    # C13 reruns its subset on two threads.  Given arenas of their own, the
+    # threads kept what they freed, and the next call's C04 peaked on top of
+    # it: 74.5 -> 91.3 MB over two calls (C04 alone stays flat); one shared
+    # arena reads 74.4 -> 80.4 MB.  A fresh interpreter, so earlier tests'
+    # threads and arenas do not count.
+    code = (
+        "import contextlib, io, resource\n"
+        "from hszego.cli import main\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(['verify', '--jobs', '1', '--criteria', 'C04,C13'])\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hszego.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    first, second = (int(kb) / 1024 for kb in run.stdout.split())
+    assert second - first < 10.0, (first, second)

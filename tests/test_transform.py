@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from hszego import (
     szego_apply_direct,
 )
 from hszego import _kernels, transform
-from hszego.core import composite_gauss_legendre, rel_norm, weighted_sq_sum
+from hszego.config import RunConfig
+from hszego.core import PANEL_NODES, composite_gauss_legendre, rel_norm, weighted_sq_sum
 from hszego.transform import OCCUPANCY_EPS, FrequencyField, packet_boundary_share
+from hszego.verification import c09_routes
 
 SIG1 = LambdaSignature((1.0,))
 
@@ -342,7 +346,7 @@ def test_direct_route_agrees_on_small_grid():
     spec = WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.3, order=4)
     u = make_wave_packet(spec, SIG1, grid)
     vp = scalar_pipeline_project(u, SIG1)
-    vd = szego_apply_direct(u, SIG1, epsilon=0.43)
+    (vd,) = szego_apply_direct(u, SIG1, (0.43,))
     rel = norm(ScalarField(grid=grid, values=vd.values - vp.values)) / norm(vp)
     assert rel < 5e-3
 
@@ -353,7 +357,56 @@ def test_direct_route_nyquist_guard():
         WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.2), SIG1, grid, bin_quadrature=True
     )
     with pytest.raises(UsageError):
-        szego_apply_direct(u, SIG1, epsilon=0.05)
+        szego_apply_direct(u, SIG1, (0.05,))
+    # the shared rule runs to 2/min(eps), so the smallest eps decides
+    with pytest.raises(UsageError, match="Nyquist"):
+        szego_apply_direct(u, SIG1, (0.5, 0.05))
+    assert len(szego_apply_direct(u, SIG1, (0.5,))) == 1
+
+
+@pytest.mark.parametrize("epsilons", [(), (0.0,), (0.43, -0.4), (float("nan"),), (math.inf,)])
+def test_direct_route_rejects_bad_epsilons(epsilons):
+    grid = GridSpec(3.4, 9, 10.0, 33)
+    u = make_wave_packet(
+        WavePacketSpec(alpha=(0,), t_low=1.1, t_high=2.2), SIG1, grid, bin_quadrature=True
+    )
+    with pytest.raises(UsageError, match="epsilon"):
+        szego_apply_direct(u, SIG1, epsilons)
+
+
+def test_direct_route_one_rule_serves_every_eps():
+    # one 512-node rule on [0, 2/0.40] for both outputs: the eps = 0.40 field
+    # is the one-eps call's, the eps = 0.43 field moves by the rule's error
+    grid = GridSpec(3.4, 17, 20.0, 65)
+    spec = WavePacketSpec(alpha=(1,), t_low=1.1, t_high=2.3, order=4)
+    u = make_wave_packet(spec, SIG1, grid)
+    d_a, d_b = szego_apply_direct(u, SIG1, (0.43, 0.40))
+    (a,) = szego_apply_direct(u, SIG1, (0.43,))
+    (b,) = szego_apply_direct(u, SIG1, (0.40,))
+    assert np.array_equal(d_b.values, b.values)
+    assert rel_norm(d_a.values, a.values, grid.field_weight_array(1)) <= 1e-7
+
+
+def test_c09_steps_its_exponentials(monkeypatch):
+    # the direct route computes exp(-tQ) at the 16 nodes of one panel and
+    # once for the panel width, then steps; the pairing route computes one
+    # per kept bin.  One exponential per node of the 512-node rule fails here.
+    calls = {"pair_exp": 0, "pairing_bins": 0}
+    pair_exp, pairing_sum = _kernels.pair_exp, _kernels.pairing_sum
+
+    def counted_exp(Q, t):
+        calls["pair_exp"] += 1
+        return pair_exp(Q, t)
+
+    def counted_sum(Q, su, sg, ts, coeffs, wspat):
+        calls["pairing_bins"] += ts.size
+        return pairing_sum(Q, su, sg, ts, coeffs, wspat)
+
+    monkeypatch.setattr(_kernels, "pair_exp", counted_exp)
+    monkeypatch.setattr(_kernels, "pairing_sum", counted_sum)
+    c09_routes(RunConfig())
+    assert calls["pairing_bins"] > 0
+    assert calls["pair_exp"] == PANEL_NODES + 1 + calls["pairing_bins"]
 
 
 def test_gap_counts_a_bin_the_projection_empties():
