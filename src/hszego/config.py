@@ -82,8 +82,8 @@ _KEYS = (
 #: ``alpha``, ``t_low`` and ``t_high`` have no default and must be given
 _PACKET_KEYS = (
     ("alpha", _ints),
-    ("t_low", float),
-    ("t_high", float),
+    ("t_low", finite_float),
+    ("t_high", finite_float),
     ("conjugated_axes", _ints),
     ("order", int),
     ("vertical_sign", int),
@@ -148,6 +148,11 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise UsageError("epsilon must be finite and > 0")
+        if not all(0 < eps < math.inf for eps in self.kernel_table_diag_eps):
+            raise UsageError(
+                "config key 'kernel_table.diag_eps': every entry must be finite and > 0, "
+                f"got {self.kernel_table_diag_eps}"
+            )
 
     @property
     def sig(self) -> LambdaSignature:

@@ -374,7 +374,10 @@ class WavePacketSpec:
             raise UsageError("vertical_sign must be +1 or -1")
         axes = tuple(sorted(set(int(a) for a in self.conjugated_axes)))
         object.__setattr__(self, "conjugated_axes", axes)
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        alpha = tuple(int(a) for a in self.alpha)
+        if any(a < 0 for a in alpha):
+            raise UsageError(f"alpha entries must be >= 0, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 def envelope_values(spec: WavePacketSpec, t: np.ndarray) -> np.ndarray:

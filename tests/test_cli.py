@@ -338,7 +338,7 @@ def ran_criteria(monkeypatch):
     def stub(cid):
         def run(cfg):
             ran.append(cid)
-            return [verification.CriterionResult(cid, "stub", 0.0, 0.0, "<=", True)]
+            return [verification.CriterionResult(cid, "stub", 0.0, 0.0, "<=")]
 
         return run
 
@@ -395,6 +395,7 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid2.quadrature_rule = uniform-trapezoid", "grid2.quadrature_rule"),
      ("lambdas = nan", "lambdas"), ("lambdas = 1.0, inf", "lambdas"),
      ("epsilon = nan", "epsilon"), ("kernel_table.diag_eps = 0.5, nan", "kernel_table.diag_eps"),
+     ("kernel_table.diag_eps = -1", "kernel_table.diag_eps"),
      ("kernel_table.count = -3", "kernel_table.count"), ("seed = -1", "seed"),
      ("grid.vertical_radius = nan", "grid.vertical_radius"),
      ("grid2.spatial_radius = inf", "grid2.spatial_radius"),
@@ -418,8 +419,12 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
         ("packet.1.alpha = 0\npacket.1.t_low = 3.0", "'packet.1.t_high'"),
         ("packet.1.alpha = 0\npacket.1.t_low = 3.0\npacket.1.t_high = 2.0",
          "packet 1: envelope needs 0 < t_low < t_high"),
+        ("packet.1.alpha = -1\npacket.1.t_low = 1.0\npacket.1.t_high = 2.0",
+         "packet 1: alpha entries must be >= 0"),
+        ("packet.1.alpha = 0\npacket.1.t_low = 1.0\npacket.1.t_high = inf",
+         "'packet.1.t_high'"),
     ],
-    ids=["t_low-only", "no-t_high", "empty-envelope"],
+    ids=["t_low-only", "no-t_high", "empty-envelope", "negative-alpha", "infinite-t_high"],
 )
 def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message):
     p = tmp_path / "packet.cfg"

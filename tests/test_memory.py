@@ -1,7 +1,7 @@
 """Peak traced allocation of the streamed CR residual, the scalar pipeline,
-wave-packet synthesis, the form projector, ``hszego project`` and the
-classifier's truncated monomial quadrature, and the resident peak of a
-process that runs the gate's threaded criterion twice.
+wave-packet synthesis, the form projector, the form criterion C10,
+``hszego project`` and the classifier's truncated monomial quadrature, and
+the resident peak of a process that runs the gate's threaded criterion twice.
 
 numpy reports its array buffers to tracemalloc, so the traced peak between
 start and stop is the largest set of temporaries a call holds at once.  The
@@ -35,7 +35,9 @@ from hszego import (
     transform,
 )
 from hszego.cli import main
+from hszego.config import RunConfig
 from hszego.fieldio import read_form, write_form
+from hszego.verification import c10_forms
 
 GRID = GridSpec(3.5, 13, 8.0, 32)
 SIG = LambdaSignature((-1.0, 1.0))
@@ -199,6 +201,25 @@ def test_reproducing_check_builds_its_kernel_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 42e6
+
+
+def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
+    # C10 on its grid2 with half the vertical nodes: each case's packet is
+    # synthesized, projected alone, measured and dropped before the next, so
+    # the peak is the packet, its projection and a slab (2.23 components),
+    # and each case runs one pipeline, on the side of its vertical sign.
+    # Every packet, the two-component form and each projection held to the
+    # end made 10.2, and projecting that form besides its two components
+    # made six pipelines
+    sides = []
+    pipeline = transform._pipeline
+    monkeypatch.setattr(
+        transform, "_pipeline", lambda *args: sides.append(args[3]) or pipeline(*args)
+    )
+    cfg = RunConfig(grid2=GridSpec(3.5, 17, 30.0, 64))
+    nbytes = 16 * np.prod(cfg.grid2.field_shape(2))
+    assert _peak_share(lambda: c10_forms(cfg), nbytes) < 3.0
+    assert sides == [1, -1, 1, -1]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc arenas are glibc's")

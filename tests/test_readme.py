@@ -189,7 +189,7 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 89, counts
+    assert sum(counts.values()) == 88, counts
 
 
 def test_harness_bindings_resolve():
