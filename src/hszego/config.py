@@ -146,6 +146,8 @@ class RunConfig:
     kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
+        if not self.lambdas:
+            raise UsageError("config key 'lambdas': needs at least one entry")
         if not 0 < self.epsilon < math.inf:
             raise UsageError("epsilon must be finite and > 0")
         if not all(0 < eps < math.inf for eps in self.kernel_table_diag_eps):
@@ -214,7 +216,16 @@ class RunConfig:
 
         if flat:
             raise UsageError(f"unknown config keys: {sorted(flat)}")
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        # packets given by keys must fit the lambdas, unless they are the defaults:
+        # n=1 packets that other lambdas leave unused and canonical_text writes as keys
+        n = len(cfg.lambdas)
+        for pid, spec in zip(sorted(packet_ids), () if packets == _default_packets() else packets):
+            if len(spec.alpha) != n:
+                raise UsageError(f"config key 'packet.{pid}.alpha': needs one entry per lambda")
+            if not all(1 <= a <= n for a in spec.conjugated_axes):
+                raise UsageError(f"config key 'packet.{pid}.conjugated_axes': axes lie in 1..{n}")
+        return cfg
 
     def canonical_text(self) -> str:
         """Deterministic serialization (used for the report's config digest)."""

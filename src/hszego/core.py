@@ -186,6 +186,20 @@ def finite_float(text: str) -> float:
     return v
 
 
+def _point_count(text: str) -> int:
+    v = int(text)
+    if v < 2:
+        raise ValueError(f"point count {v} is not >= 2")
+    return v
+
+
+def _radius(text: str) -> float:
+    v = finite_float(text)
+    if v <= 0:
+        raise ValueError(f"radius {v} is not > 0")
+    return v
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-uniform tensor grid and quadrature descriptor.
@@ -286,13 +300,13 @@ class GridSpec:
         """
         return self.spatial_weight_array(n) * self.vertical_step
 
-    #: the grid's ``prefix.key`` names in config files and field-file headers,
-    #: with their parsers, in the order they are written and read
+    #: the grid's ``prefix.key`` names in config files and field-file headers, in the
+    #: order they are written and read, with parsers that check what __post_init__ does
     TEXT_KEYS = (
-        ("spatial_radius", finite_float),
-        ("spatial_points", int),
-        ("vertical_radius", finite_float),
-        ("vertical_points", int),
+        ("spatial_radius", _radius),
+        ("spatial_points", _point_count),
+        ("vertical_radius", _radius),
+        ("vertical_points", _point_count),
     )
 
     def text_lines(self, prefix: str) -> list[str]:

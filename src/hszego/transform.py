@@ -62,7 +62,7 @@ BUDGET_OCCUPANCY = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class FrequencyField:
-    """All frequency slices of a field; frequency is the trailing axis."""
+    """All frequency slices of a field; frequency is the trailing axis, in ascending bin order."""
 
     grid: GridSpec
     values: np.ndarray  # (*spatial_shape, T)
@@ -103,39 +103,23 @@ def _occupied(energy: np.ndarray) -> np.ndarray:
     return energy > OCCUPANCY_EPS * float(energy.sum())
 
 
+# The FFT leaves bin j at position j mod N, and the package keeps that FFT order;
+# ``np.fft.fftshift``/``ifftshift`` are the one bridge to the ascending bin
+# order of :class:`FrequencyField` and ``GridSpec.freq_nodes``.
+
+
 def _fft_phase(grid: GridSpec) -> np.ndarray:
-    js = grid.freq_bins()
+    """The phase factor onto the slices, per FFT position."""
+    js = np.fft.ifftshift(grid.freq_bins())
     N = grid.vertical_points
     return np.exp(-2j * np.pi * js * (N // 2) / N)
 
 
-# Bin order (ascending j) and FFT order (j mod N) differ by a half turn: bins
-# [0, h) sit at FFT positions [N - h, N) and bins [h, N) at [0, N - h), with
-# h = N // 2.  Both transforms move the two halves with slice copies fused with
-# the phase factor instead of a fancy-index gather or scatter; the pipeline
-# scales the halves in place and stays in FFT order.
-
-
-def _halves(N: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """The (bins, FFT positions) slice pairs of the two halves the half turn swaps."""
-    h = N // 2
-    return (slice(0, h), slice(N - h, N)), (slice(h, N), slice(0, N - h))
-
-
-def _fft_positions(N: int) -> np.ndarray:
-    """The FFT position of each bin."""
-    return (np.arange(N) - N // 2) % N
-
-
-def _forward_fft(
-    values: np.ndarray, grid: GridSpec, overwrite: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unscaled vertical FFT of ``values`` in FFT order, and the per-bin scale onto the slices.
-
-    With ``overwrite`` the transform is made in ``values``' own buffer.
-    """
-    F = np.fft.ifft(values, axis=-1, out=values if overwrite else None)
-    return F, (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
+def _forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The slices of ``values`` in FFT order, transformed and scaled in ``values``' own buffer."""
+    F = np.fft.ifft(values, axis=-1, out=values)
+    F *= (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
+    return F
 
 
 def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
@@ -147,21 +131,15 @@ def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
 
 def partial_ft(field: ScalarField) -> FrequencyField:
     """Forward vertical transform onto the grid's frequency bins."""
-    F, scale = _forward_fft(field.values, field.grid, False)
-    out = np.empty_like(F)
-    for bins, pos in _halves(field.grid.vertical_points):
-        np.multiply(F[..., pos], scale[bins], out=out[..., bins])
-    return FrequencyField(grid=field.grid, values=out)
+    F = _forward_fft(field.values.copy(), field.grid)
+    return FrequencyField(grid=field.grid, values=np.fft.fftshift(F, axes=-1))
 
 
 def partial_ift(freq: FrequencyField) -> ScalarField:
     """Inverse vertical transform; exact inverse of :func:`partial_ft`."""
-    grid = freq.grid
-    cphase = np.conj(_fft_phase(grid))
-    arr = np.empty_like(freq.values)
-    for bins, pos in _halves(grid.vertical_points):
-        np.multiply(freq.values[..., bins], cphase[bins], out=arr[..., pos])
-    return _inverse_fft(arr, grid)
+    arr = np.fft.ifftshift(freq.values, axes=-1)
+    arr *= np.conj(_fft_phase(freq.grid))
+    return _inverse_fft(arr, freq.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +147,21 @@ def partial_ift(freq: FrequencyField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _outside_window(grid: GridSpec, sig: LambdaSignature, ts, energy) -> np.ndarray:
-    """Bins holding more than ``BUDGET_OCCUPANCY`` of ``energy``'s total with |t| outside the window."""
-    t_floor, t_ceiling = gaussian_budget_window(grid, sig)
+def _outside_window(window: tuple[float, float], ts, energy) -> np.ndarray:
+    """Bins holding more than ``BUDGET_OCCUPANCY`` of ``energy``'s total with |t| outside ``window``."""
+    t_floor, t_ceiling = window
     t = np.abs(ts)
     # written so that a NaN energy counts as significant
     significant = ~(energy <= BUDGET_OCCUPANCY * float(energy.sum()))
     return significant & ((t < t_floor) | (t > t_ceiling))
 
 
-def _check_budget(grid: GridSpec, sig: LambdaSignature, ts, energy, sel) -> None:
-    """Raise :class:`BudgetError` when an occupied bin of ``sel`` has |t| outside the window."""
-    bad = np.flatnonzero(sel & _outside_window(grid, sig, ts, energy))
+def _check_budget(grid: GridSpec, window: tuple[float, float], ts, energy, sel) -> None:
+    """Raise :class:`BudgetError` when an occupied bin of ``sel`` has |t| outside ``window``."""
+    bad = np.flatnonzero(sel & _outside_window(window, ts, energy))
     if bad.size == 0:
         return
-    t_floor, t_ceiling = gaussian_budget_window(grid, sig)
+    t_floor, t_ceiling = window
     t = np.abs(ts[bad[0]])
     if t < t_floor:
         raise BudgetError(
@@ -257,30 +235,28 @@ def _pipeline(
     bins and -s_t on every other bin, whose weighted energy is taken before
     it is zeroed.
 
-    No array the field's size is made: the forward FFT runs in place, is
-    scaled onto the bins in place and kept in FFT order.  The other bins are
-    zeroed, the projected bins are gathered a slab at a time, each slice is
-    projected in its slab row and the slab is written back with the inverse
-    phase, and the inverse FFT runs in place.  Each bin's slice operator is
-    built once: with ``idempotency`` it is applied to s_t and then to P s_t,
-    and each bin's energy, norm and gap are kept: which bins are occupied in
-    Pu needs Pu's total energy, known only after the loop.
+    No array the field's size is made: the forward FFT and its scaling run
+    in place.  The other bins are zeroed, the projected bins are gathered a
+    slab at a time, each slice is projected in its slab row and the slab is
+    written back with the inverse phase, and the inverse FFT runs in place.
+    The budget window is found once.  Each bin's slice operator is built
+    once: with ``idempotency`` it is applied to s_t and then to P s_t, and
+    each bin's energy, norm and gap are kept: which bins are occupied in Pu
+    needs Pu's total energy, known only after the loop.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
         raise UsageError(f"field dimension {n} != signature dimension {sig.n}")
     N = grid.vertical_points
-    F, scale = _forward_fft(values, grid, True)
-    for bins, pos in _halves(N):
-        np.multiply(F[..., pos], scale[bins], out=F[..., pos])
-    position = _fft_positions(N)
-    ts = grid.freq_nodes()
-    energy = _spectral_energy(F)[position]
-    sel = (side * ts > 0) & (np.abs(ts) <= ts[-1])
-    _check_budget(grid, sig, ts, energy, sel)
+    F = _forward_fft(values, grid)
+    ts = np.fft.ifftshift(grid.freq_nodes())
+    energy = _spectral_energy(F)
+    sel = (side * ts > 0) & (np.abs(ts) <= ts.max())
+    window = gaussian_budget_window(grid, sig)
+    _check_budget(grid, window, ts, energy, sel)
     keep = np.flatnonzero(sel & _occupied(energy))
     dropped = np.ones(N, dtype=bool)
-    dropped[position[keep]] = False
+    dropped[keep] = False
     change = 0.0
     if idempotency:
         # ||s_t||^2_w at every FFT position, one first-axis row at a time:
@@ -306,8 +282,7 @@ def _pipeline(
     by_bin = np.moveaxis(F, -1, 0)
     for lo in range(0, keep.size, _SLAB_BINS):
         ks = keep[lo : lo + _SLAB_BINS]
-        at = position[ks]
-        slab = by_bin[at].reshape((ks.size,) + slab_shape)
+        slab = by_bin[ks].reshape((ks.size,) + slab_shape)
         rows = slab.reshape(ks.size, -1)
         for j, t in enumerate(ts[ks]):
             # one operator per bin, applied to s_t and, for the gap, to P s_t
@@ -330,15 +305,14 @@ def _pipeline(
             del f
         slab = slab.reshape((ks.size,) + grid.spatial_shape(n))
         slab *= cphase[ks]
-        by_bin[at] = slab
+        by_bin[ks] = slab
         del slab, rows
     pu = _inverse_fft(F, grid)
     if not idempotency:
         return pu, 0.0, 0.0, 0.0, None
     again = _occupied(energy_pu)
-    window = None
-    if np.any(_outside_window(grid, sig, ts[keep], energy_pu)):
-        window = gaussian_budget_window(grid, sig)
+    if not np.any(_outside_window(window, ts[keep], energy_pu)):
+        window = None
     change += float(changes.sum())
     return pu, float(gaps[again].sum() + norms[~again].sum()), float(norms.sum()), change, window
 

@@ -59,9 +59,9 @@ def test_all_criteria_present(results):
     assert sorted(results) == sorted(EXPECTED_IDS)
 
 
-# the gate's own numerics, and those of the phase, slice, projector and
-# residual code, must not move when that code is made cheaper or simpler
-# (C08b and C08d sit at roundoff and are not pinned)
+# the gate's own numerics, and those of the phase, slice, projector,
+# pipeline and residual code, must not move when that code is made cheaper
+# or simpler (C06, C08b, C08d and C09a sit at roundoff and are not pinned)
 PINNED = {
     "C03a.phase": "0.000000000000e+00",
     "C03b.phase": "0.000000000000e+00",
@@ -71,8 +71,11 @@ PINNED = {
     "C05b.slice": "6.357482207287e-05",
     "C05c.slice": "0.000000000000e+00",
     "C05d.slice": "1.839286337333e-05",
+    "C07a.hardy": "2.761042739047e-05",
+    "C07b.hardy": "8.429403363462e-06",
     "C08a.algebra": "4.935976686926e-04",
     "C08c.algebra": "1.307681900862e-03",
+    "C09b.routes": "2.001257550100e-03",
     "C10a.forms": "8.813025105590e-04",
     "C10b.forms": "0.000000000000e+00",
     "C10c.forms": "6.897037835844e-04",

@@ -260,17 +260,8 @@ def test_project_transforms_once(config_path, tmp_path, monkeypatch, capsys):
     calls = _count_ffts(monkeypatch)
     assert main(["project", "--config", config_path, "--in", str(field_path)]) == 0
     assert calls == {"forward": 1, "inverse": 1}
-    # both components of a mixed q=1 form are projected, each on its own
-    # side's bins t = +-1.18 inside this grid's window
-    grid = GridSpec(3.5, 13, 8.0, 32)
-    rng = np.random.default_rng(1)
-    tone = np.cos(3 * grid.freq_step * grid.vertical_nodes())
-    comp = ScalarField(grid=grid, values=rng.normal(size=grid.spatial_shape(2))[..., None] * tone)
-    path = tmp_path / "two.field"
-    write_form(path, FormField(grid=grid, q=1, components={
-        MultiIndex((j,)): comp for j in (1, 2)}), n=2)
-    cfg = tmp_path / "mixed.cfg"
-    cfg.write_text("lambdas = -1.0, 1.0\n")
+    # both components of a mixed q=1 form are projected, each on its own side
+    path, cfg = _mixed_tone_form(tmp_path)
     capsys.readouterr()
     calls.update(forward=0, inverse=0)
     assert main(["project", "--config", str(cfg), "--in", str(path)]) == 0
@@ -278,13 +269,81 @@ def test_project_transforms_once(config_path, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("norm_out=") == 2
 
 
-def test_project_flags_a_gap_measured_outside_the_window(config_path, tmp_path, capsys):
+def _mixed_tone_form(tmp_path):
+    """A q=1 form of lambda = (-1, 1), each component a tone on the bins t = +-1.18.
+
+    Both sides of each component are occupied, inside this grid's window:
+    component (1) keeps its t > 0 content and (2) its t < 0 content.
+    Returns the field file's path and the config's.
+    """
+    grid = GridSpec(3.5, 13, 8.0, 32)
+    rng = np.random.default_rng(1)
+    tone = np.cos(3 * grid.freq_step * grid.vertical_nodes())
+    comps = {
+        MultiIndex((j,)): ScalarField(
+            grid=grid, values=rng.normal(size=grid.spatial_shape(2))[..., None] * tone
+        )
+        for j in (1, 2)
+    }
+    path = tmp_path / "two.field"
+    write_form(path, FormField(grid=grid, q=1, components=comps), n=2)
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("lambdas = -1.0, 1.0\n")
+    return path, cfg
+
+
+# the projection reports of the default packet 2 and of a mixed q=1 form, to
+# the digit: the pipeline's bins, budget window and idempotency sums must not
+# move when its code is made cheaper or simpler
+PINNED_REPORTS = {
+    "packet-2": (
+        "# projection report\n"
+        "component (): norm_in=1.122952e+00 norm_out=1.122952e+00 rel_change=2.761043e-05 "
+        "cr_residual=3.832278e-02\n"
+        "idempotency_gap = 1.902309e-07\n"
+    ),
+    "mixed-q1": (
+        "# projection report\n"
+        "component (1): norm_in=2.743990e+02 norm_out=4.247210e+01 rel_change=9.828265e-01 "
+        "cr_residual=9.240650e+01\n"
+        "component (2): norm_in=2.766249e+02 norm_out=4.202837e+01 rel_change=9.836316e-01 "
+        "cr_residual=9.353549e+01\n"
+        "idempotency_gap = 1.955799e-01\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_REPORTS))
+def test_project_report_pinned(tmp_path, capsys, case):
+    if case == "packet-2":
+        path = tmp_path / "packet.field"
+        assert main(["make-packet", "--packet", "2", "--out", str(path)]) == 0
+        args = ["project", "--in", str(path)]
+    else:
+        path, cfg = _mixed_tone_form(tmp_path)
+        args = ["project", "--config", str(cfg), "--in", str(path)]
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == PINNED_REPORTS[case]
+
+
+def test_project_flags_a_gap_measured_outside_the_window(config_path, tmp_path, capsys,
+                                                          monkeypatch):
     # an annihilated packet leaves only its seam leakage, which reaches bins
     # above the resolution ceiling: the report says so before the gap line.
     # An in-window packet's report has no such line
     window = "# idempotency_gap measured on bins of Pu outside the budget window"
     path, _ = _annihilated_packet_file(tmp_path, False)
+    # the one pipeline call finds the window once, for the input's bins and Pu's
+    windows = []
+
+    def counted(*args):
+        windows.append(gaussian_budget_window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(transform, "gaussian_budget_window", counted)
     assert main(["project", "--in", str(path)]) == 0
+    assert len(windows) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2].startswith(window) and lines[-1].startswith("idempotency_gap = ")
     floor, ceiling = gaussian_budget_window(RunConfig().grid, RunConfig().sig)
@@ -399,6 +458,8 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("kernel_table.count = -3", "kernel_table.count"), ("seed = -1", "seed"),
      ("grid.vertical_radius = nan", "grid.vertical_radius"),
      ("grid2.spatial_radius = inf", "grid2.spatial_radius"),
+     ("grid2.spatial_points = 1", "grid2.spatial_points"),
+     ("grid.vertical_radius = -1", "grid.vertical_radius"), ("lambdas =", "lambdas"),
      ("packet.foo.alpha = 0", "packet.foo.alpha"), ("packet.0.t_low = 1.0", "packet.0.t_low"),
      ("packet.01.alpha = 0", "packet.01.alpha"),
      ("lambdas = 1.0\xff", "{path}")],
@@ -423,8 +484,13 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
          "packet 1: alpha entries must be >= 0"),
         ("packet.1.alpha = 0\npacket.1.t_low = 1.0\npacket.1.t_high = inf",
          "'packet.1.t_high'"),
+        ("packet.1.alpha = 0, 0\npacket.1.t_low = 1.0\npacket.1.t_high = 2.0",
+         "'packet.1.alpha': needs one entry per lambda"),
+        ("packet.1.alpha = 0\npacket.1.t_low = 1.0\npacket.1.t_high = 2.0\n"
+         "packet.1.conjugated_axes = 5", "'packet.1.conjugated_axes'"),
     ],
-    ids=["t_low-only", "no-t_high", "empty-envelope", "negative-alpha", "infinite-t_high"],
+    ids=["t_low-only", "no-t_high", "empty-envelope", "negative-alpha", "infinite-t_high",
+         "alpha-length", "axis-above-n"],
 )
 def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message):
     p = tmp_path / "packet.cfg"
@@ -472,6 +538,7 @@ def _first_row(text):
         ("oversized-grid", "csv payload has 36 rows, expected 40000000000 "),
         ("nan-radius", "field file header 'grid.spatial_radius': 'nan' is not a finite number"),
         ("inf-radius", "field file header 'grid.vertical_radius': 'inf' is not a finite number"),
+        ("one-spatial-point", "field file header 'grid.spatial_points': point count 1"),
         ("non-utf8-header", "field file {path!r}: line 2 is not UTF-8 text"),
         ("non-utf8-csv", "field file {path!r}: line {row} is not UTF-8 text"),
     ],
@@ -517,6 +584,8 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = nan\n")
     elif case == "inf-radius":
         text = text.replace("grid.vertical_radius = 3.0\n", "grid.vertical_radius = inf\n")
+    elif case == "one-spatial-point":
+        text = text.replace("grid.spatial_points = 3\n", "grid.spatial_points = 1\n")
     elif case == "non-utf8-header":
         text = text.replace("n = 1\n", "n = 1\xff\n")
     elif case == "non-utf8-csv":

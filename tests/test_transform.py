@@ -188,17 +188,18 @@ def test_pipeline_budget_gates(grid):
 # -- pipeline against an inline reference ------------------------------------
 #
 # The reference keeps the whole frequency array: public partial_ft and
-# occupied_mask, the slice projector on the kept positive bins (gathered one
-# bin at a time), a full zero frequency array with the projected bins put
+# occupied_mask, the signed slice projector on the kept bins of one side
+# (gathered one bin at a time), a full zero frequency array with the projected bins put
 # back, and public partial_ift.
 
 
-def _ref_pipeline(u, sig):
+def _ref_pipeline(u, sig, side):
     grid, n, m = u.grid, u.n, u.grid.spatial_points
     freq = partial_ft(u)
     ts = freq.t_nodes
     occ = freq.occupied_mask()
-    keep = [i for i in range(ts.size) if ts[i] > 0 and occ[i]]
+    # a side's bins are those whose mirror is a bin too: not the Nyquist bin
+    keep = [i for i in range(ts.size) if side * ts[i] > 0 and abs(ts[i]) <= ts[-1] and occ[i]]
     slabs = np.stack([freq.values[..., i] for i in keep]).reshape((len(keep),) + (m * m,) * n)
     proj = _kernels.project_slices(
         slabs,
@@ -225,17 +226,29 @@ GRID2 = GridSpec(3.5, 13, 8.0, 32)
 SIG2 = LambdaSignature((1.0, 1.0))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_pipeline_matches_full_array_reference(grid, n, monkeypatch):
-    # the noise input fills every bin, far outside the budget window
+_REFERENCE_CASES = {
+    f"{n}{'-odd' if odd else ''}{'-minus' if side < 0 else ''}": (n, odd, side)
+    for side in (1, -1)
+    for odd in (False, True)
+    for n in (1, 2)
+}
+
+
+@pytest.mark.parametrize(
+    "n, odd, side", list(_REFERENCE_CASES.values()), ids=list(_REFERENCE_CASES)
+)
+def test_pipeline_matches_full_array_reference(grid, n, odd, side, monkeypatch):
+    # the noise input fills every bin, far outside the budget window; an odd
+    # grid has no Nyquist bin, an even one's belongs to neither side
     monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
-    if n == 1:
-        g, sig, spec = grid, SIG1, WavePacketSpec(alpha=(1,), t_low=0.9, t_high=2.6)
-    else:
-        g, sig, spec = GRID2, SIG2, WavePacketSpec(alpha=(1, 1), t_low=0.9, t_high=1.6)
+    g, sig = (grid, SIG1) if n == 1 else (GRID2, SIG2)
+    g = GridSpec(g.spatial_radius, g.spatial_points, g.vertical_radius, g.vertical_points - odd)
+    band = (0.9, 2.6) if n == 1 else (0.9, 1.6)
+    # a side's packet: e^{-i side t x}, conjugated on the axes that side serves
+    spec = WavePacketSpec((1,) * n, *band, transform._side_axes(sig, side), vertical_sign=side)
     for u in (make_wave_packet(spec, sig, g), _noise(g, n)):
-        got = scalar_pipeline_project(u, sig).values
-        want = _ref_pipeline(u, sig)
+        got = transform._pipeline(g, u.values.copy(), sig, side, False)[0].values
+        want = _ref_pipeline(u, sig, side)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
