@@ -31,7 +31,6 @@ from .core import (
     norm,
 )
 from .forms import (
-    CrOperatorChoice,
     apply_cr,
     cr_system_residual,
     reflect_to_hat,

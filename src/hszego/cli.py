@@ -125,6 +125,8 @@ def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
                 idxs.append(int(tok))
             except ValueError:
                 raise UsageError(f"--packet: {tok.strip()!r} is not a packet index") from None
+    if not idxs:
+        raise UsageError("--packet names no packet")
     comps = {}
     q = None
     for k in idxs:
@@ -138,8 +140,8 @@ def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
             raise UsageError("selected packets belong to different degrees")
         if J in comps:
             raise UsageError(f"two selected packets share the component {J}")
-        comps[J] = transform.make_wave_packet(spec, sig, cfg.grid)
-    form = FormField(grid=cfg.grid, q=q or 0, components=comps)
+        comps[J] = cfg.packet_field(k)
+    form = FormField(grid=cfg.grid, q=q, components=comps)
     write_form(out, form, fmt=fmt, n=sig.n)
     return 0
 

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .core import GridSpec, LambdaSignature, UsageError, finite_float, text_value
-from .transform import WavePacketSpec
+from .core import GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, text_value
+from .transform import WavePacketSpec, make_wave_packet
 
 __all__ = ["RunConfig", "parse_flat_config", "decode_text"]
 
@@ -106,7 +106,8 @@ def _default_packets() -> tuple[WavePacketSpec, ...]:
 class RunConfig:
     """Everything a verification or CLI run needs, with desk-scale defaults.
 
-    The acceptance budgets are constants of the gate, not settings of a run.
+    The acceptance budgets and ``grid2`` are constants of the gate, not
+    settings of a run.
     """
 
     #: acceptance budgets; ``>=`` comparators mean larger measured values pass
@@ -136,11 +137,13 @@ class RunConfig:
         }
     )
 
+    #: the n=2 grid of the form-level criteria (C00's window check and C10)
+    grid2 = GridSpec(3.5, 17, 30.0, 128)
+
     lambdas: tuple[float, ...] = (1.0,)
     epsilon: float = 0.5
     seed: int = 20260808
     grid: GridSpec = field(default_factory=lambda: GridSpec(4.0, 33, 16.0, 128))
-    grid2: GridSpec = field(default_factory=lambda: GridSpec(3.5, 17, 30.0, 128))
     packets: tuple[WavePacketSpec, ...] = field(default_factory=_default_packets)
     kernel_table_count: int = 8
     kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
@@ -159,6 +162,13 @@ class RunConfig:
     @property
     def sig(self) -> LambdaSignature:
         return LambdaSignature(self.lambdas)
+
+    def packet_field(self, i: int) -> ScalarField:
+        """Packet ``i`` (1-based) synthesized on ``grid``; an error names the packet."""
+        try:
+            return make_wave_packet(self.packets[i - 1], self.sig, self.grid)
+        except UsageError as exc:
+            raise UsageError(f"packet {i}: {exc}") from None
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -195,10 +205,7 @@ class RunConfig:
 
         # an absent key keeps the default of RunConfig, GridSpec or WavePacketSpec
         kwargs = {name: parse(key, conv) for key, name, conv in _KEYS if key in flat}
-        base = cls()
-        for prefix in ("grid", "grid2"):
-            grid = given(f"{prefix}.", GridSpec.TEXT_KEYS)
-            kwargs[prefix] = replace(getattr(base, prefix), **grid)
+        kwargs["grid"] = replace(cls().grid, **given("grid.", GridSpec.TEXT_KEYS))
         packet_ids = set()
         for key in flat:
             if key.startswith("packet."):
@@ -230,7 +237,7 @@ class RunConfig:
     def canonical_text(self) -> str:
         """Deterministic serialization (used for the report's config digest)."""
         lines = [f"{key} = {text_value(getattr(self, name))}" for key, name, _ in _KEYS]
-        lines += self.grid.text_lines("grid") + self.grid2.text_lines("grid2")
+        lines += self.grid.text_lines("grid")
         for i, p in enumerate(self.packets, start=1):
             lines += [
                 f"packet.{i}.{name} = {text_value(getattr(p, name))}" for name, _ in _PACKET_KEYS

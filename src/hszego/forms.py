@@ -28,7 +28,6 @@ from . import transform
 from .transform import scalar_pipeline_project  # noqa: F401
 
 __all__ = [
-    "CrOperatorChoice",
     "apply_cr",
     "cr_system_residual",
     "reflect_to_hat",
@@ -40,24 +39,6 @@ __all__ = [
 ]
 
 _BOUNDARY_BAND = 2  # nodes excluded per spatial side by the 4th-order stencil
-
-
-@dataclass(frozen=True)
-class CrOperatorChoice:
-    """One of the frame fields Z_j / Zbar_j.
-
-    Z_j = d/dz_j - i*lam_j*zbar_j*d/dx_last; the hat structure's fields are
-    those of the signature ``sig.abs()``.
-    """
-
-    kind: str  # "Z" or "Zbar"
-    axis: int  # 1-based
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zbar"):
-            raise UsageError("kind must be 'Z' or 'Zbar'")
-        if self.axis < 1:
-            raise UsageError("axis is 1-based")
 
 
 def _require_fd_grid(grid: GridSpec) -> None:
@@ -111,53 +92,50 @@ def _block_zj(x: np.ndarray, block: tuple[slice, ...], j: int) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-def _block_dz(v: np.ndarray, block: tuple[slice, ...], kind: str, j: int, hs: float):
-    """d/dz_j (``kind`` "Z") or d/dzbar_j of ``v`` on an interior block."""
+def _block_dz(v: np.ndarray, block: tuple[slice, ...], holomorphic: bool, j: int, hs: float):
+    """d/dz_j (``holomorphic``) or d/dzbar_j of ``v`` on an interior block."""
     d = _block_d4(v, block, 2 * (j - 1))
     d_im = _block_d4(v, block, 2 * (j - 1) + 1)
-    d_im *= -1j if kind == "Z" else 1j
+    d_im *= -1j if holomorphic else 1j
     d += d_im
     d *= 0.5 / (12.0 * hs)
     return d
 
 
 def apply_cr(
-    field: ScalarField,
-    op: CrOperatorChoice,
-    sig: LambdaSignature,
-    planes: range | None = None,
+    field: ScalarField, J: MultiIndex, j: int, sig: LambdaSignature, planes: range
 ) -> np.ndarray:
-    """Apply Z_j or Zbar_j by 4th-order centered differences on interior nodes.
+    """Apply Z_j if j is in the label J, else Zbar_j: the field u_J solves on axis j.
 
-    Spatial derivatives exist only off a 2-node boundary band, which residual
-    norms exclude; the vertical derivative uses the periodic stencil.  The
-    result holds the interior values on ``planes``, a unit-step range of
-    interior planes of the first spatial axis (all of them by default), as
-    an array of shape ``(len(planes),) + (m - 4,) * (2n - 1) + (N,)``, so a
-    caller can stream the operator over the grid.
+    Z_j = d/dz_j - i*lam_j*zbar_j*d/dx_last; the hat structure's fields are
+    those of ``sig.abs()``.  4th-order centered differences: spatial
+    derivatives exist only off a 2-node boundary band, which residual norms
+    exclude; the vertical derivative uses the periodic stencil.  The result
+    holds the interior values on ``planes``, a unit-step range of interior
+    planes of the first spatial axis, as an array of shape
+    ``(len(planes),) + (m - 4,) * (2n - 1) + (N,)``, so a caller can stream
+    the operator over the grid.
     """
     _require_fd_grid(field.grid)
     n = field.n
-    j = op.axis
-    if j > n:
-        raise UsageError(f"axis {j} exceeds field dimension n={n}")
+    if not 1 <= j <= n:
+        raise UsageError(f"axis {j} outside 1..{n}")
     if sig.n != n:
         raise UsageError("signature dimension mismatch")
+    holomorphic = J.contains(j)
     lam = sig.lambdas[j - 1]
     grid = field.grid
     m = grid.spatial_points
     interior = range(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
-    if planes is None:
-        planes = interior
-    elif planes.step != 1 or planes.start < interior.start or planes.stop > interior.stop:
+    if planes.step != 1 or planes.start < interior.start or planes.stop > interior.stop:
         raise UsageError(f"planes must be a unit-step range inside {interior}")
     v = field.values
     block = _interior(n, m, planes)
     x = grid.spatial_nodes()
     zj = _block_zj(x, block, j)
-    r = _block_dz(v, block, op.kind, j, float(x[1] - x[0]))
+    r = _block_dz(v, block, holomorphic, j, float(x[1] - x[0]))
     d_v = _periodic_d4(v[block])
-    d_v *= (-1j * lam * np.conj(zj) if op.kind == "Z" else 1j * lam * zj) / (
+    d_v *= (-1j * lam * np.conj(zj) if holomorphic else 1j * lam * zj) / (
         12.0 * grid.vertical_step
     )
     r += d_v
@@ -186,8 +164,7 @@ def cr_system_residual(u: ScalarField, J: MultiIndex, sig: LambdaSignature) -> f
         plane = range(i, i + 1)
         wb = w[_interior(n, m, plane)[:-1]]
         for j in range(1, n + 1):
-            op = CrOperatorChoice(kind="Z" if J.contains(j) else "Zbar", axis=j)
-            acc += weighted_sq_sum(apply_cr(u, op, sig, planes=plane), wb)
+            acc += weighted_sq_sum(apply_cr(u, J, j, sig, plane), wb)
     return math.sqrt(acc)
 
 

@@ -104,8 +104,7 @@ def c00_preflight(cfg: RunConfig):
             violations.append(f"packet {i}: gaussian-truncation (t_low {spec.t_low} < {floor:.4g})")
         if spec.t_high > ceiling:
             violations.append(f"packet {i}: kernel-resolution (t_high {spec.t_high} > {ceiling:.4g})")
-        u = transform.make_wave_packet(spec, sig, cfg.grid)
-        share = transform.packet_boundary_share(u)
+        share = transform.packet_boundary_share(cfg.packet_field(i))
         if share > wrap_tol:
             violations.append(f"packet {i}: wrap-share ({share:.3g} > {wrap_tol:.3g})")
     floor2, ceiling2 = bergman.gaussian_budget_window(cfg.grid2, LambdaSignature((1.0, 1.0)))
@@ -278,8 +277,8 @@ def c07_hardy(cfg: RunConfig):
     grid = cfg.grid
     w = grid.field_weight_array(sig.n)
     worst = 0.0
-    for spec in cfg.packets:
-        u = transform.make_wave_packet(spec, sig, grid)
+    for i in range(1, len(cfg.packets) + 1):
+        u = cfg.packet_field(i)
         v = transform.scalar_pipeline_project(u, sig)
         worst = max(worst, rel_norm(v.values, u.values, w))
     worst_neg = 0.0

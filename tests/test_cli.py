@@ -438,6 +438,32 @@ def test_make_packet_bad_index_exits_2(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["", ","], ids=["empty", "comma"])
+def test_make_packet_no_index_exits_2(config_path, tmp_path, capsys, which):
+    out = tmp_path / "packet.field"
+    args = ["make-packet", "--config", config_path, "--out", str(out), "--packet", which]
+    assert main(args) == 2
+    assert "--packet names no packet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["make-packet", "--out", "{out}"], ["verify", "--criteria", "C00"],
+     ["verify", "--criteria", "C07"]],
+    ids=["make-packet", "C00", "C07"],
+)
+def test_default_packet_that_does_not_fit_the_lambdas_is_named(tmp_path, capsys, args):
+    # the default n=1 packets load under n=2 lambdas; the first one synthesized fails
+    p = tmp_path / "n2.cfg"
+    p.write_text("lambdas = -1.0, 1.0\n")
+    out = tmp_path / "packet.field"
+    argv = [a.format(out=out) for a in args] + ["--config", str(p)]
+    assert main(argv) == 2
+    assert "error: packet 1: alpha length 1 != n=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_project_jobs_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--jobs", "2", "--in", str(tmp_path / "packet.field")])
@@ -459,6 +485,7 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.vertical_radius = nan", "grid.vertical_radius"),
      ("grid2.spatial_radius = inf", "grid2.spatial_radius"),
      ("grid2.spatial_points = 1", "grid2.spatial_points"),
+     ("grid2.spatial_points = 17", "grid2.spatial_points"),
      ("grid.vertical_radius = -1", "grid.vertical_radius"), ("lambdas =", "lambdas"),
      ("packet.foo.alpha = 0", "packet.foo.alpha"), ("packet.0.t_low = 1.0", "packet.0.t_low"),
      ("packet.01.alpha = 0", "packet.01.alpha"),

@@ -92,7 +92,7 @@ def test_packet_keys_default_to_wave_packet_spec():
 
 
 def test_canonical_text_reads_back_unchanged():
-    text = RunConfig.from_text("grid2.spatial_radius = 3.25\nlambdas = -1.0, 2.0").canonical_text()
+    text = RunConfig.from_text("grid.spatial_radius = 3.25\nlambdas = -1.0, 2.0").canonical_text()
     assert RunConfig.from_text(text).canonical_text() == text
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hszego import (
-    CrOperatorChoice,
     FormField,
     GridSpec,
     LambdaSignature,
@@ -46,6 +45,16 @@ def _coords(grid):
     return x[:, None] + 1j * x[None, :]
 
 
+def _label(kind, j):
+    """The component label on whose axis j apply_cr applies ``kind``: Z on J, Zbar off it."""
+    return MultiIndex((j,) if kind == "Z" else ())
+
+
+def _planes(grid):
+    """Every interior plane of the first spatial axis."""
+    return range(2, grid.spatial_points - 2)
+
+
 def _interior_norm(grid, n, r):
     """Weighted L^2 norm of the interior values that ``apply_cr`` returns."""
     interior = (slice(2, grid.spatial_points - 2),) * (2 * n)
@@ -56,16 +65,16 @@ def _interior_norm(grid, n, r):
 def test_apply_cr_constant_is_zero(grid):
     u = ScalarField(grid=grid, values=np.ones(grid.field_shape(1), dtype=complex))
     for kind in ("Z", "Zbar"):
-        out = apply_cr(u, CrOperatorChoice(kind=kind, axis=1), SIG1)
+        out = apply_cr(u, _label(kind, 1), 1, SIG1, _planes(grid))
         assert np.max(np.abs(out)) < 1e-14
 
 
 def test_apply_cr_z_is_annihilated_by_zbar(grid):
     Z = _coords(grid)
     u = ScalarField(grid=grid, values=np.repeat(Z[..., None], 128, axis=-1).astype(complex))
-    out = apply_cr(u, CrOperatorChoice(kind="Zbar", axis=1), SIG1)
+    out = apply_cr(u, J0, 1, SIG1, _planes(grid))
     assert _interior_norm(grid, 1, out) < 1e-12
-    out2 = apply_cr(u, CrOperatorChoice(kind="Z", axis=1), SIG1)
+    out2 = apply_cr(u, MultiIndex((1,)), 1, SIG1, _planes(grid))
     assert _interior_norm(grid, 1, out2) > 0.1  # d/dz of z is 1, not zero
 
 
@@ -73,7 +82,7 @@ def test_apply_cr_grid_requirements():
     coarse = GridSpec(4.0, 4, 8.0, 8)
     u = ScalarField(grid=coarse, values=np.ones(coarse.field_shape(1), dtype=complex))
     with pytest.raises(UsageError):
-        apply_cr(u, CrOperatorChoice(kind="Z", axis=1), SIG1)
+        apply_cr(u, MultiIndex((1,)), 1, SIG1, range(2, 2))
 
 
 def test_cr_residual_packet_vs_noise(grid):
@@ -244,7 +253,7 @@ def test_apply_cr_matches_reference_and_zeroes_the_band(case):
     interior = (slice(2, g.spatial_points - 2),) * (2 * n)
     for j in range(1, n + 1):
         for kind in ("Z", "Zbar"):
-            got = apply_cr(u, CrOperatorChoice(kind=kind, axis=j), sig)
+            got = apply_cr(u, _label(kind, j), j, sig, _planes(g))
             want = _ref_cr(u, kind, j, sig.lambdas[j - 1])
             assert got.shape == want[interior].shape
             padded = np.zeros_like(want)
@@ -258,17 +267,25 @@ def test_apply_cr_planes_are_rows_of_the_full_grid_result(case):
     u = _noise(g, sig.n, seed=7)
     m, b = g.spatial_points, 2
     for j in range(1, sig.n + 1):
-        op = CrOperatorChoice(kind="Zbar", axis=j)
-        full = apply_cr(u, op, sig)
-        assert np.array_equal(full, apply_cr(u, op, sig, planes=range(b, m - b)))
+        full = apply_cr(u, J0, j, sig, range(b, m - b))
         for i in (b, m // 2, m - b - 1):
-            rows = apply_cr(u, op, sig, planes=range(i, i + 1))
+            rows = apply_cr(u, J0, j, sig, range(i, i + 1))
             assert np.array_equal(rows, full[i - b : i - b + 1])
-        both = apply_cr(u, op, sig, planes=range(b, b + 2))
+        both = apply_cr(u, J0, j, sig, range(b, b + 2))
         assert np.array_equal(both, full[:2])
     for bad in (range(b - 1, b), range(m - b, m - b + 1), range(b, m - b, 2)):
         with pytest.raises(UsageError):
-            apply_cr(u, CrOperatorChoice(kind="Z", axis=1), sig, planes=bad)
+            apply_cr(u, MultiIndex((1,)), 1, sig, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_cr_rejects_an_axis_outside_1_to_n(n):
+    g = GridSpec(3.0, 7, 8.0, 8)
+    sig = LambdaSignature((1.0,) * n)
+    u = _noise(g, n, seed=8)
+    for j in (0, n + 1):
+        with pytest.raises(UsageError, match=f"axis {j} outside 1..{n}"):
+            apply_cr(u, J0, j, sig, _planes(g))
 
 
 def test_frequency_residual_consistent_with_spatial(grid):
@@ -336,12 +353,10 @@ def test_reflection_transports_cr_solutions(grid):
         bin_quadrature=True,
     )
     # u solves Z_1 u = 0 for the standard structure (axis 1 is in J)
-    res_std = _interior_norm(grid, 1, apply_cr(u, CrOperatorChoice(kind="Z", axis=1), sig))
+    res_std = _interior_norm(grid, 1, apply_cr(u, MultiIndex((1,)), 1, sig, _planes(grid)))
     v = reflect_to_hat(u, "minus_block", sig)
     # the hat structure is the signature |lambda|
-    res_hat = _interior_norm(
-        grid, 1, apply_cr(v, CrOperatorChoice(kind="Zbar", axis=1), sig.abs())
-    )
+    res_hat = _interior_norm(grid, 1, apply_cr(v, J0, 1, sig.abs(), _planes(grid)))
     assert res_std / norm(u) < 0.15
     assert res_hat / norm(v) < 0.15
 

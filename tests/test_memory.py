@@ -216,7 +216,8 @@ def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
     monkeypatch.setattr(
         transform, "_pipeline", lambda *args: sides.append(args[3]) or pipeline(*args)
     )
-    cfg = RunConfig(grid2=GridSpec(3.5, 17, 30.0, 64))
+    monkeypatch.setattr(RunConfig, "grid2", GridSpec(3.5, 17, 30.0, 64))
+    cfg = RunConfig()
     nbytes = 16 * np.prod(cfg.grid2.field_shape(2))
     assert _peak_share(lambda: c10_forms(cfg), nbytes) < 3.0
     assert sides == [1, -1, 1, -1]

@@ -3,8 +3,9 @@ and every export is either read by the package itself or documented there.
 Its configuration block parses, every defaulted parameter of the package is
 set by some call of the package or the benchmark harness, and the count of
 settable values is pinned.  Every package binding the harness wraps resolves,
-and so do the modules' ``__all__`` lists, which cover what the package
-imports from its own modules.  The package runs on numpy alone, as the
+and so do the other package names the harness reads and the modules'
+``__all__`` lists, which cover what the package imports from its own
+modules.  The package runs on numpy alone, as the
 README's install line says."""
 
 import argparse
@@ -189,7 +190,7 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 88, counts
+    assert sum(counts.values()) == 80, counts
 
 
 def test_harness_bindings_resolve():
@@ -210,6 +211,29 @@ def test_harness_bindings_resolve():
             missing.append(f"{module}.{attr}")
     assert len(bindings.elts) > 20
     assert missing == []
+
+
+def test_harness_reads_outside_its_bindings_resolve():
+    # every benchmark run, traced or not, also reads these: perfbench/worker.py
+    # records hszego._kernels.active_backend(), and perfbench/inputs.py and
+    # perfbench/tests read RunConfig().grid2, .grid, .sig and .tolerances and
+    # import names from the package
+    missing = []
+    for path in [*HARNESS.glob("*.py"), *HARNESS.glob("tests/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hszego"):
+                owner = importlib.import_module(node.module)
+                missing += [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(owner, alias.name)
+                ]
+    assert missing == []
+    assert isinstance(importlib.import_module("hszego._kernels").active_backend(), str)
+    cfg = RunConfig()
+    assert cfg.grid2 == hszego.GridSpec(3.5, 17, 30.0, 128)
+    assert isinstance(cfg.grid, hszego.GridSpec) and cfg.sig.n == 1
+    assert "wrap_share" in cfg.tolerances
 
 
 def test_module_all_lists_resolve_and_cover_package_imports():
