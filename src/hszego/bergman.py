@@ -94,16 +94,35 @@ def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> n
 # ---------------------------------------------------------------------------
 
 
-def _eval_poly(coeffs, pts: np.ndarray) -> np.ndarray:
-    """Evaluate sum c_alpha z^alpha on points of shape (..., n)."""
-    out = np.zeros(pts.shape[:-1], dtype=complex)
+#: numpy computes ``a * b`` for a temporary ``b`` of at least this many bytes
+#: in b's buffer, as ``b * a`` (NPY_MIN_ELIDE_BYTES).  A complex product can
+#: round differently with its factors swapped (fused multiply-add), so
+#: :func:`_eval_poly` takes them as a mesh-wide ``term * z**a`` did
+_ELIDE_BYTES = 256 * 1024
+
+
+def _eval_poly(coeffs, axes, shape) -> np.ndarray:
+    """Evaluate sum c_alpha z^alpha on an array of the given shape.
+
+    ``axes[j]`` holds the values of z_j on an array that broadcasts to
+    ``shape``, so each power is taken once per distinct value.  A term is
+    filled with its coefficient and multiplied by the powers axis by axis,
+    and the terms after the first are added to it: every value is the one
+    that the same steps on a mesh of the full shape give.
+    """
+    elide = np.dtype(complex).itemsize * math.prod(shape) >= _ELIDE_BYTES
+    out = None
     for alpha, c in coeffs.items():
-        term = np.full(pts.shape[:-1], complex(c))
+        term = np.full(shape, complex(c))
         for ax, a in enumerate(alpha):
             if a:
-                term = term * pts[..., ax] ** a
-        out += term
-    return out
+                power = axes[ax] ** a
+                term = np.multiply(power, term, out=term) if elide else term * power
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(shape, dtype=complex) if out is None else out
 
 
 def gaussian_reproducing_check(
@@ -116,11 +135,13 @@ def gaussian_reproducing_check(
     lhs = e^{-t*sum|lam||z|^2} g(z);
     rhs = (prod|lam|/pi^n) * t^n * integral e^{-t|lam||z-w|^2 - t lam(zbar w - z wbar)}
           e^{-t|lam||w|^2} g(w) dmu(w), evaluated by the grid quadrature.
-    Holomorphic g with finite weighted norm must give lhs == rhs.  The mesh
-    and the kernel depend only on (t, z) and are built once per call, the
-    kernel one row of the first mesh axis at a time so that its exponent's
-    temporaries stay one row long; the two complex arrays hold one entry
-    per polynomial.
+    Holomorphic g with finite weighted norm must give lhs == rhs.  No mesh
+    of the grid is built: w_j is one (Re, Im) plane of nodes broadcast along
+    the other axes.  The kernel depends only on (t, z) and is built once per
+    call, one row of the first grid axis at a time, so its exponent's
+    temporaries stay one row long.  Each polynomial's values take one
+    kernel-sized array, which numpy multiplies by the kernel and the weights
+    in place before the whole-array sum.
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -132,20 +153,28 @@ def gaussian_reproducing_check(
         raise UsageError("z must have the signature's dimension")
     lam = np.asarray(sig.lambdas)
     damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
-    W = grid.complex_mesh(n)
+    plane = grid.complex_mesh(1)[..., 0]
+    # w_j on grid axes (2j, 2j+1), broadcast along the others
+    axes = [plane.reshape(plane.shape + (1,) * (2 * (n - 1 - j))) for j in range(n)]
     wts = grid.spatial_weight_array(n)
-    K = np.empty(W.shape[:-1], dtype=complex)
-    for i, Wi in enumerate(W):
+    K = np.empty(wts.shape, dtype=complex)
+    # one row of w: w_1 is the row's line of its plane, w_2.. fill the rest
+    row = np.empty(wts.shape[1:] + (n,), dtype=complex)
+    for j in range(1, n):
+        row[..., j] = axes[j]
+    for i, line in enumerate(axes[0]):
+        row[..., 0] = line
         expo = (
-            -t * np.einsum("j,...j->...", lam, np.abs(Wi - z) ** 2)
-            - t * np.einsum("j,...j->...", lam, np.conj(z) * Wi - z * np.conj(Wi))
-            - t * np.einsum("j,...j->...", lam, np.abs(Wi) ** 2)
+            -t * np.einsum("j,...j->...", lam, np.abs(row - z) ** 2)
+            - t * np.einsum("j,...j->...", lam, np.conj(z) * row - z * np.conj(row))
+            - t * np.einsum("j,...j->...", lam, np.abs(row) ** 2)
         )
         np.exp(expo, out=K[i])
     lhs, rhs = [], []
     for g_coeffs in polys:
-        lhs.append(complex(damp * _eval_poly(g_coeffs, z[None, :])[0]))
-        integ = np.sum(K * _eval_poly(g_coeffs, W) * wts)
+        lhs.append(complex(damp * _eval_poly(g_coeffs, z[:, None], (1,))[0]))
+        # numpy multiplies the fresh polynomial values in place
+        integ = np.sum(K * _eval_poly(g_coeffs, axes, K.shape) * wts)
         rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
     return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 
@@ -153,6 +182,15 @@ def gaussian_reproducing_check(
 # ---------------------------------------------------------------------------
 # monomial integrals: classifier, closed form, divergence witness
 # ---------------------------------------------------------------------------
+
+
+def _exponents(alpha, c) -> tuple[tuple[int, ...], np.ndarray]:
+    """alpha as a tuple of ints and c as floats, checked against each other."""
+    c = np.asarray(c, dtype=float)
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != c.size or any(a < 0 for a in alpha):
+        raise UsageError("alpha must be a length-n tuple of nonnegative integers")
+    return alpha, c
 
 
 def monomial_integral(alpha, c) -> float:
@@ -164,10 +202,7 @@ def monomial_integral(alpha, c) -> float:
     closed-form value prod_j 2*pi*alpha_j! / c_j^(alpha_j+1), which carries
     the 2^n measure factor (2*pi per axis).
     """
-    c = np.asarray(c, dtype=float)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != c.size or any(a < 0 for a in alpha):
-        raise UsageError("alpha must be a length-n tuple of nonnegative integers")
+    alpha, c = _exponents(alpha, c)
     if np.any(c <= 0):
         return math.inf
     val = 1.0
@@ -176,22 +211,30 @@ def monomial_integral(alpha, c) -> float:
     return val
 
 
+#: level-0 nodes of :func:`truncated_monomial_integral` evaluated at once, so
+#: an n = 3 radius holds 8 x points^2 innermost nodes instead of points^3
+_LEVEL0_BLOCK = 8
+
+
 def truncated_monomial_integral(alpha, c, radius, points: int = 64):
     """The same integral restricted to the ball |z| <= radius.
 
     Per-axis polar reduction gives (2*pi)^n times an integral of
     prod rho_j^alpha_j e^{-c_j rho_j} over the simplex sum rho_j <= radius^2,
-    evaluated by nested Gauss-Legendre quadrature (vectorized across levels).
-    Decaying axes are integrated only out to ~48 e-folds, which keeps the
-    nodes where the integrand lives even on very large simplexes.  A scalar
-    radius gives a float; an array of radii gives an array of the same
-    shape, evaluated one radius at a time (the innermost level holds
-    points^n nodes per radius).
+    evaluated by nested Gauss-Legendre quadrature, each level vectorized
+    over the nodes of the levels above it.  Decaying axes are integrated
+    only out to ~48 e-folds, which keeps the nodes where the integrand lives
+    even on very large simplexes.  A scalar radius gives a float; an array
+    of radii gives an array of the same shape, evaluated one radius at a
+    time and, below the first level, _LEVEL0_BLOCK first-level nodes at a
+    time: every sum runs along its own last axis, so the blocks change no
+    value.  Radii must be > 0.
     """
-    c = np.asarray(c, dtype=float)
+    alpha, c = _exponents(alpha, c)
     n = c.size
-    alpha = tuple(int(a) for a in alpha)
     radius = np.asarray(radius, dtype=float)
+    if not np.all(radius > 0):
+        raise UsageError("radii must be positive")
     S = radius * radius
     x01, w01 = gauss_legendre_table(points, unit=True)
 
@@ -202,7 +245,13 @@ def truncated_monomial_integral(alpha, c, radius, points: int = 64):
         f = nodes ** alpha[level] * np.exp(-c[level] * nodes)
         if level == n - 1:
             return np.sum(wts * f, axis=-1)
-        inner = level_val(level + 1, budget[..., None] - nodes)
+        rest = budget[..., None] - nodes
+        if level == 0:
+            inner = np.concatenate([
+                level_val(1, rest[i:i + _LEVEL0_BLOCK]) for i in range(0, points, _LEVEL0_BLOCK)
+            ])
+        else:
+            inner = level_val(level + 1, rest)
         return np.sum(wts * f * inner, axis=-1)
 
     vals = np.array([level_val(0, s) for s in S.reshape(-1)]).reshape(S.shape)

@@ -447,7 +447,9 @@ def c11_vanishing(cfg: RunConfig):
                 for e in entries:
                     c = bergman.axis_coefficients(sig, e.J, e.eta)
                     if not e.finite:
-                        radii = bergman.default_radius_sweep(c)
+                        # C11b reads the sweep's end points only
+                        sweep = bergman.default_radius_sweep(c)
+                        radii = (sweep[0], sweep[-1])
                         key = (e.alpha, tuple(c), radii)
                         if key not in quad:
                             quad[key] = bergman.divergence_witness(e.alpha, c, radii)

@@ -18,6 +18,7 @@ from hszego import (
     truncated_monomial_integral,
 )
 from hszego.core import gauss_legendre_table
+from hszego.forms import multi_exponents
 
 SIG1 = LambdaSignature((1.0,))
 
@@ -117,6 +118,77 @@ def test_reproducing_check_batch_matches_single(sig, grid, z):
     for i, g in enumerate(polys):
         (l1,), (r1,) = gaussian_reproducing_check([g], z, 1.3, sig, grid)
         assert lhs[i] == l1 and rhs[i] == r1
+
+
+def _ref_eval_poly(coeffs, pts):
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    for alpha, c in coeffs.items():
+        term = np.full(pts.shape[:-1], complex(c))
+        for ax, a in enumerate(alpha):
+            if a:
+                term = term * pts[..., ax] ** a
+        out += term
+    return out
+
+
+def _ref_reproducing_check(polys, z, t, sig, grid):
+    # the check on the whole complex mesh, with the polynomials evaluated
+    # over it: the values the blocked evaluation must reproduce bit for bit
+    n = sig.n
+    z = np.asarray(z, dtype=complex)
+    lam = np.asarray(sig.lambdas)
+    damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
+    W = grid.complex_mesh(n)
+    wts = grid.spatial_weight_array(n)
+    K = np.empty(W.shape[:-1], dtype=complex)
+    for i, Wi in enumerate(W):
+        expo = (
+            -t * np.einsum("j,...j->...", lam, np.abs(Wi - z) ** 2)
+            - t * np.einsum("j,...j->...", lam, np.conj(z) * Wi - z * np.conj(Wi))
+            - t * np.einsum("j,...j->...", lam, np.abs(Wi) ** 2)
+        )
+        np.exp(expo, out=K[i])
+    lhs, rhs = [], []
+    for g_coeffs in polys:
+        lhs.append(complex(damp * _ref_eval_poly(g_coeffs, z[None, :])[0]))
+        integ = np.sum(K * _ref_eval_poly(g_coeffs, W) * wts)
+        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
+    return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
+
+
+# C04's two cases: a signature, its grid at each t, its exponents and its points
+_C04_CASES = [
+    (SIG1, lambda t: GridSpec(6.5 / math.sqrt(t), 41, 1.0, 4), 1,
+     [np.array([0.0j]), np.array([0.7 - 0.4j])]),
+    (LambdaSignature((1.0, 1.0)), lambda t: GridSpec(6.5 / math.sqrt(2 * t), 25, 1.0, 4), 2,
+     [np.zeros(2, complex), np.array([0.5 - 0.3j, -0.4 + 0.6j])]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_C04_CASES)), ids=["n1", "n2"])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_reproducing_check_matches_the_mesh_evaluation_exactly(case, t):
+    sig, grid_at, n, zs = _C04_CASES[case]
+    # C04's monomials, and one polynomial whose terms are added up
+    polys = [{alpha: 1.0 + 0.0j} for alpha in multi_exponents(n, 4)]
+    polys.append({(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0, (2,) + (0,) * (n - 1): -0.25j})
+    for z in zs:
+        lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid_at(t))
+        want_lhs, want_rhs = _ref_reproducing_check(polys, z, t, sig, grid_at(t))
+        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_reproducing_check_exact_on_both_sides_of_numpy_in_place_size(m):
+    # an n = 2 mesh of 11^4 complex values is under numpy's 256 KiB in-place
+    # size and one of 12^4 is over it: the factor order follows
+    sig = LambdaSignature((1.0, 0.6))
+    grid = GridSpec(4.0, m, 1.0, 4)
+    polys = [{(1, 2): 0.3 + 0.1j}, {(2, 1): 1.0, (0, 3): -0.5j}]
+    z = np.array([0.5 - 0.3j, -0.4j])
+    got = gaussian_reproducing_check(polys, z, 1.3, sig, grid)
+    want = _ref_reproducing_check(polys, z, 1.3, sig, grid)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +293,81 @@ def test_witness_one_pass_matches_per_radius(alpha, eta, lams, J):
     single = [truncated_monomial_integral(alpha, c, r) for r in radii]
     assert all(type(v) is float for v in single)
     assert np.array_equal(vals, single)
+
+
+def _ref_truncated_integral(alpha, c, radius, points=64):
+    # the nested quadrature with each level over every node of the levels
+    # above it at once: the values the blocked evaluation must reproduce
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    radius = np.asarray(radius, dtype=float)
+    x01, w01 = gauss_legendre_table(points, unit=True)
+
+    def level_val(level, budget):
+        cap = budget if c[level] <= 0 else np.minimum(budget, 48.0 / c[level])
+        nodes = cap[..., None] * x01
+        wts = cap[..., None] * w01
+        f = nodes ** alpha[level] * np.exp(-c[level] * nodes)
+        if level == n - 1:
+            return np.sum(wts * f, axis=-1)
+        inner = level_val(level + 1, budget[..., None] - nodes)
+        return np.sum(wts * f * inner, axis=-1)
+
+    S = radius * radius
+    vals = np.array([level_val(0, s) for s in S.reshape(-1)]).reshape(S.shape)
+    val = (2.0 * math.pi) ** n * vals
+    return float(val) if radius.ndim == 0 else val
+
+
+@pytest.mark.parametrize("points", [64, 96])
+@pytest.mark.parametrize(
+    "alpha, c",
+    [
+        ((2,), (1.4,)),
+        ((0,), (-0.6,)),
+        ((1, 2), (2.0, 1.0)),
+        ((0, 1), (0.0, 1.4)),
+        ((1, 0, 2), (1.4, -0.6, 2.0)),
+        ((0, 1, 0), (2.6, 1.0, 1.4)),
+        ((1, 0, 0), (0.0, 2.0, -2.0)),
+    ],
+    ids=["n1", "n1-growing", "n2", "n2-flat", "n3", "n3-finite", "n3-flat"],
+)
+def test_truncated_integral_matches_the_unblocked_recursion_exactly(alpha, c, points):
+    for radius in (2.0, 8.0, np.array([1.0, 5.0]), np.array([[1.0, 2.0], [3.0, 5.0]])):
+        got = truncated_monomial_integral(alpha, c, radius, points=points)
+        want = _ref_truncated_integral(alpha, c, radius, points=points)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want), (radius, got, want)
+
+
+@pytest.mark.parametrize(
+    "alpha, c",
+    [((1,), (1.0, 2.0)), ((1, 0, 3), (1.0, 2.0)), ((-1, 0), (1.0, 2.0))],
+    ids=["short", "long", "negative"],
+)
+def test_truncated_integral_rejects_a_bad_alpha(alpha, c):
+    with pytest.raises(UsageError, match="length-n tuple of nonnegative"):
+        truncated_monomial_integral(alpha, c, 2.0)
+
+
+@pytest.mark.parametrize("radius", [-2.0, 0.0, np.array([1.0, -2.0]), np.nan], ids=str)
+def test_truncated_integral_rejects_a_nonpositive_radius(radius):
+    with pytest.raises(UsageError, match="radii must be positive"):
+        truncated_monomial_integral((1, 0), (1.0, 2.0), radius)
+
+
+@pytest.mark.parametrize(
+    "alpha, c",
+    [((0, 1, 1), _coeffs((1.0, 0.7, -1.3), (1, 3), 1.0)), ((0, 0), _coeffs((0.0, 1.0), (2,), 1.0))],
+    ids=["n3-exponential", "zero-axis"],
+)
+def test_witness_at_the_sweep_ends_is_the_sweeps_first_and_last(alpha, c):
+    # C11b reads only vals[-1] / vals[0]: the two end radii alone give them
+    sweep = default_radius_sweep(c)
+    ends = divergence_witness(alpha, c, (sweep[0], sweep[-1]))
+    full = divergence_witness(alpha, c, sweep)
+    assert ends[0] == full[0] and ends[1] == full[-1]
 
 
 def test_gauss_legendre_table_shared_and_read_only():

@@ -1,7 +1,8 @@
 """Peak traced allocation of the streamed CR residual, the scalar pipeline,
 wave-packet synthesis, the form projector, the form criterion C10,
-``hszego project`` and the classifier's truncated monomial quadrature, and
-the resident peak of a process that runs the gate's threaded criterion twice.
+``hszego project``, the classifier's truncated monomial quadrature and the
+Gaussian reproducing check, and the resident peak of a process that runs the
+gate's threaded criterion twice or its quadrature criteria once.
 
 numpy reports its array buffers to tracemalloc, so the traced peak between
 start and stop is the largest set of temporaries a call holds at once.  The
@@ -53,13 +54,17 @@ def component():
     return ScalarField(grid=GRID, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def _peak_share(fn, nbytes):
+def _traced_peak(fn):
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / nbytes
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_share(fn, nbytes):
+    return _traced_peak(fn) / nbytes
 
 
 def test_residual_streams_planes(component):
@@ -166,17 +171,24 @@ def test_project_streams_components(in_window_component, tmp_path):
 
 
 def test_five_radius_quadrature_peak_bounded():
-    # a divergence witness evaluates its radii one at a time: an n=3 radius
-    # holds its innermost level's 64^3-node arrays (10.6 MB); all five radii
-    # at once held (5, 64, 64, 64) temporaries (53 MB)
+    # a divergence witness evaluates its radii one at a time, and an n=3
+    # radius its first level's nodes 8 at a time: (8, 64, 64) innermost
+    # arrays (2.0 MB in all).  Every first-level node at once held 64^3-node
+    # arrays (10.6 MB), and all five radii at once (5, 64, 64, 64) ones (53 MB)
     c = np.array([1.4, -0.6, 2.0])
-    tracemalloc.start()
-    try:
-        bergman.truncated_monomial_integral((1, 0, 2), c, np.arange(1.0, 6.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    peak = _traced_peak(
+        lambda: bergman.truncated_monomial_integral((1, 0, 2), c, np.arange(1.0, 6.0))
+    )
+    assert peak < 3e6
+
+
+def test_finite_quadrature_at_96_points_peak_bounded():
+    # C11c's n=3 integrals at 96 points: (8, 96, 96) innermost arrays
+    # (3.0 MB in all); the 96^3 nodes at once peaked at 36.5 MB
+    peak = _traced_peak(
+        lambda: bergman.truncated_monomial_integral((0, 1, 0), (2.6, 1.0, 1.4), 8.0, points=96)
+    )
+    assert peak < 6e6
 
 
 def test_complex_mesh_holds_only_its_output():
@@ -188,19 +200,16 @@ def test_complex_mesh_holds_only_its_output():
 
 
 def test_reproducing_check_builds_its_kernel_in_row_blocks():
-    # C04's n=2 case: mesh (12.5 MB), kernel and one polynomial's temporaries
-    # (6.25 MB each); the exponent over the whole mesh held 54 MB
+    # C04's n=2 case holds no mesh: the kernel and one polynomial's values
+    # (6.25 MB each) and the weights (3.1 MB), 16.5 MB in all.  The complex
+    # mesh, the polynomial's accumulator and its powers over the whole mesh
+    # held 41 MB, and the exponent over the whole mesh 54 MB
     sig = LambdaSignature((1.0, 1.0))
     grid = GridSpec(6.5 / np.sqrt(2.0), 25, 1.0, 4)
     polys = [{alpha: 1.0 + 0.0j} for alpha in forms.multi_exponents(2, 4)]
     z = np.array([0.5 - 0.3j, -0.4 + 0.6j])
-    tracemalloc.start()
-    try:
-        bergman.gaussian_reproducing_check(polys, z, 1.0, sig, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 42e6
+    peak = _traced_peak(lambda: bergman.gaussian_reproducing_check(polys, z, 1.0, sig, grid))
+    assert peak < 20e6
 
 
 def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
@@ -223,23 +232,38 @@ def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
     assert sides == [1, -1, 1, -1]
 
 
+def _fresh_gate_peaks(*criteria):
+    # ru_maxrss in MB after each verify call, in a fresh interpreter, so that
+    # earlier tests' threads, arenas and arrays do not count
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from hszego.cli import main\n"
+        "for crit in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(['verify', '--jobs', '1', '--criteria', crit])\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hszego.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *criteria], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return [int(kb) / 1024 for kb in run.stdout.split()]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc arenas are glibc's")
+def test_quadrature_criteria_peak_little_above_the_interpreter():
+    # C04 and C11 on top of the interpreter after C00 (42 MB): 13.4 MB.  The
+    # reproducing check's mesh and the 96^3-node quadrature levels made 34.9
+    base, peak = _fresh_gate_peaks("C00", "C04,C11")
+    assert peak - base < 25.0, (base, peak)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc arenas are glibc's")
 def test_second_gate_call_peaks_where_the_first_did():
     # C13 reruns its subset on two threads.  Given arenas of their own, the
     # threads kept what they freed, and the next call's C04 peaked on top of
     # it: 74.5 -> 91.3 MB over two calls (C04 alone stays flat); one shared
-    # arena reads 74.4 -> 80.4 MB.  A fresh interpreter, so earlier tests'
-    # threads and arenas do not count.
-    code = (
-        "import contextlib, io, resource\n"
-        "from hszego.cli import main\n"
-        "for _ in range(2):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        main(['verify', '--jobs', '1', '--criteria', 'C04,C13'])\n"
-        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(hszego.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    first, second = (int(kb) / 1024 for kb in run.stdout.split())
+    # arena read 74.4 -> 80.4 MB, and 55.2 -> 57.1 MB once C04 held no mesh.
+    first, second = _fresh_gate_peaks("C04,C13", "C04,C13")
     assert second - first < 10.0, (first, second)
