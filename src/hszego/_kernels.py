@@ -1,15 +1,22 @@
 """Hot numeric kernels: numpy exponentials and BLAS contractions.
 
 A frequency slice's projector is built once by :func:`slice_operator` and
-applied by :func:`apply_slice_operator` to every slice that needs it: the
-scalar pipeline applies it to s_t and, for the idempotency gap, to P s_t.
-:func:`project_slices` builds and applies one operator per slice.
+applied to every slice that needs it: the scalar pipeline applies it to s_t
+and, for the idempotency gap, to P s_t.  For n = 1 it is two factors per
+axis, applied by :func:`apply_slice_operator`.  For n >= 2 it is two real
+blocks per axis in the parity-sector basis; the pipeline moves a slice
+there once (:func:`to_sectors`), applies the blocks there
+(:func:`apply_sectors`), takes its norms there (:func:`sector_sq`) and
+moves P s_t back once (:func:`from_sectors`).  :func:`project_slices`
+builds and applies one operator per slice.
 
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,6 +64,249 @@ def pair_exp(Q, t):
 
 
 # ---------------------------------------------------------------------------
+# parity sectors (n >= 2)
+#
+# The nodes are mirror-symmetric: x_(m-1-a) = -x_a, with equal weights.  An
+# axis matrix is then unchanged when both points are negated, and goes to its
+# complex conjugate when both are reflected in x.  Along each real coordinate
+# take the butterflies e_a = v_a + v_(m-1-a) for a < m//2 (and the centre
+# node itself when m is odd) and o_a = v_a - v_(m-1-a), and multiply what is
+# odd in x by i.  In that basis the axis matrix is block diagonal with two
+# real blocks: the sectors whose x- and y-parities agree (EE, then OO) and
+# those where they differ (EO, then OE), each row-major in its (x, y)
+# coefficients.
+#
+# A slice in sector coordinates is a float array with its real and
+# imaginary planes first, (2,) + (m^2,)*n, that a block acts on at once.
+# Every step works on the outermost complex axis and leaves it innermost:
+# the butterflies are sums and differences of mirrored views of contiguous
+# rows, a transposing copy brings the next axis out, and each block GEMM
+# writes its result transposed.  Sector coordinates hold the last axis
+# outermost, then axes 0 .. n-2.
+# ---------------------------------------------------------------------------
+
+
+def _quadrants(v, m):
+    """Views ``((EE, EO), (OE, OO))`` of the outer axis' sector index of ``v`` (P, m^2, ...).
+
+    Each view is (P, rows, cols, ...); the first pair holds the x-even
+    coefficients, the second the x-odd ones.
+    """
+    h = m // 2
+    me = m - h
+
+    def part(lo, rows, cols):
+        return v[:, lo : lo + rows * cols].reshape(v.shape[:1] + (rows, cols) + v.shape[2:], copy=False)
+
+    ee, oo, eo = me * me, h * h, me * h
+    return (part(0, me, me), part(ee + oo, me, h)), (part(ee + oo + eo, h, me), part(ee, h, h))
+
+
+def _axis_to_sectors(src, work, dst, m):
+    """The outer axis of ``src`` (2, m, m, ...) in sector order into ``dst`` (2, m^2, ...)."""
+    h = m // 2
+    me = m - h
+    lo, hi = src[:, :h], src[:, : -h - 1 : -1]
+    np.add(lo, hi, out=work[:, :h])
+    if me > h:
+        work[:, h] = src[:, h]
+    # odd in x, times i: (re, im) of lo - hi become (-im, re)
+    np.subtract(hi[1], lo[1], out=work[0, me:])
+    np.subtract(lo[0], hi[0], out=work[1, me:])
+    for rows, (even, odd) in zip((work[:, :me], work[:, me:]), _quadrants(dst, m)):
+        lo, hi = rows[:, :, :h], rows[:, :, : -h - 1 : -1]
+        np.add(lo, hi, out=even[:, :, :h])
+        if me > h:
+            even[:, :, h] = rows[:, :, h]
+        np.subtract(lo, hi, out=odd)
+
+
+def _axis_from_sectors(src, work, dst, m):
+    """4 times the inverse of :func:`_axis_to_sectors`: ``src`` (2, m^2, ...) into ``dst`` (2, m, m, ...)."""
+    h = m // 2
+    me = m - h
+    for rows, (even, odd) in zip((work[:, :me], work[:, me:]), _quadrants(src, m)):
+        np.add(even[:, :, :h], odd, out=rows[:, :, :h])
+        np.subtract(even[:, :, :h], odd, out=rows[:, :, : -h - 1 : -1])
+        if me > h:
+            np.multiply(even[:, :, h], 2.0, out=rows[:, :, h])
+    e, o = work[:, :h], work[:, me:]
+    lo, hi = dst[:, :h], dst[:, : -h - 1 : -1]
+    # odd in x, times -i: (re, im) become (im, -re)
+    np.add(e[0], o[1], out=lo[0])
+    np.subtract(e[1], o[0], out=lo[1])
+    np.subtract(e[0], o[1], out=hi[0])
+    np.add(e[1], o[0], out=hi[1])
+    if me > h:
+        np.multiply(work[:, h], 2.0, out=dst[:, h])
+
+
+def _planes(s):
+    """The (re, im) planes of a complex array as a float view, planes first."""
+    return np.moveaxis(s.view(np.float64).reshape(s.shape + (2,)), -1, 0)
+
+
+def _outer_split(v, m):
+    """``v`` (2, m^2, ...) as (2, m, m, ...)."""
+    return v.reshape((2, m, m) + v.shape[2:], copy=False)
+
+
+def _rotate(src, dst):
+    """Copy ``src`` (2, m^2, ...) into ``dst`` with its outer axis moved innermost."""
+    np.copyto(dst.reshape(2, -1, src.shape[1]), src.reshape(2, src.shape[1], -1).transpose(0, 2, 1))
+
+
+def to_sectors(s, y, work):
+    """Sector coordinates of the slice ``s`` ((m^2,)*n, complex) into ``y`` ((2,) + s.shape, float).
+
+    ``work`` is two scratch arrays of y's shape.
+    """
+    n, m = s.ndim, math.isqrt(s.shape[0])
+    a, b = work
+    src = _planes(s)
+    for j in range(n):
+        if j:
+            _rotate(y, b)
+            src = b
+        _axis_to_sectors(_outer_split(src, m), _outer_split(a, m), y, m)
+
+
+def from_sectors(y, out, work):
+    """The slice ``out`` (complex) of the sector coordinates ``y``; inverts :func:`to_sectors`.
+
+    ``y`` is overwritten; ``work`` is two scratch arrays of its shape.
+    """
+    n, m = out.ndim, math.isqrt(out.shape[0])
+    a, b = work
+    # each axis' butterflies return 4 times the slice
+    y *= 0.25**n
+    for j in range(n - 1):
+        _axis_from_sectors(y, _outer_split(a, m), _outer_split(b, m), m)
+        _rotate(b, y)
+    # the axes of y are now n-2, n-1, 0, .., n-3
+    dst = _planes(out).transpose([0] + [1 + (n - 2 + k) % n for k in range(n)])
+    _axis_from_sectors(y, _outer_split(a, m), _outer_split(dst, m), m)
+
+
+def apply_sectors(op, y, out, work):
+    """``out`` = the :func:`slice_operator` ``op`` (n >= 2) on the sector coordinates ``y``.
+
+    Each axis' two blocks act on the outer axis and write it innermost, so
+    the layout comes back after n steps; ``y`` is kept and ``work`` is
+    scratch of its shape.
+    """
+    _, axes = op
+    n, S = len(axes), y.shape[1]
+    src = y
+    # the last axis is outermost, then axes 0 .. n-2
+    for j, blocks in enumerate(axes[-1:] + axes[:-1]):
+        # alternate so that the last step lands in ``out``
+        dst = out if (n - j) % 2 else work
+        a, b = src.reshape(2, S, -1), dst.reshape(2, -1, S)
+        lo = 0
+        for blk in blocks:
+            k = slice(lo, lo + blk.shape[0])
+            lo = k.stop
+            np.matmul(a[:, k].transpose(0, 2, 1), blk.T, out=b[:, :, k])
+        src = dst
+
+
+def sector_weights(w, n):
+    """The quadrature weights of a slice (with the 2^n factor) in sector coordinates, (m^2,)*n.
+
+    A slice's weighted squared norm is the sum over both planes of its
+    sector coordinates squared times these weights: the weights are equal
+    on each mirror orbit, and the butterflies of a pair have twice its norm.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    m = w.size
+    h = m // 2
+    me = m - h
+    # per butterfly coefficient: a pair's weight over 2, the centre's own
+    wb = np.concatenate([w[:h] / 2.0, w[h:me], w[:h] / 2.0])
+    axis = np.empty((1, m * m))
+    for (even, odd), wx in zip(_quadrants(axis, m), (wb[:me], wb[me:])):
+        even[0] = 2.0 * np.multiply.outer(wx, wb[:me])
+        odd[0] = 2.0 * np.multiply.outer(wx, wb[me:])
+    out = np.array(1.0)
+    for _ in range(n):
+        out = np.multiply.outer(out, axis[0])
+    return out
+
+
+def sector_sq(y, omega):
+    """The weighted squared norm of the sector coordinates ``y`` with :func:`sector_weights` ``omega``."""
+    f = y.reshape(2, -1)
+    return float(np.einsum("pk,pk,k->", f, f, omega.reshape(-1)))
+
+
+def _sector_blocks(nodes, w, t, lam):
+    """The two real blocks of one axis' weighted matrix (|t lam|/pi) E at t."""
+    m = nodes.size
+    S, h = m * m, m // 2
+    me = m - h
+    M, N = axis_projector_exp(nodes, w, t, lam)
+    # the inverse butterflies on the columns, through the factors: a pair's
+    # coefficients are half sums and differences, the centre is kept; the
+    # phase -i of the columns odd in x goes into N
+    inv = np.zeros((m, m))
+    a = np.arange(h)
+    inv[a, a] = inv[m - 1 - a, a] = inv[a, me + a] = 0.5
+    inv[m - 1 - a, me + a] = -0.5
+    if me > h:
+        inv[h, h] = 1.0
+    Mb = ((abs(float(t) * float(lam)) / np.pi) * M) @ inv
+    Nb = N @ inv
+    Nb[:, me:] *= -1j
+    # the matrix with its columns in sector order: EE, OO, EO, OE
+    E = np.empty((S, S), dtype=np.complex128)
+    lo = 0
+    for xs, ys in ((slice(0, me), slice(0, me)), (slice(me, m), slice(me, m)),
+                   (slice(0, me), slice(me, m)), (slice(me, m), slice(0, me))):
+        rows, cols = Nb[:, xs], Mb[:, ys]
+        hi = lo + rows.shape[1] * cols.shape[1]
+        np.multiply(rows[:, :, None], cols[:, None, :], out=E[:, lo:hi].reshape(S, rows.shape[1], -1))
+        lo = hi
+    # the butterflies on the rows, real parts only: the blocks are real.
+    # Along x, times i on the odd rows, whose real part is then minus the
+    # imaginary part of the difference
+    re, im = _outer_split(_planes(E), m)
+    X = np.empty((m, m, S))
+    np.add(re[:h], re[: -h - 1 : -1], out=X[:h])
+    if me > h:
+        X[h] = re[h]
+    np.subtract(im[: -h - 1 : -1], im[:h], out=X[me:])
+    # along y, each quadrant only on its own block's columns: the x-even
+    # rows give EE (block 0) and EO (block 1), the x-odd rows OE (block 1)
+    # and OO (block 0)
+    s0 = me * me + h * h
+    R0, R1 = np.empty((s0, s0)), np.empty((S - s0, S - s0))
+    b0, b1 = slice(0, s0), slice(s0, S)
+    for rows, even, ke, odd, ko in (
+        (X[:me], R0[: me * me], b0, R1[: me * h], b1),
+        (X[me:], R1[me * h :], b1, R0[me * me :], b0),
+    ):
+        even = even.reshape(rows.shape[0], me, -1)
+        np.add(rows[:, :h, ke], rows[:, : -h - 1 : -1, ke], out=even[:, :h])
+        if me > h:
+            even[:, h] = rows[:, h, ke]
+        np.subtract(rows[:, :h, ko], rows[:, : -h - 1 : -1, ko], out=odd.reshape(rows.shape[0], h, -1))
+    return R0, R1
+
+
+def _flip_x(blocks, m):
+    """The blocks of the opposite sign: rows and columns times their x-parity (+1 even, -1 odd)."""
+    h = m // 2
+    out = []
+    for blk, even in zip(blocks, ((m - h) ** 2, (m - h) * h)):
+        f = blk.copy()
+        f[:even, even:] *= -1.0
+        f[even:, :even] *= -1.0
+        out.append(f)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # slice operator: built once per frequency, applied to as many slices as needed
 # ---------------------------------------------------------------------------
 
@@ -66,40 +316,45 @@ def slice_operator(t, nodes, w, lams):
     prod_j (|t lam_j|/pi) e^{-|t lam_j||z_j-w_j|^2 - t lam_j (zbar_j w_j - z_j wbar_j)}:
     the phi_minus slice at t > 0 and the phi_plus slice at t < 0.
 
-    Returns ``(pref, axes)`` with the prefactor prod_j |t lam_j|/pi and one
-    entry per complex axis: the factor pair ``(M, N)`` for n = 1, the
-    assembled m^2 x m^2 axis matrix for n >= 2.  :func:`apply_slice_operator`
-    applies it.
+    Returns ``(pref, axes)`` with one entry of ``axes`` per complex axis.
+    For n = 1, ``pref`` is |t lam|/pi and the entry the factor pair
+    ``(M, N)``.  For n >= 2, each entry is the axis' two real parity-sector
+    blocks with its |t lam_j|/pi in them, and ``pref`` is 1.  The blocks are
+    built once per distinct |t lam_j|: an axis of the opposite sign takes
+    them with rows and columns times their x-parity.
+    :func:`apply_slice_operator` applies either.
     """
     t = float(t)
-    pref = 1.0
-    for lam in lams:
-        pref *= abs(t * lam) / np.pi
-    factors = [axis_projector_exp(nodes, w, t, lam) for lam in lams]
     if len(lams) == 1:
-        return pref, factors
-    # m^(2(n-1)) columns per axis: one GEMM on the assembled axis matrix
-    # beats contracting factor by factor
+        return abs(t * lams[0]) / np.pi, [axis_projector_exp(nodes, w, t, lams[0])]
     m = nodes.size
-    return pref, [(N[:, :, None] * M[:, None, :]).reshape(m * m, m * m) for M, N in factors]
+    built = {}
+    axes = []
+    for lam in lams:
+        tl = t * float(lam)
+        if abs(tl) not in built:
+            built[abs(tl)] = (tl, _sector_blocks(nodes, w, t, lam))
+        tl0, blocks = built[abs(tl)]
+        axes.append(blocks if (tl0 > 0) == (tl > 0) else _flip_x(blocks, m))
+    return 1.0, axes
 
 
 def apply_slice_operator(op, s):
     """Apply a :func:`slice_operator` to one slice ``s`` of shape (m^2,)*n; returns a new array."""
     pref, axes = op
-    n = len(axes)
-    if n == 1:
+    if len(axes) == 1:
         # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
         M, N = axes[0]
         m = M.shape[1]
         Y = M @ s.reshape(m, m).T
         return pref * np.einsum("ij,ij->i", N, Y)
-    if n == 2:
-        return pref * (axes[0] @ s @ axes[1].T)
-    v = s
-    for ax in range(n):
-        v = np.tensordot(axes[ax], v, axes=([1], [ax]))
-    return pref * np.transpose(v, axes=tuple(range(n - 1, -1, -1)))
+    s = np.ascontiguousarray(s, dtype=np.complex128)
+    y, py, work = np.empty((3, 2) + s.shape)
+    to_sectors(s, y, (py, work))
+    apply_sectors(op, y, py, work)
+    out = np.empty_like(s)
+    from_sectors(py, out, (y, work))
+    return out
 
 
 def project_slices(slabs, ts, bin_step, nodes, w, lams):

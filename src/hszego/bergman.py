@@ -94,10 +94,14 @@ def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> n
 # ---------------------------------------------------------------------------
 
 
-#: numpy computes ``a * b`` for a temporary ``b`` of at least this many bytes
-#: in b's buffer, as ``b * a`` (NPY_MIN_ELIDE_BYTES).  A complex product can
-#: round differently with its factors swapped (fused multiply-add), so
-#: :func:`_eval_poly` takes them as a mesh-wide ``term * z**a`` did
+#: numpy computes ``a * b`` for a fresh temporary ``b`` of at least this
+#: many bytes in b's buffer, as ``b * a`` (NPY_MIN_ELIDE_BYTES), and a
+#: smaller one into a new array.  A complex product can round differently
+#: with its factors swapped (fused multiply-add), and even in place, so
+#: :func:`_eval_poly` and :func:`gaussian_reproducing_check` make each
+#: product as numpy made it in the mesh-wide expressions that C04's values
+#: were pinned with, by explicit calls that do not depend on numpy eliding
+#: a temporary
 _ELIDE_BYTES = 256 * 1024
 
 
@@ -116,8 +120,12 @@ def _eval_poly(coeffs, axes, shape) -> np.ndarray:
         term = np.full(shape, complex(c))
         for ax, a in enumerate(alpha):
             if a:
+                # a mesh-wide ``term * z**a``, with z**a the fresh temporary
                 power = axes[ax] ** a
-                term = np.multiply(power, term, out=term) if elide else term * power
+                if elide:
+                    np.multiply(power, term, out=term)
+                else:
+                    term = np.multiply(term, power)
         if out is None:
             out = term
         else:
@@ -140,8 +148,9 @@ def gaussian_reproducing_check(
     the other axes.  The kernel depends only on (t, z) and is built once per
     call, one row of the first grid axis at a time, so its exponent's
     temporaries stay one row long.  Each polynomial's values take one
-    kernel-sized array, which numpy multiplies by the kernel and the weights
-    in place before the whole-array sum.
+    kernel-sized array, which is multiplied by the kernel and the weights
+    in place before the whole-array sum (below ``_ELIDE_BYTES``, into new
+    arrays).
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -173,8 +182,17 @@ def gaussian_reproducing_check(
     lhs, rhs = [], []
     for g_coeffs in polys:
         lhs.append(complex(damp * _eval_poly(g_coeffs, z[:, None], (1,))[0]))
-        # numpy multiplies the fresh polynomial values in place
-        integ = np.sum(K * _eval_poly(g_coeffs, axes, K.shape) * wts)
+        # a mesh-wide ``K * poly * wts``, with poly and then K * poly the
+        # fresh temporaries
+        poly = _eval_poly(g_coeffs, axes, K.shape)
+        if K.nbytes >= _ELIDE_BYTES:
+            np.multiply(poly, K, out=poly)
+            np.multiply(poly, wts, out=poly)
+        else:
+            poly = np.multiply(np.multiply(K, poly), wts)
+        integ = np.sum(poly)
+        # the next polynomial's values are made while this one's are held
+        del poly
         rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
     return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 

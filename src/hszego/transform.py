@@ -115,31 +115,21 @@ def _fft_phase(grid: GridSpec) -> np.ndarray:
     return np.exp(-2j * np.pi * js * (N // 2) / N)
 
 
-def _forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The slices of ``values`` in FFT order, transformed and scaled in ``values``' own buffer."""
-    F = np.fft.ifft(values, axis=-1, out=values)
-    F *= (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
-    return F
-
-
-def _inverse_fft(arr: np.ndarray, grid: GridSpec) -> ScalarField:
-    """The field of phase-corrected slices ``arr`` in FFT order; ``arr`` is overwritten."""
-    u = np.fft.fft(arr, axis=-1, out=arr)
-    u *= grid.freq_step / (2.0 * math.pi)
-    return ScalarField(grid=grid, values=u)
-
-
 def partial_ft(field: ScalarField) -> FrequencyField:
     """Forward vertical transform onto the grid's frequency bins."""
-    F = _forward_fft(field.values.copy(), field.grid)
-    return FrequencyField(grid=field.grid, values=np.fft.fftshift(F, axes=-1))
+    grid = field.grid
+    F = np.fft.ifft(field.values, axis=-1)
+    F *= (grid.vertical_points * grid.vertical_step) * _fft_phase(grid)
+    return FrequencyField(grid=grid, values=np.fft.fftshift(F, axes=-1))
 
 
 def partial_ift(freq: FrequencyField) -> ScalarField:
     """Inverse vertical transform; exact inverse of :func:`partial_ft`."""
     arr = np.fft.ifftshift(freq.values, axes=-1)
     arr *= np.conj(_fft_phase(freq.grid))
-    return _inverse_fft(arr, freq.grid)
+    u = np.fft.fft(arr, axis=-1, out=arr)
+    u *= freq.grid.freq_step / (2.0 * math.pi)
+    return ScalarField(grid=freq.grid, values=u)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +194,8 @@ def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
     return sig.negative_axes if side > 0 else sig.positive_axes
 
 
-#: projected bins per slab: a slab, one slice operator and its output are
-#: the only working memory beside the field-sized array
+#: projected bins per slab: a slab, one slice operator and the bin's
+#: working slices are the only working memory beside the field-sized array
 _SLAB_BINS = 8
 
 
@@ -235,20 +225,27 @@ def _pipeline(
     bins and -s_t on every other bin, whose weighted energy is taken before
     it is zeroed.
 
-    No array the field's size is made: the forward FFT and its scaling run
-    in place.  The other bins are zeroed, the projected bins are gathered a
+    No array the field's size is made, and no pass over the whole field
+    scales it: the FFTs run in place and nothing else multiplies the field,
+    so each bin holds the transform's slice over (N dx) times a unit phase.
+    That scalar commutes with the bin's projector and the inverse FFT undoes
+    it ((N dx) dt / (2 pi) = 1), so only the squared sums are scaled, by
+    (N dx)^2.  The other bins are zeroed, the projected bins are gathered a
     slab at a time, each slice is projected in its slab row and the slab is
-    written back with the inverse phase, and the inverse FFT runs in place.
-    The budget window is found once.  Each bin's slice operator is built
-    once: with ``idempotency`` it is applied to s_t and then to P s_t, and
-    each bin's energy, norm and gap are kept: which bins are occupied in Pu
-    needs Pu's total energy, known only after the loop.
+    written back.  The budget window is found once.  Each bin's slice operator is built once: with
+    ``idempotency`` it is applied to s_t and then to P s_t, and each bin's
+    energy, norm and gap are kept: which bins are occupied in Pu needs Pu's
+    total energy, known only after the loop.  For n >= 2 a bin's slice goes
+    to sector coordinates once, where both applications and all three norms
+    are taken, and P s_t comes back once; its three sector slices are
+    allocated once per call.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
         raise UsageError(f"field dimension {n} != signature dimension {sig.n}")
     N = grid.vertical_points
-    F = _forward_fft(values, grid)
+    F = np.fft.ifft(values, axis=-1, out=values)
+    scale = (N * grid.vertical_step) ** 2
     ts = np.fft.ifftshift(grid.freq_nodes())
     energy = _spectral_energy(F)
     sel = (side * ts > 0) & (np.abs(ts) <= ts.max())
@@ -271,11 +268,15 @@ def _pipeline(
     # axis is ~3x slower
     np.copyto(F, 0, where=dropped)
     if keep.size == 0:
-        return ScalarField(grid=grid, values=F), 0.0, 0.0, change, None
+        return ScalarField(grid=grid, values=F), 0.0, 0.0, scale * change, None
     consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
     slab_shape = (grid.spatial_points**2,) * n
-    cphase = np.conj(_fft_phase(grid)).reshape((-1,) + (1,) * (2 * n))
-    w = grid.spatial_weight_array(n).reshape(1, -1)
+    if n == 1:
+        w = grid.spatial_weight_array(n).reshape(1, -1)
+    else:
+        # the slice, P s_t and P(P s_t) in sector coordinates
+        y, py, ppy = np.empty((3, 2) + slab_shape)
+        omega = _kernels.sector_weights(consts[1], n)
     # per projected bin: Pu's energy, its weighted ||Pu||^2, ||P(Pu) - Pu||^2
     # and ||Pu - u||^2
     energy_pu, norms, gaps, changes = np.zeros((4, keep.size))
@@ -285,36 +286,47 @@ def _pipeline(
         slab = by_bin[ks].reshape((ks.size,) + slab_shape)
         rows = slab.reshape(ks.size, -1)
         for j, t in enumerate(ts[ks]):
+            i = lo + j
             # one operator per bin, applied to s_t and, for the gap, to P s_t
             op = _kernels.slice_operator(t, *consts)
+            if n > 1:
+                _kernels.to_sectors(slab[j], y, (py, ppy))
+                _kernels.apply_sectors(op, y, py, ppy)
+                if idempotency:
+                    norms[i] = _kernels.sector_sq(py, omega)
+                    changes[i] = _kernels.sector_sq(np.subtract(py, y, out=y), omega)
+                    _kernels.apply_sectors(op, py, ppy, y)
+                    gaps[i] = _kernels.sector_sq(np.subtract(ppy, py, out=ppy), omega)
+                _kernels.from_sectors(py, slab[j], (y, ppy))
+                continue
             p = _kernels.apply_slice_operator(op, slab[j])
             if idempotency:
-                changes[lo + j] = weighted_sq_sum(rows[j : j + 1], w, p.reshape(1, -1))
+                changes[i] = weighted_sq_sum(rows[j : j + 1], w, p.reshape(1, -1))
             slab[j] = p
+            del p
             if idempotency:
-                norms[lo + j] = weighted_sq_sum(rows[j : j + 1], w)
+                norms[i] = weighted_sq_sum(rows[j : j + 1], w)
                 twice = _kernels.apply_slice_operator(op, slab[j]).reshape(1, -1)
-                gaps[lo + j] = weighted_sq_sum(twice, w, rows[j : j + 1])
+                gaps[i] = weighted_sq_sum(twice, w, rows[j : j + 1])
                 del twice
         # nothing of this slab may outlive it: the next slab is gathered
         # while whatever is still referenced here is held
-        del op, p
+        del op
         if idempotency:
             f = rows.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
             del f
-        slab = slab.reshape((ks.size,) + grid.spatial_shape(n))
-        slab *= cphase[ks]
-        by_bin[ks] = slab
+        by_bin[ks] = slab.reshape((ks.size,) + grid.spatial_shape(n))
         del slab, rows
-    pu = _inverse_fft(F, grid)
+    pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F))
     if not idempotency:
         return pu, 0.0, 0.0, 0.0, None
     again = _occupied(energy_pu)
     if not np.any(_outside_window(window, ts[keep], energy_pu)):
         window = None
     change += float(changes.sum())
-    return pu, float(gaps[again].sum() + norms[~again].sum()), float(norms.sum()), change, window
+    gap = float(gaps[again].sum() + norms[~again].sum())
+    return pu, scale * gap, scale * float(norms.sum()), scale * change, window
 
 
 # ---------------------------------------------------------------------------

@@ -106,3 +106,13 @@ def test_criterion(results, cid, capsys):
         f"{r.cid} {r.name}: measured {r.measured:.6e} vs budget "
         f"{r.budget:.6e} ({r.cmp}) {r.detail}"
     )
+
+
+def test_sector_criterion_on_threads_matches_the_serial_gate(results):
+    # C05 projects n = 2 slices in sector coordinates, each call in working
+    # slices of its own, while C08 runs its pipelines: side by side on two
+    # threads they measure exactly what the serial gate measured
+    threaded = run_verification(RunConfig(), include=["C05", "C08"], jobs=2)
+    assert [r.cid for r in threaded] == [c for c in EXPECTED_IDS if c[:3] in ("C05", "C08")]
+    for r in threaded:
+        assert (r.measured, r.passed) == (results[r.cid].measured, results[r.cid].passed), r.cid

@@ -131,15 +131,11 @@ def _ref_eval_poly(coeffs, pts):
     return out
 
 
-def _ref_reproducing_check(polys, z, t, sig, grid):
-    # the check on the whole complex mesh, with the polynomials evaluated
-    # over it: the values the blocked evaluation must reproduce bit for bit
-    n = sig.n
-    z = np.asarray(z, dtype=complex)
+def _mesh_kernel(z, t, sig, grid):
+    """The complex mesh W, the check's kernel on it and the lhs damping."""
     lam = np.asarray(sig.lambdas)
     damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
-    W = grid.complex_mesh(n)
-    wts = grid.spatial_weight_array(n)
+    W = grid.complex_mesh(sig.n)
     K = np.empty(W.shape[:-1], dtype=complex)
     for i, Wi in enumerate(W):
         expo = (
@@ -148,6 +144,16 @@ def _ref_reproducing_check(polys, z, t, sig, grid):
             - t * np.einsum("j,...j->...", lam, np.abs(Wi) ** 2)
         )
         np.exp(expo, out=K[i])
+    return W, K, damp
+
+
+def _ref_reproducing_check(polys, z, t, sig, grid):
+    # the check on the whole complex mesh, with the polynomials evaluated
+    # over it: the values the blocked evaluation must reproduce bit for bit
+    n = sig.n
+    z = np.asarray(z, dtype=complex)
+    W, K, damp = _mesh_kernel(z, t, sig, grid)
+    wts = grid.spatial_weight_array(n)
     lhs, rhs = [], []
     for g_coeffs in polys:
         lhs.append(complex(damp * _ref_eval_poly(g_coeffs, z[None, :])[0]))
@@ -176,6 +182,56 @@ def test_reproducing_check_matches_the_mesh_evaluation_exactly(case, t):
         lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid_at(t))
         want_lhs, want_rhs = _ref_reproducing_check(polys, z, t, sig, grid_at(t))
         assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+
+
+def _times_fresh(a, b, left):
+    """``a * b`` with one fresh complex temporary factor (``a`` when
+    ``left``), with explicit outputs: from 256 KiB up in the temporary's
+    buffer, a fresh right factor taken first; below, into a new array."""
+    temp = a if left else b
+    if temp.nbytes < 256 * 1024:
+        return np.multiply(a, b, out=np.empty_like(temp))
+    return np.multiply(a, b, out=a) if left else np.multiply(b, a, out=b)
+
+
+def _explicit_reproducing_check(polys, z, t, sig, grid):
+    # _ref_reproducing_check with each product an explicit np.multiply, so
+    # that the reference does not rest on numpy eliding a temporary either
+    n = sig.n
+    z = np.asarray(z, dtype=complex)
+    W, K, damp = _mesh_kernel(z, t, sig, grid)
+    wts = grid.spatial_weight_array(n)
+
+    def poly(coeffs, pts):
+        out = np.zeros(pts.shape[:-1], dtype=complex)
+        for alpha, c in coeffs.items():
+            term = np.full(pts.shape[:-1], complex(c))
+            for ax, a in enumerate(alpha):
+                if a:
+                    term = _times_fresh(term, pts[..., ax] ** a, left=False)
+            out += term
+        return out
+
+    lhs, rhs = [], []
+    for g_coeffs in polys:
+        lhs.append(complex(damp * poly(g_coeffs, z[None, :])[0]))
+        kp = _times_fresh(K, poly(g_coeffs, W), left=False)
+        integ = np.sum(_times_fresh(kp, wts, left=True))
+        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
+    return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
+
+
+@pytest.mark.parametrize("case", range(len(_C04_CASES)), ids=["n1", "n2"])
+def test_reproducing_check_matches_explicit_products_exactly(case):
+    # C04's grids: n = 1 under numpy's in-place size, n = 2 over it
+    sig, grid_at, n, zs = _C04_CASES[case]
+    polys = [{alpha: 1.0 + 0.0j} for alpha in multi_exponents(n, 4)]
+    polys.append({(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0, (2,) + (0,) * (n - 1): -0.25j})
+    for t in (0.5, 1.0, 2.0):
+        for z in zs:
+            lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid_at(t))
+            want_lhs, want_rhs = _explicit_reproducing_check(polys, z, t, sig, grid_at(t))
+            assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs), (t, z)
 
 
 @pytest.mark.parametrize("m", [11, 12])

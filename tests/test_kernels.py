@@ -1,9 +1,12 @@
-"""The factored slice projector against the dense oracle operator.
+"""The slice projector against the dense oracle operator and the assembled axis matrices.
 
 ``project_slices`` applies each axis' kernel through its two m x m
-exponential factors; the dense oracle route builds the whole
-``exp(-t Q)`` over the flattened spatial grid.  They must agree to
-roundoff at mid-band, at the resolution ceiling and at the top bin.
+exponential factors for n = 1 and through two real parity-sector blocks per
+axis for n >= 2; the dense oracle route builds the whole ``exp(-t Q)`` over
+the flattened spatial grid.  They must agree to roundoff at mid-band, at the
+resolution ceiling and at the top bin.  For n >= 2 the reference is also
+each axis' m^2 x m^2 matrix assembled from its factors and contracted
+along its own axis.
 """
 
 import math
@@ -64,7 +67,7 @@ def test_factored_matches_dense(m, lams, radius):
 
 
 def test_three_axes_match_dense():
-    """n >= 3 contracts one axis at a time; n = 3 at m = 3 is S = 729 nodes."""
+    """n = 3 at m = 3 is S = 729 nodes."""
     grid = GridSpec(2.0, 3, 16.0, 128)
     lams = (0.5, 1.0, 2.0)  # unequal, so a permuted axis order shows
     ts = np.array([0.3, 1.1, 2.7])
@@ -79,6 +82,89 @@ def test_three_axes_match_dense():
         dense = _dense_project(grid, lams, float(t), slabs[k].reshape(-1))
         err = np.linalg.norm(out[k].reshape(-1) - dense) / np.linalg.norm(dense)
         assert err <= TOL, (k, float(t), err)
+
+
+def _ref_axis_matrix(nodes, w, t, lam):
+    """One axis' weighted matrix (|t lam|/pi) E, assembled from its two factors."""
+    M, N = _kernels.axis_projector_exp(nodes, w, t, lam)
+    m = nodes.size
+    return abs(t * lam) / math.pi * (N[:, :, None] * M[:, None, :]).reshape(m * m, m * m)
+
+
+def _ref_apply(s, nodes, w, t, lams):
+    """Each axis' assembled matrix contracted along its own axis of ``s``."""
+    for ax, lam in enumerate(lams):
+        A = _ref_axis_matrix(nodes, w, t, lam)
+        s = np.moveaxis(np.tensordot(A, s, axes=([1], [ax])), 0, ax)
+    return s
+
+
+@pytest.mark.parametrize(
+    "m, lams",
+    [(17, (-1.0, 1.0)), (16, (0.5, 2.0)), (5, (-1.0, 1.0)), (4, (0.5, -2.0)),
+     (5, (1.0, -1.0, 0.7)), (4, (-0.5, 2.0, 2.0))],
+)
+@pytest.mark.parametrize("t", [1.3, -0.8])
+def test_sector_apply_matches_the_assembled_axis_matrices(m, lams, t):
+    """Odd and even m; t and lambda of both signs; equal |lambda| of either sign."""
+    grid = GridSpec(3.5, m, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    shape = (m * m,) * len(lams)
+    rng = np.random.default_rng(m + len(lams))
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _kernels.apply_slice_operator(_kernels.slice_operator(t, x, w, lams), s)
+    want = _ref_apply(s, x, w, t, lams)
+    assert np.linalg.norm(got - want) <= TOL * np.linalg.norm(want)
+
+
+def _sector_transform(m):
+    """One axis' sector transform as a matrix: column k holds the sector
+    coordinates of the k-th unit slice."""
+    S = m * m
+    y, work = np.empty((2, S)), (np.empty((2, S)), np.empty((2, S)))
+    T = np.empty((S, S), dtype=complex)
+    for k, e in enumerate(np.eye(S, dtype=complex)):
+        _kernels.to_sectors(e, y, work)
+        T[:, k] = y[0] + 1j * y[1]
+    return T
+
+
+@pytest.mark.parametrize("m", [17, 16, 5, 4])
+@pytest.mark.parametrize("t", [1.3, -0.8])
+def test_axis_matrix_is_two_real_blocks_in_the_sector_basis(m, t):
+    grid = GridSpec(3.5, m, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    T = _sector_transform(m)
+    Tinv = np.linalg.inv(T)
+    # lambda = (-1, 1): the second axis takes the first one's blocks flipped
+    _, axes = _kernels.slice_operator(t, x, w, (-1.0, 1.0))
+    for lam, blocks in zip((-1.0, 1.0), axes):
+        K = T @ _ref_axis_matrix(x, w, t, lam) @ Tinv
+        top = np.abs(K).max()
+        s0 = blocks[0].shape[0]
+        assert blocks[1].shape[0] == m * m - s0
+        assert np.abs(K[:s0, s0:]).max() <= 1e-15 * top
+        assert np.abs(K[s0:, :s0]).max() <= 1e-15 * top
+        diag = (K[:s0, :s0], K[s0:, s0:])
+        assert max(np.abs(d.imag).max() for d in diag) <= 1e-15 * top
+        for blk, d in zip(blocks, diag):
+            assert np.abs(blk - d.real).max() <= 1e-14 * top
+
+
+@pytest.mark.parametrize("n, m", [(1, 17), (2, 16), (2, 5), (3, 4)])
+def test_sector_coordinates_invert_and_keep_the_weighted_norm(n, m):
+    grid = GridSpec(3.5, m, 16.0, 128)
+    shape = (m * m,) * n
+    rng = np.random.default_rng(n * m)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y, a, b = np.empty((3, 2) + shape)
+    _kernels.to_sectors(s, y, (a, b))
+    omega = _kernels.sector_weights(grid.spatial_axis_weights(), n)
+    want = float(np.sum(grid.spatial_weight_array(n).reshape(shape) * np.abs(s) ** 2))
+    assert abs(_kernels.sector_sq(y, omega) - want) <= 1e-14 * want
+    back = np.empty_like(s)
+    _kernels.from_sectors(y, back, (a, b))
+    assert np.abs(back - s).max() <= 1e-15 * np.abs(s).max()
 
 
 def test_factors_underflow_beyond_745():

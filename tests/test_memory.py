@@ -78,13 +78,13 @@ def test_residual_streams_planes(component):
 def test_pipeline_peak_bounded(component, idempotency, monkeypatch):
     # the caller hands over the component's buffer: the forward transform,
     # the projection and the inverse transform all run in it, so the pipeline
-    # holds only one slab of _SLAB_BINS of this grid's 32 bins and one bin's
-    # operator (0.46-0.47 in all, with or without the gap: each slice is
-    # projected into its slab row, and its operator is applied again there
-    # for the gap).  A second slab-sized array for the projections made
-    # 0.67-0.68, and a slab still referenced when the next is gathered 0.72;
-    # an out-of-place FFT or a reordered copy of the transform would add a
-    # whole component.
+    # holds only one slab of _SLAB_BINS of this grid's 32 bins, one bin's
+    # operator and its three sector slices (0.45 in all, with or without the
+    # gap: each slice is projected into its slab row, and the gap is taken
+    # in the sector slices).  A second slab-sized array for the projections
+    # made 0.67-0.68, and a slab still referenced when the next is gathered
+    # 0.72; an out-of-place FFT or a reordered copy of the transform would
+    # add a whole component.
     # The broadband input fills bins outside the budget window, so the
     # budget check is skipped
     monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
@@ -94,6 +94,21 @@ def test_pipeline_peak_bounded(component, idempotency, monkeypatch):
         component.values.nbytes,
     )
     assert share < 0.6
+
+
+def test_grid2_pipeline_holds_a_slab_and_three_sector_slices():
+    # one forms-n2 component on grid2 (17^4 x 128, 171 MB), handed over: the
+    # pipeline holds a slab of _SLAB_BINS bins (10.7 MB), the slice, P s_t
+    # and P(P s_t) in sector coordinates (4.0 MB), the sector weights and
+    # one bin's blocks with their build (19.7 MB in all).  The assembled
+    # m^2 x m^2 axis matrices and their GEMM temporaries read 19.5 MB
+    grid = RunConfig().grid2
+    spec = transform.WavePacketSpec(
+        alpha=(1, 0), t_low=0.96, t_high=2.164, conjugated_axes=(1,), order=6
+    )
+    values = transform.make_wave_packet(spec, SIG, grid).values.copy()
+    peak = _traced_peak(lambda: transform._pipeline(grid, values, SIG, 1, True))
+    assert peak < 21.5e6
 
 
 def test_wave_packet_synthesis_holds_one_profile_block():
@@ -126,9 +141,10 @@ def test_pipeline_projects_in_the_buffer_it_is_handed(in_window_component):
 
 @pytest.mark.parametrize("J", [MultiIndex((1,)), MultiIndex((2,))], ids=["t>0", "t<0"])
 def test_form_branch_peak_bounded(in_window_component, J):
-    # one branch holds what the scalar pipeline holds: one component and a
-    # slab of the one bin it projects (1.17 in all); a copy of the component
-    # reflected to the hat structure would add a second
+    # one branch holds what the scalar pipeline holds: one component, a
+    # slab of the one bin it projects and that bin's sector slices (1.21 in
+    # all); a copy of the component reflected to the hat structure would add
+    # a second
     form = FormField(grid=GRID, q=1, components={J: in_window_component})
     share = _peak_share(
         lambda: szego_project_form(form, SIG), in_window_component.values.nbytes

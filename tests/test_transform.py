@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -500,3 +502,54 @@ def test_pipeline_change_matches_the_spatial_sum(N, side):
     want = weighted_sq_sum(pu.values, grid.field_weight_array(1), u)
     got = grid.freq_step / (2 * np.pi) * change_sq
     assert abs(got - want) <= 1e-12 * want
+
+
+def _tone_field(grid, seed, k):
+    """A random spatial profile on the bins t = +-k dt."""
+    rng = np.random.default_rng(seed)
+    tone = np.cos(k * grid.freq_step * grid.vertical_nodes())
+    return rng.normal(size=grid.spatial_shape(2))[..., None] * tone + 0j
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_pipeline_sums_match_the_spatial_sums_n2(side):
+    # for n >= 2 the sums come from sector coordinates; ||Pu - u||^2 and
+    # ||Pu||^2 times dt / (2 pi) are the spatial weighted sums (the tone's
+    # bins t = +-1.18 lie inside this grid's budget window)
+    grid = GridSpec(3.5, 13, 8.0, 32)
+    sig = LambdaSignature((-1.0, 1.0))
+    u = _tone_field(grid, 4, 3) + 0.5j * _tone_field(grid, 5, 3)
+    pu, _, norm_sq, change_sq, _ = transform._pipeline(grid, u.copy(), sig, side, True)
+    w = grid.field_weight_array(2)
+    c = grid.freq_step / (2 * np.pi)
+    want_change = weighted_sq_sum(pu.values, w, u)
+    want_norm = weighted_sq_sum(pu.values, w)
+    assert want_norm > 0.01 * weighted_sq_sum(u, w)
+    assert abs(c * change_sq - want_change) <= 1e-12 * want_change
+    assert abs(c * norm_sq - want_norm) <= 1e-12 * want_norm
+
+
+def test_concurrent_n2_pipelines_match_sequential():
+    # every call makes its own sector slices: four n = 2 pipelines on four
+    # threads, switching often, give the sequential outputs and sums bit for bit
+    grid = GridSpec(3.5, 13, 30.0, 32)
+    sig = LambdaSignature((-1.0, 1.0))
+    jobs = [(_tone_field(grid, seed, 10), side) for seed, side in enumerate((1, -1, 1, -1))]
+
+    def run(job):
+        values, side = job
+        pu, *sums = transform._pipeline(grid, values.copy(), sig, side, True)
+        return pu.values, sums
+
+    want = [run(job) for job in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for (values, sums), (want_values, want_sums) in zip(got, want):
+        assert want_sums[1] > 0
+        assert np.array_equal(values, want_values) and sums == want_sums
