@@ -322,8 +322,11 @@ def gaussian_budget_window(grid: GridSpec, sig: LambdaSignature) -> tuple[float,
     if lam_min == 0.0:
         return math.inf, 0.0
     R = grid.spatial_radius
-    t_floor = _LOG_TOL / (2.0 * lam_min * R * R)
     nodes = grid.spatial_nodes()
     h = float(np.max(np.diff(nodes)))
-    t_ceiling = math.pi**2 / (_LOG_TOL * lam_max * h * h)
+    # a product that underflows to 0 puts its bound at infinity
+    den = 2.0 * lam_min * R * R
+    t_floor = _LOG_TOL / den if den > 0 else math.inf
+    den = _LOG_TOL * lam_max * h * h
+    t_ceiling = math.pi**2 / den if den > 0 else math.inf
     return t_floor, t_ceiling

@@ -24,7 +24,6 @@ from .core import (
     HeisenbergPoint,
     MultiIndex,
     UsageError,
-    norm,
     weighted_sq_sum,
 )
 # read_form stays bound here: perfbench/spans.py wraps cli.read_form
@@ -166,31 +165,30 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
         lines = ["# projection report"]
         if reason is not None:
             lines.append(f"# structural zero: {reason}")
-        w = grid.field_weight_array(sig.n)
         gap_sq = norm_sq = 0.0
         window = None
         # one component in memory at a time: read, projected in its own
         # buffer, reported, written and dropped before the next is read
         for J, side in sides.items():
             u = src.read(J)
-            nin = math.sqrt(weighted_sq_sum(u, w))
-            nout = res = 0.0
-            # a component the projector drops changes by all of itself
-            rel = 1.0
             pu = None
-            if side is not None:
-                # the idempotency gap and ||Pu - u|| come from the projected
-                # bins of this one pass; Pu overwrites u
-                pu, gap_j, norm_j, change_j, window_j = transform._pipeline(
-                    grid, u, sig, side, True
+            if side is None:
+                # a component the projector drops changes by all of itself
+                nin = math.sqrt(weighted_sq_sum(u, grid.field_weight_array(sig.n)))
+                nout = res = 0.0
+                rel = 1.0
+            else:
+                # every number of the line comes from the projected bins of
+                # this one pass, by Parseval; Pu overwrites u
+                pu, in_j, norm_j, change_j, cr_j, gap_j, window_j = transform._pipeline(
+                    grid, u, sig, side, J
                 )
                 gap_sq += gap_j
                 norm_sq += norm_j
                 window = window or window_j
-                res = forms.cr_system_residual(pu, J, sig)
-                nout = norm(pu)
-                if nin > 0:
-                    rel = math.sqrt(grid.freq_step / (2.0 * math.pi) * change_j) / nin
+                c = grid.freq_step / (2.0 * math.pi)
+                nin, nout, res = (math.sqrt(c * s) for s in (in_j, norm_j, cr_j))
+                rel = math.sqrt(c * change_j) / nin if nin > 0 else 1.0
             change = f"{rel:.6e}" if nin > 0 else "n/a"
             lines.append(
                 f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "

@@ -224,9 +224,10 @@ class RunConfig:
         if flat:
             raise UsageError(f"unknown config keys: {sorted(flat)}")
         cfg = cls(**kwargs)
+        n = len(cfg.lambdas)
+        cfg.grid.require_addressable(n, "config keys")
         # packets given by keys must fit the lambdas, unless they are the defaults:
         # n=1 packets that other lambdas leave unused and canonical_text writes as keys
-        n = len(cfg.lambdas)
         for pid, spec in zip(sorted(packet_ids), () if packets == _default_packets() else packets):
             if len(spec.alpha) != n:
                 raise UsageError(f"config key 'packet.{pid}.alpha': needs one entry per lambda")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -187,7 +188,11 @@ def finite_float(text: str) -> float:
 
 
 def _point_count(text: str) -> int:
-    v = int(text)
+    digits = text.strip()
+    # int() would also take signs, underscores and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{digits!r} is not a decimal point count")
+    v = int(digits)
     if v < 2:
         raise ValueError(f"point count {v} is not >= 2")
     return v
@@ -197,6 +202,8 @@ def _radius(text: str) -> float:
     v = finite_float(text)
     if v <= 0:
         raise ValueError(f"radius {v} is not > 0")
+    if v < sys.float_info.min:
+        raise ValueError(f"radius {v} is below the smallest normal float")
     return v
 
 
@@ -314,6 +321,19 @@ class GridSpec:
         return [
             f"{prefix}.{name} = {text_value(getattr(self, name))}" for name, _ in self.TEXT_KEYS
         ]
+
+    def require_addressable(self, n: int, where: str) -> None:
+        """Raise :class:`UsageError` when a dimension-n field has more bytes than numpy addresses.
+
+        ``where`` names the text that set the grid (``config keys``,
+        ``field file header``); the message names its two point counts.
+        """
+        m, N = self.spatial_points, self.vertical_points
+        if 16 * m ** (2 * n) * N > np.iinfo(np.intp).max:
+            raise UsageError(
+                f"{where} 'grid.spatial_points' and 'grid.vertical_points': a field of "
+                f"{m}^{2 * n} x {N} points has more bytes than numpy can address"
+            )
 
     def spatial_shape(self, n: int) -> tuple[int, ...]:
         return (self.spatial_points,) * (2 * n)

@@ -23,6 +23,9 @@ __all__ = ["FieldReader", "FieldWriter", "write_form", "read_form", "FORMAT_NAME
 
 FORMAT_NAME = "hszego-field-v1"
 
+#: the largest header n: a field has 2n + 1 axes, and a numpy array at most 64
+_MAX_N = 31
+
 
 def _decode_multiindex(text: str) -> MultiIndex:
     body = text.strip()
@@ -213,6 +216,11 @@ class FieldReader:
         n = _header_value(hdr, "n", int)
         if n < 1:
             raise UsageError(f"field file header 'n': dimension {n} is not >= 1")
+        if n > _MAX_N:
+            raise UsageError(
+                f"field file header 'n': dimension {n} is above {_MAX_N}: a field has 2n + 1 "
+                "axes, and a numpy array at most 64"
+            )
         q = _header_value(hdr, "q", int)
         if not 0 <= q <= n:
             raise UsageError(f"field file header 'q': degree {q} out of range 0..{n}")
@@ -221,6 +229,7 @@ class FieldReader:
         self.grid = GridSpec(
             **{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys}
         )
+        self.grid.require_addressable(n, "field file header")
         self._shape = self.grid.field_shape(n)
         count = math.prod(self._shape)
         self._start = fh.tell()

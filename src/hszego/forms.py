@@ -81,6 +81,16 @@ def _periodic_d4(vals: np.ndarray) -> np.ndarray:
     return _stencil(ext[..., 4:], ext[..., 3:-1], ext[..., 1:-3], ext[..., :-4])
 
 
+def _periodic_d4_symbol(N: int) -> np.ndarray:
+    """The multiplier of :func:`_periodic_d4` on each FFT position of ``np.fft.ifft`` over N nodes.
+
+    Position k is the coefficient of e^{-i theta_k x} with theta_k = 2 pi k / N,
+    so a shift by one node multiplies it by e^{-i theta_k}.
+    """
+    theta = 2.0 * np.pi * np.arange(N) / N
+    return 1j * (2.0 * np.sin(2.0 * theta) - 16.0 * np.sin(theta))
+
+
 def _block_zj(x: np.ndarray, block: tuple[slice, ...], j: int) -> np.ndarray:
     """z_j on a block, broadcastable against the block's values."""
     parts = []
@@ -100,6 +110,18 @@ def _block_dz(v: np.ndarray, block: tuple[slice, ...], holomorphic: bool, j: int
     d += d_im
     d *= 0.5 / (12.0 * hs)
     return d
+
+
+def _cr_term(v: np.ndarray, block: tuple[slice, ...], holomorphic: bool, lam: float, j: int,
+             x: np.ndarray):
+    """The spatial part of Z_j v (``holomorphic``) or Zbar_j v on ``block``, and its d/dx factor.
+
+    ``lam`` is lambda_j, and ``j`` names the complex axis by the spatial axes
+    2j - 2 and 2j - 1 of ``v``; the factor multiplies d/dx_last.
+    """
+    zj = _block_zj(x, block, j)
+    r = _block_dz(v, block, holomorphic, j, float(x[1] - x[0]))
+    return r, (-1j * lam * np.conj(zj) if holomorphic else 1j * lam * zj)
 
 
 def apply_cr(
@@ -122,8 +144,6 @@ def apply_cr(
         raise UsageError(f"axis {j} outside 1..{n}")
     if sig.n != n:
         raise UsageError("signature dimension mismatch")
-    holomorphic = J.contains(j)
-    lam = sig.lambdas[j - 1]
     grid = field.grid
     m = grid.spatial_points
     interior = range(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
@@ -131,13 +151,9 @@ def apply_cr(
         raise UsageError(f"planes must be a unit-step range inside {interior}")
     v = field.values
     block = _interior(n, m, planes)
-    x = grid.spatial_nodes()
-    zj = _block_zj(x, block, j)
-    r = _block_dz(v, block, holomorphic, j, float(x[1] - x[0]))
+    r, coef = _cr_term(v, block, J.contains(j), sig.lambdas[j - 1], j, grid.spatial_nodes())
     d_v = _periodic_d4(v[block])
-    d_v *= (-1j * lam * np.conj(zj) if holomorphic else 1j * lam * zj) / (
-        12.0 * grid.vertical_step
-    )
+    d_v *= coef / (12.0 * grid.vertical_step)
     r += d_v
     return r
 
@@ -166,6 +182,45 @@ def cr_system_residual(u: ScalarField, J: MultiIndex, sig: LambdaSignature) -> f
         for j in range(1, n + 1):
             acc += weighted_sq_sum(apply_cr(u, J, j, sig, plane), wb)
     return math.sqrt(acc)
+
+
+def _slices_cr_sq(s: np.ndarray, J: MultiIndex, sig: LambdaSignature, x: np.ndarray,
+                  wi: np.ndarray, d_x: np.ndarray) -> float:
+    """:func:`cr_system_residual`'s squared sum, taken on frequency slices.
+
+    ``s`` is (m,)*2n + (K,): the slices at K positions of ``np.fft.ifft`` of
+    a field along its vertical axis, with the spatial axes as in the field.
+    At each position the periodic stencil of :func:`apply_cr` multiplies by
+    its symbol (:func:`_periodic_d4_symbol`), which ``d_x`` (K,) holds over
+    12 times the vertical step, so each slice is taken alone.  Returns the
+    sum over j and the slices of the interior |Z_j s|^2 (j in J) or
+    |Zbar_j s|^2, weighted by the spatial weights ``wi`` of the interior
+    block.  By Parseval, N dx times this sum over all N positions is the
+    square of :func:`cr_system_residual`.
+
+    For each j, axis j's two spatial axes are copied to the front, whole,
+    with the others' interior behind them: the stencil then reads long
+    contiguous runs, where the interior block of every axis has runs of
+    m - 4 nodes.
+    """
+    n = sig.n
+    band = slice(_BOUNDARY_BAND, x.size - _BOUNDARY_BAND)
+    block = (band, band) + (slice(None),) * (2 * n - 1)
+    wi = wi.reshape(-1)
+    total = 0.0
+    for j in range(1, n + 1):
+        axes = (2 * j - 2, 2 * j - 1)
+        inner = tuple(slice(None) if a in axes else band for a in range(2 * n))
+        v = np.ascontiguousarray(np.moveaxis(s[inner], axes, (0, 1)))
+        r, coef = _cr_term(v, block, J.contains(j), sig.lambdas[j - 1], 1, x)
+        r += (coef * d_x) * v[block]
+        del v
+        # every spatial axis has the same weights, so the order of r's axes
+        # does not change them
+        f = r.view(np.float64)
+        np.multiply(f, f, out=f)
+        total += float((wi @ f.reshape(wi.size, -1)).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +316,7 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     for J, comp in u.iter_components():
         side = component_side(J, sig)
         if side is not None:
-            out[J] = transform._pipeline(u.grid, comp.values.copy(), sig, side, False)[0]
+            out[J] = transform._pipeline(u.grid, comp.values.copy(), sig, side, None)[0]
     return FormField(grid=u.grid, q=u.q, components=out)
 
 

@@ -28,6 +28,7 @@ from .core import (
     BudgetError,
     GridSpec,
     LambdaSignature,
+    MultiIndex,
     ScalarField,
     UsageError,
     composite_gauss_legendre,
@@ -183,7 +184,7 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
             "signatures are handled by the form-level projector"
         )
-    return _pipeline(field.grid, field.values.copy(), sig, 1, False)[0]
+    return _pipeline(field.grid, field.values.copy(), sig, 1, None)[0]
 
 
 def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
@@ -198,10 +199,40 @@ def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
 #: working slices are the only working memory beside the field-sized array
 _SLAB_BINS = 8
 
+#: spatial nodes per block of a slab's gather: a block's rows of the
+#: transform stay in cache while its kept columns are copied out, which makes
+#: the gather ~1.5x faster than one transposing copy of the columns
+_GATHER_NODES = 1024
+
+#: spatial nodes per block of the spectral scan: its squares fit a buffer of
+#: 64 x 2N floats (131 kB at N = 128)
+_SCAN_ROWS = 64
+
+
+def _bin_sums(by_node: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per FFT position, the sum of |F|^2 over the spatial nodes and that sum weighted by ``w``.
+
+    ``by_node`` is a transform as (S, N), one row per spatial node, and
+    ``w`` the S spatial weights.  One pass, ``_SCAN_ROWS`` rows at a time:
+    a block is squared into a small buffer and one GEMM takes both sums.
+    """
+    S, N = by_node.shape
+    sums = np.zeros((2, 2 * N))
+    ones_w = np.ones((2, min(_SCAN_ROWS, S)))
+    sq = np.empty((ones_w.shape[1], 2 * N))
+    for lo in range(0, S, _SCAN_ROWS):
+        f = by_node[lo : lo + _SCAN_ROWS].view(np.float64)
+        k = f.shape[0]
+        np.multiply(f, f, out=sq[:k])
+        ones_w[1, :k] = w[lo : lo + k]
+        sums += ones_w[:, :k] @ sq[:k]
+    energy, weighted = sums.reshape(2, N, 2).sum(axis=2)
+    return energy, weighted
+
 
 def _pipeline(
-    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int, idempotency: bool
-) -> tuple[ScalarField, float, float, float, tuple[float, float] | None]:
+    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int, label: MultiIndex | None
+) -> tuple[ScalarField, float, float, float, float, float, tuple[float, float] | None]:
     """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
 
     ``values`` are a field's samples on ``grid``, in an array the caller
@@ -212,79 +243,119 @@ def _pipeline(
     even grid is on neither side.  The budget is checked on the |t| of the
     side's bins.
 
-    Returns the projection Pu and, when ``idempotency`` is set, the squared
-    sums over bins of spatially weighted slice norms ||P(Pu) - Pu||^2,
-    ||Pu||^2 and ||Pu - u||^2, and the budget window (t_floor, t_ceiling)
-    when a bin holding more than ``BUDGET_OCCUPANCY`` of Pu's energy lies
-    outside it (0.0 and None otherwise).  On the periodic grid Parseval
-    holds to roundoff: a sum times dt / (2 pi) is the field's squared
-    weighted norm, and the ratio of two sums is the squared relative
-    distance.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
-    each other projected bin counts its whole energy in the first sum, and
-    no budget is checked on Pu.  Pu - u is P s_t - s_t on the projected
-    bins and -s_t on every other bin, whose weighted energy is taken before
-    it is zeroed.
+    Returns the projection Pu and, when the component's ``label`` J is
+    given, what ``hszego project`` reports of it: the squared sums over bins
+    of spatially weighted slice norms ||u||^2, ||Pu||^2, ||Pu - u||^2, the
+    CR residual of Pu (:func:`forms.cr_system_residual`) and
+    ||P(Pu) - Pu||^2, and the budget window (t_floor, t_ceiling) when a bin
+    holding more than ``BUDGET_OCCUPANCY`` of Pu's energy lies outside it.
+    Without a label every sum is 0.0 and the window None.  On the periodic
+    grid Parseval holds to roundoff: a sum times dt / (2 pi) is the squared
+    weighted norm of its field, and the ratio of two sums is the squared
+    relative distance.  ||u||^2 is taken over every bin before any is
+    zeroed.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
+    each other projected bin counts its whole energy in the gap, and no
+    budget is checked on Pu.  Pu - u is P s_t - s_t on the projected bins
+    and -s_t on every other bin.
 
     No array the field's size is made, and no pass over the whole field
     scales it: the FFTs run in place and nothing else multiplies the field,
     so each bin holds the transform's slice over (N dx) times a unit phase.
     That scalar commutes with the bin's projector and the inverse FFT undoes
     it ((N dx) dt / (2 pi) = 1), so only the squared sums are scaled, by
-    (N dx)^2.  The other bins are zeroed, the projected bins are gathered a
-    slab at a time, each slice is projected in its slab row and the slab is
-    written back.  The budget window is found once.  Each bin's slice operator is built once: with
-    ``idempotency`` it is applied to s_t and then to P s_t, and each bin's
-    energy, norm and gap are kept: which bins are occupied in Pu needs Pu's
-    total energy, known only after the loop.  For n >= 2 a bin's slice goes
-    to sector coordinates once, where both applications and all three norms
-    are taken, and P s_t comes back once; its three sector slices are
-    allocated once per call.
+    (N dx)^2.  Beside the two FFTs, the field is passed over once to take
+    each bin's energy and weighted energy (:func:`_bin_sums`) and once to
+    zero the bins not projected; the projected bins are moved a slab at a
+    time (:func:`_project_bins`).  The budget window is found once.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
         raise UsageError(f"field dimension {n} != signature dimension {sig.n}")
     N = grid.vertical_points
     F = np.fft.ifft(values, axis=-1, out=values)
-    scale = (N * grid.vertical_step) ** 2
     ts = np.fft.ifftshift(grid.freq_nodes())
-    energy = _spectral_energy(F)
+    energy, weighted = _bin_sums(F.reshape(-1, N), grid.spatial_weight_array(n).reshape(-1))
     sel = (side * ts > 0) & (np.abs(ts) <= ts.max())
     window = gaussian_budget_window(grid, sig)
     _check_budget(grid, window, ts, energy, sel)
     keep = np.flatnonzero(sel & _occupied(energy))
     dropped = np.ones(N, dtype=bool)
     dropped[keep] = False
-    change = 0.0
-    if idempotency:
-        # ||s_t||^2_w at every FFT position, one first-axis row at a time:
-        # no temporary the field's size
-        w_rows = grid.spatial_weight_array(n).reshape(F.shape[0], -1)
-        weighted = np.zeros(2 * N)
-        for i in range(F.shape[0]):
-            f = F[i].view(np.float64).reshape(w_rows.shape[1], 2 * N)
-            weighted += np.einsum("s,sk,sk->k", w_rows[i], f, f)
-        change = float(weighted.reshape(N, 2).sum(axis=1)[dropped].sum())
     # a masked copy walks F in memory order: an index assignment on the bin
     # axis is ~3x slower
     np.copyto(F, 0, where=dropped)
+    energy_pu, norms, changes, gaps, cr = _project_bins(grid, F.reshape(-1, N), ts, keep, sig, label)
+    pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F))
+    if label is None:
+        return pu, 0.0, 0.0, 0.0, 0.0, 0.0, None
+    again = _occupied(energy_pu)
+    if not np.any(_outside_window(window, ts[keep], energy_pu)):
+        window = None
+    change = float(weighted[dropped].sum())
+    change += float(changes.sum())
+    gap = float(gaps[again].sum() + norms[~again].sum())
+    scale = (N * grid.vertical_step) ** 2
+    return (
+        pu, scale * float(weighted.sum()), scale * float(norms.sum()), scale * change,
+        scale * cr, scale * gap, window,
+    )
+
+
+def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.ndarray,
+                  sig: LambdaSignature, label: MultiIndex | None):
+    """Project the slices at the FFT positions ``keep`` of a transform, in place, a slab at a time.
+
+    ``by_node`` is the transform as (S, N), one row per spatial node.  The
+    kept bins are copied into a slab eight at a time, ``_GATHER_NODES``
+    rows at a time: a run of consecutive positions by a transposing copy of
+    its columns, any other set by an index gather (~1.5x slower, gather and
+    scatter together).  Each slice is projected in its slab row, and the
+    slab is written back the same way, whole.  Each bin's slice operator is
+    built once: with a ``label`` it is applied to s_t and then to P s_t.
+
+    Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
+    ||P s_t - s_t||^2 and ||P(P s_t) - P s_t||^2 (spatially weighted), and
+    the CR residual of Pu summed over the bins (:func:`forms._slices_cr_sq`);
+    which bins are occupied in Pu needs Pu's total energy, known only after
+    the loop.  For n >= 2 a bin's slice goes to sector coordinates once,
+    where both applications and the three norms are taken, and P s_t comes
+    back once; its three sector slices are allocated once per call.  The
+    residual is taken on each P s_t in its slab row, for n = 1 on the whole
+    slab.
+    """
+    n = sig.n
+    m = grid.spatial_points
+    # per projected bin: Pu's energy, ||Pu||^2, ||Pu - u||^2, ||P(Pu) - Pu||^2
+    energy_pu, norms, changes, gaps = sums = np.zeros((4, keep.size))
+    cr = 0.0
+    if label is not None:
+        # forms imports this module, so its stencil is looked up here
+        from . import forms
+
+        # a grid too small for the stencil has no residual to report
+        forms._require_fd_grid(grid)
+        band = slice(forms._BOUNDARY_BAND, m - forms._BOUNDARY_BAND)
+        wi = grid.spatial_weight_array(n)[(band,) * (2 * n)]
+        d_x = forms._periodic_d4_symbol(grid.vertical_points) / (12.0 * grid.vertical_step)
     if keep.size == 0:
-        return ScalarField(grid=grid, values=F), 0.0, 0.0, scale * change, None
+        return (*sums, cr)
     consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
-    slab_shape = (grid.spatial_points**2,) * n
+    slab_shape = (m * m,) * n
     if n == 1:
         w = grid.spatial_weight_array(n).reshape(1, -1)
     else:
         # the slice, P s_t and P(P s_t) in sector coordinates
         y, py, ppy = np.empty((3, 2) + slab_shape)
         omega = _kernels.sector_weights(consts[1], n)
-    # per projected bin: Pu's energy, its weighted ||Pu||^2, ||P(Pu) - Pu||^2
-    # and ||Pu - u||^2
-    energy_pu, norms, gaps, changes = np.zeros((4, keep.size))
-    by_bin = np.moveaxis(F, -1, 0)
+    S = by_node.shape[0]
     for lo in range(0, keep.size, _SLAB_BINS):
         ks = keep[lo : lo + _SLAB_BINS]
-        slab = by_bin[ks].reshape((ks.size,) + slab_shape)
-        rows = slab.reshape(ks.size, -1)
+        run = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == ks.size - 1 else ks
+        rows = np.empty((ks.size, S), dtype=np.complex128)
+        for at in range(0, S, _GATHER_NODES):
+            nodes = slice(at, at + _GATHER_NODES)
+            rows[:, nodes] = by_node[nodes, run].T
+        slab = rows.reshape((ks.size,) + slab_shape)
         for j, t in enumerate(ts[ks]):
             i = lo + j
             # one operator per bin, applied to s_t and, for the gap, to P s_t
@@ -292,41 +363,42 @@ def _pipeline(
             if n > 1:
                 _kernels.to_sectors(slab[j], y, (py, ppy))
                 _kernels.apply_sectors(op, y, py, ppy)
-                if idempotency:
+                if label is not None:
                     norms[i] = _kernels.sector_sq(py, omega)
                     changes[i] = _kernels.sector_sq(np.subtract(py, y, out=y), omega)
                     _kernels.apply_sectors(op, py, ppy, y)
                     gaps[i] = _kernels.sector_sq(np.subtract(ppy, py, out=ppy), omega)
                 _kernels.from_sectors(py, slab[j], (y, ppy))
+                if label is not None:
+                    cr += forms._slices_cr_sq(
+                        slab[j].reshape((m,) * (2 * n) + (1,)), label, sig, consts[0], wi,
+                        d_x[ks[j] : ks[j] + 1],
+                    )
                 continue
             p = _kernels.apply_slice_operator(op, slab[j])
-            if idempotency:
+            if label is not None:
                 changes[i] = weighted_sq_sum(rows[j : j + 1], w, p.reshape(1, -1))
             slab[j] = p
             del p
-            if idempotency:
+            if label is not None:
                 norms[i] = weighted_sq_sum(rows[j : j + 1], w)
                 twice = _kernels.apply_slice_operator(op, slab[j]).reshape(1, -1)
                 gaps[i] = weighted_sq_sum(twice, w, rows[j : j + 1])
                 del twice
-        # nothing of this slab may outlive it: the next slab is gathered
-        # while whatever is still referenced here is held
         del op
-        if idempotency:
+        if label is not None:
+            if n == 1:
+                cols = np.moveaxis(rows.reshape(ks.size, m, m), 0, -1)
+                cr += forms._slices_cr_sq(cols, label, sig, consts[0], wi, d_x[ks])
+                del cols
             f = rows.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
             del f
-        by_bin[ks] = slab.reshape((ks.size,) + grid.spatial_shape(n))
+        by_node[:, run] = rows.T
+        # nothing of this slab may outlive it: the next slab is gathered
+        # while whatever is still referenced here is held
         del slab, rows
-    pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F))
-    if not idempotency:
-        return pu, 0.0, 0.0, 0.0, None
-    again = _occupied(energy_pu)
-    if not np.any(_outside_window(window, ts[keep], energy_pu)):
-        window = None
-    change += float(changes.sum())
-    gap = float(gaps[again].sum() + norms[~again].sum())
-    return pu, scale * gap, scale * float(norms.sum()), scale * change, window
+    return (*sums, cr)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ from hszego import (
     ScalarField,
     WavePacketSpec,
     _kernels,
+    cli,
+    core,
     fieldio,
+    forms,
     make_wave_packet,
+    norm,
     szego_project_form,
     transform,
     verification,
@@ -21,6 +25,7 @@ from hszego import (
 from hszego.bergman import gaussian_budget_window
 from hszego.cli import main
 from hszego.config import RunConfig
+from hszego.core import weighted_sq_sum
 from hszego.fieldio import read_form, write_form
 
 BASE_CONFIG = """
@@ -327,6 +332,68 @@ def test_project_report_pinned(tmp_path, capsys, case):
     assert capsys.readouterr().out == PINNED_REPORTS[case]
 
 
+def _report_cases(tmp_path):
+    """(name, grid, signature, label, side, values) of components ``project`` reports on."""
+    cfg = RunConfig()
+    cases = [("default-packet", cfg.grid, cfg.sig, MultiIndex(()), 1, cfg.packet_field(1).values)]
+    path, _ = _mixed_tone_form(tmp_path)
+    form = read_form(path)
+    mixed = LambdaSignature((-1.0, 1.0))
+    for J, f in form.iter_components():
+        cases.append((f"mixed-{J}", form.grid, mixed, J, forms.component_side(J, mixed), f.values))
+    # tones on the bins 5 and 9 only: the kept bins are no one run of positions
+    grid = cfg.grid
+    rng = np.random.default_rng(2)
+    x = grid.vertical_nodes()
+    tones = np.exp(-5j * grid.freq_step * x) + 0.5 * np.exp(-9j * grid.freq_step * x)
+    gapped = rng.normal(size=grid.spatial_shape(1))[..., None] * tones
+    cases.append(("two-runs", grid, cfg.sig, MultiIndex(()), 1, gapped))
+    # content on the negative bins only: the side keeps no bin
+    cases.append(("no-kept-bin", grid, cfg.sig, MultiIndex(()), 1, np.conj(gapped)))
+    return cases
+
+
+def test_report_numbers_of_the_one_pass_match_the_spatial_definitions(tmp_path, monkeypatch):
+    # norm_in, norm_out and cr_residual come from the pipeline's bins by
+    # Parseval; they are the weighted norms of u and Pu and the spatial
+    # residual of Pu
+    gathers = []
+    slice_operator = _kernels.slice_operator
+    monkeypatch.setattr(_kernels, "slice_operator",
+                        lambda t, *consts: gathers.append(t) or slice_operator(t, *consts))
+    for name, grid, sig, J, side, values in _report_cases(tmp_path):
+        gathers.clear()
+        pu, in_sq, out_sq, _, cr_sq, _, _ = transform._pipeline(grid, values.copy(), sig, side, J)
+        c = grid.freq_step / (2 * np.pi)
+        w = grid.field_weight_array(sig.n)
+        want_in = weighted_sq_sum(values, w)
+        assert abs(c * in_sq - want_in) <= 1e-12 * want_in, name
+        want_out, want_cr = norm(pu), forms.cr_system_residual(pu, J, sig)
+        if name == "no-kept-bin":
+            assert gathers == [] and out_sq == cr_sq == want_out == want_cr == 0.0
+            continue
+        if name == "two-runs":
+            assert np.round(np.array(gathers) / grid.freq_step).tolist() == [5.0, 9.0]
+        assert abs(np.sqrt(c * out_sq) - want_out) <= 1e-12 * want_out, name
+        assert abs(np.sqrt(c * cr_sq) - want_cr) <= 1e-12 * want_cr, name
+
+
+def test_project_takes_no_spatial_pass_over_a_projected_component(tmp_path, monkeypatch, capsys):
+    # the report's norms and residual of a projected component come from the
+    # projection pass: the spatial routes are never called, and the report
+    # reads what it read when they were
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spatial pass over a projected component")
+
+    monkeypatch.setattr(forms, "apply_cr", refuse)
+    monkeypatch.setattr(forms, "cr_system_residual", refuse)
+    monkeypatch.setattr(core, "norm", refuse)
+    monkeypatch.setattr(cli, "norm", refuse, raising=False)
+    path, cfg = _mixed_tone_form(tmp_path)
+    assert main(["project", "--config", str(cfg), "--in", str(path)]) == 0
+    assert capsys.readouterr().out == PINNED_REPORTS["mixed-q1"]
+
+
 def test_project_flags_a_gap_measured_outside_the_window(config_path, tmp_path, capsys,
                                                           monkeypatch):
     # an annihilated packet leaves only its seam leakage, which reaches bins
@@ -489,7 +556,12 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.vertical_radius = -1", "grid.vertical_radius"), ("lambdas =", "lambdas"),
      ("packet.foo.alpha = 0", "packet.foo.alpha"), ("packet.0.t_low = 1.0", "packet.0.t_low"),
      ("packet.01.alpha = 0", "packet.01.alpha"),
-     ("lambdas = 1.0\xff", "{path}")],
+     ("lambdas = 1.0\xff", "{path}"),
+     # a subnormal radius, a grid numpy cannot address and a count int() would
+     # take with an underscore; none of them is allocated
+     ("grid.spatial_radius = 1e-320", "grid.spatial_radius"),
+     ("grid.vertical_points = 9999999999999999999999999", "grid.vertical_points"),
+     ("grid.spatial_points = 1_000", "grid.spatial_points")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -568,6 +640,9 @@ def _first_row(text):
         ("one-spatial-point", "field file header 'grid.spatial_points': point count 1"),
         ("non-utf8-header", "field file {path!r}: line 2 is not UTF-8 text"),
         ("non-utf8-csv", "field file {path!r}: line {row} is not UTF-8 text"),
+        ("huge-n", "field file header 'n': dimension 9999999999999999999999999 is above 31"),
+        ("subnormal-radius", "field file header 'grid.spatial_radius': radius 1e-320 is below"),
+        ("unaddressable-grid", "field file header 'grid.spatial_points' and 'grid.vertical_points'"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -617,6 +692,12 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("n = 1\n", "n = 1\xff\n")
     elif case == "non-utf8-csv":
         text = text.replace(first + "\n", first + "\xff\n")
+    elif case == "huge-n":
+        text = text.replace("n = 1\n", "n = 9999999999999999999999999\n")
+    elif case == "subnormal-radius":
+        text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e-320\n")
+    elif case == "unaddressable-grid":
+        text = text.replace("grid.vertical_points = 4\n", f"grid.vertical_points = {'9' * 25}\n")
     # latin-1 writes each character as one byte: "\xff" stays a byte that is not UTF-8
     path.write_bytes(text.encode("latin-1"))
     assert main(["project", "--in", str(path)]) == 2

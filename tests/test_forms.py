@@ -244,6 +244,18 @@ def test_streamed_residual_matches_full_grid_reference(case):
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("N", [32, 33], ids=["even", "odd"])
+def test_periodic_stencil_is_its_symbol_on_the_fft_positions(N):
+    # the one fork between the spatial residual and the one taken on a
+    # projection's frequency slices: the vertical derivative is the periodic
+    # stencil there and its symbol here
+    rng = np.random.default_rng(N)
+    vals = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
+    got = forms._periodic_d4_symbol(N) * np.fft.ifft(vals, axis=-1)
+    want = np.fft.ifft(forms._periodic_d4(vals), axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("case", _residual_cases(), ids=lambda c: c[0])
 def test_apply_cr_matches_reference_and_zeroes_the_band(case):
     """apply_cr returns the reference's interior values; the band it leaves out is zero."""
@@ -644,8 +656,8 @@ def _one_pass_gap(u, sig):
     for J, f in u.iter_components():
         side = forms.component_side(J, sig)
         if side is not None:
-            out[J], gap_j, norm_j, _, _ = transform._pipeline(
-                u.grid, f.values.copy(), sig, side, True
+            out[J], _, norm_j, _, _, gap_j, _ = transform._pipeline(
+                u.grid, f.values.copy(), sig, side, J
             )
             gap_sq += gap_j
             norm_sq += norm_j
