@@ -1,14 +1,14 @@
 """Hot numeric kernels: numpy exponentials and BLAS contractions.
 
 A frequency slice's projector is built once by :func:`slice_operator` and
-applied to every slice that needs it: the scalar pipeline applies it to s_t
-and, for the idempotency gap, to P s_t.  For n = 1 it is two factors per
-axis, applied by :func:`apply_slice_operator`.  For n >= 2 it is two real
-blocks per axis in the parity-sector basis; the pipeline moves a slice
-there once (:func:`to_sectors`), applies the blocks there
-(:func:`apply_sectors`), takes its norms there (:func:`sector_sq`) and
-moves P s_t back once (:func:`from_sectors`).  :func:`project_slices`
-builds and applies one operator per slice.
+applied by :func:`project_slice`, which projects one slice in place and, for
+the scalar pipeline's report, applies the operator again to P s_t and takes
+the norms.  For n = 1 the operator is two factors per axis, contracted on
+the slice.  For n >= 2 it is two real blocks per axis in the parity-sector
+basis: the slice moves there once (:func:`to_sectors`), the blocks act
+there (:func:`apply_sectors`), the norms are taken there
+(:func:`sector_sq`) and P s_t moves back once (:func:`from_sectors`).
+:func:`project_slices` builds and applies one operator per slice.
 
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.
@@ -322,7 +322,7 @@ def slice_operator(t, nodes, w, lams):
     blocks with its |t lam_j|/pi in them, and ``pref`` is 1.  The blocks are
     built once per distinct |t lam_j|: an axis of the opposite sign takes
     them with rows and columns times their x-parity.
-    :func:`apply_slice_operator` applies either.
+    :func:`project_slice` applies either.
     """
     t = float(t)
     if len(lams) == 1:
@@ -339,33 +339,65 @@ def slice_operator(t, nodes, w, lams):
     return 1.0, axes
 
 
-def apply_slice_operator(op, s):
-    """Apply a :func:`slice_operator` to one slice ``s`` of shape (m^2,)*n; returns a new array."""
+def slice_weights(w, n):
+    """The weights :func:`project_slice` takes a slice's norms with, from the axis weights ``w``.
+
+    For n = 1 those of the slice itself with the factor 2, flat; for n >= 2
+    those of its sector coordinates (:func:`sector_weights`).
+    """
+    return np.multiply.outer(2.0 * w, w).reshape(-1) if n == 1 else sector_weights(w, n)
+
+
+def project_slice(op, s, omega, work):
+    """Project the slice ``s`` ((m^2,)*n, complex) in place with the :func:`slice_operator` ``op``.
+
+    ``work`` is scratch of shape (3, 2) + s.shape, used for n >= 2.  Given
+    the :func:`slice_weights` ``omega``, the operator is applied again to
+    P s and ``(||P s||^2, ||P s - s||^2, ||P(P s) - P s||^2)`` comes back,
+    taken where P s is made: on the slice for n = 1, in sector coordinates
+    for n >= 2.  Given None, returns None.
+    """
     pref, axes = op
-    if len(axes) == 1:
+    if len(axes) > 1:
+        y, py, ppy = work
+        to_sectors(s, y, (py, ppy))
+        apply_sectors(op, y, py, ppy)
+        sums = None
+        if omega is not None:
+            sums = (sector_sq(py, omega), sector_sq(np.subtract(py, y, out=y), omega))
+            apply_sectors(op, py, ppy, y)
+            sums += (sector_sq(np.subtract(ppy, py, out=ppy), omega),)
+        from_sectors(py, s, (y, ppy))
+        return sums
+    M, N = axes[0]
+    m = M.shape[1]
+
+    def apply(v):
         # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
-        M, N = axes[0]
-        m = M.shape[1]
-        Y = M @ s.reshape(m, m).T
-        return pref * np.einsum("ij,ij->i", N, Y)
-    s = np.ascontiguousarray(s, dtype=np.complex128)
-    y, py, work = np.empty((3, 2) + s.shape)
-    to_sectors(s, y, (py, work))
-    apply_sectors(op, y, py, work)
-    out = np.empty_like(s)
-    from_sectors(py, out, (y, work))
-    return out
+        return pref * np.einsum("ij,ij->i", N, M @ v.reshape(m, m).T)
+
+    def sq(d):
+        f = d.view(np.float64).reshape(omega.size, -1)
+        return float(np.einsum("ij,ij->i", f, f) @ omega)
+
+    p = apply(s)
+    if omega is None:
+        s[...] = p
+        return None
+    change = sq(s - p)
+    s[...] = p
+    del p
+    return sq(s), change, sq(apply(s) - s)
 
 
 def project_slices(slabs, ts, bin_step, nodes, w, lams):
-    """Project each slice at its nonzero frequency ``ts[i]`` with :func:`slice_operator`.
+    """Project each slice at its nonzero frequency ``ts[i]`` with :func:`project_slice`.
 
     ``slabs``: (K,) + (m^2,)*n with one reshaped block per complex axis;
     ``ts`` and ``lams`` must be nonzero.  Each slice is projected on its
-    own; ``bin_step`` is not used.  Returns the same shape.
+    own; ``bin_step`` is not used.  Returns a new array of the same shape.
     """
     n = len(lams)
-    out = np.zeros_like(slabs)
     m = nodes.size
     if slabs.shape[1:] != (m * m,) * n:
         raise ValueError("slab shape does not match (m*m,)*n")
@@ -373,8 +405,10 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
         raise ValueError("project_slices expects nonzero frequencies only")
     if any(lam == 0 for lam in lams):
         raise ValueError("project_slices expects nonzero structure constants only")
+    out = np.array(slabs, dtype=np.complex128)
+    work = np.empty((3, 2) + out.shape[1:])
     for i in range(ts.size):
-        out[i] = apply_slice_operator(slice_operator(ts[i], nodes, w, lams), slabs[i])
+        project_slice(slice_operator(ts[i], nodes, w, lams), out[i], None, work)
     return out
 
 

@@ -289,6 +289,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the size rule admits grids that still do not fit in memory
+        print("error: out of memory for this grid: lower grid.spatial_points or "
+              "grid.vertical_points", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -445,19 +445,13 @@ def norm(u: ScalarField) -> float:
 
 
 def rel_norm(a, b, w: np.ndarray) -> float:
-    """Weighted relative L^2 distance ||a - b||_w / ||b||_w.
+    """Weighted relative L^2 distance ||a - b||_w / ||b||_w of two sampled arrays.
 
-    ``a`` and ``b`` are sampled arrays, or lists of arrays (the components of
-    a form) whose squared norms add.  ``w`` weights the leading axes of each
-    array and trailing axes are summed unweighted: a field takes
-    ``grid.field_weight_array(n)``, a frequency slice
-    ``grid.spatial_weight_array(n)``.
+    ``w`` weights the leading axes of each array and trailing axes are
+    summed unweighted: a field takes ``grid.field_weight_array(n)``, a
+    frequency slice ``grid.spatial_weight_array(n)``.
     """
-    if not isinstance(a, list):
-        a, b = [a], [b]
-    num = sum(weighted_sq_sum(x, w, y) for x, y in zip(a, b))
-    den = sum(weighted_sq_sum(y, w) for y in b)
-    return float(np.sqrt(num) / np.sqrt(den))
+    return float(np.sqrt(weighted_sq_sum(a, w, b)) / np.sqrt(weighted_sq_sum(b, w)))
 
 
 def form_inner(u: FormField, v: FormField) -> complex:

@@ -223,6 +223,33 @@ def _slices_cr_sq(s: np.ndarray, J: MultiIndex, sig: LambdaSignature, x: np.ndar
     return total
 
 
+def _slab_cr_sq(grid: GridSpec, J: MultiIndex, sig: LambdaSignature):
+    """:func:`cr_system_residual`'s squared sum, taken a slab of frequency slices at a time.
+
+    Checks the grid and sets the stencil up once, and returns
+    ``add(total, slab, ks)``: ``total`` plus :func:`_slices_cr_sq` of the
+    slices ``slab`` ((K,) + (m^2,)*n) at the FFT positions ``ks`` (K,).
+    For n = 1 the slab is taken whole, for n >= 2 one slice at a time, which
+    keeps the copies of the stencil to one slice's size.
+    """
+    # a grid too small for the stencil has no residual to report
+    _require_fd_grid(grid)
+    n, m = sig.n, grid.spatial_points
+    x = grid.spatial_nodes()
+    band = slice(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
+    wi = grid.spatial_weight_array(n)[(band,) * (2 * n)]
+    d_x = _periodic_d4_symbol(grid.vertical_points) / (12.0 * grid.vertical_step)
+
+    def add(total, slab, ks):
+        k = ks.size if n == 1 else 1
+        for lo in range(0, ks.size, k):
+            s = np.moveaxis(slab[lo : lo + k].reshape((k,) + (m,) * (2 * n)), 0, -1)
+            total += _slices_cr_sq(s, J, sig, x, wi, d_x[ks[lo : lo + k]])
+        return total
+
+    return add
+
+
 # ---------------------------------------------------------------------------
 # block reflections
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .core import (
     ScalarField,
     UsageError,
     composite_gauss_legendre,
-    weighted_sq_sum,
 )
 
 __all__ = [
@@ -309,22 +308,17 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
     kept bins are copied into a slab eight at a time, ``_GATHER_NODES``
     rows at a time: a run of consecutive positions by a transposing copy of
     its columns, any other set by an index gather (~1.5x slower, gather and
-    scatter together).  Each slice is projected in its slab row, and the
-    slab is written back the same way, whole.  Each bin's slice operator is
-    built once: with a ``label`` it is applied to s_t and then to P s_t.
+    scatter together).  Each slice is projected in its slab row by
+    :func:`_kernels.project_slice` with its bin's operator, built once, and
+    the slab is written back the same way, whole.
 
     Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
     ||P s_t - s_t||^2 and ||P(P s_t) - P s_t||^2 (spatially weighted), and
-    the CR residual of Pu summed over the bins (:func:`forms._slices_cr_sq`);
+    the CR residual of Pu summed over the slabs (``forms._slab_cr_sq``);
     which bins are occupied in Pu needs Pu's total energy, known only after
-    the loop.  For n >= 2 a bin's slice goes to sector coordinates once,
-    where both applications and the three norms are taken, and P s_t comes
-    back once; its three sector slices are allocated once per call.  The
-    residual is taken on each P s_t in its slab row, for n = 1 on the whole
-    slab.
+    the loop.
     """
     n = sig.n
-    m = grid.spatial_points
     # per projected bin: Pu's energy, ||Pu||^2, ||Pu - u||^2, ||P(Pu) - Pu||^2
     energy_pu, norms, changes, gaps = sums = np.zeros((4, keep.size))
     cr = 0.0
@@ -332,21 +326,13 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
         # forms imports this module, so its stencil is looked up here
         from . import forms
 
-        # a grid too small for the stencil has no residual to report
-        forms._require_fd_grid(grid)
-        band = slice(forms._BOUNDARY_BAND, m - forms._BOUNDARY_BAND)
-        wi = grid.spatial_weight_array(n)[(band,) * (2 * n)]
-        d_x = forms._periodic_d4_symbol(grid.vertical_points) / (12.0 * grid.vertical_step)
+        add_cr = forms._slab_cr_sq(grid, label, sig)
     if keep.size == 0:
         return (*sums, cr)
     consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
-    slab_shape = (m * m,) * n
-    if n == 1:
-        w = grid.spatial_weight_array(n).reshape(1, -1)
-    else:
-        # the slice, P s_t and P(P s_t) in sector coordinates
-        y, py, ppy = np.empty((3, 2) + slab_shape)
-        omega = _kernels.sector_weights(consts[1], n)
+    slab_shape = (grid.spatial_points ** 2,) * n
+    omega = None if label is None else _kernels.slice_weights(consts[1], n)
+    work = np.empty((3, 2) + slab_shape)
     S = by_node.shape[0]
     for lo in range(0, keep.size, _SLAB_BINS):
         ks = keep[lo : lo + _SLAB_BINS]
@@ -357,40 +343,11 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
             rows[:, nodes] = by_node[nodes, run].T
         slab = rows.reshape((ks.size,) + slab_shape)
         for j, t in enumerate(ts[ks]):
-            i = lo + j
-            # one operator per bin, applied to s_t and, for the gap, to P s_t
-            op = _kernels.slice_operator(t, *consts)
-            if n > 1:
-                _kernels.to_sectors(slab[j], y, (py, ppy))
-                _kernels.apply_sectors(op, y, py, ppy)
-                if label is not None:
-                    norms[i] = _kernels.sector_sq(py, omega)
-                    changes[i] = _kernels.sector_sq(np.subtract(py, y, out=y), omega)
-                    _kernels.apply_sectors(op, py, ppy, y)
-                    gaps[i] = _kernels.sector_sq(np.subtract(ppy, py, out=ppy), omega)
-                _kernels.from_sectors(py, slab[j], (y, ppy))
-                if label is not None:
-                    cr += forms._slices_cr_sq(
-                        slab[j].reshape((m,) * (2 * n) + (1,)), label, sig, consts[0], wi,
-                        d_x[ks[j] : ks[j] + 1],
-                    )
-                continue
-            p = _kernels.apply_slice_operator(op, slab[j])
+            got = _kernels.project_slice(_kernels.slice_operator(t, *consts), slab[j], omega, work)
             if label is not None:
-                changes[i] = weighted_sq_sum(rows[j : j + 1], w, p.reshape(1, -1))
-            slab[j] = p
-            del p
-            if label is not None:
-                norms[i] = weighted_sq_sum(rows[j : j + 1], w)
-                twice = _kernels.apply_slice_operator(op, slab[j]).reshape(1, -1)
-                gaps[i] = weighted_sq_sum(twice, w, rows[j : j + 1])
-                del twice
-        del op
+                norms[lo + j], changes[lo + j], gaps[lo + j] = got
         if label is not None:
-            if n == 1:
-                cols = np.moveaxis(rows.reshape(ks.size, m, m), 0, -1)
-                cr += forms._slices_cr_sq(cols, label, sig, consts[0], wi, d_x[ks])
-                del cols
+            cr = add_cr(cr, slab, ks)
             f = rows.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
             del f

@@ -186,9 +186,16 @@ def test_project_annihilated_packet_exits_0(tmp_path, capsys):
 
 
 def _count_slice_operators(monkeypatch):
-    """Count, by frequency, the slice operators ``_kernels`` builds and their applications."""
-    built, applied = collections.Counter(), collections.Counter()
-    slice_operator, apply_slice_operator = _kernels.slice_operator, _kernels.apply_slice_operator
+    """Count, by frequency, the slice operators ``_kernels`` builds and their applications.
+
+    ``project_slice`` applies its operator to the slice and, given the slice
+    weights, again to P s: ``applied`` counts those applications.  For
+    n >= 2 each of them is one ``apply_sectors`` call, which ``sector``
+    counts on its own.
+    """
+    built, applied, sector = collections.Counter(), collections.Counter(), collections.Counter()
+    slice_operator, project_slice = _kernels.slice_operator, _kernels.project_slice
+    apply_sectors = _kernels.apply_sectors
     freq = {}
 
     def build(t, *consts):
@@ -197,13 +204,18 @@ def _count_slice_operators(monkeypatch):
         freq[id(op)] = float(t)
         return op
 
-    def apply(op, s):
-        applied[freq[id(op)]] += 1
-        return apply_slice_operator(op, s)
+    def project(op, s, omega, work):
+        applied[freq[id(op)]] += 1 if omega is None else 2
+        return project_slice(op, s, omega, work)
+
+    def apply(op, *arrays):
+        sector[freq[id(op)]] += 1
+        return apply_sectors(op, *arrays)
 
     monkeypatch.setattr(_kernels, "slice_operator", build)
-    monkeypatch.setattr(_kernels, "apply_slice_operator", apply)
-    return built, applied
+    monkeypatch.setattr(_kernels, "project_slice", project)
+    monkeypatch.setattr(_kernels, "apply_sectors", apply)
+    return built, applied, sector
 
 
 def test_project_projects_each_kept_bin_twice(tmp_path, monkeypatch, capsys):
@@ -216,7 +228,7 @@ def test_project_projects_each_kept_bin_twice(tmp_path, monkeypatch, capsys):
     ts = RunConfig().grid.freq_nodes()
     u = form.components[MultiIndex(())]
     kept = ts[(ts > 0) & (ts <= ts[-1]) & transform.partial_ft(u).occupied_mask()].tolist()
-    built, applied = _count_slice_operators(monkeypatch)
+    built, applied, sector = _count_slice_operators(monkeypatch)
     pu = szego_project_form(form, LambdaSignature((1.0,))).components[MultiIndex(())]
     assert built == applied == collections.Counter(kept)
     assert np.count_nonzero(transform.partial_ft(pu).occupied_mask()) < len(kept) == 63
@@ -225,6 +237,29 @@ def test_project_projects_each_kept_bin_twice(tmp_path, monkeypatch, capsys):
     assert main(["project", "--in", str(path)]) == 0
     assert built == collections.Counter(kept)
     assert applied == collections.Counter(2 * kept)
+    assert sector == collections.Counter()
+    # n = 2: each component's kept bins on its own side, every application
+    # in sector coordinates
+    path, cfg = _mixed_tone_form(tmp_path)
+    form = read_form(path)
+    sig = LambdaSignature((-1.0, 1.0))
+    ts = form.grid.freq_nodes()
+    kept = []
+    for J, f in form.iter_components():
+        side = forms.component_side(J, sig)
+        occupied = transform.partial_ft(f).occupied_mask()
+        kept += ts[(side * ts > 0) & (np.abs(ts) <= ts[-1]) & occupied].tolist()
+    assert len(kept) == 2
+    built.clear()
+    applied.clear()
+    szego_project_form(form, sig)
+    assert built == applied == sector == collections.Counter(kept)
+    built.clear()
+    applied.clear()
+    sector.clear()
+    assert main(["project", "--config", str(cfg), "--in", str(path)]) == 0
+    assert built == collections.Counter(kept)
+    assert applied == sector == collections.Counter(2 * kept)
 
 
 def test_project_exactly_annihilated_packet(tmp_path, capsys):
@@ -707,6 +742,28 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
 
 
 # -- one component at a time: the header's n, an atomic --out, short reads ----
+
+
+@pytest.mark.parametrize("source", ["config", "field-file"])
+def test_grid_that_does_not_fit_in_memory_exits_2(tmp_path, monkeypatch, capsys, source):
+    # a grid inside the size rule can still be too large to allocate; the
+    # allocation is made to fail here, so nothing large is allocated
+    def refuse(*args):
+        raise MemoryError
+
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        monkeypatch.setattr(GridSpec, "complex_mesh", refuse)
+        argv = ["verify", "--config", str(cfg), "--criteria", "C00"]
+    else:
+        path, _ = _csv_field(tmp_path)
+        monkeypatch.setattr(fieldio.FieldReader, "read", refuse)
+        argv = ["project", "--in", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "grid.spatial_points" in err and "grid.vertical_points" in err
+    assert "Traceback" not in err
 
 
 def test_project_checks_an_empty_forms_dimension(tmp_path, capsys):

@@ -112,7 +112,8 @@ def test_sector_apply_matches_the_assembled_axis_matrices(m, lams, t):
     shape = (m * m,) * len(lams)
     rng = np.random.default_rng(m + len(lams))
     s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = _kernels.apply_slice_operator(_kernels.slice_operator(t, x, w, lams), s)
+    got = s.copy()
+    _kernels.project_slice(_kernels.slice_operator(t, x, w, lams), got, None, np.empty((3, 2) + shape))
     want = _ref_apply(s, x, w, t, lams)
     assert np.linalg.norm(got - want) <= TOL * np.linalg.norm(want)
 
@@ -165,6 +166,29 @@ def test_sector_coordinates_invert_and_keep_the_weighted_norm(n, m):
     back = np.empty_like(s)
     _kernels.from_sectors(y, back, (a, b))
     assert np.abs(back - s).max() <= 1e-15 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (2, 5), (3, 4)])
+def test_project_slice_sums_are_the_weighted_slice_norms(n, m):
+    """With the slice weights the step returns ||Ps||^2, ||Ps - s||^2 and
+    ||P(Ps) - Ps||^2 of the slice's spatial quadrature, and projects as without."""
+    grid = GridSpec(3.5, m, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    lams = (1.0, -0.5, 2.0)[:n]
+    shape = (m * m,) * n
+    rng = np.random.default_rng(20 + n)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    op = _kernels.slice_operator(0.9, x, w, lams)
+    work = np.empty((3, 2) + shape)
+    ps, pps = s.copy(), s.copy()
+    assert _kernels.project_slice(op, ps, None, work) is None
+    sums = _kernels.project_slice(op, pps, _kernels.slice_weights(w, n), work)
+    assert np.array_equal(pps, ps)
+    _kernels.project_slice(op, pps, None, work)
+    wa = grid.spatial_weight_array(n).reshape(shape)
+    want = [float(np.sum(wa * np.abs(d) ** 2)) for d in (ps, ps - s, pps - ps)]
+    for got, ref in zip(sums, want):
+        assert abs(got - ref) <= 1e-12 * want[0], (got, ref)
 
 
 def test_factors_underflow_beyond_745():

@@ -101,7 +101,7 @@ def test_grid2_pipeline_holds_a_slab_and_three_sector_slices():
     # reported on as ``project`` does: the pipeline holds a slab of
     # _SLAB_BINS bins (10.7 MB), the slice, P s_t and P(P s_t) in sector
     # coordinates (4.0 MB), the sector weights and one bin's blocks with
-    # their build (19.7 MB in all); the CR residual of one slice at a time
+    # their build (19.1 MB in all); the CR residual of one slice at a time
     # stays under that build.  The assembled m^2 x m^2 axis matrices and
     # their GEMM temporaries read 19.5 MB
     grid = RunConfig().grid2

@@ -5,8 +5,9 @@ set by some call of the package or the benchmark harness, and the count of
 settable values is pinned.  Every package binding the harness wraps resolves,
 and so do the other package names the harness reads and the modules'
 ``__all__`` lists, which cover what the package imports from its own
-modules.  The package runs on numpy alone, as the
-README's install line says."""
+modules.  The pipeline in ``transform`` leaves the slice step to
+``_kernels`` and the CR stencil to ``forms``.  The package runs on numpy
+alone, as the README's install line says."""
 
 import argparse
 import ast
@@ -270,3 +271,23 @@ def test_package_imports_no_scipy():
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
     assert "# runtime deps: numpy\n" in README.read_text(encoding="utf-8")
+
+
+def test_transform_leaves_the_slice_step_to_kernels_and_the_stencil_to_forms():
+    # the pipeline projects each slice with one _kernels call and takes the
+    # CR residual through one forms entry: the sector moves and norms are
+    # named only in _kernels, and transform reads no other private name of forms
+    tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
+    names, private = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "forms":
+                private |= {node.attr} if node.attr.startswith("_") else set()
+        elif isinstance(node, ast.ImportFrom) and node.module == "forms":
+            private |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    sector = {"to_sectors", "apply_sectors", "from_sectors", "sector_sq", "sector_weights"}
+    assert names & sector == set()
+    assert private == {"_slab_cr_sq"}
