@@ -94,17 +94,6 @@ def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> n
 # ---------------------------------------------------------------------------
 
 
-#: numpy computes ``a * b`` for a fresh temporary ``b`` of at least this
-#: many bytes in b's buffer, as ``b * a`` (NPY_MIN_ELIDE_BYTES), and a
-#: smaller one into a new array.  A complex product can round differently
-#: with its factors swapped (fused multiply-add), and even in place, so
-#: :func:`_eval_poly` and :func:`gaussian_reproducing_check` make each
-#: product as numpy made it in the mesh-wide expressions that C04's values
-#: were pinned with, by explicit calls that do not depend on numpy eliding
-#: a temporary
-_ELIDE_BYTES = 256 * 1024
-
-
 def _eval_poly(coeffs, axes, shape) -> np.ndarray:
     """Evaluate sum c_alpha z^alpha on an array of the given shape.
 
@@ -112,20 +101,17 @@ def _eval_poly(coeffs, axes, shape) -> np.ndarray:
     ``shape``, so each power is taken once per distinct value.  A term is
     filled with its coefficient and multiplied by the powers axis by axis,
     and the terms after the first are added to it: every value is the one
-    that the same steps on a mesh of the full shape give.
+    that the same steps on a mesh of the full shape give.  Each product is
+    made in the term's buffer with the power as the left factor: a complex
+    product can round differently with its factors swapped (fused
+    multiply-add), so the order is fixed, whatever the shape.
     """
-    elide = np.dtype(complex).itemsize * math.prod(shape) >= _ELIDE_BYTES
     out = None
     for alpha, c in coeffs.items():
         term = np.full(shape, complex(c))
         for ax, a in enumerate(alpha):
             if a:
-                # a mesh-wide ``term * z**a``, with z**a the fresh temporary
-                power = axes[ax] ** a
-                if elide:
-                    np.multiply(power, term, out=term)
-                else:
-                    term = np.multiply(term, power)
+                np.multiply(axes[ax] ** a, term, out=term)
         if out is None:
             out = term
         else:
@@ -148,9 +134,8 @@ def gaussian_reproducing_check(
     the other axes.  The kernel depends only on (t, z) and is built once per
     call, one row of the first grid axis at a time, so its exponent's
     temporaries stay one row long.  Each polynomial's values take one
-    kernel-sized array, which is multiplied by the kernel and the weights
-    in place before the whole-array sum (below ``_ELIDE_BYTES``, into new
-    arrays).
+    kernel-sized array, which is multiplied by the kernel and then the
+    weights in place before the whole-array sum.
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -182,14 +167,9 @@ def gaussian_reproducing_check(
     lhs, rhs = [], []
     for g_coeffs in polys:
         lhs.append(complex(damp * _eval_poly(g_coeffs, z[:, None], (1,))[0]))
-        # a mesh-wide ``K * poly * wts``, with poly and then K * poly the
-        # fresh temporaries
         poly = _eval_poly(g_coeffs, axes, K.shape)
-        if K.nbytes >= _ELIDE_BYTES:
-            np.multiply(poly, K, out=poly)
-            np.multiply(poly, wts, out=poly)
-        else:
-            poly = np.multiply(np.multiply(K, poly), wts)
+        np.multiply(poly, K, out=poly)
+        np.multiply(poly, wts, out=poly)
         integ = np.sum(poly)
         # the next polynomial's values are made while this one's are held
         del poly

@@ -175,6 +175,8 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
             if side is None:
                 # a component the projector drops changes by all of itself
                 nin = math.sqrt(weighted_sq_sum(u, grid.field_weight_array(sig.n)))
+                if not math.isfinite(nin):
+                    raise UsageError(f"component {J}: the sum of |u|^2 is not finite")
                 nout = res = 0.0
                 rel = 1.0
             else:

@@ -11,7 +11,9 @@ import re
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .core import GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, text_value
+from .core import (
+    GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, norm, text_value,
+)
 from .transform import WavePacketSpec, make_wave_packet
 
 __all__ = ["RunConfig", "parse_flat_config", "decode_text"]
@@ -164,11 +166,18 @@ class RunConfig:
         return LambdaSignature(self.lambdas)
 
     def packet_field(self, i: int) -> ScalarField:
-        """Packet ``i`` (1-based) synthesized on ``grid``; an error names the packet."""
+        """Packet ``i`` (1-based) synthesized on ``grid``; an error names the packet.
+
+        A packet whose norm is not finite (a large ``alpha`` on a wide grid
+        overflows) is refused, naming its ``alpha`` key.
+        """
         try:
-            return make_wave_packet(self.packets[i - 1], self.sig, self.grid)
+            u = make_wave_packet(self.packets[i - 1], self.sig, self.grid)
         except UsageError as exc:
             raise UsageError(f"packet {i}: {exc}") from None
+        if not math.isfinite(norm(u)):
+            raise UsageError(f"config key 'packet.{i}.alpha': the packet's norm overflows")
+        return u
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -215,6 +224,12 @@ class RunConfig:
                         f"config key {key!r}: packet id {pid!r} is not a positive integer"
                     )
                 packet_ids.add(int(pid))
+        gap = next((i for i in range(1, len(packet_ids) + 1) if i not in packet_ids), None)
+        if gap is not None:
+            raise UsageError(
+                f"config lacks keys 'packet.{gap}.*': packet ids run from 1 without gaps, "
+                f"and 'packet.{max(packet_ids)}' is given"
+            )
         packets = tuple(
             packet(pid, given(f"packet.{pid}.", _PACKET_KEYS)) for pid in sorted(packet_ids)
         )

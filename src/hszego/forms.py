@@ -354,17 +354,7 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
 
 def multi_exponents(n: int, max_total: int) -> list[tuple[int, ...]]:
     """All exponent tuples alpha with |alpha| <= max_total, lexicographic."""
-    out = []
-    for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            alpha = []
-            prev = -1
-            for c in cuts:
-                alpha.append(c - prev - 1)
-                prev = c
-            alpha.append(total + n - 2 - prev)
-            out.append(tuple(alpha))
-    return sorted(set(out))
+    return [a for a in itertools.product(range(max_total + 1), repeat=n) if sum(a) <= max_total]
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,7 @@ def _outside_window(window: tuple[float, float], ts, energy) -> np.ndarray:
     """Bins holding more than ``BUDGET_OCCUPANCY`` of ``energy``'s total with |t| outside ``window``."""
     t_floor, t_ceiling = window
     t = np.abs(ts)
-    # written so that a NaN energy counts as significant
-    significant = ~(energy <= BUDGET_OCCUPANCY * float(energy.sum()))
+    significant = energy > BUDGET_OCCUPANCY * float(energy.sum())
     return significant & ((t < t_floor) | (t > t_ceiling))
 
 
@@ -214,17 +213,19 @@ def _bin_sums(by_node: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``by_node`` is a transform as (S, N), one row per spatial node, and
     ``w`` the S spatial weights.  One pass, ``_SCAN_ROWS`` rows at a time:
     a block is squared into a small buffer and one GEMM takes both sums.
+    A square that overflows is inf, silently: the caller refuses the field.
     """
     S, N = by_node.shape
     sums = np.zeros((2, 2 * N))
     ones_w = np.ones((2, min(_SCAN_ROWS, S)))
     sq = np.empty((ones_w.shape[1], 2 * N))
-    for lo in range(0, S, _SCAN_ROWS):
-        f = by_node[lo : lo + _SCAN_ROWS].view(np.float64)
-        k = f.shape[0]
-        np.multiply(f, f, out=sq[:k])
-        ones_w[1, :k] = w[lo : lo + k]
-        sums += ones_w[:, :k] @ sq[:k]
+    with np.errstate(over="ignore"):
+        for lo in range(0, S, _SCAN_ROWS):
+            f = by_node[lo : lo + _SCAN_ROWS].view(np.float64)
+            k = f.shape[0]
+            np.multiply(f, f, out=sq[:k])
+            ones_w[1, :k] = w[lo : lo + k]
+            sums += ones_w[:, :k] @ sq[:k]
     energy, weighted = sums.reshape(2, N, 2).sum(axis=2)
     return energy, weighted
 
@@ -240,7 +241,7 @@ def _pipeline(
     t < 0 (phi_plus); :func:`_side_axes` names the component they serve.
     Only bins whose mirror -t is a bin count: the Nyquist bin -N/2 of an
     even grid is on neither side.  The budget is checked on the |t| of the
-    side's bins.
+    side's bins, after a field whose sum of |u|^2 is not finite is refused.
 
     Returns the projection Pu and, when the component's ``label`` J is
     given, what ``hszego project`` reports of it: the squared sums over bins
@@ -274,6 +275,9 @@ def _pipeline(
     F = np.fft.ifft(values, axis=-1, out=values)
     ts = np.fft.ifftshift(grid.freq_nodes())
     energy, weighted = _bin_sums(F.reshape(-1, N), grid.spatial_weight_array(n).reshape(-1))
+    if not math.isfinite(energy.sum()):
+        where = "field" if label is None else f"component {label}"
+        raise UsageError(f"{where}: the sum of |u|^2 is not finite")
     sel = (side * ts > 0) & (np.abs(ts) <= ts.max())
     window = gaussian_budget_window(grid, sig)
     _check_budget(grid, window, ts, energy, sel)
@@ -493,6 +497,19 @@ def packet_boundary_share(field: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _micro_grid_phase(grid: GridSpec, sig: LambdaSignature, oracle: str):
+    """A dense oracle's flat spatial weights and its phase Q over the spatial node pairs.
+
+    Q is S x S for the grid's S spatial nodes, so the oracles run on
+    micro-grids only; ``oracle`` names the caller in the refusal.
+    """
+    zc = grid.complex_mesh(sig.n).reshape(-1, sig.n)
+    S = zc.shape[0]
+    if S * S > 4_000_000:
+        raise UsageError(f"{oracle} is meant for micro-grids (S^2 too large)")
+    return grid.spatial_weight_array(sig.n).reshape(-1), _kernels.phase_quadratic(zc, sig.lambdas)
+
+
 def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> complex:
     """(projected u | g) evaluated entirely in the frequency domain.
 
@@ -514,12 +531,7 @@ def frequency_pairing(u: ScalarField, g: ScalarField, sig: LambdaSignature) -> c
     keep = [i for i, t in enumerate(ts) if t > 0 and occ[i]]
     if not keep:
         return 0.0 + 0.0j
-    zc = grid.complex_mesh(n).reshape(-1, n)
-    wspat = grid.spatial_weight_array(n).reshape(-1)
-    S = zc.shape[0]
-    if S * S > 4_000_000:
-        raise UsageError("dense pairing oracle is meant for micro-grids (S^2 too large)")
-    Q = _kernels.phase_quadratic(zc, sig.lambdas)
+    wspat, Q = _micro_grid_phase(grid, sig, "dense pairing oracle")
     su = np.stack([fu.values[..., i].reshape(-1) for i in keep])
     sg = np.stack([fg.values[..., i].reshape(-1) for i in keep])
     tk = ts[keep]
@@ -569,12 +581,7 @@ def szego_apply_direct(
     if n != field.n:
         raise UsageError("field dimension does not match signature")
     grid = field.grid
-    zc = grid.complex_mesh(n).reshape(-1, n)
-    wspat = grid.spatial_weight_array(n).reshape(-1)
-    S = zc.shape[0]
-    if S * S > 4_000_000:
-        raise UsageError("direct kernel route is a micro-grid oracle (S^2 too large)")
-    Q = _kernels.phase_quadratic(zc, sig.lambdas)
+    wspat, Q = _micro_grid_phase(grid, sig, "direct kernel route")
     t_max = 2.0 / min(epsilons)
     nyquist = math.pi / grid.vertical_step
     if t_max > nyquist:
@@ -589,6 +596,6 @@ def szego_apply_direct(
     d = xk[None, :] - xk[:, None]
     dwrap = (d + Rv) % (2.0 * Rv) - Rv
     N = grid.vertical_points
-    uw = (field.values.reshape(S, N) * wspat[:, None]) * grid.vertical_step
+    uw = (field.values.reshape(-1, N) * wspat[:, None]) * grid.vertical_step
     out = _kernels.direct_kernel_apply(Q, uw, dwrap, tn, cq)
     return tuple(ScalarField(grid=grid, values=o.reshape(grid.field_shape(n))) for o in out)

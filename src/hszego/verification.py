@@ -128,7 +128,7 @@ def c01_gamma(cfg: RunConfig):
             tn, tw = composite_gauss_legendre(0.0, t_max, npts)
             quad = complex(np.sum(tw * tn**m * np.exp(-s * tn)))
             closed = gamma_moment(m, s)
-            worst = max(worst, abs(quad - closed) / abs(closed))
+            worst = np.maximum(worst, abs(quad - closed) / abs(closed))
     return [_res("C01.gamma", "gamma-moment-identity", worst, tol)]
 
 
@@ -149,7 +149,7 @@ def c02_kernel_fio(cfg: RunConfig):
             for eps in (0.25, 1.0):
                 closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, eps)
                 quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, eps)
-                worst = max(worst, abs(quad - closed) / abs(closed))
+                worst = np.maximum(worst, abs(quad - closed) / abs(closed))
     return [_res("C02.fio", "closed-form-vs-fio-kernel", worst, tol)]
 
 
@@ -169,11 +169,11 @@ def c03_phase(cfg: RunConfig):
         pp = phase_fn(PhaseChoice.PLUS, x, y, sig)
         pm_swap = phase_fn(PhaseChoice.MINUS, y, x, sig)
         scale = 1.0 + abs(pm)
-        worst_ident = max(
-            worst_ident, abs(pp + np.conj(pm)) / scale, abs(pp - pm_swap) / scale
+        worst_ident = np.max(
+            [worst_ident, abs(pp + np.conj(pm)) / scale, abs(pp - pm_swap) / scale]
         )
-        worst_diag = max(worst_diag, abs(phase_fn(PhaseChoice.MINUS, x, x, sig).imag))
-        min_offdiag = min(min_offdiag, pm.imag)
+        worst_diag = np.maximum(worst_diag, abs(phase_fn(PhaseChoice.MINUS, x, x, sig).imag))
+        min_offdiag = np.minimum(min_offdiag, pm.imag)
     return [
         _res("C03a.phase", "phase-conjugate-swap-identities", worst_ident, tol),
         _res("C03b.phase", "phase-imag-zero-on-diagonal", worst_diag, tol),
@@ -198,7 +198,7 @@ def c04_reproducing(cfg: RunConfig):
             for z in zs:
                 lhs, rhs = bergman.gaussian_reproducing_check(polys, z, t, sig, grids[t])
                 for l, r in zip(lhs.tolist(), rhs.tolist()):
-                    worst = max(worst, abs(l - r) / (1.0 + abs(l)))
+                    worst = np.maximum(worst, abs(l - r) / (1.0 + abs(l)))
     return [_res("C04.reproducing", "gaussian-reproducing-identity", worst, tol_scale)]
 
 
@@ -229,22 +229,22 @@ def c05_slices(cfg: RunConfig):
                     mono = mono * zc[..., ax] ** a
                 sl = mono * gauss(t)
                 out = bergman.bergman_project(sl, t, grid, sig)
-                worst_rep = max(worst_rep, rel_norm(out, sl, wspat))
+                worst_rep = np.maximum(worst_rep, rel_norm(out, sl, wspat))
             for alpha in antis:
                 mono = np.ones(zc.shape[:-1], dtype=complex)
                 for ax, a in enumerate(alpha):
                     mono = mono * np.conj(zc[..., ax]) ** a
                 sl = mono * gauss(t)
                 out = bergman.bergman_project(sl, t, grid, sig)
-                worst_ann = max(worst_ann, nrm(out) / nrm(sl))
+                worst_ann = np.maximum(worst_ann, nrm(out) / nrm(sl))
             for _ in range(nrand):
                 # random bumps carry the frequency's Gaussian envelope so the
                 # intermediate coherent tails stay inside the box
                 sl = _random_profile(grid, n, rng) * gauss(t)
                 out = bergman.bergman_project(sl, t, grid, sig)
-                worst_con = max(worst_con, nrm(out) / nrm(sl) - 1.0)
+                worst_con = np.maximum(worst_con, nrm(out) / nrm(sl) - 1.0)
                 out2 = bergman.bergman_project(out, t, grid, sig)
-                worst_idem = max(worst_idem, rel_norm(out2, out, wspat))
+                worst_idem = np.maximum(worst_idem, rel_norm(out2, out, wspat))
     return [
         _res("C05a.slice", "holomorphic-gaussian-reproduction", worst_rep, rep_tol),
         _res("C05b.slice", "antiholomorphic-annihilation", worst_ann, ann_tol),
@@ -266,7 +266,7 @@ def c06_parseval(cfg: RunConfig):
             np.sum(np.abs(freq.values) ** 2 * wspat[..., None]) * grid.freq_step
         )
         rhs = 2.0 * math.pi * norm(u) ** 2
-        worst = max(worst, abs(lhs - rhs) / rhs)
+        worst = np.maximum(worst, abs(lhs - rhs) / rhs)
     return [_res("C06.parseval", "vertical-transform-parseval", worst, tol)]
 
 
@@ -280,7 +280,7 @@ def c07_hardy(cfg: RunConfig):
     for i in range(1, len(cfg.packets) + 1):
         u = cfg.packet_field(i)
         v = transform.scalar_pipeline_project(u, sig)
-        worst = max(worst, rel_norm(v.values, u.values, w))
+        worst = np.maximum(worst, rel_norm(v.values, u.values, w))
     worst_neg = 0.0
     for spec in cfg.packets[:3]:
         mirrored = replace(
@@ -288,7 +288,7 @@ def c07_hardy(cfg: RunConfig):
         )
         u = transform.make_wave_packet(mirrored, sig, grid)
         v = transform.scalar_pipeline_project(u, sig)
-        worst_neg = max(worst_neg, norm(v) / norm(u))
+        worst_neg = np.maximum(worst_neg, norm(v) / norm(u))
     return [
         _res("C07a.hardy", "hardy-packet-reproduction", worst, tol),
         _res("C07b.hardy", "negative-frequency-annihilation", worst_neg, neg_tol),
@@ -319,11 +319,11 @@ def c08_projector_algebra(cfg: RunConfig):
         for k in range(20):
             u = make(random_band_field(grid, 1, rng))
             pu = project(u)
-            worst_idem = max(worst_idem, rel_norm(values(project(pu)), values(pu), w))
+            worst_idem = np.maximum(worst_idem, rel_norm(values(project(pu)), values(pu), w))
             if k >= 10:
                 old, p_old = held.pop(0)
                 gap = abs(pair(p_old, u) - pair(old, pu))
-                worst_sa = max(worst_sa, gap / (size(old) * size(u)))
+                worst_sa = np.maximum(worst_sa, gap / (size(old) * size(u)))
             held.append((u, pu))
         worst += [worst_idem, worst_sa]
     return [
@@ -350,7 +350,7 @@ def c09_routes(cfg: RunConfig):
         g = random_band_field(grid, 1, rng, band=(1.1, 2.3), modes=4)
         pr = transform.frequency_pairing(u, g, sig)
         ip = inner(transform.scalar_pipeline_project(u, sig), g)
-        worst_pair = max(worst_pair, abs(pr - ip) / (norm(u) * norm(g)))
+        worst_pair = np.maximum(worst_pair, abs(pr - ip) / (norm(u) * norm(g)))
     spec = transform.WavePacketSpec(alpha=(1,), t_low=1.1, t_high=2.3, order=4)
     u = transform.make_wave_packet(spec, sig, grid)
     vp = transform.scalar_pipeline_project(u, sig)
@@ -397,10 +397,10 @@ def c10_forms(cfg: RunConfig):
         zeros = [f for K, f in out.iter_components() if K != J]
         if J.q == 1:
             zeros += forms.szego_project_form(u, LambdaSignature((1.0, 1.0))).components.values()
-        cross = max([cross] + [norm(f) for f in zeros])
+        cross = np.max([cross] + [norm(f) for f in zeros])
         del p, u, out
     return [
-        _res("C10a.forms", "mixed-signature-q1-reproduction", max(rep[:2]), tol),
+        _res("C10a.forms", "mixed-signature-q1-reproduction", np.max(rep[:2]), tol),
         _res("C10b.forms", "cross-component-annihilation", cross, 0.0, "<="),
         _res("C10c.forms", "all-negative-q2-reproduction", rep[2], tol),
         _res("C10d.forms", "all-negative-q0-reproduction", rep[3], tol),
@@ -454,7 +454,7 @@ def c11_vanishing(cfg: RunConfig):
                         if key not in quad:
                             quad[key] = bergman.divergence_witness(e.alpha, c, radii)
                         vals = quad[key]
-                        min_ratio = min(min_ratio, float(vals[-1] / vals[0]))
+                        min_ratio = np.minimum(min_ratio, float(vals[-1] / vals[0]))
                     elif n <= 2 or sum(e.alpha) <= 1:
                         key = (e.alpha, tuple(c), 8.0, 96)
                         if key not in quad:
@@ -462,7 +462,7 @@ def c11_vanishing(cfg: RunConfig):
                                 e.alpha, c, 8.0, points=96
                             )
                         approx = quad[key]
-                        worst_fin = max(worst_fin, abs(approx - e.value) / e.value)
+                        worst_fin = np.maximum(worst_fin, abs(approx - e.value) / e.value)
     return [
         _res("C11a.vanish", "classifier-infinite-completeness", finite_violations, 0.0, "<="),
         _res("C11b.vanish", "divergence-witness-growth-ratio", min_ratio, wit_tol, ">="),
@@ -501,9 +501,9 @@ def c12_residual_orders(cfg: RunConfig):
     rn = forms.cr_system_residual(noise, J0, sig) / norm(noise)
     margin = rn / res_packet[-1]
     return [
-        _res("C12a.residual", "packet-residual-order", min(orders_packet), order_tol, ">=",
+        _res("C12a.residual", "packet-residual-order", np.min(orders_packet), order_tol, ">=",
              detail=f"orders {orders_packet[0]:.3f}, {orders_packet[1]:.3f}"),
-        _res("C12b.residual", "projected-residual-order", min(orders_proj), order_tol, ">=",
+        _res("C12b.residual", "projected-residual-order", np.min(orders_proj), order_tol, ">=",
              detail=f"orders {orders_proj[0]:.3f}, {orders_proj[1]:.3f}"),
         _res("C12c.residual", "noise-control-margin", margin, margin_tol, ">="),
     ]

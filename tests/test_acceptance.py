@@ -4,10 +4,14 @@ The suite runs once (module-scoped); each test prints its criterion's
 pass/fail line and asserts it.  The same criteria back ``hszego verify``.
 """
 
+import math
+
+import numpy as np
 import pytest
 
+from hszego import transform
 from hszego.config import RunConfig
-from hszego.verification import run_verification
+from hszego.verification import report_text, run_verification
 
 EXPECTED_IDS = [
     "C00.preflight",
@@ -116,3 +120,25 @@ def test_sector_criterion_on_threads_matches_the_serial_gate(results):
     assert [r.cid for r in threaded] == [c for c in EXPECTED_IDS if c[:3] in ("C05", "C08")]
     for r in threaded:
         assert (r.measured, r.passed) == (results[r.cid].measured, results[r.cid].passed), r.cid
+
+
+def test_a_nan_after_finite_values_fails_its_line(monkeypatch):
+    # the first of C06's transforms carries one NaN bin; the later, finite
+    # ones must not hide it: the line measures NaN and fails
+    forward = transform.partial_ft
+    calls = []
+
+    def one_nan_bin(u):
+        f = forward(u)
+        calls.append(u.n)
+        if len(calls) > 1:
+            return f
+        values = f.values.copy()
+        values.flat[0] = math.nan
+        return transform.FrequencyField(grid=f.grid, values=values)
+
+    monkeypatch.setattr(transform, "partial_ft", one_nan_bin)
+    (r,) = run_verification(RunConfig(), include=["C06"], jobs=1)
+    assert len(calls) == 20 and np.isnan(r.measured) and not r.passed
+    line = report_text([r], RunConfig()).splitlines()[2]
+    assert "measured=nan " in line and line.endswith(" FAIL")

@@ -121,12 +121,13 @@ def test_reproducing_check_batch_matches_single(sig, grid, z):
 
 
 def _ref_eval_poly(coeffs, pts):
+    # each product in the term's buffer, the power the left factor
     out = np.zeros(pts.shape[:-1], dtype=complex)
     for alpha, c in coeffs.items():
         term = np.full(pts.shape[:-1], complex(c))
         for ax, a in enumerate(alpha):
             if a:
-                term = term * pts[..., ax] ** a
+                np.multiply(pts[..., ax] ** a, term, out=term)
         out += term
     return out
 
@@ -149,7 +150,8 @@ def _mesh_kernel(z, t, sig, grid):
 
 def _ref_reproducing_check(polys, z, t, sig, grid):
     # the check on the whole complex mesh, with the polynomials evaluated
-    # over it: the values the blocked evaluation must reproduce bit for bit
+    # over it and each product an explicit in-place one: the values the
+    # blocked evaluation must reproduce bit for bit
     n = sig.n
     z = np.asarray(z, dtype=complex)
     W, K, damp = _mesh_kernel(z, t, sig, grid)
@@ -157,94 +159,44 @@ def _ref_reproducing_check(polys, z, t, sig, grid):
     lhs, rhs = [], []
     for g_coeffs in polys:
         lhs.append(complex(damp * _ref_eval_poly(g_coeffs, z[None, :])[0]))
-        integ = np.sum(K * _ref_eval_poly(g_coeffs, W) * wts)
-        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
+        poly = _ref_eval_poly(g_coeffs, W)
+        np.multiply(poly, K, out=poly)
+        np.multiply(poly, wts, out=poly)
+        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * np.sum(poly)))
     return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 
 
-# C04's two cases: a signature, its grid at each t, its exponents and its points
-_C04_CASES = [
-    (SIG1, lambda t: GridSpec(6.5 / math.sqrt(t), 41, 1.0, 4), 1,
-     [np.array([0.0j]), np.array([0.7 - 0.4j])]),
-    (LambdaSignature((1.0, 1.0)), lambda t: GridSpec(6.5 / math.sqrt(2 * t), 25, 1.0, 4), 2,
-     [np.zeros(2, complex), np.array([0.5 - 0.3j, -0.4 + 0.6j])]),
-]
-
-
-@pytest.mark.parametrize("case", range(len(_C04_CASES)), ids=["n1", "n2"])
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-def test_reproducing_check_matches_the_mesh_evaluation_exactly(case, t):
-    sig, grid_at, n, zs = _C04_CASES[case]
+def _c04_polys(n):
     # C04's monomials, and one polynomial whose terms are added up
     polys = [{alpha: 1.0 + 0.0j} for alpha in multi_exponents(n, 4)]
-    polys.append({(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0, (2,) + (0,) * (n - 1): -0.25j})
+    return polys + [{(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0, (2,) + (0,) * (n - 1): -0.25j}]
+
+
+@pytest.mark.parametrize(
+    "sig, grid, t, polys, zs",
+    [
+        # C04's two cases at each of its t
+        pytest.param(SIG1, GridSpec(6.5 / math.sqrt(t), 41, 1.0, 4), t, _c04_polys(1),
+                     [np.array([0.0j]), np.array([0.7 - 0.4j])], id=f"{t}-n1")
+        for t in (0.5, 1.0, 2.0)
+    ] + [
+        pytest.param(LambdaSignature((1.0, 1.0)), GridSpec(6.5 / math.sqrt(2 * t), 25, 1.0, 4), t,
+                     _c04_polys(2), [np.zeros(2, complex), np.array([0.5 - 0.3j, -0.4 + 0.6j])],
+                     id=f"{t}-n2")
+        for t in (0.5, 1.0, 2.0)
+    ] + [
+        # a mixed signature and polynomials of several terms, on an odd and an even grid
+        pytest.param(LambdaSignature((1.0, 0.6)), GridSpec(4.0, m, 1.0, 4), 1.3,
+                     [{(1, 2): 0.3 + 0.1j}, {(2, 1): 1.0, (0, 3): -0.5j}],
+                     [np.array([0.5 - 0.3j, -0.4j])], id=f"1.3-m{m}")
+        for m in (11, 12)
+    ],
+)
+def test_reproducing_check_matches_the_mesh_evaluation_exactly(sig, grid, t, polys, zs):
     for z in zs:
-        lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid_at(t))
-        want_lhs, want_rhs = _ref_reproducing_check(polys, z, t, sig, grid_at(t))
-        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
-
-
-def _times_fresh(a, b, left):
-    """``a * b`` with one fresh complex temporary factor (``a`` when
-    ``left``), with explicit outputs: from 256 KiB up in the temporary's
-    buffer, a fresh right factor taken first; below, into a new array."""
-    temp = a if left else b
-    if temp.nbytes < 256 * 1024:
-        return np.multiply(a, b, out=np.empty_like(temp))
-    return np.multiply(a, b, out=a) if left else np.multiply(b, a, out=b)
-
-
-def _explicit_reproducing_check(polys, z, t, sig, grid):
-    # _ref_reproducing_check with each product an explicit np.multiply, so
-    # that the reference does not rest on numpy eliding a temporary either
-    n = sig.n
-    z = np.asarray(z, dtype=complex)
-    W, K, damp = _mesh_kernel(z, t, sig, grid)
-    wts = grid.spatial_weight_array(n)
-
-    def poly(coeffs, pts):
-        out = np.zeros(pts.shape[:-1], dtype=complex)
-        for alpha, c in coeffs.items():
-            term = np.full(pts.shape[:-1], complex(c))
-            for ax, a in enumerate(alpha):
-                if a:
-                    term = _times_fresh(term, pts[..., ax] ** a, left=False)
-            out += term
-        return out
-
-    lhs, rhs = [], []
-    for g_coeffs in polys:
-        lhs.append(complex(damp * poly(g_coeffs, z[None, :])[0]))
-        kp = _times_fresh(K, poly(g_coeffs, W), left=False)
-        integ = np.sum(_times_fresh(kp, wts, left=True))
-        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
-    return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
-
-
-@pytest.mark.parametrize("case", range(len(_C04_CASES)), ids=["n1", "n2"])
-def test_reproducing_check_matches_explicit_products_exactly(case):
-    # C04's grids: n = 1 under numpy's in-place size, n = 2 over it
-    sig, grid_at, n, zs = _C04_CASES[case]
-    polys = [{alpha: 1.0 + 0.0j} for alpha in multi_exponents(n, 4)]
-    polys.append({(0,) * n: 0.5 - 1.0j, (1,) * n: 2.0, (2,) + (0,) * (n - 1): -0.25j})
-    for t in (0.5, 1.0, 2.0):
-        for z in zs:
-            lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid_at(t))
-            want_lhs, want_rhs = _explicit_reproducing_check(polys, z, t, sig, grid_at(t))
-            assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs), (t, z)
-
-
-@pytest.mark.parametrize("m", [11, 12])
-def test_reproducing_check_exact_on_both_sides_of_numpy_in_place_size(m):
-    # an n = 2 mesh of 11^4 complex values is under numpy's 256 KiB in-place
-    # size and one of 12^4 is over it: the factor order follows
-    sig = LambdaSignature((1.0, 0.6))
-    grid = GridSpec(4.0, m, 1.0, 4)
-    polys = [{(1, 2): 0.3 + 0.1j}, {(2, 1): 1.0, (0, 3): -0.5j}]
-    z = np.array([0.5 - 0.3j, -0.4j])
-    got = gaussian_reproducing_check(polys, z, 1.3, sig, grid)
-    want = _ref_reproducing_check(polys, z, 1.3, sig, grid)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid)
+        want_lhs, want_rhs = _ref_reproducing_check(polys, z, t, sig, grid)
+        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs), z
 
 
 # ---------------------------------------------------------------------------

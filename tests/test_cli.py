@@ -622,14 +622,19 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
          "'packet.1.alpha': needs one entry per lambda"),
         ("packet.1.alpha = 0\npacket.1.t_low = 1.0\npacket.1.t_high = 2.0\n"
          "packet.1.conjugated_axes = 5", "'packet.1.conjugated_axes'"),
+        ("packet.1.alpha = 0\npacket.1.t_low = 1.0\npacket.1.t_high = 2.0\n"
+         "packet.3.alpha = 0\npacket.3.t_low = 1.0\npacket.3.t_high = 2.0", "'packet.2.*'"),
+        ("packet.1.alpha = 400\npacket.1.t_low = 1.0\npacket.1.t_high = 3.2",
+         "'packet.1.alpha': the packet's norm overflows"),
     ],
     ids=["t_low-only", "no-t_high", "empty-envelope", "negative-alpha", "infinite-t_high",
-         "alpha-length", "axis-above-n"],
+         "alpha-length", "axis-above-n", "id-gap", "overflowing-energy"],
 )
 def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message):
     p = tmp_path / "packet.cfg"
     p.write_text(text + "\n")
-    assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
+    # C00 synthesizes each packet: one whose norm overflows is refused there
+    assert main(["verify", "--config", str(p), "--criteria", "C00"]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -678,6 +683,8 @@ def _first_row(text):
         ("huge-n", "field file header 'n': dimension 9999999999999999999999999 is above 31"),
         ("subnormal-radius", "field file header 'grid.spatial_radius': radius 1e-320 is below"),
         ("unaddressable-grid", "field file header 'grid.spatial_points' and 'grid.vertical_points'"),
+        ("nan-value", "component (): the sum of |u|^2 is not finite"),
+        ("huge-value", "component (): the sum of |u|^2 is not finite"),
     ],
 )
 def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
@@ -733,12 +740,35 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e-320\n")
     elif case == "unaddressable-grid":
         text = text.replace("grid.vertical_points = 4\n", f"grid.vertical_points = {'9' * 25}\n")
+    elif case in ("nan-value", "huge-value"):
+        # a binary payload with a value that is not finite, or whose square is not
+        form = read_form(path)
+        u = form.components[MultiIndex(())].values.copy()
+        u.flat[7] = np.nan if case == "nan-value" else 1e200
+        comp = ScalarField(grid=form.grid, values=u)
+        write_form(path, FormField(grid=form.grid, q=0, components={MultiIndex(()): comp}))
+        text = path.read_bytes().decode("latin-1")
     # latin-1 writes each character as one byte: "\xff" stays a byte that is not UTF-8
     path.write_bytes(text.encode("latin-1"))
     assert main(["project", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message.format(row=row, row2=row + 1, path=str(path)) in err
+
+
+def test_dropped_component_that_is_not_finite_exits_2(tmp_path, capsys):
+    # q = 1 is neither n_minus = 0 nor n_plus = 2 at lambdas (1, 1): the
+    # component is dropped, and its spatial norm is what finds the NaN
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambdas = 1.0, 1.0\n")
+    grid = GridSpec(2.0, 3, 3.0, 4)
+    u = np.ones(grid.field_shape(2), dtype=complex)
+    u.flat[7] = np.nan
+    J = MultiIndex((1,))
+    path = tmp_path / "dropped.field"
+    write_form(path, FormField(grid=grid, q=1, components={J: ScalarField(grid=grid, values=u)}))
+    assert main(["project", "--config", str(cfg), "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: component (1): the sum of |u|^2 is not finite\n"
 
 
 # -- one component at a time: the header's n, an atomic --out, short reads ----

@@ -99,9 +99,9 @@ def test_canonical_text_reads_back_unchanged():
 def test_packet_ids_order_as_integers():
     text = "".join(
         f"packet.{i}.alpha = 0\npacket.{i}.t_low = 1.0\npacket.{i}.t_high = {1.0 + i}\n"
-        for i in (11, 2, 10, 1, 9)
+        for i in (11, 2, 10, 1, 9, 3, 4, 5, 6, 7, 8)
     )
     cfg = RunConfig.from_text(text)
-    assert [p.t_high for p in cfg.packets] == [2.0, 3.0, 10.0, 11.0, 12.0]
-    # the canonical text numbers the packets 1..k in that order
-    assert "packet.5.t_high = 12.0" in cfg.canonical_text()
+    # ids 1..11 without a gap, in integer order (as text, 10 would come before 2)
+    assert [p.t_high for p in cfg.packets] == [1.0 + i for i in range(1, 12)]
+    assert "packet.11.t_high = 12.0" in cfg.canonical_text()

@@ -291,3 +291,18 @@ def test_transform_leaves_the_slice_step_to_kernels_and_the_stencil_to_forms():
     sector = {"to_sectors", "apply_sectors", "from_sectors", "sector_sq", "sector_weights"}
     assert names & sector == set()
     assert private == {"_slab_cr_sq"}
+
+
+def test_gate_takes_worst_values_without_builtin_max_or_min():
+    # builtin max and min drop a NaN that comes after a finite value, so a
+    # criterion's worst value is folded with numpy's, which keep it; the one
+    # builtin call left is C01's quadrature node count, an int
+    tree = ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))
+    calls = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("max", "min")):
+                    calls.append((fn.name, node.func.id, ast.unparse(node.args[0])))
+    assert calls == [("c01_gamma", "max", "256")]
