@@ -181,9 +181,10 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
                 rel = 1.0
             else:
                 # every number of the line comes from the projected bins of
-                # this one pass, by Parseval; Pu overwrites u
+                # this one pass, by Parseval; Pu is made in space, over u,
+                # only to be written
                 pu, in_j, norm_j, change_j, cr_j, gap_j, window_j = transform._pipeline(
-                    grid, u, sig, side, J
+                    grid, u, sig, side, J, want_pu=dst is not None
                 )
                 gap_sq += gap_j
                 norm_sq += norm_j
@@ -196,7 +197,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
                 f"component {J}: norm_in={nin:.6e} norm_out={nout:.6e} "
                 f"rel_change={change} cr_residual={res:.6e}"
             )
-            if pu is not None and dst is not None:
+            if pu is not None:
                 dst.write(pu.values)
             del u, pu
         if window is not None:

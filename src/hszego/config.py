@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -160,6 +161,16 @@ class RunConfig:
                 "config key 'kernel_table.diag_eps': every entry must be finite and > 0, "
                 f"got {self.kernel_table_diag_eps}"
             )
+        # a diagonal row of kernel-table is c0 n! eps^-(n+1): the power
+        # eps^(n+1) must be a normal float, or it has no finite reciprocal
+        # (underflow) or no nonzero one (overflow)
+        n = len(self.lambdas)
+        for eps in self.kernel_table_diag_eps:
+            if not sys.float_info.min <= math.prod([eps] * (n + 1)) <= sys.float_info.max:
+                raise UsageError(
+                    f"config key 'kernel_table.diag_eps': entry {eps!r} is out of range for "
+                    f"the diagonal kernel eps^-{n + 1} at n={n}"
+                )
 
     @property
     def sig(self) -> LambdaSignature:
@@ -240,7 +251,7 @@ class RunConfig:
             raise UsageError(f"unknown config keys: {sorted(flat)}")
         cfg = cls(**kwargs)
         n = len(cfg.lambdas)
-        cfg.grid.require_addressable(n, "config keys")
+        cfg.grid.require_representable(n, "config keys")
         # packets given by keys must fit the lambdas, unless they are the defaults:
         # n=1 packets that other lambdas leave unused and canonical_text writes as keys
         for pid, spec in zip(sorted(packet_ids), () if packets == _default_packets() else packets):

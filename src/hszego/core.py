@@ -322,17 +322,26 @@ class GridSpec:
             f"{prefix}.{name} = {text_value(getattr(self, name))}" for name, _ in self.TEXT_KEYS
         ]
 
-    def require_addressable(self, n: int, where: str) -> None:
-        """Raise :class:`UsageError` when a dimension-n field has more bytes than numpy addresses.
+    def require_representable(self, n: int, where: str) -> None:
+        """Raise :class:`UsageError` when a dimension-n field on this grid cannot be held.
 
+        Either the field has more bytes than numpy addresses, or its largest
+        spatial quadrature weight, 2^n h^(2n) for the spatial step h, is not
+        a finite float (as :meth:`spatial_weight_array` multiplies it out).
         ``where`` names the text that set the grid (``config keys``,
-        ``field file header``); the message names its two point counts.
+        ``field file header``); the message names the keys behind the value.
         """
         m, N = self.spatial_points, self.vertical_points
         if 16 * m ** (2 * n) * N > np.iinfo(np.intp).max:
             raise UsageError(
                 f"{where} 'grid.spatial_points' and 'grid.vertical_points': a field of "
                 f"{m}^{2 * n} x {N} points has more bytes than numpy can address"
+            )
+        h = float(self.spatial_axis_weights().max())
+        if not math.isfinite(math.prod([2.0**n] + [h] * (2 * n))):
+            raise UsageError(
+                f"{where} 'grid.spatial_radius' and 'grid.spatial_points': the spatial step "
+                f"{h:.6g} makes the quadrature weights of a dimension-{n} field overflow"
             )
 
     def spatial_shape(self, n: int) -> tuple[int, ...]:

@@ -229,7 +229,7 @@ class FieldReader:
         self.grid = GridSpec(
             **{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys}
         )
-        self.grid.require_addressable(n, "field file header")
+        self.grid.require_representable(n, "field file header")
         self._shape = self.grid.field_shape(n)
         count = math.prod(self._shape)
         self._start = fh.tell()

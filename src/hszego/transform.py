@@ -182,7 +182,7 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
             "signatures are handled by the form-level projector"
         )
-    return _pipeline(field.grid, field.values.copy(), sig, 1, None)[0]
+    return _pipeline(field.grid, field.values.copy(), sig, 1, None, want_pu=True)[0]
 
 
 def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
@@ -231,9 +231,10 @@ def _bin_sums(by_node: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _pipeline(
-    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int, label: MultiIndex | None
-) -> tuple[ScalarField, float, float, float, float, float, tuple[float, float] | None]:
-    """Project the occupied bins of one sign with the signed slice kernel; zero the rest.
+    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int,
+    label: MultiIndex | None, *, want_pu: bool,
+) -> tuple[ScalarField | None, float, float, float, float, float, tuple[float, float] | None]:
+    """Project the occupied bins of one sign with the signed slice kernel; with ``want_pu`` zero the rest.
 
     ``values`` are a field's samples on ``grid``, in an array the caller
     hands over: the projection is made in its buffer, and Pu comes back in
@@ -243,17 +244,17 @@ def _pipeline(
     even grid is on neither side.  The budget is checked on the |t| of the
     side's bins, after a field whose sum of |u|^2 is not finite is refused.
 
-    Returns the projection Pu and, when the component's ``label`` J is
-    given, what ``hszego project`` reports of it: the squared sums over bins
-    of spatially weighted slice norms ||u||^2, ||Pu||^2, ||Pu - u||^2, the
+    Returns the projection Pu, or None unless ``want_pu``, and, when the
+    component's ``label`` J is given, what ``hszego project`` reports of
+    it: the squared sums over bins of spatially weighted slice norms
+    ||u||^2, ||Pu||^2, ||Pu - u||^2, the
     CR residual of Pu (:func:`forms.cr_system_residual`) and
     ||P(Pu) - Pu||^2, and the budget window (t_floor, t_ceiling) when a bin
     holding more than ``BUDGET_OCCUPANCY`` of Pu's energy lies outside it.
     Without a label every sum is 0.0 and the window None.  On the periodic
     grid Parseval holds to roundoff: a sum times dt / (2 pi) is the squared
     weighted norm of its field, and the ratio of two sums is the squared
-    relative distance.  ||u||^2 is taken over every bin before any is
-    zeroed.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
+    relative distance.  ||u||^2 is taken over every bin.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
     each other projected bin counts its whole energy in the gap, and no
     budget is checked on Pu.  Pu - u is P s_t - s_t on the projected bins
     and -s_t on every other bin.
@@ -263,10 +264,12 @@ def _pipeline(
     so each bin holds the transform's slice over (N dx) times a unit phase.
     That scalar commutes with the bin's projector and the inverse FFT undoes
     it ((N dx) dt / (2 pi) = 1), so only the squared sums are scaled, by
-    (N dx)^2.  Beside the two FFTs, the field is passed over once to take
-    each bin's energy and weighted energy (:func:`_bin_sums`) and once to
-    zero the bins not projected; the projected bins are moved a slab at a
-    time (:func:`_project_bins`).  The budget window is found once.
+    (N dx)^2.  Beside the forward FFT, the field is passed over once to
+    take each bin's energy and weighted energy (:func:`_bin_sums`), and the
+    projected bins are gathered a slab at a time (:func:`_project_bins`).
+    Only when Pu is wanted are the slabs written back, the bins not
+    projected zeroed in one pass and the inverse FFT run; without it the
+    buffer keeps the forward transform.  The budget window is found once.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
@@ -284,11 +287,14 @@ def _pipeline(
     keep = np.flatnonzero(sel & _occupied(energy))
     dropped = np.ones(N, dtype=bool)
     dropped[keep] = False
-    # a masked copy walks F in memory order: an index assignment on the bin
-    # axis is ~3x slower
-    np.copyto(F, 0, where=dropped)
-    energy_pu, norms, changes, gaps, cr = _project_bins(grid, F.reshape(-1, N), ts, keep, sig, label)
-    pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F))
+    if want_pu:
+        # a masked copy walks F in memory order: an index assignment on the
+        # bin axis is ~3x slower
+        np.copyto(F, 0, where=dropped)
+    energy_pu, norms, changes, gaps, cr = _project_bins(
+        grid, F.reshape(-1, N), ts, keep, sig, label, want_pu
+    )
+    pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F)) if want_pu else None
     if label is None:
         return pu, 0.0, 0.0, 0.0, 0.0, 0.0, None
     again = _occupied(energy_pu)
@@ -305,16 +311,17 @@ def _pipeline(
 
 
 def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.ndarray,
-                  sig: LambdaSignature, label: MultiIndex | None):
-    """Project the slices at the FFT positions ``keep`` of a transform, in place, a slab at a time.
+                  sig: LambdaSignature, label: MultiIndex | None, write_back: bool):
+    """Project the slices at the FFT positions ``keep`` of a transform, a slab at a time.
 
     ``by_node`` is the transform as (S, N), one row per spatial node.  The
     kept bins are copied into a slab eight at a time, ``_GATHER_NODES``
     rows at a time: a run of consecutive positions by a transposing copy of
     its columns, any other set by an index gather (~1.5x slower, gather and
     scatter together).  Each slice is projected in its slab row by
-    :func:`_kernels.project_slice` with its bin's operator, built once, and
-    the slab is written back the same way, whole.
+    :func:`_kernels.project_slice` with its bin's operator, built once.
+    With ``write_back`` the slab is written back the same way, whole, so
+    the projection is made in place; without it ``by_node`` is only read.
 
     Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
     ||P s_t - s_t||^2 and ||P(P s_t) - P s_t||^2 (spatially weighted), and
@@ -355,7 +362,8 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
             f = rows.view(np.float64)
             energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
             del f
-        by_node[:, run] = rows.T
+        if write_back:
+            by_node[:, run] = rows.T
         # nothing of this slab may outlive it: the next slab is gathered
         # while whatever is still referenced here is held
         del slab, rows

@@ -292,21 +292,60 @@ def _count_ffts(monkeypatch):
 
 
 def test_project_transforms_once(config_path, tmp_path, monkeypatch, capsys):
-    # one forward and one inverse vertical FFT per projected component: the
-    # idempotency gap comes from the one projection pass, and a second pass
-    # would transform the field again
+    # one forward vertical FFT per projected component, and one inverse FFT
+    # only when --out asks for Pu: every number of the report comes from the
+    # one projection pass, and a report-only run makes no Pu in space
     field_path = tmp_path / "packet.field"
     assert main(["make-packet", "--config", config_path, "--out", str(field_path)]) == 0
-    calls = _count_ffts(monkeypatch)
-    assert main(["project", "--config", config_path, "--in", str(field_path)]) == 0
-    assert calls == {"forward": 1, "inverse": 1}
     # both components of a mixed q=1 form are projected, each on its own side
-    path, cfg = _mixed_tone_form(tmp_path)
+    mixed, cfg = _mixed_tone_form(tmp_path)
+    calls = _count_ffts(monkeypatch)
+    for args, comps in (([config_path, "--in", str(field_path)], 1),
+                        ([str(cfg), "--in", str(mixed)], 2)):
+        for out in ([], ["--out", str(tmp_path / "pu.field")]):
+            capsys.readouterr()
+            calls.update(forward=0, inverse=0)
+            assert main(["project", "--config", *args, *out]) == 0
+            assert calls == {"forward": comps, "inverse": comps if out else 0}
+            assert capsys.readouterr().out.count("norm_out=") == comps
+
+
+@pytest.mark.parametrize("case", ["default-packet", "mixed-q1"])
+def test_project_out_adds_only_the_spatial_pu(tmp_path, monkeypatch, capsys, case):
+    # --out prints the report bytes a report-only run prints and writes the
+    # Pu of szego_project_form bit for bit; a report-only run leaves each
+    # component's buffer holding its forward transform: no slab is written
+    # back into it and no bin zeroed
+    if case == "default-packet":
+        path, args = tmp_path / "packet.field", []
+        assert main(["make-packet", "--out", str(path)]) == 0
+    else:
+        path, cfg = _mixed_tone_form(tmp_path)
+        args = ["--config", str(cfg)]
+    sig = (RunConfig.from_path(args[1]) if args else RunConfig()).sig
+    form = read_form(path)
+    buffers = []
+    read = fieldio.FieldReader.read
+
+    def kept_read(self, J):
+        values = read(self, J)
+        buffers.append((values, values.copy()))
+        return values
+
+    monkeypatch.setattr(fieldio.FieldReader, "read", kept_read)
     capsys.readouterr()
-    calls.update(forward=0, inverse=0)
-    assert main(["project", "--config", str(cfg), "--in", str(path)]) == 0
-    assert calls == {"forward": 2, "inverse": 2}
-    assert capsys.readouterr().out.count("norm_out=") == 2
+    assert main(["project", *args, "--in", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert len(buffers) == len(form.components)
+    for values, before in buffers:
+        np.fft.ifft(before, axis=-1, out=before)
+        assert values.tobytes() == before.tobytes()
+    out = tmp_path / "out.field"
+    assert main(["project", *args, "--in", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == report
+    ref = tmp_path / "ref.field"
+    write_form(ref, szego_project_form(form, sig), n=sig.n)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def _mixed_tone_form(tmp_path):
@@ -398,7 +437,9 @@ def test_report_numbers_of_the_one_pass_match_the_spatial_definitions(tmp_path, 
                         lambda t, *consts: gathers.append(t) or slice_operator(t, *consts))
     for name, grid, sig, J, side, values in _report_cases(tmp_path):
         gathers.clear()
-        pu, in_sq, out_sq, _, cr_sq, _, _ = transform._pipeline(grid, values.copy(), sig, side, J)
+        pu, in_sq, out_sq, _, cr_sq, _, _ = transform._pipeline(
+            grid, values.copy(), sig, side, J, want_pu=True
+        )
         c = grid.freq_step / (2 * np.pi)
         w = grid.field_weight_array(sig.n)
         want_in = weighted_sq_sum(values, w)
@@ -596,7 +637,12 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      # take with an underscore; none of them is allocated
      ("grid.spatial_radius = 1e-320", "grid.spatial_radius"),
      ("grid.vertical_points = 9999999999999999999999999", "grid.vertical_points"),
-     ("grid.spatial_points = 1_000", "grid.spatial_points")],
+     ("grid.spatial_points = 1_000", "grid.spatial_points"),
+     # a diagonal kernel eps^-(n+1) whose power underflows, and a radius whose
+     # quadrature weights 2 h^2 overflow
+     ("kernel_table.diag_eps = 1e-170", "kernel_table.diag_eps"),
+     ("kernel_table.diag_eps = 0.5, 1e-320", "kernel_table.diag_eps"),
+     ("grid.spatial_radius = 1e160", "grid.spatial_radius")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -604,7 +650,9 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     # that is not UTF-8; the file is then named instead of a key
     p.write_bytes(f"{line}\n".encode("latin-1"))
     assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
-    assert repr(key.format(path=str(p))) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(key.format(path=str(p))) in err
 
 
 @pytest.mark.parametrize(
@@ -682,6 +730,7 @@ def _first_row(text):
         ("non-utf8-csv", "field file {path!r}: line {row} is not UTF-8 text"),
         ("huge-n", "field file header 'n': dimension 9999999999999999999999999 is above 31"),
         ("subnormal-radius", "field file header 'grid.spatial_radius': radius 1e-320 is below"),
+        ("overflowing-weights", "field file header 'grid.spatial_radius' and 'grid.spatial_points'"),
         ("unaddressable-grid", "field file header 'grid.spatial_points' and 'grid.vertical_points'"),
         ("nan-value", "component (): the sum of |u|^2 is not finite"),
         ("huge-value", "component (): the sum of |u|^2 is not finite"),
@@ -738,6 +787,8 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("n = 1\n", "n = 9999999999999999999999999\n")
     elif case == "subnormal-radius":
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e-320\n")
+    elif case == "overflowing-weights":
+        text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e160\n")
     elif case == "unaddressable-grid":
         text = text.replace("grid.vertical_points = 4\n", f"grid.vertical_points = {'9' * 25}\n")
     elif case in ("nan-value", "huge-value"):

@@ -90,7 +90,7 @@ def test_pipeline_peak_bounded(component, label, monkeypatch):
     monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
     values = component.values.copy()
     share = _peak_share(
-        lambda: transform._pipeline(GRID, values, SIG.abs(), 1, label),
+        lambda: transform._pipeline(GRID, values, SIG.abs(), 1, label, want_pu=True),
         component.values.nbytes,
     )
     assert share < 0.6
@@ -109,7 +109,7 @@ def test_grid2_pipeline_holds_a_slab_and_three_sector_slices():
         alpha=(1, 0), t_low=0.96, t_high=2.164, conjugated_axes=(1,), order=6
     )
     values = transform.make_wave_packet(spec, SIG, grid).values.copy()
-    peak = _traced_peak(lambda: transform._pipeline(grid, values, SIG, 1, J))
+    peak = _traced_peak(lambda: transform._pipeline(grid, values, SIG, 1, J, want_pu=True))
     assert peak < 21.5e6
 
 
@@ -136,7 +136,7 @@ def in_window_component():
 
 def test_pipeline_projects_in_the_buffer_it_is_handed(in_window_component):
     values = in_window_component.values.copy()
-    pu = transform._pipeline(GRID, values, SIG.abs(), 1, MultiIndex(()))[0]
+    pu = transform._pipeline(GRID, values, SIG.abs(), 1, MultiIndex(()), want_pu=True)[0]
     assert np.shares_memory(pu.values, values)
     assert np.linalg.norm(pu.values) > 0.01 * np.linalg.norm(in_window_component.values)
 
@@ -242,13 +242,14 @@ def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
     sides = []
     pipeline = transform._pipeline
     monkeypatch.setattr(
-        transform, "_pipeline", lambda *args: sides.append(args[3]) or pipeline(*args)
+        transform, "_pipeline",
+        lambda *args, want_pu: sides.append((args[3], want_pu)) or pipeline(*args, want_pu=want_pu),
     )
     monkeypatch.setattr(RunConfig, "grid2", GridSpec(3.5, 17, 30.0, 64))
     cfg = RunConfig()
     nbytes = 16 * np.prod(cfg.grid2.field_shape(2))
     assert _peak_share(lambda: c10_forms(cfg), nbytes) < 3.0
-    assert sides == [1, -1, 1, -1]
+    assert sides == [(1, True), (-1, True), (1, True), (-1, True)]
 
 
 def _fresh_gate_peaks(*criteria):
