@@ -3,12 +3,15 @@
 A frequency slice's projector is built once by :func:`slice_operator` and
 applied by :func:`project_slice`, which projects one slice in place and, for
 the scalar pipeline's report, applies the operator again to P s_t and takes
-the norms.  For n = 1 the operator is two factors per axis, contracted on
-the slice.  For n >= 2 it is two real blocks per axis in the parity-sector
-basis: the slice moves there once (:func:`to_sectors`), the blocks act
-there (:func:`apply_sectors`), the norms are taken there
-(:func:`sector_sq`) and P s_t moves back once (:func:`from_sectors`).
-:func:`project_slices` builds and applies one operator per slice.
+the norms.  Each axis' kernel splits into two m x m factors along its real
+coordinates (:func:`axis_projector_exp`).  For n = 1 the slice is contracted
+with them directly, through one real GEMM per application.  For n >= 2 they
+build two real blocks per axis in the parity-sector basis: the slice moves
+there once (:func:`to_sectors`), the blocks act there
+(:func:`apply_sectors`), the norms are taken there (:func:`sector_sq`) and
+P s_t moves back once (:func:`from_sectors`).  :func:`slice_work` makes the
+scratch of either, and :func:`project_slices` builds and applies one
+operator per slice.
 
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.
@@ -36,26 +39,27 @@ def active_backend() -> str:
 #   E[(a,b),(c,d)] = exp(-|t*lam|*((xc-xa)^2 + (xd-xb)^2)
 #                        - 2i*t*lam*(xa*xd - xb*xc)) * 2*w[c]*w[d],
 # holomorphic in z = xa + i*xb where t*lam > 0 and antiholomorphic where
-# t*lam < 0.  With G = exp(-|t*lam|*(x-x')^2) and F = exp(-2i*t*lam*x*x'),
-# both m x m, each entry splits exactly as
-#   E[(a,b),(c,d)] = N[(a,b),c] * M[(a,b),d],
+# t*lam < 0.  With the real Gaussian G = exp(-|t*lam|*(x-x')^2) and the
+# unimodular phase F = exp(-2i*t*lam*x*x'), both m x m, each entry splits
+# exactly as
+#   E[(a,b),(c,d)] = G[a,c]*sqrt(2)*w[c]*conj(F[b,c]) * F[a,d]*G[b,d]*sqrt(2)*w[d],
+# so an axis costs 2m^2 exponentials instead of m^4.  For n = 1 the slice
+# u[c,d] is contracted with G and F directly (:func:`project_slice`); for
+# n >= 2 the two (m^2, m) factors
 #   M[(a,b),d] = F[a,d] * G[b,d] * sqrt(2)*w[d],
 #   N[(a,b),c] = G[a,c] * conj(F[b,c]) * sqrt(2)*w[c],
-# so an axis costs 2m^2 exponentials instead of m^4.
+# with E[(a,b),(c,d)] = N[(a,b),c] * M[(a,b),d], build the sector blocks.
 # ---------------------------------------------------------------------------
 
 
-def axis_projector_exp(nodes, w, t, lam):
-    """The two (m^2, m) factors ``(M, N)`` of one axis' weighted exponential at t."""
+def axis_projector_exp(nodes, t, lam):
+    """One axis' m x m factors ``(G, F)`` at t: the real Gaussian
+    exp(-|t lam|(x - x')^2) and the phase exp(-2i t lam x x') at the signed t lam."""
     x = np.asarray(nodes, dtype=np.float64)
-    m = x.size
     tl = float(t) * float(lam)
     G = np.exp(-abs(tl) * (x[:, None] - x[None, :]) ** 2)
     F = np.exp(-2j * tl * np.multiply.outer(x, x))
-    sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
-    M = (F[:, None, :] * (G * sw)[None, :, :]).reshape(m * m, m)
-    N = (G[:, None, :] * (F.conj() * sw)[None, :, :]).reshape(m * m, m)
-    return M, N
+    return G, F
 
 
 def pair_exp(Q, t):
@@ -245,7 +249,10 @@ def _sector_blocks(nodes, w, t, lam):
     m = nodes.size
     S, h = m * m, m // 2
     me = m - h
-    M, N = axis_projector_exp(nodes, w, t, lam)
+    G, F = axis_projector_exp(nodes, t, lam)
+    sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
+    M = (F[:, None, :] * (G * sw)[None, :, :]).reshape(S, m)
+    N = (G[:, None, :] * (F.conj() * sw)[None, :, :]).reshape(S, m)
     # the inverse butterflies on the columns, through the factors: a pair's
     # coefficients are half sums and differences, the centre is kept; the
     # phase -i of the columns odd in x goes into N
@@ -317,8 +324,9 @@ def slice_operator(t, nodes, w, lams):
     the phi_minus slice at t > 0 and the phi_plus slice at t < 0.
 
     Returns ``(pref, axes)`` with one entry of ``axes`` per complex axis.
-    For n = 1, ``pref`` is |t lam|/pi and the entry the factor pair
-    ``(M, N)``.  For n >= 2, each entry is the axis' two real parity-sector
+    For n = 1, ``pref`` is |t lam|/pi and the entry ``(G, F, sw)``: the
+    axis' m x m factors (:func:`axis_projector_exp`) and the weights
+    sqrt(2) w.  For n >= 2, each entry is the axis' two real parity-sector
     blocks with its |t lam_j|/pi in them, and ``pref`` is 1.  The blocks are
     built once per distinct |t lam_j|: an axis of the opposite sign takes
     them with rows and columns times their x-parity.
@@ -326,7 +334,8 @@ def slice_operator(t, nodes, w, lams):
     """
     t = float(t)
     if len(lams) == 1:
-        return abs(t * lams[0]) / np.pi, [axis_projector_exp(nodes, w, t, lams[0])]
+        sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
+        return abs(t * lams[0]) / np.pi, [axis_projector_exp(nodes, t, lams[0]) + (sw,)]
     m = nodes.size
     built = {}
     axes = []
@@ -348,14 +357,28 @@ def slice_weights(w, n):
     return np.multiply.outer(2.0 * w, w).reshape(-1) if n == 1 else sector_weights(w, n)
 
 
+def slice_work(m, n):
+    """The scratch :func:`project_slice` takes for a slice of n axes on m nodes each.
+
+    For n = 1 the two (m, m, m) complex arrays of the contraction; for
+    n >= 2 the slice, P s and P(P s) in sector coordinates, (3, 2) + (m^2,)*n.
+    """
+    return np.empty((2, m, m, m), dtype=np.complex128) if n == 1 else np.empty((3, 2) + (m * m,) * n)
+
+
 def project_slice(op, s, omega, work):
     """Project the slice ``s`` ((m^2,)*n, complex) in place with the :func:`slice_operator` ``op``.
 
-    ``work`` is scratch of shape (3, 2) + s.shape, used for n >= 2.  Given
-    the :func:`slice_weights` ``omega``, the operator is applied again to
-    P s and ``(||P s||^2, ||P s - s||^2, ||P(P s) - P s||^2)`` comes back,
-    taken where P s is made: on the slice for n = 1, in sector coordinates
-    for n >= 2.  Given None, returns None.
+    ``work`` is the :func:`slice_work` of the slice.  Given the
+    :func:`slice_weights` ``omega``, the operator is applied again to P s
+    and ``(||P s||^2, ||P s - s||^2, ||P(P s) - P s||^2)`` comes back, taken
+    where P s is made: on the slice for n = 1, in sector coordinates for
+    n >= 2.  Given None, returns None.
+
+    For n = 1 each application to u[c,d] makes
+    Y[d,a,c] = F[a,d] sqrt(2) w[d] u[c,d], then T = G @ Y as one real GEMM
+    on Y's float view (T[b,a,c] = sum_d G[b,d] Y[d,a,c]), then
+    v[a,b] = sum_c G[a,c] sqrt(2) w[c] conj(F[b,c]) T[b,a,c].
     """
     pref, axes = op
     if len(axes) > 1:
@@ -369,25 +392,32 @@ def project_slice(op, s, omega, work):
             sums += (sector_sq(np.subtract(ppy, py, out=ppy), omega),)
         from_sectors(py, s, (y, ppy))
         return sums
-    M, N = axes[0]
-    m = M.shape[1]
+    (G, F, sw), = axes
+    m = G.shape[0]
+    Y, T = work
+    Fw = (F * sw).T[:, :, None]
+    Gw = (pref * sw) * G
+    Fc = F.conj()[:, :, None]
+    Yf, Tf = Y.view(np.float64).reshape(m, -1), T.view(np.float64).reshape(m, -1)
 
-    def apply(v):
-        # v[ab] = sum_c N[ab,c] * sum_d M[ab,d] * u[c,d]
-        return pref * np.einsum("ij,ij->i", N, M @ v.reshape(m, m).T)
+    def apply(u, out):
+        np.multiply(Fw, u.reshape(m, m).T[:, None, :], out=Y)
+        np.matmul(G, Yf, out=Tf)
+        np.multiply(T, Gw, out=T)
+        np.matmul(T, Fc, out=out.reshape(m, m).T[:, :, None])
+        return out
 
     def sq(d):
         f = d.view(np.float64).reshape(omega.size, -1)
         return float(np.einsum("ij,ij->i", f, f) @ omega)
 
-    p = apply(s)
+    p = apply(s, np.empty_like(s))
     if omega is None:
         s[...] = p
         return None
-    change = sq(s - p)
+    change = sq(np.subtract(s, p, out=s))
     s[...] = p
-    del p
-    return sq(s), change, sq(apply(s) - s)
+    return sq(s), change, sq(np.subtract(apply(s, p), s, out=p))
 
 
 def project_slices(slabs, ts, bin_step, nodes, w, lams):
@@ -406,7 +436,7 @@ def project_slices(slabs, ts, bin_step, nodes, w, lams):
     if any(lam == 0 for lam in lams):
         raise ValueError("project_slices expects nonzero structure constants only")
     out = np.array(slabs, dtype=np.complex128)
-    work = np.empty((3, 2) + out.shape[1:])
+    work = slice_work(m, n)
     for i in range(ts.size):
         project_slice(slice_operator(ts[i], nodes, w, lams), out[i], None, work)
     return out

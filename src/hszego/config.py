@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
+import numpy as np
+
 from .core import (
     GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, norm, text_value,
 )
@@ -71,13 +73,24 @@ def _non_negative_int(text: str) -> int:
     return v
 
 
+#: the most sample pairs ``kernel-table`` tabulates (~45 MB of csv)
+_KERNEL_TABLE_MAX_COUNT = 100_000
+
+
+def _table_count(text: str) -> int:
+    v = _non_negative_int(text)
+    if v > _KERNEL_TABLE_MAX_COUNT:
+        raise ValueError(f"{v} is above {_KERNEL_TABLE_MAX_COUNT}")
+    return v
+
+
 #: the top-level keys as (key, RunConfig field, parser), in the order they
 #: are written; every one of them enters the report's config digest
 _KEYS = (
     ("lambdas", "lambdas", _floats),
     ("epsilon", "epsilon", finite_float),
     ("seed", "seed", _non_negative_int),
-    ("kernel_table.count", "kernel_table_count", _non_negative_int),
+    ("kernel_table.count", "kernel_table_count", _table_count),
     ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
 )
 
@@ -183,10 +196,13 @@ class RunConfig:
         overflows) is refused, naming its ``alpha`` key.
         """
         try:
-            u = make_wave_packet(self.packets[i - 1], self.sig, self.grid)
+            # an overflow makes the norm inf or nan, which is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = make_wave_packet(self.packets[i - 1], self.sig, self.grid)
+                finite = math.isfinite(norm(u))
         except UsageError as exc:
             raise UsageError(f"packet {i}: {exc}") from None
-        if not math.isfinite(norm(u)):
+        if not finite:
             raise UsageError(f"config key 'packet.{i}.alpha': the packet's norm overflows")
         return u
 

@@ -327,7 +327,9 @@ class GridSpec:
 
         Either the field has more bytes than numpy addresses, or its largest
         spatial quadrature weight, 2^n h^(2n) for the spatial step h, is not
-        a finite float (as :meth:`spatial_weight_array` multiplies it out).
+        a finite float (as :meth:`spatial_weight_array` multiplies it out),
+        or the squared extent of its mesh, sum_j |z_j|^2 = 2n R^2 at the
+        outermost node R, is not (as packet synthesis squares |z_j|).
         ``where`` names the text that set the grid (``config keys``,
         ``field file header``); the message names the keys behind the value.
         """
@@ -342,6 +344,12 @@ class GridSpec:
             raise UsageError(
                 f"{where} 'grid.spatial_radius' and 'grid.spatial_points': the spatial step "
                 f"{h:.6g} makes the quadrature weights of a dimension-{n} field overflow"
+            )
+        R = float(self.spatial_nodes()[-1])
+        if not math.isfinite(2.0 * n * R * R):
+            raise UsageError(
+                f"{where} 'grid.spatial_radius': the squared extent 2n R^2 of a dimension-{n} "
+                f"mesh with outermost node R = {R:.6g} overflows"
             )
 
     def spatial_shape(self, n: int) -> tuple[int, ...]:

@@ -343,7 +343,7 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
     consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
     slab_shape = (grid.spatial_points ** 2,) * n
     omega = None if label is None else _kernels.slice_weights(consts[1], n)
-    work = np.empty((3, 2) + slab_shape)
+    work = _kernels.slice_work(grid.spatial_points, n)
     S = by_node.shape[0]
     for lo in range(0, keep.size, _SLAB_BINS):
         ks = keep[lo : lo + _SLAB_BINS]

@@ -638,11 +638,15 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.spatial_radius = 1e-320", "grid.spatial_radius"),
      ("grid.vertical_points = 9999999999999999999999999", "grid.vertical_points"),
      ("grid.spatial_points = 1_000", "grid.spatial_points"),
-     # a diagonal kernel eps^-(n+1) whose power underflows, and a radius whose
-     # quadrature weights 2 h^2 overflow
+     # a diagonal kernel eps^-(n+1) whose power underflows, a radius whose
+     # quadrature weights 2 h^2 overflow, and one whose weights are finite but
+     # whose squared mesh extent 2 R^2 is not
      ("kernel_table.diag_eps = 1e-170", "kernel_table.diag_eps"),
      ("kernel_table.diag_eps = 0.5, 1e-320", "kernel_table.diag_eps"),
-     ("grid.spatial_radius = 1e160", "grid.spatial_radius")],
+     ("grid.spatial_radius = 1e160", "grid.spatial_radius"),
+     ("grid.spatial_radius = 1e155", "grid.spatial_radius"),
+     # a sample count kernel-table could neither finish nor hold
+     ("kernel_table.count = 9999999999999999999999999", "kernel_table.count")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -674,16 +678,22 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
          "packet.3.alpha = 0\npacket.3.t_low = 1.0\npacket.3.t_high = 2.0", "'packet.2.*'"),
         ("packet.1.alpha = 400\npacket.1.t_low = 1.0\npacket.1.t_high = 3.2",
          "'packet.1.alpha': the packet's norm overflows"),
+        # the monomial itself overflows, and numpy warns of it unless silenced
+        ("packet.1.alpha = 1000\npacket.1.t_low = 1.0\npacket.1.t_high = 3.2",
+         "'packet.1.alpha': the packet's norm overflows"),
     ],
     ids=["t_low-only", "no-t_high", "empty-envelope", "negative-alpha", "infinite-t_high",
-         "alpha-length", "axis-above-n", "id-gap", "overflowing-energy"],
+         "alpha-length", "axis-above-n", "id-gap", "overflowing-energy", "overflowing-monomial"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message):
     p = tmp_path / "packet.cfg"
     p.write_text(text + "\n")
-    # C00 synthesizes each packet: one whose norm overflows is refused there
+    # C00 synthesizes each packet: one whose norm overflows is refused there,
+    # and the refusal is the first line on stderr
     assert main(["verify", "--config", str(p), "--criteria", "C00"]) == 2
-    assert message in capsys.readouterr().err
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: ") and message in first
 
 
 def _csv_field(tmp_path):
@@ -731,6 +741,7 @@ def _first_row(text):
         ("huge-n", "field file header 'n': dimension 9999999999999999999999999 is above 31"),
         ("subnormal-radius", "field file header 'grid.spatial_radius': radius 1e-320 is below"),
         ("overflowing-weights", "field file header 'grid.spatial_radius' and 'grid.spatial_points'"),
+        ("overflowing-extent", "field file header 'grid.spatial_radius': the squared extent"),
         ("unaddressable-grid", "field file header 'grid.spatial_points' and 'grid.vertical_points'"),
         ("nan-value", "component (): the sum of |u|^2 is not finite"),
         ("huge-value", "component (): the sum of |u|^2 is not finite"),
@@ -789,6 +800,14 @@ def test_malformed_field_file_exits_2(tmp_path, capsys, case, message):
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e-320\n")
     elif case == "overflowing-weights":
         text = text.replace("grid.spatial_radius = 2.0\n", "grid.spatial_radius = 1e160\n")
+    elif case == "overflowing-extent":
+        # a default packet file whose header radius leaves the weights 2 h^2
+        # finite and makes the mesh's squared extent 2 R^2 overflow
+        u = RunConfig().packet_field(1)
+        write_form(path, FormField(grid=u.grid, q=0, components={MultiIndex(()): u}))
+        text = path.read_bytes().decode("latin-1")
+        assert "grid.spatial_radius = 4.0\n" in text
+        text = text.replace("grid.spatial_radius = 4.0\n", "grid.spatial_radius = 1e155\n")
     elif case == "unaddressable-grid":
         text = text.replace("grid.vertical_points = 4\n", f"grid.vertical_points = {'9' * 25}\n")
     elif case in ("nan-value", "huge-value"):

@@ -66,6 +66,36 @@ def test_factored_matches_dense(m, lams, radius):
         assert err <= TOL, (k, float(t), err)
 
 
+def _axis_kernel(x, w, t, lam):
+    """(|t lam|/pi) e^{-|t lam||z-w|^2 - t lam (zbar w - z wbar)} 2 w_c w_d over one axis'
+    nodes z = x_a + i x_b (rows) and w = x_c + i x_d (columns), written out from the formula."""
+    z = (x[:, None] + 1j * x[None, :]).reshape(-1)
+    tl = t * lam
+    zb = z.conj()
+    expo = -abs(tl) * np.abs(z[:, None] - z[None, :]) ** 2 - tl * (zb[:, None] * z[None, :] - z[:, None] * zb[None, :])
+    return abs(tl) / math.pi * np.exp(expo) * (2.0 * np.multiply.outer(w, w).reshape(-1))[None, :]
+
+
+@pytest.mark.parametrize(
+    "t, lam",
+    [(-0.8, 1.0), (1.3, -1.0), ("top", 1.0), ("top", -1.0)],
+    ids=["t-0.8-lam1", "t1.3-lam-1", "top-lam1", "top-lam-1"],
+)
+def test_n1_slice_matches_the_axis_kernel_formula(t, lam):
+    """n = 1 at tλ < 0 (the antiholomorphic side) and at the top bin, where the
+    Gaussian factor's corners underflow to exactly 0."""
+    grid = GridSpec(4.0, 33, 16.0, 128)
+    x, w = grid.spatial_nodes(), grid.spatial_axis_weights()
+    if t == "top":
+        t = grid.freq_max - grid.freq_step
+        assert t * (2 * grid.spatial_radius) ** 2 > 745
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal(33 * 33) + 1j * rng.standard_normal(33 * 33)
+    got = _kernels.project_slices(u[None, :], np.array([t]), grid.freq_step, x, w, (lam,))[0]
+    want = _axis_kernel(x, w, t, lam) @ u
+    assert np.linalg.norm(got - want) <= TOL * np.linalg.norm(want)
+
+
 def test_three_axes_match_dense():
     """n = 3 at m = 3 is S = 729 nodes."""
     grid = GridSpec(2.0, 3, 16.0, 128)
@@ -85,9 +115,12 @@ def test_three_axes_match_dense():
 
 
 def _ref_axis_matrix(nodes, w, t, lam):
-    """One axis' weighted matrix (|t lam|/pi) E, assembled from its two factors."""
-    M, N = _kernels.axis_projector_exp(nodes, w, t, lam)
+    """One axis' weighted matrix (|t lam|/pi) E, assembled from its two m x m factors."""
+    G, F = _kernels.axis_projector_exp(nodes, t, lam)
     m = nodes.size
+    sw = np.sqrt(2.0) * w
+    M = (F[:, None, :] * (G * sw)[None, :, :]).reshape(m * m, m)
+    N = (G[:, None, :] * (F.conj() * sw)[None, :, :]).reshape(m * m, m)
     return abs(t * lam) / math.pi * (N[:, :, None] * M[:, None, :]).reshape(m * m, m * m)
 
 
@@ -179,7 +212,7 @@ def test_project_slice_sums_are_the_weighted_slice_norms(n, m):
     rng = np.random.default_rng(20 + n)
     s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     op = _kernels.slice_operator(0.9, x, w, lams)
-    work = np.empty((3, 2) + shape)
+    work = _kernels.slice_work(m, n)
     ps, pps = s.copy(), s.copy()
     assert _kernels.project_slice(op, ps, None, work) is None
     sums = _kernels.project_slice(op, pps, _kernels.slice_weights(w, n), work)
@@ -192,14 +225,14 @@ def test_project_slice_sums_are_the_weighted_slice_norms(n, m):
 
 
 def test_factors_underflow_beyond_745():
-    """At the top bin t*lam*(2R)^2 > 745: corner factors are exactly 0 and still agree."""
+    """At the top bin t*lam*(2R)^2 > 745: the Gaussian factor's corners are exactly 0 and still agree."""
     grid = GridSpec(4.0, 33, 16.0, 128)
     lam = 1.0
     t = grid.freq_max - grid.freq_step
     assert t * lam * (2 * grid.spatial_radius) ** 2 > 745
-    M, N = _kernels.axis_projector_exp(grid.spatial_nodes(), grid.spatial_axis_weights(), t, lam)
-    assert M.shape == N.shape == (33 * 33, 33)
-    assert np.any(M == 0) and np.any(N == 0)
+    G, F = _kernels.axis_projector_exp(grid.spatial_nodes(), t, lam)
+    assert G.shape == F.shape == (33, 33)
+    assert G[0, -1] == G[-1, 0] == 0
     u = np.random.default_rng(7).standard_normal(33 * 33) + 0j
     out = _kernels.project_slices(
         u[None, :], np.array([t]), grid.freq_step, grid.spatial_nodes(),
