@@ -4,14 +4,14 @@ A frequency slice's projector is built once by :func:`slice_operator` and
 applied by :func:`project_slice`, which projects one slice in place and, for
 the scalar pipeline's report, applies the operator again to P s_t and takes
 the norms.  Each axis' kernel splits into two m x m factors along its real
-coordinates (:func:`axis_projector_exp`).  For n = 1 the slice is contracted
-with them directly, through one real GEMM per application.  For n >= 2 they
-build two real blocks per axis in the parity-sector basis: the slice moves
-there once (:func:`to_sectors`), the blocks act there
-(:func:`apply_sectors`), the norms are taken there (:func:`sector_sq`) and
-P s_t moves back once (:func:`from_sectors`).  :func:`slice_work` makes the
-scratch of either, and :func:`project_slices` builds and applies one
-operator per slice.
+coordinates (:func:`axis_projector_exp`).  For n = 1 the operator is the
+four m x m arrays the slice is contracted with, through one real GEMM per
+application.  For n >= 2 it is two real blocks per axis in the
+parity-sector basis: the slice moves there once (:func:`to_sectors`), the
+blocks act there (:func:`apply_sectors`), the norms are taken there
+(:func:`sector_sq`) and P s_t moves back once (:func:`from_sectors`).
+:func:`slice_work` makes the scratch of either, and :func:`project_slices`
+builds and applies one operator per slice.
 
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.
@@ -192,14 +192,13 @@ def from_sectors(y, out, work):
     _axis_from_sectors(y, _outer_split(a, m), _outer_split(dst, m), m)
 
 
-def apply_sectors(op, y, out, work):
-    """``out`` = the :func:`slice_operator` ``op`` (n >= 2) on the sector coordinates ``y``.
+def apply_sectors(axes, y, out, work):
+    """``out`` = the :func:`slice_operator` ``axes`` (n >= 2) on the sector coordinates ``y``.
 
-    Each axis' two blocks act on the outer axis and write it innermost, so
-    the layout comes back after n steps; ``y`` is kept and ``work`` is
-    scratch of its shape.
+    ``axes`` holds each complex axis' two blocks.  They act on the outer
+    axis and write it innermost, so the layout comes back after n steps;
+    ``y`` is kept and ``work`` is scratch of its shape.
     """
-    _, axes = op
     n, S = len(axes), y.shape[1]
     src = y
     # the last axis is outermost, then axes 0 .. n-2
@@ -323,19 +322,20 @@ def slice_operator(t, nodes, w, lams):
     prod_j (|t lam_j|/pi) e^{-|t lam_j||z_j-w_j|^2 - t lam_j (zbar_j w_j - z_j wbar_j)}:
     the phi_minus slice at t > 0 and the phi_plus slice at t < 0.
 
-    Returns ``(pref, axes)`` with one entry of ``axes`` per complex axis.
-    For n = 1, ``pref`` is |t lam|/pi and the entry ``(G, F, sw)``: the
-    axis' m x m factors (:func:`axis_projector_exp`) and the weights
-    sqrt(2) w.  For n >= 2, each entry is the axis' two real parity-sector
-    blocks with its |t lam_j|/pi in them, and ``pref`` is 1.  The blocks are
-    built once per distinct |t lam_j|: an axis of the opposite sign takes
-    them with rows and columns times their x-parity.
-    :func:`project_slice` applies either.
+    For n = 1, the four arrays the contraction of :func:`project_slice`
+    multiplies by: ``(G, (F sqrt(2) w)^T, (|t lam|/pi) sqrt(2) w G, conj F)``
+    from the axis' m x m factors (:func:`axis_projector_exp`), the middle
+    and last with a trailing unit axis.  For n >= 2, one pair of real
+    parity-sector blocks per complex axis, with its |t lam_j|/pi in them,
+    which :func:`apply_sectors` applies.  The blocks are built once per
+    distinct |t lam_j|: an axis of the opposite sign takes them with rows
+    and columns times their x-parity.
     """
     t = float(t)
     if len(lams) == 1:
+        G, F = axis_projector_exp(nodes, t, lams[0])
         sw = np.sqrt(2.0) * np.asarray(w, dtype=np.float64)
-        return abs(t * lams[0]) / np.pi, [axis_projector_exp(nodes, t, lams[0]) + (sw,)]
+        return G, (F * sw).T[:, :, None], (abs(t * lams[0]) / np.pi * sw) * G, F.conj()[:, :, None]
     m = nodes.size
     built = {}
     axes = []
@@ -345,7 +345,7 @@ def slice_operator(t, nodes, w, lams):
             built[abs(tl)] = (tl, _sector_blocks(nodes, w, t, lam))
         tl0, blocks = built[abs(tl)]
         axes.append(blocks if (tl0 > 0) == (tl > 0) else _flip_x(blocks, m))
-    return 1.0, axes
+    return axes
 
 
 def slice_weights(w, n):
@@ -375,13 +375,14 @@ def project_slice(op, s, omega, work):
     where P s is made: on the slice for n = 1, in sector coordinates for
     n >= 2.  Given None, returns None.
 
-    For n = 1 each application to u[c,d] makes
-    Y[d,a,c] = F[a,d] sqrt(2) w[d] u[c,d], then T = G @ Y as one real GEMM
-    on Y's float view (T[b,a,c] = sum_d G[b,d] Y[d,a,c]), then
-    v[a,b] = sum_c G[a,c] sqrt(2) w[c] conj(F[b,c]) T[b,a,c].
+    For n = 1 the operator's four arrays act as they stand: each
+    application to u[c,d] makes Y[d,a,c] = F[a,d] sqrt(2) w[d] u[c,d], then
+    T = G @ Y as one real GEMM on Y's float view
+    (T[b,a,c] = sum_d G[b,d] Y[d,a,c]), then
+    v[a,b] = sum_c (|t lam|/pi) sqrt(2) w[c] G[a,c] conj(F[b,c]) T[b,a,c].
+    For n >= 2 :func:`apply_sectors` applies its blocks.
     """
-    pref, axes = op
-    if len(axes) > 1:
+    if s.ndim > 1:
         y, py, ppy = work
         to_sectors(s, y, (py, ppy))
         apply_sectors(op, y, py, ppy)
@@ -392,12 +393,9 @@ def project_slice(op, s, omega, work):
             sums += (sector_sq(np.subtract(ppy, py, out=ppy), omega),)
         from_sectors(py, s, (y, ppy))
         return sums
-    (G, F, sw), = axes
+    G, Fw, Gw, Fc = op
     m = G.shape[0]
     Y, T = work
-    Fw = (F * sw).T[:, :, None]
-    Gw = (pref * sw) * G
-    Fc = F.conj()[:, :, None]
     Yf, Tf = Y.view(np.float64).reshape(m, -1), T.view(np.float64).reshape(m, -1)
 
     def apply(u, out):
@@ -494,11 +492,11 @@ def direct_kernel_apply(Q, uw, dwrap, tn, cq):
     integral, one row per cutoff.  Returns (C, S, N): one output per row.
 
     Each node's Z = (exp(-t*Q) @ uw) @ exp(i*t*dwrap)^T is computed once
-    and added into every output with its row's weight; a node whose weights
-    are all zero is skipped.  Node k*PANEL_NODES + j is the first panel's
-    node j plus k panel widths h, so exp(-t*Q) is stepped, not recomputed:
-    for each j it starts at exp(-tn[j]*Q) and is multiplied by exp(-h*Q)
-    from one panel to the next, PANEL_NODES + 1 exponentials in all.
+    and added into every output with its row's weight.  Node
+    k*PANEL_NODES + j is the first panel's node j plus k panel widths h, so
+    exp(-t*Q) is stepped, not recomputed: for each j it starts at
+    exp(-tn[j]*Q) and is multiplied by exp(-h*Q) from one panel to the
+    next, PANEL_NODES + 1 exponentials in all.
     """
     panels, rest = divmod(tn.size, PANEL_NODES)
     if panels < 2 or rest or cq.shape[-1] != tn.size:
@@ -511,8 +509,6 @@ def direct_kernel_apply(Q, uw, dwrap, tn, cq):
             if k:
                 E *= D
             i = k * PANEL_NODES + j
-            if not cq[:, i].any():
-                continue
             V = np.exp(1j * tn[i] * dwrap)
             Z = (E @ uw) @ V.T
             for e in range(cq.shape[0]):

@@ -60,6 +60,9 @@ def _point_cells(p: HeisenbergPoint) -> list[str]:
 
 def cmd_kernel_table(cfg: RunConfig, out) -> int:
     sig = cfg.sig
+    if sig.degenerate:
+        raise UsageError("degenerate signature: the projector vanishes identically; "
+                         "config key 'lambdas' has a zero entry")
     n = sig.n
     rng = np.random.default_rng(cfg.seed)
     header = (
@@ -116,7 +119,6 @@ def cmd_kernel_table(cfg: RunConfig, out) -> int:
 
 
 def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
-    sig = cfg.sig
     idxs = []
     for tok in which.split(","):
         if tok.strip():
@@ -141,7 +143,7 @@ def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
             raise UsageError(f"two selected packets share the component {J}")
         comps[J] = cfg.packet_field(k)
     form = FormField(grid=cfg.grid, q=q, components=comps)
-    write_form(out, form, fmt=fmt, n=sig.n)
+    write_form(out, form, fmt=fmt)
     return 0
 
 
@@ -184,7 +186,7 @@ def cmd_project(cfg: RunConfig, inp: str, out: str | None, fmt: str) -> int:
                 # this one pass, by Parseval; Pu is made in space, over u,
                 # only to be written
                 pu, in_j, norm_j, change_j, cr_j, gap_j, window_j = transform._pipeline(
-                    grid, u, sig, side, J, want_pu=dst is not None
+                    grid, u, sig, side, report=True, want_pu=dst is not None
                 )
                 gap_sq += gap_j
                 norm_sq += norm_j
@@ -223,7 +225,7 @@ def cmd_verify(cfg: RunConfig, out: str | None, jobs: int, criteria) -> int:
     include = None
     if criteria is not None:
         include = [tok.strip() for tok in criteria.split(",") if tok.strip()]
-    results = run_verification(cfg, include=include, jobs=jobs)
+    results = run_verification(cfg, include, jobs)
     if include is not None and not results:
         raise UsageError("--criteria names no criterion")
     text = report_text(results, cfg)

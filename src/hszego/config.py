@@ -174,16 +174,20 @@ class RunConfig:
                 "config key 'kernel_table.diag_eps': every entry must be finite and > 0, "
                 f"got {self.kernel_table_diag_eps}"
             )
-        # a diagonal row of kernel-table is c0 n! eps^-(n+1): the power
-        # eps^(n+1) must be a normal float, or it has no finite reciprocal
-        # (underflow) or no nonzero one (overflow)
-        n = len(self.lambdas)
-        for eps in self.kernel_table_diag_eps:
-            if not sys.float_info.min <= math.prod([eps] * (n + 1)) <= sys.float_info.max:
-                raise UsageError(
-                    f"config key 'kernel_table.diag_eps': entry {eps!r} is out of range for "
-                    f"the diagonal kernel eps^-{n + 1} at n={n}"
-                )
+        # kernel-table's rows are c0 n! (-i(phi + i eps))^-(n+1) at points with
+        # |Re z_j|, |Im z_j| <= 1.5 and |x_last| <= 2, where |phi| <= 4 + 27 sum |lam_j|,
+        # and c0 n! eps^-(n+1) on the diagonal: prod |lam_j| n! (above c0 n!)
+        # and the (n+1)-th powers of twice that bound and of twice eps must be
+        # finite, and each diagonal eps^(n+1) a normal float, or a row is nan
+        n, fmin, fmax = len(self.lambdas), sys.float_info.min, sys.float_info.max
+        reach = 4.0 + 27.0 * sum(map(abs, self.lambdas))
+        checks = [("lambdas", self.lambdas, [*map(abs, self.lambdas), *range(1, n + 1)], 0.0),
+                  ("lambdas", self.lambdas, [2.0 * reach] * (n + 1), 0.0),
+                  ("epsilon", self.epsilon, [2.0 * self.epsilon] * (n + 1), 0.0)]
+        checks += [("kernel_table.diag_eps", eps, [eps] * (n + 1), fmin) for eps in self.kernel_table_diag_eps]
+        for key, value, factors, low in checks:
+            if not low <= math.prod(factors) <= fmax:
+                raise UsageError(f"config key {key!r}: {value!r} is out of range for the kernel-table rows at n={n}")
 
     @property
     def sig(self) -> LambdaSignature:

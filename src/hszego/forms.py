@@ -343,7 +343,7 @@ def szego_project_form(u: FormField, sig: LambdaSignature) -> FormField:
     for J, comp in u.iter_components():
         side = component_side(J, sig)
         if side is not None:
-            out[J] = transform._pipeline(u.grid, comp.values.copy(), sig, side, None, want_pu=True)[0]
+            out[J] = transform._pipeline(u.grid, comp.values.copy(), sig, side, report=False, want_pu=True)[0]
     return FormField(grid=u.grid, q=u.q, components=out)
 
 

@@ -87,16 +87,12 @@ class FrequencyField:
         return self.grid.freq_nodes()
 
     def spectral_energy(self) -> np.ndarray:
-        return _spectral_energy(self.values)
+        # sum of re^2 + im^2 over a float view: no temporary the field's size
+        f = self.values.view(np.float64).reshape(-1, self.values.shape[-1], 2)
+        return np.einsum("stc,stc->t", f, f)
 
     def occupied_mask(self) -> np.ndarray:
         return _occupied(self.spectral_energy())
-
-
-def _spectral_energy(values: np.ndarray) -> np.ndarray:
-    # sum of re^2 + im^2 over a float view: no temporary the field's size
-    f = values.view(np.float64).reshape(-1, values.shape[-1], 2)
-    return np.einsum("stc,stc->t", f, f)
 
 
 def _occupied(energy: np.ndarray) -> np.ndarray:
@@ -182,7 +178,7 @@ def scalar_pipeline_project(field: ScalarField, sig: LambdaSignature) -> ScalarF
             "scalar pipeline needs an all-positive signature; mixed or degenerate "
             "signatures are handled by the form-level projector"
         )
-    return _pipeline(field.grid, field.values.copy(), sig, 1, None, want_pu=True)[0]
+    return _pipeline(field.grid, field.values.copy(), sig, 1, report=False, want_pu=True)[0]
 
 
 def _side_axes(sig: LambdaSignature, side: int) -> tuple[int, ...]:
@@ -231,27 +227,26 @@ def _bin_sums(by_node: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _pipeline(
-    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int,
-    label: MultiIndex | None, *, want_pu: bool,
+    grid: GridSpec, values: np.ndarray, sig: LambdaSignature, side: int, *,
+    report: bool, want_pu: bool,
 ) -> tuple[ScalarField | None, float, float, float, float, float, tuple[float, float] | None]:
     """Project the occupied bins of one sign with the signed slice kernel; with ``want_pu`` zero the rest.
 
     ``values`` are a field's samples on ``grid``, in an array the caller
     hands over: the projection is made in its buffer, and Pu comes back in
     it.  ``side`` +1 takes the bins at t > 0 (phi_minus slices), -1 those at
-    t < 0 (phi_plus); :func:`_side_axes` names the component they serve.
+    t < 0 (phi_plus); they serve the component J = :func:`_side_axes`.
     Only bins whose mirror -t is a bin count: the Nyquist bin -N/2 of an
     even grid is on neither side.  The budget is checked on the |t| of the
     side's bins, after a field whose sum of |u|^2 is not finite is refused.
 
-    Returns the projection Pu, or None unless ``want_pu``, and, when the
-    component's ``label`` J is given, what ``hszego project`` reports of
-    it: the squared sums over bins of spatially weighted slice norms
-    ||u||^2, ||Pu||^2, ||Pu - u||^2, the
-    CR residual of Pu (:func:`forms.cr_system_residual`) and
+    Returns the projection Pu, or None unless ``want_pu``, and, with
+    ``report``, what ``hszego project`` reports of u_J: the squared sums
+    over bins of spatially weighted slice norms ||u||^2, ||Pu||^2,
+    ||Pu - u||^2, the CR residual of Pu (:func:`forms.cr_system_residual`) and
     ||P(Pu) - Pu||^2, and the budget window (t_floor, t_ceiling) when a bin
     holding more than ``BUDGET_OCCUPANCY`` of Pu's energy lies outside it.
-    Without a label every sum is 0.0 and the window None.  On the periodic
+    Without ``report`` every sum is 0.0 and the window None.  On the periodic
     grid Parseval holds to roundoff: a sum times dt / (2 pi) is the squared
     weighted norm of its field, and the ratio of two sums is the squared
     relative distance.  ||u||^2 is taken over every bin.  P(Pu) keeps only the bins occupied in Pu's own spectrum, so
@@ -278,6 +273,7 @@ def _pipeline(
     F = np.fft.ifft(values, axis=-1, out=values)
     ts = np.fft.ifftshift(grid.freq_nodes())
     energy, weighted = _bin_sums(F.reshape(-1, N), grid.spatial_weight_array(n).reshape(-1))
+    label = MultiIndex(_side_axes(sig, side)) if report else None
     if not math.isfinite(energy.sum()):
         where = "field" if label is None else f"component {label}"
         raise UsageError(f"{where}: the sum of |u|^2 is not finite")
@@ -295,7 +291,7 @@ def _pipeline(
         grid, F.reshape(-1, N), ts, keep, sig, label, want_pu
     )
     pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F)) if want_pu else None
-    if label is None:
+    if not report:
         return pu, 0.0, 0.0, 0.0, 0.0, 0.0, None
     again = _occupied(energy_pu)
     if not np.any(_outside_window(window, ts[keep], energy_pu)):
@@ -323,7 +319,8 @@ def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.
     With ``write_back`` the slab is written back the same way, whole, so
     the projection is made in place; without it ``by_node`` is only read.
 
-    Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
+    ``label`` is the component J the bins serve, or None when nothing is
+    reported.  Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
     ||P s_t - s_t||^2 and ||P(P s_t) - P s_t||^2 (spatially weighted), and
     the CR residual of Pu summed over the slabs (``forms._slab_cr_sq``);
     which bins are occupied in Pu needs Pu's total energy, known only after

@@ -515,7 +515,7 @@ _DETERMINISM_SUBSET = ["C00.preflight", "C01.gamma", "C03.phase", "C06.parseval"
 def c13_determinism(cfg: RunConfig):
     texts = []
     for jobs in (1, 1, 2):
-        results = run_verification(cfg, include=_DETERMINISM_SUBSET, jobs=jobs)
+        results = run_verification(cfg, _DETERMINISM_SUBSET, jobs)
         texts.append(report_text(results, cfg))
     mismatches = sum(1 for t in texts[1:] if t != texts[0])
     return [
@@ -588,8 +588,8 @@ def _one_malloc_arena() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def run_verification(cfg: RunConfig, include=None, jobs=0):
-    """Run (a subset of) the criteria; returns results in registry order.
+def run_verification(cfg: RunConfig, include, jobs):
+    """Run the criteria ``include`` names (all when None); returns results in registry order.
 
     ``jobs`` criteria run at once on threads, 0 meaning one per core; the
     results do not depend on it.  Raises ``UsageError`` when a token of

@@ -54,7 +54,7 @@ _CACHE = {}
 def results():
     if "res" not in _CACHE:
         cfg = RunConfig()
-        res = run_verification(cfg, jobs=1)
+        res = run_verification(cfg, None, 1)
         _CACHE["res"] = {r.cid: r for r in res}
     return _CACHE["res"]
 
@@ -116,7 +116,7 @@ def test_sector_criterion_on_threads_matches_the_serial_gate(results):
     # C05 projects n = 2 slices in sector coordinates, each call in working
     # slices of its own, while C08 runs its pipelines: side by side on two
     # threads they measure exactly what the serial gate measured
-    threaded = run_verification(RunConfig(), include=["C05", "C08"], jobs=2)
+    threaded = run_verification(RunConfig(), ["C05", "C08"], 2)
     assert [r.cid for r in threaded] == [c for c in EXPECTED_IDS if c[:3] in ("C05", "C08")]
     for r in threaded:
         assert (r.measured, r.passed) == (results[r.cid].measured, results[r.cid].passed), r.cid
@@ -138,7 +138,7 @@ def test_a_nan_after_finite_values_fails_its_line(monkeypatch):
         return transform.FrequencyField(grid=f.grid, values=values)
 
     monkeypatch.setattr(transform, "partial_ft", one_nan_bin)
-    (r,) = run_verification(RunConfig(), include=["C06"], jobs=1)
+    (r,) = run_verification(RunConfig(), ["C06"], 1)
     assert len(calls) == 20 and np.isnan(r.measured) and not r.passed
     line = report_text([r], RunConfig()).splitlines()[2]
     assert "measured=nan " in line and line.endswith(" FAIL")

@@ -1,5 +1,6 @@
 import collections
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +98,9 @@ def test_kernel_table_degenerate_signature_exits_2(tmp_path, capsys):
     p = tmp_path / "degenerate.cfg"
     p.write_text("lambdas = 0.0\n")
     assert main(["kernel-table", "--config", str(p), "--out", str(tmp_path / "t.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: degenerate signature")
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate signature")
+    assert "'lambdas'" in err.splitlines()[0]
 
 
 def test_make_packet_then_project(config_path, tmp_path, capsys):
@@ -438,7 +441,7 @@ def test_report_numbers_of_the_one_pass_match_the_spatial_definitions(tmp_path, 
     for name, grid, sig, J, side, values in _report_cases(tmp_path):
         gathers.clear()
         pu, in_sq, out_sq, _, cr_sq, _, _ = transform._pipeline(
-            grid, values.copy(), sig, side, J, want_pu=True
+            grid, values.copy(), sig, side, report=True, want_pu=True
         )
         c = grid.freq_step / (2 * np.pi)
         w = grid.field_weight_array(sig.n)
@@ -646,7 +649,12 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.spatial_radius = 1e160", "grid.spatial_radius"),
      ("grid.spatial_radius = 1e155", "grid.spatial_radius"),
      # a sample count kernel-table could neither finish nor hold
-     ("kernel_table.count = 9999999999999999999999999", "kernel_table.count")],
+     ("kernel_table.count = 9999999999999999999999999", "kernel_table.count"),
+     # kernel-table's phase or eps whose power -(n+1) overflows, and a
+     # product of |lambda_j| that overflows c0
+     ("lambdas = 1e308", "lambdas"), ("lambdas = 1e200", "lambdas"),
+     ("epsilon = 1e200", "epsilon"), ("epsilon = 1e308", "epsilon"),
+     ("lambdas = 1e160, 1e160", "lambdas"), ("lambdas = 1e200, 1e200", "lambdas")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -694,6 +702,61 @@ def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message
     assert main(["verify", "--config", str(p), "--criteria", "C00"]) == 2
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("error: ") and message in first
+
+
+#: the values the sweep sets each config key to: malformed, signed, zero,
+#: overflowing, underflowing and well-formed tokens, single and in lists
+_SWEEP_TOKENS = (
+    "", "abc", "1e400", "-1", "0", "-0", "1.5", "1,,2", "nan", "inf", "1e-320", "1_000", "9" * 25,
+    "1e200", "1e308", "1e160,1e160", "1e200,1e200", "1e-200,1e-200", "1", "2", "-1.5", "1e-5",
+    "1,2", "0.5,-0.5",
+)
+
+#: the sweep's base grid: 9^2 x 16 nodes, whose top frequency 2 pi lies
+#: above every default packet's band
+_SWEEP_GRID = {"grid.spatial_radius": "3.0", "grid.spatial_points": "9",
+               "grid.vertical_radius": "4.0", "grid.vertical_points": "16"}
+
+
+def _sweep_keys():
+    """Every key of the canonical config, packet 1's keys standing for the packet keys."""
+    keys = [line.split(" = ")[0] for line in RunConfig().canonical_text().splitlines()]
+    return [k for k in keys if not k.startswith("packet.") or k.startswith("packet.1.")]
+
+
+@pytest.mark.parametrize("key", _sweep_keys())
+def test_config_value_sweep_exits_0_or_2_naming_the_key(tmp_path, capsys, key):
+    # each token replaces the key's value in the canonical config on a small
+    # grid.  kernel-table and make-packet exit 0 or 2 with no numpy warning,
+    # a table holds no nan or inf, and a refusal names the key on its first
+    # line.  make-packet synthesizes packet 1, so a value that packet 1 does
+    # not fit (lambdas of another sign or length, a coarser vertical grid)
+    # is refused at 'packet 1'
+    lines = [line.partition(" = ") for line in RunConfig().canonical_text().splitlines()]
+    cfg, table = tmp_path / "sweep.cfg", tmp_path / "table.csv"
+    bad = []
+    for tok in _SWEEP_TOKENS:
+        values = {**_SWEEP_GRID, key: tok}
+        cfg.write_text("".join(f"{k} = {values.get(k, v)}\n" for k, _, v in lines))
+        for argv in (["kernel-table", "--out", str(table)],
+                     ["make-packet", "--out", str(tmp_path / "packet.field")]):
+            table.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv + ["--config", str(cfg)])
+                except Exception as exc:
+                    code = repr(exc)
+            err = capsys.readouterr().err
+            first = err.splitlines()[0] if err else ""
+            at_packet = argv[0] == "make-packet" or key.startswith("packet.")
+            named = key in first or (at_packet and "packet 1" in first)
+            text = table.read_text().lower() if code == 0 and table.exists() else ""
+            if code not in (0, 2) or caught or "nan" in text or "inf" in text or (
+                code == 2 and not named
+            ):
+                bad.append((argv[0], tok, code, len(caught), first))
+    assert bad == []
 
 
 def _csv_field(tmp_path):

@@ -657,7 +657,7 @@ def _one_pass_gap(u, sig):
         side = forms.component_side(J, sig)
         if side is not None:
             out[J], _, norm_j, _, _, gap_j, _ = transform._pipeline(
-                u.grid, f.values.copy(), sig, side, J, want_pu=True
+                u.grid, f.values.copy(), sig, side, report=True, want_pu=True
             )
             gap_sq += gap_j
             norm_sq += norm_j

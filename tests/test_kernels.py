@@ -171,7 +171,7 @@ def test_axis_matrix_is_two_real_blocks_in_the_sector_basis(m, t):
     T = _sector_transform(m)
     Tinv = np.linalg.inv(T)
     # lambda = (-1, 1): the second axis takes the first one's blocks flipped
-    _, axes = _kernels.slice_operator(t, x, w, (-1.0, 1.0))
+    axes = _kernels.slice_operator(t, x, w, (-1.0, 1.0))
     for lam, blocks in zip((-1.0, 1.0), axes):
         K = T @ _ref_axis_matrix(x, w, t, lam) @ Tinv
         top = np.abs(K).max()

@@ -74,8 +74,8 @@ def test_residual_streams_planes(component):
     assert share < 0.5
 
 
-@pytest.mark.parametrize("label", [None, MultiIndex(())], ids=["pu", "gap"])
-def test_pipeline_peak_bounded(component, label, monkeypatch):
+@pytest.mark.parametrize("report", [False, True], ids=["pu", "gap"])
+def test_pipeline_peak_bounded(component, report, monkeypatch):
     # the caller hands over the component's buffer: the forward transform,
     # the projection and the inverse transform all run in it, so the pipeline
     # holds only one slab of _SLAB_BINS of this grid's 32 bins, one bin's
@@ -90,7 +90,7 @@ def test_pipeline_peak_bounded(component, label, monkeypatch):
     monkeypatch.setattr(transform, "_check_budget", lambda *args: None)
     values = component.values.copy()
     share = _peak_share(
-        lambda: transform._pipeline(GRID, values, SIG.abs(), 1, label, want_pu=True),
+        lambda: transform._pipeline(GRID, values, SIG.abs(), 1, report=report, want_pu=True),
         component.values.nbytes,
     )
     assert share < 0.6
@@ -109,7 +109,7 @@ def test_grid2_pipeline_holds_a_slab_and_three_sector_slices():
         alpha=(1, 0), t_low=0.96, t_high=2.164, conjugated_axes=(1,), order=6
     )
     values = transform.make_wave_packet(spec, SIG, grid).values.copy()
-    peak = _traced_peak(lambda: transform._pipeline(grid, values, SIG, 1, J, want_pu=True))
+    peak = _traced_peak(lambda: transform._pipeline(grid, values, SIG, 1, report=True, want_pu=True))
     assert peak < 21.5e6
 
 
@@ -136,7 +136,7 @@ def in_window_component():
 
 def test_pipeline_projects_in_the_buffer_it_is_handed(in_window_component):
     values = in_window_component.values.copy()
-    pu = transform._pipeline(GRID, values, SIG.abs(), 1, MultiIndex(()), want_pu=True)[0]
+    pu = transform._pipeline(GRID, values, SIG.abs(), 1, report=True, want_pu=True)[0]
     assert np.shares_memory(pu.values, values)
     assert np.linalg.norm(pu.values) > 0.01 * np.linalg.norm(in_window_component.values)
 
@@ -243,7 +243,9 @@ def test_form_criterion_holds_one_case_at_a_time(monkeypatch):
     pipeline = transform._pipeline
     monkeypatch.setattr(
         transform, "_pipeline",
-        lambda *args, want_pu: sides.append((args[3], want_pu)) or pipeline(*args, want_pu=want_pu),
+        lambda *args, report, want_pu: (
+            sides.append((args[3], want_pu)) or pipeline(*args, report=report, want_pu=want_pu)
+        ),
     )
     monkeypatch.setattr(RunConfig, "grid2", GridSpec(3.5, 17, 30.0, 64))
     cfg = RunConfig()

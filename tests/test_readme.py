@@ -191,7 +191,7 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 80, counts
+    assert sum(counts.values()) == 78, counts
 
 
 def test_harness_bindings_resolve():

@@ -9,7 +9,6 @@ from hszego import (
     BudgetError,
     GridSpec,
     LambdaSignature,
-    MultiIndex,
     ScalarField,
     UsageError,
     WavePacketSpec,
@@ -250,7 +249,7 @@ def test_pipeline_matches_full_array_reference(grid, n, odd, side, monkeypatch):
     # a side's packet: e^{-i side t x}, conjugated on the axes that side serves
     spec = WavePacketSpec((1,) * n, *band, transform._side_axes(sig, side), vertical_sign=side)
     for u in (make_wave_packet(spec, sig, g), _noise(g, n)):
-        got = transform._pipeline(g, u.values.copy(), sig, side, None, want_pu=True)[0].values
+        got = transform._pipeline(g, u.values.copy(), sig, side, report=False, want_pu=True)[0].values
         want = _ref_pipeline(u, sig, side)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -437,7 +436,7 @@ def test_gap_counts_a_bin_the_projection_empties():
     mixed = (1e-6 * np.conj(z) + 1e-10) * np.exp(-t1 * np.abs(z) ** 2)
     u = ScalarField(grid=grid, values=u.values + _tone(grid, mixed, t1).values)
     pu, _, norm_sq, _, _, gap_sq, _ = transform._pipeline(
-        grid, u.values.copy(), SIG1, 1, MultiIndex(()), want_pu=True
+        grid, u.values.copy(), SIG1, 1, report=True, want_pu=True
     )
     share = partial_ft(pu).spectral_energy()
     share /= share.sum()
@@ -501,8 +500,7 @@ def test_pipeline_change_matches_the_spatial_sum(N, side):
     shape = grid.field_shape(1)
     floor = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     u = plus.values + 0.5 * minus.values + floor
-    J = MultiIndex(transform._side_axes(SIG1, side))
-    pu, _, _, change_sq, *_ = transform._pipeline(grid, u.copy(), SIG1, side, J, want_pu=True)
+    pu, _, _, change_sq, *_ = transform._pipeline(grid, u.copy(), SIG1, side, report=True, want_pu=True)
     want = weighted_sq_sum(pu.values, grid.field_weight_array(1), u)
     got = grid.freq_step / (2 * np.pi) * change_sq
     assert abs(got - want) <= 1e-12 * want
@@ -523,8 +521,7 @@ def test_pipeline_sums_match_the_spatial_sums_n2(side):
     grid = GridSpec(3.5, 13, 8.0, 32)
     sig = LambdaSignature((-1.0, 1.0))
     u = _tone_field(grid, 4, 3) + 0.5j * _tone_field(grid, 5, 3)
-    J = MultiIndex(transform._side_axes(sig, side))
-    pu, _, norm_sq, change_sq, *_ = transform._pipeline(grid, u.copy(), sig, side, J, want_pu=True)
+    pu, _, norm_sq, change_sq, *_ = transform._pipeline(grid, u.copy(), sig, side, report=True, want_pu=True)
     w = grid.field_weight_array(2)
     c = grid.freq_step / (2 * np.pi)
     want_change = weighted_sq_sum(pu.values, w, u)
@@ -543,8 +540,7 @@ def test_concurrent_n2_pipelines_match_sequential():
 
     def run(job):
         values, side = job
-        J = MultiIndex(transform._side_axes(sig, side))
-        pu, *sums = transform._pipeline(grid, values.copy(), sig, side, J, want_pu=True)
+        pu, *sums = transform._pipeline(grid, values.copy(), sig, side, report=True, want_pu=True)
         return pu.values, sums
 
     want = [run(job) for job in jobs]
