@@ -10,8 +10,10 @@ application.  For n >= 2 it is two real blocks per axis in the
 parity-sector basis: the slice moves there once (:func:`to_sectors`), the
 blocks act there (:func:`apply_sectors`), the norms are taken there
 (:func:`sector_sq`) and P s_t moves back once (:func:`from_sectors`).
-:func:`slice_work` makes the scratch of either, and :func:`project_slices`
-builds and applies one operator per slice.
+:func:`slice_work` makes the scratch of either.  The pipeline's slab loop
+(``transform._pipeline``) and ``bergman.bergman_project`` call these
+directly; :func:`project_slices`, which builds and applies one operator per
+slice of a stack, has no caller in the package.
 
 Every kernel is deterministic: reduction orders are fixed and nothing runs
 in parallel beyond BLAS.

@@ -53,11 +53,6 @@ def axis_coefficients(sig: LambdaSignature, J: MultiIndex, eta: float) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _require_positive(sig: LambdaSignature) -> None:
-    if not sig.all_positive():
-        raise UsageError("Bergman weight needs an all-positive signature")
-
-
 def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> np.ndarray:
     """Slice-level projection v(z) = integral K(z, w) u(w) dmu(w) by quadrature.
 
@@ -66,27 +61,25 @@ def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> n
     K(z, w) = (t^n/pi^n) * prod(lam) *
               exp(-t*sum lam_j|w_j-z_j|^2 - t*sum lam_j*(w_j zbar_j - wbar_j z_j)),
     for t > 0; it vanishes for t <= 0, and so does the projected slice.
+    A copy of the slice is projected by the pipeline's slice step,
+    :func:`_kernels.project_slice` with the :func:`_kernels.slice_operator` at t.
     """
-    _require_positive(sig)
+    if not sig.all_positive():
+        raise UsageError("Bergman weight needs an all-positive signature")
     n = sig.n
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    if values.shape != grid.spatial_shape(n):
+    out = np.array(values, dtype=np.complex128, order="C")
+    if out.shape != grid.spatial_shape(n):
         raise UsageError(
-            f"slice shape {values.shape} does not match grid spatial shape "
+            f"slice shape {out.shape} does not match grid spatial shape "
             f"{grid.spatial_shape(n)} of the signature's dimension"
         )
     if t <= 0:
-        return np.zeros_like(values)
+        return np.zeros_like(out)
     m = grid.spatial_points
-    out = _kernels.project_slices(
-        values.reshape((1,) + (m * m,) * n),
-        np.array([float(t)]),
-        float(t),
-        grid.spatial_nodes(),
-        grid.spatial_axis_weights(),
-        sig.lambdas,
-    )
-    return out.reshape(grid.spatial_shape(n))
+    op = _kernels.slice_operator(t, grid.spatial_nodes(), grid.spatial_axis_weights(), sig.lambdas)
+    # the slice as (m^2,)*n is a view of ``out``: it is projected in place
+    _kernels.project_slice(op, out.reshape((m * m,) * n), None, _kernels.slice_work(m, n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
-
-import numpy as np
 
 from . import forms, transform
 from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
@@ -29,12 +28,6 @@ from .core import (
 # read_form stays bound here: perfbench/spans.py wraps cli.read_form
 from .fieldio import FieldReader, FieldWriter, read_form, write_form  # noqa: F401
 from .verification import run_verification, report_text
-
-
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return RunConfig.from_path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +57,6 @@ def cmd_kernel_table(cfg: RunConfig, out) -> int:
         raise UsageError("degenerate signature: the projector vanishes identically; "
                          "config key 'lambdas' has a zero entry")
     n = sig.n
-    rng = np.random.default_rng(cfg.seed)
     header = (
         _point_headers("x", n)
         + _point_headers("y", n)
@@ -91,15 +83,7 @@ def cmd_kernel_table(cfg: RunConfig, out) -> int:
                 )
             )
 
-    for _ in range(cfg.kernel_table_count):
-        z = tuple(
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n)
-        )
-        w = tuple(
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(n)
-        )
-        x = HeisenbergPoint(z, rng.uniform(-2, 2))
-        y = HeisenbergPoint(w, rng.uniform(-2, 2))
+    for x, y in cfg.kernel_table_pairs():
         emit(x, y, cfg.epsilon)
     diag = HeisenbergPoint(tuple(0.3 + 0.2j for _ in range(n)), 0.5)
     for eps in cfg.kernel_table_diag_eps:
@@ -132,15 +116,15 @@ def cmd_make_packet(cfg: RunConfig, which: str, out: str, fmt: str) -> int:
     q = None
     for k in idxs:
         if not 1 <= k <= len(cfg.packets):
-            raise UsageError(f"packet index {k} out of range 1..{len(cfg.packets)}")
+            raise UsageError(f"--packet: index {k} out of range 1..{len(cfg.packets)}")
         spec = cfg.packets[k - 1]
         J = MultiIndex(spec.conjugated_axes)
         if q is None:
             q = J.q
         elif J.q != q:
-            raise UsageError("selected packets belong to different degrees")
+            raise UsageError("--packet: the selected packets belong to different degrees")
         if J in comps:
-            raise UsageError(f"two selected packets share the component {J}")
+            raise UsageError(f"--packet: two selected packets share the component {J}")
         comps[J] = cfg.packet_field(k)
     form = FormField(grid=cfg.grid, q=q, components=comps)
     write_form(out, form, fmt=fmt)
@@ -241,8 +225,29 @@ def cmd_verify(cfg: RunConfig, out: str | None, jobs: int, criteria) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusal names the argument on its first line, as every
+    other refusal of the CLI does, with the usage after it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
+def _require_paths(inp: str | None, out: str | None) -> None:
+    """Refuse an ``--in`` that is not a file, and an ``--out`` that names no
+    file or lies in no directory, before anything is read or computed."""
+    if inp is not None and not os.path.isfile(inp):
+        raise UsageError(f"--in {inp!r} is not a file")
+    if out is None:
+        return
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise UsageError(f"--out {out!r} names no file: it is empty or a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"--out {out!r}: {os.path.dirname(out)!r} is not a directory")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hszego",
         description="Szego projections on the Heisenberg group: kernels, pipeline, verification",
     )
@@ -275,16 +280,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        _require_paths(getattr(args, "inp", None), args.out)
+        cfg = RunConfig() if args.config is None else RunConfig.from_path(args.config)
         if args.command == "kernel-table":
             return cmd_kernel_table(cfg, args.out)
         if args.command == "make-packet":
             return cmd_make_packet(cfg, args.packet, args.out, args.format)
         if args.command == "project":
             return cmd_project(cfg, args.inp, args.out, args.format)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.jobs, args.criteria)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_verify(cfg, args.out, args.jobs, args.criteria)
     except BudgetError as exc:
         print(f"budget violation [{exc.budget_name}]: {exc}", file=sys.stderr)
         return 3

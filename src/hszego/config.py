@@ -15,8 +15,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (
-    GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, norm, text_value,
+    GridSpec, HeisenbergPoint, LambdaSignature, ScalarField, UsageError, finite_float, norm,
+    text_value,
 )
+from .phase import PhaseChoice, fio_rule, phase
 from .transform import WavePacketSpec, make_wave_packet
 
 __all__ = ["RunConfig", "parse_flat_config", "decode_text"]
@@ -75,6 +77,11 @@ def _non_negative_int(text: str) -> int:
 
 #: the most sample pairs ``kernel-table`` tabulates (~45 MB of csv)
 _KERNEL_TABLE_MAX_COUNT = 100_000
+
+
+#: the most nodes of ``kernel-table``'s quadrature rule at one sample pair
+#: (~80 MB of working arrays); the default config's largest rule has 600
+_KERNEL_TABLE_MAX_NODES = 1_000_000
 
 
 def _table_count(text: str) -> int:
@@ -188,10 +195,42 @@ class RunConfig:
         for key, value, factors, low in checks:
             if not low <= math.prod(factors) <= fmax:
                 raise UsageError(f"config key {key!r}: {value!r} is out of range for the kernel-table rows at n={n}")
+        # kernel-table's rule at a sample pair has ~10 |Re phi| t_max / (2 pi) nodes,
+        # t_max = 40 / (Im phi + eps), and Im phi grows with lambdas: small lambdas and
+        # epsilon together ask for a rule no memory holds.  The pairs' rules are sized,
+        # before anything is allocated, only where |Re phi| <= reach and Im phi >= 0
+        # leave room above the cap
+        cap = _KERNEL_TABLE_MAX_NODES
+        if 10.0 * reach * 40.0 / (2.0 * math.pi * self.epsilon) + 16 > cap:
+            sig = self.sig
+            nodes = max((fio_rule(phase(PhaseChoice.MINUS, x, y, sig), self.epsilon)[1]
+                         for x, y in self.kernel_table_pairs()), default=0)
+            if nodes > cap:
+                raise UsageError(
+                    f"config keys 'lambdas' and 'epsilon': kernel-table's quadrature rule at a "
+                    f"sample pair needs {nodes} nodes, above {cap}"
+                )
 
     @property
     def sig(self) -> LambdaSignature:
         return LambdaSignature(self.lambdas)
+
+    def kernel_table_pairs(self) -> list[tuple[HeisenbergPoint, HeisenbergPoint]]:
+        """The ``kernel_table.count`` random sample pairs (x, y) of ``kernel-table``, drawn from ``seed``.
+
+        Each pair draws z, then w (the real and imaginary part of each
+        entry uniform on [-1.5, 1.5]), then x_last and y_last (uniform on [-2, 2]).
+        """
+        rng = np.random.default_rng(self.seed)
+
+        def spatial():
+            return tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in self.lambdas)
+
+        pairs = []
+        for _ in range(self.kernel_table_count):
+            z, w = spatial(), spatial()
+            pairs.append((HeisenbergPoint(z, rng.uniform(-2, 2)), HeisenbergPoint(w, rng.uniform(-2, 2))))
+        return pairs
 
     def packet_field(self, i: int) -> ScalarField:
         """Packet ``i`` (1-based) synthesized on ``grid``; an error names the packet.

@@ -26,6 +26,9 @@ FORMAT_NAME = "hszego-field-v1"
 #: the largest header n: a field has 2n + 1 axes, and a numpy array at most 64
 _MAX_N = 31
 
+#: the header keys that fix a payload's size
+_PAYLOAD_KEYS = "'n', 'components', 'grid.spatial_points', 'grid.vertical_points' and 'data'"
+
 
 def _decode_multiindex(text: str) -> MultiIndex:
     body = text.strip()
@@ -103,7 +106,10 @@ class FieldWriter:
         try:
             self._fh.close()
             if complete:
-                os.replace(self._tmp, self._path)
+                try:
+                    os.replace(self._tmp, self._path)
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, self._path) from None
                 moved = True
         finally:
             if not moved:
@@ -140,7 +146,7 @@ def _decode_components(text: str, n: int, q: int) -> list[MultiIndex]:
     for J in keys:
         J.validate_bound(n)
         if J.q != q:
-            raise ValueError(f"component {J} has length {J.q}, expected q={q}")
+            raise ValueError(f"component {J} has length {J.q}, expected 'q' = {q}")
     if len(set(keys)) != len(keys):
         raise ValueError("a component is listed twice")
     return keys
@@ -203,11 +209,12 @@ class FieldReader:
         while not head or b"data = " not in head[-1]:
             line = fh.readline()
             if not line:
-                raise UsageError("not a field file: missing 'data =' line")
+                raise UsageError(f"{where}: not a field file, its header has no 'data =' line")
             head.append(line)
         hdr = parse_flat_config(decode_text(b"".join(head), where, 1))
-        if hdr.get("format") != FORMAT_NAME:
-            raise UsageError(f"unsupported format {hdr.get('format')!r}")
+        fmt = _header_value(hdr, "format", str)
+        if fmt != FORMAT_NAME:
+            raise UsageError(f"field file header 'format': {fmt!r} is not {FORMAT_NAME!r}")
         grid_keys = [(f"grid.{name}", name, conv) for name, conv in GridSpec.TEXT_KEYS]
         known = {"format", "n", "q", "components", "data", *(key for key, _, _ in grid_keys)}
         for key in hdr:
@@ -229,7 +236,11 @@ class FieldReader:
         self.grid = GridSpec(
             **{name: _header_value(hdr, key, conv) for key, name, conv in grid_keys}
         )
-        self.grid.require_representable(n, "field file header")
+        try:
+            self.grid.require_representable(n, "field file header")
+        except UsageError as exc:
+            # every size rule depends on the dimension too
+            raise UsageError(f"{exc} (header 'n' = {n})") from None
         self._shape = self.grid.field_shape(n)
         count = math.prod(self._shape)
         self._start = fh.tell()
@@ -239,7 +250,10 @@ class FieldReader:
             need = count * 16 * len(self.keys)
             size = os.fstat(fh.fileno()).st_size - self._start
             if size != need:
-                raise UsageError(f"payload size {size} != expected {need}")
+                raise UsageError(
+                    f"field file header {_PAYLOAD_KEYS}: binary payload has {size} bytes, "
+                    f"expected {need} ({len(self.keys)} components x {count} points x 16)"
+                )
         elif mode == "csv":
             text = decode_text(fh.read(), where, len(head) + 1)
             # counted before the arrays are made, so a header's grid is
@@ -247,14 +261,16 @@ class FieldReader:
             rows = sum(1 for line in io.StringIO(text) if line.strip())
             if rows != len(self.keys) * count:
                 raise UsageError(
-                    f"csv payload has {rows} rows, expected {len(self.keys) * count} "
+                    f"field file header {_PAYLOAD_KEYS}: csv payload has {rows} rows, "
+                    f"expected {len(self.keys) * count} "
                     f"({len(self.keys)} components x {count} points)"
                 )
             self._csv = [np.zeros(count, dtype=complex) for _ in self.keys]
             # payload rows are numbered as lines of the whole file
             _read_csv_rows(text, len(head) + 1, count, self._csv)
         else:
-            raise UsageError(f"unknown payload mode {mode!r}")
+            raise UsageError(f"field file header 'data': unknown payload mode {mode!r}, "
+                             "expected 'binary' or 'csv'")
 
     def read(self, J: MultiIndex) -> np.ndarray:
         """The values of component ``J``, in a new writable array."""

@@ -184,67 +184,53 @@ def cr_system_residual(u: ScalarField, J: MultiIndex, sig: LambdaSignature) -> f
     return math.sqrt(acc)
 
 
-def _slices_cr_sq(s: np.ndarray, J: MultiIndex, sig: LambdaSignature, x: np.ndarray,
-                  wi: np.ndarray, d_x: np.ndarray) -> float:
-    """:func:`cr_system_residual`'s squared sum, taken on frequency slices.
-
-    ``s`` is (m,)*2n + (K,): the slices at K positions of ``np.fft.ifft`` of
-    a field along its vertical axis, with the spatial axes as in the field.
-    At each position the periodic stencil of :func:`apply_cr` multiplies by
-    its symbol (:func:`_periodic_d4_symbol`), which ``d_x`` (K,) holds over
-    12 times the vertical step, so each slice is taken alone.  Returns the
-    sum over j and the slices of the interior |Z_j s|^2 (j in J) or
-    |Zbar_j s|^2, weighted by the spatial weights ``wi`` of the interior
-    block.  By Parseval, N dx times this sum over all N positions is the
-    square of :func:`cr_system_residual`.
-
-    For each j, axis j's two spatial axes are copied to the front, whole,
-    with the others' interior behind them: the stencil then reads long
-    contiguous runs, where the interior block of every axis has runs of
-    m - 4 nodes.
-    """
-    n = sig.n
-    band = slice(_BOUNDARY_BAND, x.size - _BOUNDARY_BAND)
-    block = (band, band) + (slice(None),) * (2 * n - 1)
-    wi = wi.reshape(-1)
-    total = 0.0
-    for j in range(1, n + 1):
-        axes = (2 * j - 2, 2 * j - 1)
-        inner = tuple(slice(None) if a in axes else band for a in range(2 * n))
-        v = np.ascontiguousarray(np.moveaxis(s[inner], axes, (0, 1)))
-        r, coef = _cr_term(v, block, J.contains(j), sig.lambdas[j - 1], 1, x)
-        r += (coef * d_x) * v[block]
-        del v
-        # every spatial axis has the same weights, so the order of r's axes
-        # does not change them
-        f = r.view(np.float64)
-        np.multiply(f, f, out=f)
-        total += float((wi @ f.reshape(wi.size, -1)).sum())
-    return total
-
-
 def _slab_cr_sq(grid: GridSpec, J: MultiIndex, sig: LambdaSignature):
     """:func:`cr_system_residual`'s squared sum, taken a slab of frequency slices at a time.
 
     Checks the grid and sets the stencil up once, and returns
-    ``add(total, slab, ks)``: ``total`` plus :func:`_slices_cr_sq` of the
-    slices ``slab`` ((K,) + (m^2,)*n) at the FFT positions ``ks`` (K,).
+    ``add(total, slab, ks)``: ``total`` plus the sum over j and the slices
+    ``slab`` ((K,) + (m^2,)*n, at the FFT positions ``ks`` (K,) of
+    ``np.fft.ifft`` of a field along its vertical axis) of the interior
+    |Z_j s|^2 (j in J) or |Zbar_j s|^2, weighted by the spatial weights of
+    the interior block.  At each position the periodic stencil of
+    :func:`apply_cr` multiplies by its symbol (:func:`_periodic_d4_symbol`),
+    so each slice is taken alone.  By Parseval, N dx times this sum over
+    all N positions is the square of :func:`cr_system_residual`.
+
     For n = 1 the slab is taken whole, for n >= 2 one slice at a time, which
-    keeps the copies of the stencil to one slice's size.
+    keeps the copies of the stencil to one slice's size; each group's sum
+    over j is added to ``total`` on its own.  For each j, axis j's two
+    spatial axes are copied to the front, whole, with the others' interior
+    behind them: the stencil then reads long contiguous runs, where the
+    interior block of every axis has runs of m - 4 nodes.
     """
     # a grid too small for the stencil has no residual to report
     _require_fd_grid(grid)
     n, m = sig.n, grid.spatial_points
     x = grid.spatial_nodes()
     band = slice(_BOUNDARY_BAND, m - _BOUNDARY_BAND)
-    wi = grid.spatial_weight_array(n)[(band,) * (2 * n)]
+    block = (band, band) + (slice(None),) * (2 * n - 1)
+    wi = grid.spatial_weight_array(n)[(band,) * (2 * n)].reshape(-1)
     d_x = _periodic_d4_symbol(grid.vertical_points) / (12.0 * grid.vertical_step)
 
     def add(total, slab, ks):
         k = ks.size if n == 1 else 1
         for lo in range(0, ks.size, k):
             s = np.moveaxis(slab[lo : lo + k].reshape((k,) + (m,) * (2 * n)), 0, -1)
-            total += _slices_cr_sq(s, J, sig, x, wi, d_x[ks[lo : lo + k]])
+            group = 0.0
+            for j in range(1, n + 1):
+                axes = (2 * j - 2, 2 * j - 1)
+                inner = tuple(slice(None) if a in axes else band for a in range(2 * n))
+                v = np.ascontiguousarray(np.moveaxis(s[inner], axes, (0, 1)))
+                r, coef = _cr_term(v, block, J.contains(j), sig.lambdas[j - 1], 1, x)
+                r += (coef * d_x[ks[lo : lo + k]]) * v[block]
+                del v
+                # every spatial axis has the same weights, so the order of r's
+                # axes does not change them
+                f = r.view(np.float64)
+                np.multiply(f, f, out=f)
+                group += float((wi @ f.reshape(wi.size, -1)).sum())
+            total += group
         return total
 
     return add

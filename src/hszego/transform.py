@@ -32,6 +32,7 @@ from .core import (
     ScalarField,
     UsageError,
     composite_gauss_legendre,
+    text_value,
 )
 
 __all__ = [
@@ -261,10 +262,17 @@ def _pipeline(
     it ((N dx) dt / (2 pi) = 1), so only the squared sums are scaled, by
     (N dx)^2.  Beside the forward FFT, the field is passed over once to
     take each bin's energy and weighted energy (:func:`_bin_sums`), and the
-    projected bins are gathered a slab at a time (:func:`_project_bins`).
-    Only when Pu is wanted are the slabs written back, the bins not
-    projected zeroed in one pass and the inverse FFT run; without it the
-    buffer keeps the forward transform.  The budget window is found once.
+    projected bins are copied into a slab ``_SLAB_BINS`` at a time,
+    ``_GATHER_NODES`` rows at a time: a run of consecutive FFT positions by
+    a transposing copy of its columns, any other set by an index gather
+    (~1.5x slower, gather and scatter together).  Each slice is projected in
+    its slab row by :func:`_kernels.project_slice` with its bin's operator,
+    built once, and with ``report`` the slab's CR residual is added by
+    ``forms._slab_cr_sq``; which bins are occupied in Pu needs Pu's total
+    energy, known only after the loop.  Only when Pu is wanted are the
+    slabs written back the same way, whole, the bins not projected zeroed in
+    one pass and the inverse FFT run; without it the buffer keeps the
+    forward transform.  The budget window is found once.
     """
     n = (values.ndim - 1) // 2
     if sig.n != n:
@@ -272,10 +280,11 @@ def _pipeline(
     N = grid.vertical_points
     F = np.fft.ifft(values, axis=-1, out=values)
     ts = np.fft.ifftshift(grid.freq_nodes())
-    energy, weighted = _bin_sums(F.reshape(-1, N), grid.spatial_weight_array(n).reshape(-1))
-    label = MultiIndex(_side_axes(sig, side)) if report else None
+    by_node = F.reshape(-1, N)
+    energy, weighted = _bin_sums(by_node, grid.spatial_weight_array(n).reshape(-1))
+    J = MultiIndex(_side_axes(sig, side))
     if not math.isfinite(energy.sum()):
-        where = "field" if label is None else f"component {label}"
+        where = f"component {J}" if report else "field"
         raise UsageError(f"{where}: the sum of |u|^2 is not finite")
     sel = (side * ts > 0) & (np.abs(ts) <= ts.max())
     window = gaussian_budget_window(grid, sig)
@@ -287,9 +296,41 @@ def _pipeline(
         # a masked copy walks F in memory order: an index assignment on the
         # bin axis is ~3x slower
         np.copyto(F, 0, where=dropped)
-    energy_pu, norms, changes, gaps, cr = _project_bins(
-        grid, F.reshape(-1, N), ts, keep, sig, label, want_pu
-    )
+    # per projected bin: Pu's energy, ||Pu||^2, ||Pu - u||^2, ||P(Pu) - Pu||^2
+    energy_pu, norms, changes, gaps = np.zeros((4, keep.size))
+    cr = 0.0
+    if report:
+        # forms imports this module, so its stencil is looked up here
+        from . import forms
+
+        add_cr = forms._slab_cr_sq(grid, J, sig)
+    consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
+    slab_shape = (grid.spatial_points ** 2,) * n
+    omega = _kernels.slice_weights(consts[1], n) if report else None
+    work = _kernels.slice_work(grid.spatial_points, n)
+    S = by_node.shape[0]
+    for lo in range(0, keep.size, _SLAB_BINS):
+        ks = keep[lo : lo + _SLAB_BINS]
+        run = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == ks.size - 1 else ks
+        rows = np.empty((ks.size, S), dtype=np.complex128)
+        for at in range(0, S, _GATHER_NODES):
+            nodes = slice(at, at + _GATHER_NODES)
+            rows[:, nodes] = by_node[nodes, run].T
+        slab = rows.reshape((ks.size,) + slab_shape)
+        for j, t in enumerate(ts[ks]):
+            got = _kernels.project_slice(_kernels.slice_operator(t, *consts), slab[j], omega, work)
+            if report:
+                norms[lo + j], changes[lo + j], gaps[lo + j] = got
+        if report:
+            cr = add_cr(cr, slab, ks)
+            f = rows.view(np.float64)
+            energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
+            del f
+        if want_pu:
+            by_node[:, run] = rows.T
+        # nothing of this slab may outlive it: the next slab is gathered
+        # while whatever is still referenced here is held
+        del slab, rows
     pu = ScalarField(grid=grid, values=np.fft.fft(F, axis=-1, out=F)) if want_pu else None
     if not report:
         return pu, 0.0, 0.0, 0.0, 0.0, 0.0, None
@@ -304,67 +345,6 @@ def _pipeline(
         pu, scale * float(weighted.sum()), scale * float(norms.sum()), scale * change,
         scale * cr, scale * gap, window,
     )
-
-
-def _project_bins(grid: GridSpec, by_node: np.ndarray, ts: np.ndarray, keep: np.ndarray,
-                  sig: LambdaSignature, label: MultiIndex | None, write_back: bool):
-    """Project the slices at the FFT positions ``keep`` of a transform, a slab at a time.
-
-    ``by_node`` is the transform as (S, N), one row per spatial node.  The
-    kept bins are copied into a slab eight at a time, ``_GATHER_NODES``
-    rows at a time: a run of consecutive positions by a transposing copy of
-    its columns, any other set by an index gather (~1.5x slower, gather and
-    scatter together).  Each slice is projected in its slab row by
-    :func:`_kernels.project_slice` with its bin's operator, built once.
-    With ``write_back`` the slab is written back the same way, whole, so
-    the projection is made in place; without it ``by_node`` is only read.
-
-    ``label`` is the component J the bins serve, or None when nothing is
-    reported.  Returns, with a label, per projected bin Pu's energy, ||P s_t||^2,
-    ||P s_t - s_t||^2 and ||P(P s_t) - P s_t||^2 (spatially weighted), and
-    the CR residual of Pu summed over the slabs (``forms._slab_cr_sq``);
-    which bins are occupied in Pu needs Pu's total energy, known only after
-    the loop.
-    """
-    n = sig.n
-    # per projected bin: Pu's energy, ||Pu||^2, ||Pu - u||^2, ||P(Pu) - Pu||^2
-    energy_pu, norms, changes, gaps = sums = np.zeros((4, keep.size))
-    cr = 0.0
-    if label is not None:
-        # forms imports this module, so its stencil is looked up here
-        from . import forms
-
-        add_cr = forms._slab_cr_sq(grid, label, sig)
-    if keep.size == 0:
-        return (*sums, cr)
-    consts = (grid.spatial_nodes(), grid.spatial_axis_weights(), tuple(sig.lambdas))
-    slab_shape = (grid.spatial_points ** 2,) * n
-    omega = None if label is None else _kernels.slice_weights(consts[1], n)
-    work = _kernels.slice_work(grid.spatial_points, n)
-    S = by_node.shape[0]
-    for lo in range(0, keep.size, _SLAB_BINS):
-        ks = keep[lo : lo + _SLAB_BINS]
-        run = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == ks.size - 1 else ks
-        rows = np.empty((ks.size, S), dtype=np.complex128)
-        for at in range(0, S, _GATHER_NODES):
-            nodes = slice(at, at + _GATHER_NODES)
-            rows[:, nodes] = by_node[nodes, run].T
-        slab = rows.reshape((ks.size,) + slab_shape)
-        for j, t in enumerate(ts[ks]):
-            got = _kernels.project_slice(_kernels.slice_operator(t, *consts), slab[j], omega, work)
-            if label is not None:
-                norms[lo + j], changes[lo + j], gaps[lo + j] = got
-        if label is not None:
-            cr = add_cr(cr, slab, ks)
-            f = rows.view(np.float64)
-            energy_pu[lo : lo + ks.size] = np.einsum("ks,ks->k", f, f)
-            del f
-        if write_back:
-            by_node[:, run] = rows.T
-        # nothing of this slab may outlive it: the next slab is gathered
-        # while whatever is still referenced here is held
-        del slab, rows
-    return (*sums, cr)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +419,7 @@ def make_wave_packet(
     """
     n = sig.n
     if len(spec.alpha) != n:
-        raise UsageError(f"alpha length {len(spec.alpha)} != n={n}")
+        raise UsageError(f"alpha length {len(spec.alpha)} != n={n} of 'lambdas'")
     if any(a < 1 or a > n for a in spec.conjugated_axes):
         raise UsageError("conjugated_axes out of range")
     if spec.t_high >= grid.freq_max:
@@ -448,12 +428,14 @@ def make_wave_packet(
             f"range (freq_max={grid.freq_max:.6g})"
         )
     if sig.degenerate:
-        raise UsageError("degenerate signature admits no square-integrable packet")
+        raise UsageError("'lambdas' has a zero entry: a degenerate signature admits no "
+                         "square-integrable packet")
     need = _side_axes(sig, spec.vertical_sign)
     if spec.conjugated_axes != need:
         raise UsageError(
             f"conjugation pattern {spec.conjugated_axes} with vertical_sign="
-            f"{spec.vertical_sign:+d} has a non-decaying axis; required pattern {need}"
+            f"{spec.vertical_sign:+d} has a non-decaying axis under 'lambdas' = "
+            f"{text_value(sig.lambdas)}; required pattern {need}"
         )
     if bin_quadrature:
         ts = grid.freq_nodes()

@@ -334,16 +334,12 @@ def c08_projector_algebra(cfg: RunConfig):
     ]
 
 
-def _micro_grid() -> GridSpec:
-    return GridSpec(3.4, 17, 20.0, 65)
-
-
 def c09_routes(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed + 9)
     pair_tol = cfg.tolerances["pairing_route"]
     dir_tol = cfg.tolerances["direct_route"]
     sig = LambdaSignature((1.0,))
-    grid = _micro_grid()
+    grid = GridSpec(3.4, 17, 20.0, 65)
     worst_pair = 0.0
     for _ in range(20):
         u = random_band_field(grid, 1, rng, band=(1.1, 2.3), modes=4)
@@ -599,7 +595,8 @@ def run_verification(cfg: RunConfig, include, jobs):
         unknown = [tok for tok in include if not any(_matches(cid, [tok]) for cid, _ in CRITERIA)]
         if unknown:
             raise UsageError(
-                f"no criterion is named by {unknown}; name one as C05, C05.slices or C05a.slice"
+                f"--criteria: no criterion is named by {unknown}; name one as C05, C05.slices "
+                "or C05a.slice"
             )
     chosen = [(cid, fn) for cid, fn in CRITERIA if _matches(cid, include)]
     if jobs == 0:

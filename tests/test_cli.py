@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import os
 import warnings
 
@@ -654,7 +656,12 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      # product of |lambda_j| that overflows c0
      ("lambdas = 1e308", "lambdas"), ("lambdas = 1e200", "lambdas"),
      ("epsilon = 1e200", "epsilon"), ("epsilon = 1e308", "epsilon"),
-     ("lambdas = 1e160, 1e160", "lambdas"), ("lambdas = 1e200, 1e200", "lambdas")],
+     ("lambdas = 1e160, 1e160", "lambdas"), ("lambdas = 1e200, 1e200", "lambdas"),
+     # small lambdas and epsilon together: kernel-table's quadrature rule at a
+     # sample pair would take 7.5e7, 3.7e7 and 7.5e10 nodes; neither key alone does
+     ("lambdas = 1e-6\nepsilon = 1e-6", "lambdas epsilon"),
+     ("lambdas = 1e-6, 1e-6\nepsilon = 1e-6", "lambdas epsilon"),
+     ("lambdas = 1e-9\nepsilon = 1e-9", "lambdas epsilon")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -664,7 +671,8 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     assert main(["verify", "--config", str(p), "--criteria", "C01"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert repr(key.format(path=str(p))) in err
+    for k in key.split():
+        assert repr(k.format(path=str(p))) in err
 
 
 @pytest.mark.parametrize(
@@ -704,6 +712,23 @@ def test_bad_packet_config_exits_2_naming_packet(tmp_path, capsys, text, message
     assert first.startswith("error: ") and message in first
 
 
+def _run(argv):
+    """Run the CLI in-process: its exit code (or the repr of what it raised),
+    its stdout, the first line of its stderr and the warnings it gave."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+    first = err.getvalue().splitlines()[:1]
+    return code, out.getvalue(), first[0] if first else "", caught
+
+
 #: the values the sweep sets each config key to: malformed, signed, zero,
 #: overflowing, underflowing and well-formed tokens, single and in lists
 _SWEEP_TOKENS = (
@@ -725,13 +750,13 @@ def _sweep_keys():
 
 
 @pytest.mark.parametrize("key", _sweep_keys())
-def test_config_value_sweep_exits_0_or_2_naming_the_key(tmp_path, capsys, key):
+def test_config_value_sweep_exits_0_or_2_naming_the_key(tmp_path, key):
     # each token replaces the key's value in the canonical config on a small
     # grid.  kernel-table and make-packet exit 0 or 2 with no numpy warning,
     # a table holds no nan or inf, and a refusal names the key on its first
     # line.  make-packet synthesizes packet 1, so a value that packet 1 does
-    # not fit (lambdas of another sign or length, a coarser vertical grid)
-    # is refused at 'packet 1'
+    # not fit (a packet key, a coarser vertical grid) is refused at
+    # 'packet 1'; a lambdas value packet 1 does not fit names 'lambdas'
     lines = [line.partition(" = ") for line in RunConfig().canonical_text().splitlines()]
     cfg, table = tmp_path / "sweep.cfg", tmp_path / "table.csv"
     bad = []
@@ -741,21 +766,103 @@ def test_config_value_sweep_exits_0_or_2_naming_the_key(tmp_path, capsys, key):
         for argv in (["kernel-table", "--out", str(table)],
                      ["make-packet", "--out", str(tmp_path / "packet.field")]):
             table.unlink(missing_ok=True)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    code = main(argv + ["--config", str(cfg)])
-                except Exception as exc:
-                    code = repr(exc)
-            err = capsys.readouterr().err
-            first = err.splitlines()[0] if err else ""
-            at_packet = argv[0] == "make-packet" or key.startswith("packet.")
+            code, _, first, caught = _run(argv + ["--config", str(cfg)])
+            at_packet = (argv[0] == "make-packet" and key != "lambdas") or key.startswith("packet.")
             named = key in first or (at_packet and "packet 1" in first)
             text = table.read_text().lower() if code == 0 and table.exists() else ""
             if code not in (0, 2) or caught or "nan" in text or "inf" in text or (
                 code == 2 and not named
             ):
                 bad.append((argv[0], tok, code, len(caught), first))
+    assert bad == []
+
+
+#: the header sweep's tokens: the config sweep's, multi-indices, payload
+#: modes, the largest header n and the one above it, and the format name
+_HEADER_TOKENS = _SWEEP_TOKENS + (
+    "()", "(1)", "(2)", "(1,2)", "(1);(1)", "(1", "binary", "csv", "31", "32", fieldio.FORMAT_NAME,
+)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_field_header_sweep_exits_0_2_or_3_naming_the_key(tmp_path, fmt):
+    # each token replaces one header value of a small n=1 field file.
+    # project exits 0, 2 or 3 (its budget refusal) with no numpy warning,
+    # and a refusal names the key on its first line: quoted, since a bare n
+    # or q is in nearly every message.  A csv read of a binary payload
+    # names the line that is not text instead
+    grid = GridSpec(3.0, 9, 4.0, 16)
+    rng = np.random.default_rng(5)
+    u = ScalarField(grid=grid, values=rng.normal(size=grid.field_shape(1)) + 0j)
+    path = tmp_path / "sweep.field"
+    write_form(path, FormField(grid=grid, q=0, components={MultiIndex(()): u}), fmt=fmt)
+    data = path.read_bytes()
+    cut = data.index(b"\n", data.index(b"data = ")) + 1
+    lines = [line.partition(" = ") for line in data[:cut].decode().splitlines()]
+    bad = []
+    for key, _, _ in lines:
+        for tok in _HEADER_TOKENS:
+            head = "".join(f"{k} = {tok if k == key else v}\n" for k, _, v in lines)
+            path.write_bytes(head.encode() + data[cut:])
+            code, _, first, caught = _run(["project", "--in", str(path)])
+            named = repr(key) in first or (key == "data" and "is not UTF-8 text" in first)
+            if code not in (0, 2, 3) or caught or (code == 2 and not named) or (
+                code == 3 and not first.startswith("budget violation")
+            ):
+                bad.append((key, tok, code, len(caught), first))
+    assert bad == []
+
+
+def test_flag_sweep_exits_0_or_2_naming_the_flag(tmp_path):
+    # each token replaces one flag's value in a cheap run on the sweep's
+    # small grid (verify runs C01 with at most two jobs).  A run exits 0 or
+    # 2, or 1 for a verify report with a FAIL line, with no numpy warning; a
+    # refusal's first stderr line is its error, not the usage, and names the
+    # flag (an --in that is not a field file names the file), and it prints
+    # nothing on stdout
+    lines = [line.partition(" = ") for line in RunConfig().canonical_text().splitlines()]
+    cfg, field, text = tmp_path / "sweep.cfg", tmp_path / "in.field", tmp_path / "text.txt"
+    cfg.write_text("".join(f"{k} = {_SWEEP_GRID.get(k, v)}\n" for k, _, v in lines))
+    text.write_text("not a field file\n")
+    (tmp_path / "old.out").write_text("old\n")
+    # a zero field: any content the sweep grid holds lies outside its budget window
+    grid = GridSpec(3.0, 9, 4.0, 16)
+    zero = ScalarField(grid=grid, values=np.zeros(grid.field_shape(1), dtype=complex))
+    write_form(field, FormField(grid=grid, q=0, components={MultiIndex(()): zero}))
+    paths = ("", str(tmp_path), str(tmp_path / "missing" / "x"), str(text / "x"))
+    outs = paths + (str(tmp_path / "old.out"), str(tmp_path / "new.out"), str(tmp_path) + "/")
+    formats = ("csv", "binary", "", "abc", "CSV")
+    cases = [
+        (["kernel-table"], "--out", outs),
+        (["make-packet", "--out", str(tmp_path / "packet.field")], "--packet",
+         ("1", "2", "1,3", "", ",", "abc", "0", "-1", "6", "1,1", "1,2", "1.5", "9" * 25)),
+        (["make-packet", "--out", str(tmp_path / "packet.field")], "--format", formats),
+        (["make-packet"], "--out", outs),
+        (["project", "--in", str(field)], "--in", paths + (str(text), str(field))),
+        (["project", "--in", str(field)], "--out", outs),
+        (["project", "--in", str(field)], "--format", formats),
+        (["verify", "--criteria", "C01", "--jobs", "1"], "--jobs",
+         ("abc", "1.5", "", "-1", "-0", "1", "2", "0x1", "1e0", " 2")),
+        (["verify", "--criteria", "C01", "--jobs", "1"], "--criteria",
+         ("C01", "C01,C01", "c01", "C1", "", ",", "abc", "C01a", "C01.gamma", "C99", "C01,C99")),
+        (["verify", "--criteria", "C01", "--jobs", "1"], "--out", outs),
+    ]
+    bad = []
+    for base, flag, tokens in cases:
+        for tok in tokens:
+            argv = list(base)
+            if flag in argv:
+                argv[argv.index(flag) + 1] = tok
+            else:
+                argv += [flag, tok]
+            code, out, first, caught = _run(argv + ["--config", str(cfg)])
+            named = first.startswith("error: ") and (
+                flag in first or (flag == "--in" and f"field file {tok!r}" in first))
+            fail_line = argv[0] == "verify" and code == 1 and "FAIL" in out
+            if (code not in (0, 2) and not fail_line) or caught or (
+                code == 2 and (not named or out)
+            ):
+                bad.append((argv[0], flag, tok, code, len(caught), first, out[:40]))
     assert bad == []
 
 
@@ -962,13 +1069,19 @@ def _two_component_form(tmp_path, broadband_second):
     return path, cfg
 
 
-@pytest.mark.parametrize("failure", ["budget", "truncated"])
+@pytest.mark.parametrize("failure", ["budget", "truncated", "replace"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_project_out_is_atomic(tmp_path, monkeypatch, capsys, failure, existing):
     # the second component fails after the first is written to the output's
-    # temporary file: no new file appears, an existing one keeps its bytes,
-    # and no temporary file is left
+    # temporary file, or the finished file cannot be moved onto the output:
+    # no new file appears, an existing one keeps its bytes, no temporary
+    # file is left, and a failed move names the output, not the temporary file
     path, cfg = _two_component_form(tmp_path, broadband_second=failure == "budget")
+    if failure == "replace":
+        def refuse(src, dst):
+            raise IsADirectoryError(21, "Is a directory", src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
     if failure == "truncated":
         read = fieldio.FieldReader.read
 
@@ -986,8 +1099,10 @@ def test_project_out_is_atomic(tmp_path, monkeypatch, capsys, failure, existing)
     err = capsys.readouterr().err
     if failure == "budget":
         assert code == 3 and "budget violation" in err
-    else:
+    elif failure == "truncated":
         assert code == 2 and "payload truncated" in err
+    else:
+        assert code == 2 and err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
     assert sorted(os.listdir(tmp_path)) == before
     if existing:
         assert out.read_bytes() == b"old bytes\n"
