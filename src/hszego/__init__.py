@@ -10,6 +10,7 @@ from .bergman import (
     bergman_project,
     default_radius_sweep,
     divergence_witness,
+    divergence_witnesses,
     gaussian_budget_window,
     gaussian_reproducing_check,
     monomial_integral,

@@ -499,20 +499,50 @@ def direct_kernel_apply(Q, uw, dwrap, tn, cq):
     exp(-t*Q) is stepped, not recomputed: for each j it starts at
     exp(-tn[j]*Q) and is multiplied by exp(-h*Q) from one panel to the
     next, PANEL_NODES + 1 exponentials in all.
+
+    Q must be centrosymmetric, Q[S-1-p, S-1-q] == Q[p, q]: on the
+    mirror-symmetric grid flat node S-1-p is node p negated, and negating
+    both points leaves |z - w|^2 and zbar w - z wbar unchanged.  So is
+    E = exp(-t*Q), and in the even and odd parts of a vector, v_p +- v_(S-1-p)
+    (the centre node of an odd S is even), E is block diagonal.  Only the
+    first ceil(S/2) rows of E are exponentiated and stepped; at each node
+    they give the even block E[p, q] + E[p, S-1-q] (q up to the centre) and
+    the odd block E[p, q] - E[p, S-1-q] (q below it), which multiply the
+    even and odd parts of ``uw``, split once.  The outputs are accumulated
+    in that split form and recombined once.  That is half the exponentials
+    and half the multiply-adds of the S x S product.
     """
     panels, rest = divmod(tn.size, PANEL_NODES)
     if panels < 2 or rest or cq.shape[-1] != tn.size:
         raise ValueError("direct_kernel_apply expects two or more whole panels and one weight per node")
+    S = Q.shape[0]
+    h = S // 2
+    r = S - h
+    mirror = uw[::-1]
+    even = uw[:r] + mirror[:r]
+    if r > h:
+        even[h] = uw[h]  # the centre node is its own mirror
+    odd = uw[:h] - mirror[:h]
     out = np.zeros((cq.shape[0],) + uw.shape, dtype=uw.dtype)
-    D = pair_exp(Q, float(tn[PANEL_NODES] - tn[0]))
+    Y = np.empty(uw.shape, dtype=np.result_type(Q.dtype, uw.dtype))
+    D = pair_exp(Q[:r], float(tn[PANEL_NODES] - tn[0]))
     for j in range(PANEL_NODES):
-        E = pair_exp(Q, float(tn[j]))
+        E = pair_exp(Q[:r], float(tn[j]))
         for k in range(panels):
             if k:
                 E *= D
             i = k * PANEL_NODES + j
+            flip = E[:, ::-1]
+            np.matmul(E[:, :r] + flip[:, :r], even, out=Y[:r])
+            np.matmul(E[:h, :h] - flip[:h, :h], odd, out=Y[r:])
             V = np.exp(1j * tn[i] * dwrap)
-            Z = (E @ uw) @ V.T
+            Z = Y @ V.T
             for e in range(cq.shape[0]):
                 out[e] += cq[e, i] * Z
+    # rows r.. of ``out`` hold the odd parts: recombine into v_p and v_(S-1-p)
+    sums, diffs = out[:, :h].copy(), out[:, r:]
+    out[:, :h] = 0.5 * (sums + diffs)
+    out[:, r:] = 0.5 * (sums - diffs)[:, ::-1]
+    if r > h:
+        out[:, h] *= 0.5
     return out

@@ -25,6 +25,7 @@ __all__ = [
     "monomial_integral",
     "truncated_monomial_integral",
     "divergence_witness",
+    "divergence_witnesses",
     "default_radius_sweep",
     "gaussian_budget_window",
     "BUDGET_TOL",
@@ -87,29 +88,11 @@ def bergman_project(values, t: float, grid: GridSpec, sig: LambdaSignature) -> n
 # ---------------------------------------------------------------------------
 
 
-def _eval_poly(coeffs, axes, shape) -> np.ndarray:
-    """Evaluate sum c_alpha z^alpha on an array of the given shape.
-
-    ``axes[j]`` holds the values of z_j on an array that broadcasts to
-    ``shape``, so each power is taken once per distinct value.  A term is
-    filled with its coefficient and multiplied by the powers axis by axis,
-    and the terms after the first are added to it: every value is the one
-    that the same steps on a mesh of the full shape give.  Each product is
-    made in the term's buffer with the power as the left factor: a complex
-    product can round differently with its factors swapped (fused
-    multiply-add), so the order is fixed, whatever the shape.
-    """
-    out = None
-    for alpha, c in coeffs.items():
-        term = np.full(shape, complex(c))
-        for ax, a in enumerate(alpha):
-            if a:
-                np.multiply(axes[ax] ** a, term, out=term)
-        if out is None:
-            out = term
-        else:
-            out += term
-    return np.zeros(shape, dtype=complex) if out is None else out
+def _poly_sum(coeffs, table) -> complex:
+    """sum_alpha c_alpha prod_j table[j][alpha_j] over the terms of ``coeffs``."""
+    terms = (complex(c) * math.prod(table[j][a] for j, a in enumerate(alpha))
+             for alpha, c in coeffs.items())
+    return sum(terms, 0j)
 
 
 def gaussian_reproducing_check(
@@ -122,13 +105,14 @@ def gaussian_reproducing_check(
     lhs = e^{-t*sum|lam||z|^2} g(z);
     rhs = (prod|lam|/pi^n) * t^n * integral e^{-t|lam||z-w|^2 - t lam(zbar w - z wbar)}
           e^{-t|lam||w|^2} g(w) dmu(w), evaluated by the grid quadrature.
-    Holomorphic g with finite weighted norm must give lhs == rhs.  No mesh
-    of the grid is built: w_j is one (Re, Im) plane of nodes broadcast along
-    the other axes.  The kernel depends only on (t, z) and is built once per
-    call, one row of the first grid axis at a time, so its exponent's
-    temporaries stay one row long.  Each polynomial's values take one
-    kernel-sized array, which is multiplied by the kernel and then the
-    weights in place before the whole-array sum.
+    Holomorphic g with finite weighted norm must give lhs == rhs.  The
+    kernel, the tensor weights and each monomial are products over the
+    complex axes, so the 2n-dimensional sum factors exactly: per axis j and
+    degree a the plane sum I_j[a] = sum_w K_j(w) w^a W_j(w) is taken once
+    over that axis' (Re, Im) plane of nodes, and
+    rhs = (prod|lam|/pi^n) * t^n * sum_alpha c_alpha prod_j I_j[alpha_j].
+    That is n * (deg + 1) sums over m^2 nodes; no array over the whole grid
+    is made.  The values agree with the sum over the full mesh to roundoff.
     """
     if t <= 0:
         raise UsageError(f"t must be > 0, got {t}")
@@ -140,33 +124,22 @@ def gaussian_reproducing_check(
         raise UsageError("z must have the signature's dimension")
     lam = np.asarray(sig.lambdas)
     damp = np.exp(-t * np.sum(lam * np.abs(z) ** 2))
+    deg = max((a for g in polys for alpha in g for a in alpha), default=0)
     plane = grid.complex_mesh(1)[..., 0]
-    # w_j on grid axes (2j, 2j+1), broadcast along the others
-    axes = [plane.reshape(plane.shape + (1,) * (2 * (n - 1 - j))) for j in range(n)]
-    wts = grid.spatial_weight_array(n)
-    K = np.empty(wts.shape, dtype=complex)
-    # one row of w: w_1 is the row's line of its plane, w_2.. fill the rest
-    row = np.empty(wts.shape[1:] + (n,), dtype=complex)
-    for j in range(1, n):
-        row[..., j] = axes[j]
-    for i, line in enumerate(axes[0]):
-        row[..., 0] = line
-        expo = (
-            -t * np.einsum("j,...j->...", lam, np.abs(row - z) ** 2)
-            - t * np.einsum("j,...j->...", lam, np.conj(z) * row - z * np.conj(row))
-            - t * np.einsum("j,...j->...", lam, np.abs(row) ** 2)
+    powers = plane ** np.arange(deg + 1)[:, None, None]
+    wplane = grid.spatial_weight_array(1)
+    plane_sums, z_powers = [], []
+    for j in range(n):
+        K = np.exp(
+            -t * lam[j] * np.abs(plane - z[j]) ** 2
+            - t * lam[j] * (np.conj(z[j]) * plane - z[j] * np.conj(plane))
+            - t * lam[j] * np.abs(plane) ** 2
         )
-        np.exp(expo, out=K[i])
-    lhs, rhs = [], []
-    for g_coeffs in polys:
-        lhs.append(complex(damp * _eval_poly(g_coeffs, z[:, None], (1,))[0]))
-        poly = _eval_poly(g_coeffs, axes, K.shape)
-        np.multiply(poly, K, out=poly)
-        np.multiply(poly, wts, out=poly)
-        integ = np.sum(poly)
-        # the next polynomial's values are made while this one's are held
-        del poly
-        rhs.append(complex((sig.product_abs() / math.pi**n) * t**n * integ))
+        plane_sums.append(np.sum(powers * (K * wplane), axis=(1, 2)))
+        z_powers.append(z[j] ** np.arange(deg + 1))
+    scale = (sig.product_abs() / math.pi**n) * t**n
+    lhs = [damp * _poly_sum(g_coeffs, z_powers) for g_coeffs in polys]
+    rhs = [scale * _poly_sum(g_coeffs, plane_sums) for g_coeffs in polys]
     return np.array(lhs, dtype=complex), np.array(rhs, dtype=complex)
 
 
@@ -207,6 +180,56 @@ def monomial_integral(alpha, c) -> float:
 _LEVEL0_BLOCK = 8
 
 
+def _level(a, cj, budget, x01, w01):
+    """One quadrature level at the budgets ``budget``: its caps, and its
+    weighted integrand wts * rho^a e^{-cj rho} at its nodes rho = cap * x01."""
+    cap = budget if cj <= 0 else np.minimum(budget, 48.0 / cj)
+    nodes = cap[..., None] * x01
+    wts = cap[..., None] * w01
+    return cap, wts * (nodes**a * np.exp(-cj * nodes))
+
+
+def _levels(alpha, c, budget, x01, w01, memo):
+    """The nested quadrature over the levels ``alpha``/``c`` at each budget.
+
+    The levels below go through ``memo``, keyed on their exponents and
+    coefficients and on this level's budgets and caps, which fix theirs: a
+    recurring key is summed once.
+    """
+    cap, wf = _level(alpha[0], c[0], budget, x01, w01)
+    if len(alpha) > 1:
+        key = (alpha[1:], c[1:].tobytes(), budget.tobytes(), cap.tobytes())
+        if key not in memo:
+            rest = budget[..., None] - cap[..., None] * x01
+            memo[key] = _levels(alpha[1:], c[1:], rest, x01, w01, memo)
+        wf = wf * memo[key]
+    return np.sum(wf, axis=-1)
+
+
+def _radii_sums(alpha, c, S, x01, w01, memo):
+    """(2*pi)^n times the nested quadrature at each squared radius of ``S``.
+
+    Below the first level the budgets are taken _LEVEL0_BLOCK first-level
+    nodes at a time, and each block's levels go through ``memo``, keyed on
+    the block's budgets.
+    """
+    vals = []
+    for s in S.reshape(-1):
+        cap, wf = _level(alpha[0], c[0], s, x01, w01)
+        if c.size > 1:
+            rest = s - cap * x01
+            inner = []
+            for i in range(0, rest.size, _LEVEL0_BLOCK):
+                block = rest[i:i + _LEVEL0_BLOCK]
+                key = (alpha[1:], c[1:].tobytes(), block.tobytes())
+                if key not in memo:
+                    memo[key] = _levels(alpha[1:], c[1:], block, x01, w01, memo)
+                inner.append(memo[key])
+            wf = wf * np.concatenate(inner)
+        vals.append(np.sum(wf, axis=-1))
+    return (2.0 * math.pi) ** c.size * np.array(vals).reshape(S.shape)
+
+
 def truncated_monomial_integral(alpha, c, radius, points: int = 64):
     """The same integral restricted to the ball |z| <= radius.
 
@@ -219,34 +242,14 @@ def truncated_monomial_integral(alpha, c, radius, points: int = 64):
     of radii gives an array of the same shape, evaluated one radius at a
     time and, below the first level, _LEVEL0_BLOCK first-level nodes at a
     time: every sum runs along its own last axis, so the blocks change no
-    value.  Radii must be > 0.
+    value, and a block whose levels recur is summed once.  Radii must be > 0.
     """
     alpha, c = _exponents(alpha, c)
-    n = c.size
     radius = np.asarray(radius, dtype=float)
     if not np.all(radius > 0):
         raise UsageError("radii must be positive")
-    S = radius * radius
     x01, w01 = gauss_legendre_table(points, unit=True)
-
-    def level_val(level: int, budget: np.ndarray) -> np.ndarray:
-        cap = budget if c[level] <= 0 else np.minimum(budget, 48.0 / c[level])
-        nodes = cap[..., None] * x01
-        wts = cap[..., None] * w01
-        f = nodes ** alpha[level] * np.exp(-c[level] * nodes)
-        if level == n - 1:
-            return np.sum(wts * f, axis=-1)
-        rest = budget[..., None] - nodes
-        if level == 0:
-            inner = np.concatenate([
-                level_val(1, rest[i:i + _LEVEL0_BLOCK]) for i in range(0, points, _LEVEL0_BLOCK)
-            ])
-        else:
-            inner = level_val(level + 1, rest)
-        return np.sum(wts * f * inner, axis=-1)
-
-    vals = np.array([level_val(0, s) for s in S.reshape(-1)]).reshape(S.shape)
-    val = (2.0 * math.pi) ** n * vals
+    val = _radii_sums(alpha, c, radius * radius, x01, w01, {})
     return float(val) if radius.ndim == 0 else val
 
 
@@ -267,14 +270,37 @@ def divergence_witness(alpha, c, radii) -> np.ndarray:
 
     Only valid when :func:`monomial_integral` classified the case Infinite;
     calling it on a finite case is a usage error.  The returned sequence is
-    strictly increasing, and grows without bound as the radii do.
+    strictly increasing, and grows without bound as the radii do.  The
+    values are those of :func:`truncated_monomial_integral` at the radii.
     """
-    if not math.isinf(monomial_integral(alpha, c)):
-        raise UsageError("divergence_witness requires an Infinite classification")
-    radii = tuple(float(r) for r in radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])) or any(r <= 0 for r in radii):
-        raise UsageError("radii must be positive and strictly increasing")
-    return truncated_monomial_integral(alpha, c, np.array(radii))
+    return divergence_witnesses([(alpha, c, radii)])[0]
+
+
+def divergence_witnesses(cases) -> list[np.ndarray]:
+    """:func:`divergence_witness` of each ``(alpha, c, radii)`` of ``cases``, in order.
+
+    The levels below the first depend only on their budgets and on the
+    exponents and coefficients of the axes after the first, and witnesses
+    share many of them: those that differ only in their first axis share
+    every level below it, and where a level's cap is its budget the levels
+    below it recur across its own exponent and coefficient.  One memo
+    serves the whole call, so each distinct level is summed once.  Every sum
+    runs along its own last axis, so each witness is bit for bit the one
+    :func:`truncated_monomial_integral` gives its case alone.
+    """
+    # the rule of truncated_monomial_integral's default points
+    x01, w01 = gauss_legendre_table(64, unit=True)
+    memo = {}
+    out = []
+    for alpha, c, radii in cases:
+        if not math.isinf(monomial_integral(alpha, c)):
+            raise UsageError("divergence_witness requires an Infinite classification")
+        radii = tuple(float(r) for r in radii)
+        if any(b <= a for a, b in zip(radii, radii[1:])) or any(r <= 0 for r in radii):
+            raise UsageError("radii must be positive and strictly increasing")
+        alpha, c = _exponents(alpha, c)
+        out.append(_radii_sums(alpha, c, np.square(radii), x01, w01, memo))
+    return out
 
 
 # ---------------------------------------------------------------------------

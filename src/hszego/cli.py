@@ -233,11 +233,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
-def _require_paths(inp: str | None, out: str | None) -> None:
-    """Refuse an ``--in`` that is not a file, and an ``--out`` that names no
-    file or lies in no directory, before anything is read or computed."""
-    if inp is not None and not os.path.isfile(inp):
-        raise UsageError(f"--in {inp!r} is not a file")
+def _require_paths(config: str | None, inp: str | None, out: str | None) -> None:
+    """Refuse a ``--config`` or an ``--in`` that is not a file, and an ``--out``
+    that names no file or lies in no directory, before anything is read or
+    computed."""
+    for flag, path in (("--config", config), ("--in", inp)):
+        if path is not None and not os.path.isfile(path):
+            raise UsageError(f"{flag} {path!r} is not a file")
     if out is None:
         return
     if not os.path.basename(out) or os.path.isdir(out):
@@ -280,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _require_paths(getattr(args, "inp", None), args.out)
+        _require_paths(args.config, getattr(args, "inp", None), args.out)
         cfg = RunConfig() if args.config is None else RunConfig.from_path(args.config)
         if args.command == "kernel-table":
             return cmd_kernel_table(cfg, args.out)

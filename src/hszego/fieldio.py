@@ -169,9 +169,11 @@ def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarr
             )
         try:
             ci, idx = int(cells[0]), int(cells[1])
-            value = complex(float(cells[2]), float(cells[3]))
+            parts = float(cells[2]), float(cells[3])
         except ValueError:
             raise UsageError(f"line {lineno}: malformed number in {line!r}") from None
+        if not all(map(math.isfinite, parts)):
+            raise UsageError(f"line {lineno}: a value is not finite in {line!r}")
         if not 0 <= ci < len(arrays):
             raise UsageError(
                 f"line {lineno}: component index {ci} out of range 0..{len(arrays) - 1}"
@@ -181,7 +183,7 @@ def _read_csv_rows(text: str, first_line: int, count: int, arrays: list[np.ndarr
         if seen[ci][idx]:
             raise UsageError(f"line {lineno}: duplicate row for component {ci}, index {idx}")
         seen[ci][idx] = True
-        arrays[ci][idx] = value
+        arrays[ci][idx] = complex(*parts)
 
 
 class FieldReader:

@@ -278,7 +278,9 @@ def _pipeline(
     if sig.n != n:
         raise UsageError(f"field dimension {n} != signature dimension {sig.n}")
     N = grid.vertical_points
-    F = np.fft.ifft(values, axis=-1, out=values)
+    # an infinite sample makes nan bins; the finite-energy check refuses them
+    with np.errstate(invalid="ignore"):
+        F = np.fft.ifft(values, axis=-1, out=values)
     ts = np.fft.ifftshift(grid.freq_nodes())
     by_node = F.reshape(-1, N)
     energy, weighted = _bin_sums(by_node, grid.spatial_weight_array(n).reshape(-1))

@@ -70,7 +70,7 @@ PINNED = {
     "C03a.phase": "0.000000000000e+00",
     "C03b.phase": "0.000000000000e+00",
     "C03c.phase": "4.841008116444e-03",
-    "C04.reproducing": "3.852055821097e-11",
+    "C04.reproducing": "3.852060145716e-11",
     "C05a.slice": "1.839681304238e-05",
     "C05b.slice": "6.357482207287e-05",
     "C05c.slice": "0.000000000000e+00",

@@ -17,8 +17,11 @@ from hszego import (
     monomial_integral,
     truncated_monomial_integral,
 )
+from hszego import bergman
+from hszego.config import RunConfig
 from hszego.core import gauss_legendre_table
 from hszego.forms import multi_exponents
+from hszego.verification import c11_vanishing
 
 SIG1 = LambdaSignature((1.0,))
 
@@ -151,7 +154,7 @@ def _mesh_kernel(z, t, sig, grid):
 def _ref_reproducing_check(polys, z, t, sig, grid):
     # the check on the whole complex mesh, with the polynomials evaluated
     # over it and each product an explicit in-place one: the values the
-    # blocked evaluation must reproduce bit for bit
+    # per-axis plane sums must reproduce to roundoff
     n = sig.n
     z = np.asarray(z, dtype=complex)
     W, K, damp = _mesh_kernel(z, t, sig, grid)
@@ -193,10 +196,14 @@ def _c04_polys(n):
     ],
 )
 def test_reproducing_check_matches_the_mesh_evaluation_exactly(sig, grid, t, polys, zs):
+    # the check sums per axis where the mesh sums the whole grid at once: the
+    # order of the sums differs, so the two agree to roundoff, on C04's scale
     for z in zs:
         lhs, rhs = gaussian_reproducing_check(polys, z, t, sig, grid)
         want_lhs, want_rhs = _ref_reproducing_check(polys, z, t, sig, grid)
-        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs), z
+        scale = 1e-14 * (1.0 + np.abs(want_lhs))
+        assert np.all(np.abs(lhs - want_lhs) <= scale), z
+        assert np.all(np.abs(rhs - want_rhs) <= scale), z
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +383,37 @@ def test_witness_at_the_sweep_ends_is_the_sweeps_first_and_last(alpha, c):
     ends = divergence_witness(alpha, c, (sweep[0], sweep[-1]))
     full = divergence_witness(alpha, c, sweep)
     assert ends[0] == full[0] and ends[1] == full[-1]
+
+
+def test_c11_witnesses_share_inner_levels_and_match_each_case_alone(monkeypatch):
+    # C11 evaluates its witnesses in one batch whose levels below the first
+    # are summed once each: the n = 3 cases' 300 radii would sum 8 blocks of
+    # innermost nodes each, and they sum fewer than half of those 2400.  Each
+    # witness must still be, bit for bit, the truncated integral of its case
+    seen, innermost = [], []
+    batch, level = bergman.divergence_witnesses, bergman._level
+
+    def counted_level(a, cj, budget, x01, w01):
+        # only an n = 3 case's innermost level has a 2-d block of budgets
+        innermost.append(np.ndim(budget) == 2)
+        return level(a, cj, budget, x01, w01)
+
+    def recorded(cases):
+        monkeypatch.setattr(bergman, "_level", counted_level)
+        vals = batch(cases)
+        monkeypatch.setattr(bergman, "_level", level)
+        seen.extend(zip(cases, vals))
+        return vals
+
+    monkeypatch.setattr(bergman, "divergence_witnesses", recorded)
+    c11_vanishing(RunConfig())
+    n3 = [(case, vals) for case, vals in seen if len(case[0]) == 3]
+    assert len(n3) == 150
+    radii = sum(len(case[2]) for case, _ in n3)
+    assert 0 < sum(innermost) < 8 * radii // 2
+    for (alpha, c, radii), vals in seen:
+        want = truncated_monomial_integral(alpha, c, np.array(radii))
+        assert np.array_equal(vals, want), (alpha, c, radii)
 
 
 def test_gauss_legendre_table_shared_and_read_only():

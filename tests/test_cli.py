@@ -813,6 +813,49 @@ def test_field_header_sweep_exits_0_2_or_3_naming_the_key(tmp_path, fmt):
     assert bad == []
 
 
+#: the payload sweep's values: a binary sample takes the first four, a csv
+#: cell all of them as written
+_PAYLOAD_TOKENS = ("nan", "inf", "-inf", "1e308", "1e400", "9" * 400, "1e-400")
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_field_payload_sweep_exits_0_2_or_3_naming_the_line(tmp_path, fmt):
+    # each token replaces one sample of the header sweep's n=1 field file:
+    # in a csv payload, the re and then the im cell of one row.  project
+    # exits 0, 2 or 3 (its budget refusal) with no numpy warning, and a csv
+    # cell that is not finite is refused naming its line
+    grid = GridSpec(3.0, 9, 4.0, 16)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=grid.field_shape(1)) + 0j
+    path = tmp_path / "sweep.field"
+
+    def write(vals):
+        comp = ScalarField(grid=grid, values=vals)
+        write_form(path, FormField(grid=grid, q=0, components={MultiIndex(()): comp}), fmt=fmt)
+
+    write(values)
+    lines = path.read_text().splitlines(keepends=True) if fmt == "csv" else []
+    row = next((i for i, line in enumerate(lines) if line.startswith("0,7,")), None)
+    bad = []
+    for tok in _PAYLOAD_TOKENS if fmt == "csv" else _PAYLOAD_TOKENS[:4]:
+        for cell in (2, 3) if fmt == "csv" else (None,):
+            if cell is None:
+                vals = values.copy()
+                vals.flat[7] = float(tok)
+                write(vals)
+            else:
+                cells = lines[row].rstrip("\n").split(",")
+                cells[cell] = tok
+                path.write_text("".join(lines[:row] + [",".join(cells) + "\n"] + lines[row + 1:]))
+            code, _, first, caught = _run(["project", "--in", str(path)])
+            refused_at_line = code == 2 and f"line {row + 1}:" in first if cell else True
+            if code not in (0, 2, 3) or caught or (code == 3 and not first.startswith("budget")) or (
+                not np.isfinite(float(tok)) and not refused_at_line
+            ):
+                bad.append((tok, cell, code, len(caught), first))
+    assert bad == []
+
+
 def test_flag_sweep_exits_0_or_2_naming_the_flag(tmp_path):
     # each token replaces one flag's value in a cheap run on the sweep's
     # small grid (verify runs C01 with at most two jobs).  A run exits 0 or
@@ -846,16 +889,18 @@ def test_flag_sweep_exits_0_or_2_naming_the_flag(tmp_path):
         (["verify", "--criteria", "C01", "--jobs", "1"], "--criteria",
          ("C01", "C01,C01", "c01", "C1", "", ",", "abc", "C01a", "C01.gamma", "C99", "C01,C99")),
         (["verify", "--criteria", "C01", "--jobs", "1"], "--out", outs),
+        (["verify", "--criteria", "C01", "--jobs", "1"], "--config",
+         (str(tmp_path / "missing.cfg"), str(tmp_path), "", str(cfg))),
     ]
     bad = []
     for base, flag, tokens in cases:
         for tok in tokens:
-            argv = list(base)
+            argv = list(base) + ["--config", str(cfg)]
             if flag in argv:
                 argv[argv.index(flag) + 1] = tok
             else:
                 argv += [flag, tok]
-            code, out, first, caught = _run(argv + ["--config", str(cfg)])
+            code, out, first, caught = _run(argv)
             named = first.startswith("error: ") and (
                 flag in first or (flag == "--in" and f"field file {tok!r}" in first))
             fail_line = argv[0] == "verify" and code == 1 and "FAIL" in out

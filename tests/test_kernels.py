@@ -16,7 +16,7 @@ import pytest
 
 from hszego import _kernels, transform
 from hszego.bergman import gaussian_budget_window
-from hszego.core import GridSpec, LambdaSignature, composite_gauss_legendre
+from hszego.core import PANEL_NODES, GridSpec, LambdaSignature, composite_gauss_legendre
 
 TOL = 1e-13
 
@@ -288,6 +288,48 @@ def test_signed_slices_are_flipped_hat_slices(lams):
     for k, t in enumerate(ts):
         want = _flipped_hat_projection(slabs[k], float(t), x, w, lams)
         assert np.linalg.norm(out[k] - want) <= TOL * np.linalg.norm(want), (k, float(t))
+
+
+def _unsplit_direct_kernel_apply(Q, uw, dwrap, tn, cq):
+    # the direct route on the whole S x S exp(-tQ), stepped from panel to
+    # panel: the values the half-block route must reproduce to roundoff
+    panels = tn.size // PANEL_NODES
+    out = np.zeros((cq.shape[0],) + uw.shape, dtype=uw.dtype)
+    D = _kernels.pair_exp(Q, float(tn[PANEL_NODES] - tn[0]))
+    for j in range(PANEL_NODES):
+        E = _kernels.pair_exp(Q, float(tn[j]))
+        for k in range(panels):
+            if k:
+                E *= D
+            i = k * PANEL_NODES + j
+            Z = (E @ uw) @ np.exp(1j * tn[i] * dwrap).T
+            for e in range(cq.shape[0]):
+                out[e] += cq[e, i] * Z
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, lams",
+    [(17, (1.0,)), (16, (1.0,)), (3, (1.0, 0.6)), (4, (0.8, 1.3))],
+    ids=["m17-n1", "m16-n1", "m3-n2", "m4-n2"],
+)
+def test_half_block_direct_kernel_matches_the_unsplit_route(m, lams):
+    # an odd m has a centre node, its own mirror; an even m has none
+    n = len(lams)
+    grid = GridSpec(3.4, m, 20.0, 33)
+    zc = grid.complex_mesh(n).reshape(-1, n)
+    Q = _kernels.phase_quadratic(zc, lams)
+    xk = grid.vertical_nodes()
+    d = xk[None, :] - xk[:, None]
+    dwrap = (d + grid.vertical_radius) % (2.0 * grid.vertical_radius) - grid.vertical_radius
+    tn, tw = composite_gauss_legendre(0.0, 2.0 / 0.40, 4 * PANEL_NODES)
+    cq = np.stack([tw * tn * transform._plateau_cutoff(tn, eps) for eps in (0.43, 0.40)])
+    rng = np.random.default_rng(m)
+    uw = rng.standard_normal((zc.shape[0], xk.size)) + 1j * rng.standard_normal((zc.shape[0], xk.size))
+    out = _kernels.direct_kernel_apply(Q, uw, dwrap, tn, cq)
+    ref = _unsplit_direct_kernel_apply(Q, uw, dwrap, tn, cq)
+    for e in range(cq.shape[0]):
+        assert np.linalg.norm(out[e] - ref[e]) <= 1e-13 * np.linalg.norm(ref[e]), e
 
 
 def test_stepped_direct_kernel_matches_per_node_exponentials():

@@ -219,10 +219,12 @@ def test_complex_mesh_holds_only_its_output():
 
 
 def test_reproducing_check_builds_its_kernel_in_row_blocks():
-    # C04's n=2 case holds no mesh: the kernel and one polynomial's values
-    # (6.25 MB each) and the weights (3.1 MB), 16.5 MB in all.  The complex
-    # mesh, the polynomial's accumulator and its powers over the whole mesh
-    # held 41 MB, and the exponent over the whole mesh 54 MB
+    # C04's n=2 case holds no array over the whole grid: it sums per axis
+    # over one 25^2-node plane, the kernel and the powers of w up to degree 4
+    # there, 0.19 MB in all.  The kernel and one polynomial's values over the
+    # whole grid, built a row at a time, held 16.5 MB; the complex mesh, the
+    # polynomial's accumulator and its powers over the whole mesh 41 MB, and
+    # the exponent over the whole mesh 54 MB
     sig = LambdaSignature((1.0, 1.0))
     grid = GridSpec(6.5 / np.sqrt(2.0), 25, 1.0, 4)
     polys = [{alpha: 1.0 + 0.0j} for alpha in forms.multi_exponents(2, 4)]
