@@ -57,22 +57,27 @@ def phase(
     MINUS: -x_last + y_last + i*sum|lam_j||z_j-w_j|^2 + i*sum lam_j*(zbar_j w_j - z_j wbar_j).
     PLUS is its swap/negated-conjugate partner.  The imaginary part is
     always >= 0.
+
+    Scalar float arithmetic, one axis at a time: each sum starts at 0.0 and
+    adds its terms left to right, numpy's order for fewer than eight terms,
+    so the values equal those of the same sums over numpy arrays to the bit
+    (``tests/test_phase.py`` keeps that form as its reference).
     """
     _check_dims(x, y, sig)
-    z = np.asarray(x.z)
-    w = np.asarray(y.z)
-    lam = np.asarray(sig.lambdas)
-    a, b = z.real, z.imag
-    c, d = w.real, w.imag
-    quad = float(np.sum(np.abs(lam) * ((a - c) ** 2 + (b - d) ** 2)))
-    # i*(zbar w - z wbar) = -2*Im(zbar w); computing the imaginary part in
-    # real arithmetic keeps the diagonal exactly zero and the conjugate/swap
-    # identities exact to the bit
-    im_zbar_w = a * d - b * c
+    quad = 0.0
+    im_sum = 0.0
+    for lam, z, w in zip(sig.lambdas, x.z, y.z):
+        a, b = z.real, z.imag
+        c, d = w.real, w.imag
+        quad += abs(lam) * ((a - c) * (a - c) + (b - d) * (b - d))
+        # i*(zbar w - z wbar) = -2*Im(zbar w); computing the imaginary part in
+        # real arithmetic keeps the diagonal exactly zero and the
+        # conjugate/swap identities exact to the bit
+        im_sum += lam * (a * d - b * c)
     if choice is PhaseChoice.MINUS:
-        return complex(-x.x_last + y.x_last - 2.0 * float(np.sum(lam * im_zbar_w)), quad)
+        return complex(-x.x_last + y.x_last - 2.0 * im_sum, quad)
     if choice is PhaseChoice.PLUS:
-        return complex(x.x_last - y.x_last + 2.0 * float(np.sum(lam * im_zbar_w)), quad)
+        return complex(x.x_last - y.x_last + 2.0 * im_sum, quad)
     raise UsageError(f"unknown phase choice {choice!r}")
 
 

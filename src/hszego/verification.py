@@ -75,17 +75,42 @@ def _random_profile(grid: GridSpec, n: int, rng) -> np.ndarray:
     return vals
 
 
+#: spatial rows of a band field summed at a time: 128 rows of the default
+#: grid's 128 vertical samples are 256 KB, which stays in cache while every
+#: mode is added into them
+_BAND_ROWS = 128
+
+
 def random_band_field(grid: GridSpec, n: int, rng, band=(0.9, 4.8), modes=6) -> ScalarField:
-    """Band-limited random field: Gaussian-bump profiles on exact tone bins, ~40 % negative."""
+    """Band-limited random field: Gaussian-bump profiles on exact tone bins, ~40 % negative.
+
+    Every mode's bin, sign and profile are drawn first, in that order per
+    mode.  The modes' outer products profile x tone are then added into
+    ``_BAND_ROWS`` spatial rows at a time, each row block from zero and in
+    mode order, so every sample is the same sum in the same order as mode by
+    mode over the whole field.  Raises ``UsageError`` when no bin of the
+    grid lies in ``band``.
+    """
     ts = grid.freq_nodes()
     pos = np.where((ts >= band[0]) & (ts <= band[1]))[0]
+    if pos.size == 0:
+        tpos = ts[ts > 0]
+        bins = f"run from {tpos[0]:.6g} to {tpos[-1]:.6g}" if tpos.size else "are none"
+        raise UsageError(f"band {tuple(band)} holds no frequency bin; the grid's positive bins {bins}")
     xk = grid.vertical_nodes()
-    vals = np.zeros(grid.field_shape(n), dtype=complex)
+    profiles, tones = [], []
     for _ in range(modes):
         t = ts[rng.choice(pos)]
         if rng.random() < 0.4:
             t = -t
-        vals += _random_profile(grid, n, rng)[..., None] * np.exp(-1j * t * xk)
+        profiles.append(_random_profile(grid, n, rng).reshape(-1))
+        tones.append(np.exp(-1j * t * xk))
+    vals = np.zeros(grid.field_shape(n), dtype=complex)
+    rows = vals.reshape(-1, xk.size)
+    for lo in range(0, rows.shape[0], _BAND_ROWS):
+        block = rows[lo:lo + _BAND_ROWS]
+        for prof, tone in zip(profiles, tones):
+            block += prof[lo:lo + _BAND_ROWS, None] * tone
     return ScalarField(grid=grid, values=vals)
 
 
@@ -505,12 +530,21 @@ def c12_residual_orders(cfg: RunConfig):
     ]
 
 
+_DETERMINISM = "C13.determinism"
 _DETERMINISM_SUBSET = ["C00.preflight", "C01.gamma", "C03.phase", "C06.parseval"]
 
 
-def c13_determinism(cfg: RunConfig):
-    texts = []
-    for jobs in (1, 1, 2):
+def c13_determinism(cfg: RunConfig, first):
+    """Compare three runs of the subset's report: ``first``, one serial rerun and one on two threads.
+
+    ``first`` is the subset's results as the pass computed them, or None
+    when the pass does not run the whole subset; C13 then runs it once
+    serially first.
+    """
+    if first is None:
+        first = run_verification(cfg, _DETERMINISM_SUBSET, 1)
+    texts = [report_text(first, cfg)]
+    for jobs in (1, 2):
         results = run_verification(cfg, _DETERMINISM_SUBSET, jobs)
         texts.append(report_text(results, cfg))
     mismatches = sum(1 for t in texts[1:] if t != texts[0])
@@ -603,14 +637,30 @@ def run_verification(cfg: RunConfig, include, jobs):
         import os
 
         jobs = os.cpu_count() or 1
+    # C13 (last in the registry) is handed the subset's results of this pass
+    # as its first run, or None when the pass does not run the whole subset
+    where = {cid: i for i, (cid, _) in enumerate(chosen)}
+    subset = [where.get(cid) for cid in _DETERMINISM_SUBSET]
+
+    def first(result_of):
+        return None if None in subset else [r for i in subset for r in result_of(i)]
+
     results: list[list[CriterionResult]] = [None] * len(chosen)
     if jobs <= 1:
-        for i, (_, fn) in enumerate(chosen):
-            results[i] = fn(cfg)
+        for i, (cid, fn) in enumerate(chosen):
+            results[i] = fn(cfg, first(results.__getitem__)) if cid == _DETERMINISM else fn(cfg)
     else:
         _one_malloc_arena()
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, cfg) for _, fn in chosen]
+            futures = []
+            for cid, fn in chosen:
+                if cid == _DETERMINISM:
+                    # submitted after the subset, so its criteria have all
+                    # started by the time a worker picks C13 up and waits
+                    later = lambda fn=fn: fn(cfg, first(lambda i: futures[i].result()))
+                    futures.append(pool.submit(later))
+                else:
+                    futures.append(pool.submit(fn, cfg))
             for i, fut in enumerate(futures):
                 results[i] = fut.result()
     flat: list[CriterionResult] = []

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from hszego import transform
+from hszego import transform, verification
 from hszego.config import RunConfig
+from hszego.core import GridSpec, UsageError
 from hszego.verification import report_text, run_verification
 
 EXPECTED_IDS = [
@@ -142,3 +143,108 @@ def test_a_nan_after_finite_values_fails_its_line(monkeypatch):
     assert len(calls) == 20 and np.isnan(r.measured) and not r.passed
     line = report_text([r], RunConfig()).splitlines()[2]
     assert "measured=nan " in line and line.endswith(" FAIL")
+
+
+# ---------------------------------------------------------------------------
+# C13: the pass's subset results are its first run
+# ---------------------------------------------------------------------------
+
+SUBSET = ["C00.preflight", "C01.gamma", "C03.phase", "C06.parseval"]
+
+
+def _swap_criteria(monkeypatch, swap):
+    """Replace the registry entries ``swap`` names (cid -> function)."""
+    monkeypatch.setattr(
+        verification, "CRITERIA", [(cid, swap.get(cid, fn)) for cid, fn in verification.CRITERIA]
+    )
+
+
+@pytest.mark.parametrize("include", [SUBSET + ["C13"], ["C13"]], ids=["pass-has-subset", "alone"])
+def test_determinism_fails_on_a_criterion_that_changes(monkeypatch, include):
+    # C06 measures a new value on every call: one of C13's three runs
+    # differs from the others, so C13 measures >= 1 and fails
+    calls = []
+
+    def drifting(cfg):
+        calls.append(None)
+        return [verification._res("C06.parseval", "drift", len(calls), 1e9)]
+
+    _swap_criteria(monkeypatch, {"C06.parseval": drifting})
+    cfg = RunConfig()
+    res = {r.cid: r for r in run_verification(cfg, include, 1)}
+    c13 = res["C13.determinism"]
+    assert c13.measured >= 1 and not c13.passed
+    line = report_text([c13], cfg).splitlines()[2]
+    assert line.startswith("C13.determinism") and line.endswith(
+        "FAIL  (2 reruns + jobs {1,2} on subset C00.preflight,C01.gamma,C03.phase,C06.parseval)"
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("include", [SUBSET + ["C13"], ["C13"], None], ids=["pass-has-subset", "alone", "all"])
+def test_determinism_runs_each_subset_criterion_three_times(monkeypatch, include, jobs):
+    # the pass plus two reruns, or C13's own first run plus two reruns
+    counts = {cid: 0 for cid, _ in verification.CRITERIA}
+
+    def counting(cid):
+        def run(cfg):
+            counts[cid] += 1
+            return [verification._res(cid, "stub", 0.0, 0.0)]
+
+        return run
+
+    _swap_criteria(monkeypatch, {cid: counting(cid) for cid in counts if cid != "C13.determinism"})
+    res = run_verification(RunConfig(), include, jobs)
+    assert res[-1].cid == "C13.determinism" and res[-1].measured == 0.0
+    assert [counts[cid] for cid in SUBSET] == [3, 3, 3, 3]
+    others = [counts[cid] for cid in counts if cid not in SUBSET + ["C13.determinism"]]
+    assert others == [int(include is None)] * len(others)
+
+
+# ---------------------------------------------------------------------------
+# random_band_field: blocked accumulation, the same field to the bit
+# ---------------------------------------------------------------------------
+
+
+def _unblocked_band_field(grid, n, rng, band=(0.9, 4.8), modes=6):
+    # the mode-by-mode loop over the whole field that random_band_field ran
+    # before it summed in row blocks: the reference it must equal bitwise
+    ts = grid.freq_nodes()
+    pos = np.where((ts >= band[0]) & (ts <= band[1]))[0]
+    xk = grid.vertical_nodes()
+    vals = np.zeros(grid.field_shape(n), dtype=complex)
+    for _ in range(modes):
+        t = ts[rng.choice(pos)]
+        if rng.random() < 0.4:
+            t = -t
+        vals += verification._random_profile(grid, n, rng)[..., None] * np.exp(-1j * t * xk)
+    return vals
+
+
+@pytest.mark.parametrize(
+    "which, n, seeds, kwargs",
+    [
+        ("default", 1, range(10), {}),
+        ("c09-micro", 1, range(10), {"band": (1.1, 2.3), "modes": 4}),
+        ("grid2", 2, range(1), {"modes": 2}),
+    ],
+    ids=["default", "c09-micro", "grid2"],
+)
+def test_band_field_matches_the_unblocked_loop_to_the_bit(which, n, seeds, kwargs):
+    grid = {"default": RunConfig().grid, "grid2": RunConfig().grid2,
+            "c09-micro": GridSpec(3.4, 17, 20.0, 65)}[which]
+    for seed in seeds:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verification.random_band_field(grid, n, rng, **kwargs).values
+        want = _unblocked_band_field(grid, n, ref_rng, **kwargs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+        assert rng.random() == ref_rng.random()  # the same draws were taken
+        del got, want
+
+
+@pytest.mark.parametrize("band", [(10.0, 11.0), (2.3, 1.1), (math.nan, 2.0)])
+def test_band_field_refuses_a_band_with_no_bins(band):
+    grid = GridSpec(3.4, 17, 20.0, 65)
+    with pytest.raises(UsageError, match=r"band \(.*\) holds no frequency bin; the grid's "
+                       r"positive bins run from 0\.15708 to 5\.02655"):
+        verification.random_band_field(grid, 1, np.random.default_rng(0), band=band)

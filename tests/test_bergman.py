@@ -195,7 +195,7 @@ def _c04_polys(n):
         for m in (11, 12)
     ],
 )
-def test_reproducing_check_matches_the_mesh_evaluation_exactly(sig, grid, t, polys, zs):
+def test_reproducing_check_matches_the_mesh_evaluation_to_roundoff(sig, grid, t, polys, zs):
     # the check sums per axis where the mesh sums the whole grid at once: the
     # order of the sums differs, so the two agree to roundoff, on C04's scale
     for z in zs:

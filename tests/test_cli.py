@@ -539,11 +539,14 @@ def test_verify_unknown_criteria_exits_2(config_path, capsys):
 
 @pytest.fixture
 def ran_criteria(monkeypatch):
-    """Swap the registry for stubs that record which criteria ran."""
+    """Swap the registry for stubs that record which criteria ran.
+
+    C13 is also handed its first run of the subset (or None).
+    """
     ran = []
 
     def stub(cid):
-        def run(cfg):
+        def run(cfg, *first):
             ran.append(cid)
             return [verification.CriterionResult(cid, "stub", 0.0, 0.0, "<=")]
 

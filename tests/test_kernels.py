@@ -332,6 +332,62 @@ def test_half_block_direct_kernel_matches_the_unsplit_route(m, lams):
         assert np.linalg.norm(out[e] - ref[e]) <= 1e-13 * np.linalg.norm(ref[e]), e
 
 
+def _per_node_exp_direct_kernel_apply(Q, uw, dwrap, tn, cq):
+    # the half-block route as it was before the vertical factor came from the
+    # distinct differences: 4225 exponentials per node on C09's grid and
+    # fresh half-block arrays; the reference its bytes must equal
+    panels = tn.size // PANEL_NODES
+    S = Q.shape[0]
+    h = S // 2
+    r = S - h
+    mirror = uw[::-1]
+    even = uw[:r] + mirror[:r]
+    if r > h:
+        even[h] = uw[h]
+    odd = uw[:h] - mirror[:h]
+    out = np.zeros((cq.shape[0],) + uw.shape, dtype=uw.dtype)
+    Y = np.empty(uw.shape, dtype=np.result_type(Q.dtype, uw.dtype))
+    D = _kernels.pair_exp(Q[:r], float(tn[PANEL_NODES] - tn[0]))
+    for j in range(PANEL_NODES):
+        E = _kernels.pair_exp(Q[:r], float(tn[j]))
+        for k in range(panels):
+            if k:
+                E *= D
+            i = k * PANEL_NODES + j
+            flip = E[:, ::-1]
+            np.matmul(E[:, :r] + flip[:, :r], even, out=Y[:r])
+            np.matmul(E[:h, :h] - flip[:h, :h], odd, out=Y[r:])
+            V = np.exp(1j * tn[i] * dwrap)
+            Z = Y @ V.T
+            for e in range(cq.shape[0]):
+                out[e] += cq[e, i] * Z
+    sums, diffs = out[:, :h].copy(), out[:, r:]
+    out[:, :h] = 0.5 * (sums + diffs)
+    out[:, r:] = 0.5 * (sums - diffs)[:, ::-1]
+    if r > h:
+        out[:, h] *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("m, vertical", [(17, 65), (16, 65), (17, 33), (16, 32)],
+                         ids=["m17-N65", "m16-N65", "m17-N33", "m16-N32"])
+def test_direct_kernel_matches_per_node_exponentials_to_the_bit(m, vertical):
+    # an odd m has a centre node, its own mirror; an even m has none
+    grid = GridSpec(3.4, m, 20.0, vertical)
+    zc = grid.complex_mesh(1).reshape(-1, 1)
+    Q = _kernels.phase_quadratic(zc, (1.0,))
+    xk = grid.vertical_nodes()
+    d = xk[None, :] - xk[:, None]
+    dwrap = (d + grid.vertical_radius) % (2.0 * grid.vertical_radius) - grid.vertical_radius
+    tn, tw = composite_gauss_legendre(0.0, 2.0 / 0.40, 4 * PANEL_NODES)
+    cq = np.stack([tw * tn * transform._plateau_cutoff(tn, eps) for eps in (0.43, 0.40)])
+    rng = np.random.default_rng(m + vertical)
+    uw = rng.standard_normal((zc.shape[0], xk.size)) + 1j * rng.standard_normal((zc.shape[0], xk.size))
+    out = _kernels.direct_kernel_apply(Q, uw, dwrap, tn, cq)
+    ref = _per_node_exp_direct_kernel_apply(Q, uw, dwrap, tn, cq)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
 def test_stepped_direct_kernel_matches_per_node_exponentials():
     """exp(-tQ) stepped from panel to panel agrees with one exponential per node."""
     grid = GridSpec(3.4, 17, 20.0, 65)  # the C09 micro grid

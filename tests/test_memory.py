@@ -218,7 +218,7 @@ def test_complex_mesh_holds_only_its_output():
     assert _peak_share(lambda: grid.complex_mesh(2), nbytes) <= 1.1
 
 
-def test_reproducing_check_builds_its_kernel_in_row_blocks():
+def test_reproducing_check_holds_no_whole_grid_array():
     # C04's n=2 case holds no array over the whole grid: it sums per axis
     # over one 25^2-node plane, the kernel and the powers of w up to degree 4
     # there, 0.19 MB in all.  The kernel and one polynomial's values over the

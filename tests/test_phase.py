@@ -140,3 +140,50 @@ def test_fio_three_way_agreement():
             closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, epsilon=0.5)
             quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, epsilon=0.5)
             assert quad == pytest.approx(closed, rel=1e-6)
+
+
+def _numpy_phase(choice, x, y, sig):
+    # the array form phase() had before it moved to scalar arithmetic: the
+    # reference its values must equal to the bit
+    z = np.asarray(x.z)
+    w = np.asarray(y.z)
+    lam = np.asarray(sig.lambdas)
+    a, b = z.real, z.imag
+    c, d = w.real, w.imag
+    quad = float(np.sum(np.abs(lam) * ((a - c) ** 2 + (b - d) ** 2)))
+    im_zbar_w = a * d - b * c
+    if choice is PhaseChoice.MINUS:
+        return complex(-x.x_last + y.x_last - 2.0 * float(np.sum(lam * im_zbar_w)), quad)
+    return complex(x.x_last - y.x_last + 2.0 * float(np.sum(lam * im_zbar_w)), quad)
+
+
+def test_phase_matches_the_array_form_to_the_bit():
+    # 10^5 draws of (x, y) over n = 1..4, both choices, and (x, y), (y, x)
+    # and (x, x) pairs, each at one of 1000 signatures; one draw and one
+    # signature in four put their values on a coarse lattice with random
+    # signs, so that exact and signed zeros occur (zero lambdas too); bytes
+    # compare the sign of zero as well
+    rng = np.random.default_rng(17)
+
+    def values(count, rows):
+        v = rng.normal(size=(count, rows, 4)) * 1.5
+        coarse = rng.random(count) < 0.25
+        signs = np.where(rng.random(size=v[coarse].shape) < 0.5, -1.0, 1.0)
+        v[coarse] = np.round(v[coarse]) * 0.5 * signs
+        return v.tolist()
+
+    sigs = [LambdaSignature(lam[: 1 + k % 4]) for k, (lam,) in enumerate(values(1000, 1))]
+    choices = (PhaseChoice.MINUS, PhaseChoice.PLUS)
+    got, want = [], []
+    for k, (xr, xi, yr, yi) in enumerate(values(100_000, 4)):
+        sig = sigs[k % 1000]
+        n = sig.n
+        x = HeisenbergPoint([complex(a, b) for a, b in zip(xr[:n], xi[:n])], xr[3] - yr[3])
+        y = HeisenbergPoint([complex(a, b) for a, b in zip(yr[:n], yi[:n])], xi[3])
+        pair = (x, y) if k % 3 == 0 else (y, x) if k % 3 == 1 else (x, x)
+        choice = choices[(k // 3) % 2]
+        got.append(phase(choice, *pair, sig))
+        want.append(_numpy_phase(choice, *pair, sig))
+    got = np.array(got, dtype=complex).view(np.uint64)
+    want = np.array(want, dtype=complex).view(np.uint64)
+    assert np.array_equal(got, want), int(np.count_nonzero(got != want))
