@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: ``kernel-table``, ``project``, ``verify``, ``make-packet``.
+Subcommands: ``make-packet``, ``project``, ``verify``.
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 budget
 violation.
 """
@@ -14,87 +14,13 @@ import os
 import sys
 
 from . import forms, transform
-from .phase import PhaseChoice, fio_quadrature, szego_kernel_scalar
 from .config import RunConfig
-from .core import (
-    BudgetError,
-    DomainError,
-    FormField,
-    HeisenbergPoint,
-    MultiIndex,
-    UsageError,
-    weighted_sq_sum,
-)
-# read_form stays bound here: perfbench/spans.py wraps cli.read_form
+from .core import BudgetError, DomainError, FormField, MultiIndex, UsageError, weighted_sq_sum
+# read_form and fio_quadrature stay bound here: perfbench/spans.py wraps
+# cli.read_form and cli.fio_quadrature
 from .fieldio import FieldReader, FieldWriter, read_form, write_form  # noqa: F401
+from .phase import fio_quadrature  # noqa: F401
 from .verification import run_verification, report_text
-
-
-# ---------------------------------------------------------------------------
-# kernel-table
-# ---------------------------------------------------------------------------
-
-
-def _point_headers(tag: str, n: int) -> list[str]:
-    cols = []
-    for j in range(1, n + 1):
-        cols += [f"{tag}_re_z{j}", f"{tag}_im_z{j}"]
-    cols.append(f"{tag}_last")
-    return cols
-
-
-def _point_cells(p: HeisenbergPoint) -> list[str]:
-    cells = []
-    for zj in p.z:
-        cells += [f"{zj.real:.17g}", f"{zj.imag:.17g}"]
-    cells.append(f"{p.x_last:.17g}")
-    return cells
-
-
-def cmd_kernel_table(cfg: RunConfig, out) -> int:
-    sig = cfg.sig
-    if sig.degenerate:
-        raise UsageError("degenerate signature: the projector vanishes identically; "
-                         "config key 'lambdas' has a zero entry")
-    n = sig.n
-    header = (
-        _point_headers("x", n)
-        + _point_headers("y", n)
-        + ["epsilon", "re_k", "im_k", "abs_k", "route", "abs_disagreement"]
-    )
-    rows = [",".join(header)]
-
-    def emit(x, y, eps):
-        closed = szego_kernel_scalar(x, y, sig, PhaseChoice.MINUS, eps)
-        quad = fio_quadrature(x, y, sig, PhaseChoice.MINUS, eps)
-        gap = abs(closed - quad)
-        base = _point_cells(x) + _point_cells(y) + [f"{eps:.17g}"]
-        for val, route in ((closed, "closed-form"), (quad, "fio-quadrature")):
-            rows.append(
-                ",".join(
-                    base
-                    + [
-                        f"{val.real:.17g}",
-                        f"{val.imag:.17g}",
-                        f"{abs(val):.17g}",
-                        route,
-                        f"{gap:.17g}",
-                    ]
-                )
-            )
-
-    for x, y in cfg.kernel_table_pairs():
-        emit(x, y, cfg.epsilon)
-    diag = HeisenbergPoint(tuple(0.3 + 0.2j for _ in range(n)), 0.5)
-    for eps in cfg.kernel_table_diag_eps:
-        emit(diag, diag, eps)
-    text = "\n".join(rows) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    kt = sub.add_parser("kernel-table", help="tabulate the closed-form and FIO kernels")
-    kt.add_argument("--config", default=None)
-    kt.add_argument("--out", default=None)
-
     mp = sub.add_parser("make-packet", help="synthesize wave packets into a field file")
     mp.add_argument("--config", default=None)
     mp.add_argument("--packet", default="1", help="comma list of packet indices (1-based)")
@@ -284,8 +206,6 @@ def main(argv=None) -> int:
     try:
         _require_paths(args.config, getattr(args, "inp", None), args.out)
         cfg = RunConfig() if args.config is None else RunConfig.from_path(args.config)
-        if args.command == "kernel-table":
-            return cmd_kernel_table(cfg, args.out)
         if args.command == "make-packet":
             return cmd_make_packet(cfg, args.packet, args.out, args.format)
         if args.command == "project":

@@ -8,17 +8,14 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
 
 from .core import (
-    GridSpec, HeisenbergPoint, LambdaSignature, ScalarField, UsageError, finite_float, norm,
-    text_value,
+    GridSpec, LambdaSignature, ScalarField, UsageError, finite_float, norm, text_value,
 )
-from .phase import PhaseChoice, fio_rule, phase
 from .transform import WavePacketSpec, make_wave_packet
 
 __all__ = ["RunConfig", "parse_flat_config", "decode_text"]
@@ -75,30 +72,11 @@ def _non_negative_int(text: str) -> int:
     return v
 
 
-#: the most sample pairs ``kernel-table`` tabulates (~45 MB of csv)
-_KERNEL_TABLE_MAX_COUNT = 100_000
-
-
-#: the most nodes of ``kernel-table``'s quadrature rule at one sample pair
-#: (~80 MB of working arrays); the default config's largest rule has 600
-_KERNEL_TABLE_MAX_NODES = 1_000_000
-
-
-def _table_count(text: str) -> int:
-    v = _non_negative_int(text)
-    if v > _KERNEL_TABLE_MAX_COUNT:
-        raise ValueError(f"{v} is above {_KERNEL_TABLE_MAX_COUNT}")
-    return v
-
-
 #: the top-level keys as (key, RunConfig field, parser), in the order they
 #: are written; every one of them enters the report's config digest
 _KEYS = (
     ("lambdas", "lambdas", _floats),
-    ("epsilon", "epsilon", finite_float),
     ("seed", "seed", _non_negative_int),
-    ("kernel_table.count", "kernel_table_count", _table_count),
-    ("kernel_table.diag_eps", "kernel_table_diag_eps", _floats),
 )
 
 #: the ``packet.N.name`` keys: WavePacketSpec fields with their parsers;
@@ -164,73 +142,17 @@ class RunConfig:
     grid2 = GridSpec(3.5, 17, 30.0, 128)
 
     lambdas: tuple[float, ...] = (1.0,)
-    epsilon: float = 0.5
     seed: int = 20260808
     grid: GridSpec = field(default_factory=lambda: GridSpec(4.0, 33, 16.0, 128))
     packets: tuple[WavePacketSpec, ...] = field(default_factory=_default_packets)
-    kernel_table_count: int = 8
-    kernel_table_diag_eps: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     def __post_init__(self):
         if not self.lambdas:
             raise UsageError("config key 'lambdas': needs at least one entry")
-        if not 0 < self.epsilon < math.inf:
-            raise UsageError("epsilon must be finite and > 0")
-        if not all(0 < eps < math.inf for eps in self.kernel_table_diag_eps):
-            raise UsageError(
-                "config key 'kernel_table.diag_eps': every entry must be finite and > 0, "
-                f"got {self.kernel_table_diag_eps}"
-            )
-        # kernel-table's rows are c0 n! (-i(phi + i eps))^-(n+1) at points with
-        # |Re z_j|, |Im z_j| <= 1.5 and |x_last| <= 2, where |phi| <= 4 + 27 sum |lam_j|,
-        # and c0 n! eps^-(n+1) on the diagonal: prod |lam_j| n! (above c0 n!)
-        # and the (n+1)-th powers of twice that bound and of twice eps must be
-        # finite, and each diagonal eps^(n+1) a normal float, or a row is nan
-        n, fmin, fmax = len(self.lambdas), sys.float_info.min, sys.float_info.max
-        reach = 4.0 + 27.0 * sum(map(abs, self.lambdas))
-        checks = [("lambdas", self.lambdas, [*map(abs, self.lambdas), *range(1, n + 1)], 0.0),
-                  ("lambdas", self.lambdas, [2.0 * reach] * (n + 1), 0.0),
-                  ("epsilon", self.epsilon, [2.0 * self.epsilon] * (n + 1), 0.0)]
-        checks += [("kernel_table.diag_eps", eps, [eps] * (n + 1), fmin) for eps in self.kernel_table_diag_eps]
-        for key, value, factors, low in checks:
-            if not low <= math.prod(factors) <= fmax:
-                raise UsageError(f"config key {key!r}: {value!r} is out of range for the kernel-table rows at n={n}")
-        # kernel-table's rule at a sample pair has ~10 |Re phi| t_max / (2 pi) nodes,
-        # t_max = 40 / (Im phi + eps), and Im phi grows with lambdas: small lambdas and
-        # epsilon together ask for a rule no memory holds.  The pairs' rules are sized,
-        # before anything is allocated, only where |Re phi| <= reach and Im phi >= 0
-        # leave room above the cap
-        cap = _KERNEL_TABLE_MAX_NODES
-        if 10.0 * reach * 40.0 / (2.0 * math.pi * self.epsilon) + 16 > cap:
-            sig = self.sig
-            nodes = max((fio_rule(phase(PhaseChoice.MINUS, x, y, sig), self.epsilon)[1]
-                         for x, y in self.kernel_table_pairs()), default=0)
-            if nodes > cap:
-                raise UsageError(
-                    f"config keys 'lambdas' and 'epsilon': kernel-table's quadrature rule at a "
-                    f"sample pair needs {nodes} nodes, above {cap}"
-                )
 
     @property
     def sig(self) -> LambdaSignature:
         return LambdaSignature(self.lambdas)
-
-    def kernel_table_pairs(self) -> list[tuple[HeisenbergPoint, HeisenbergPoint]]:
-        """The ``kernel_table.count`` random sample pairs (x, y) of ``kernel-table``, drawn from ``seed``.
-
-        Each pair draws z, then w (the real and imaginary part of each
-        entry uniform on [-1.5, 1.5]), then x_last and y_last (uniform on [-2, 2]).
-        """
-        rng = np.random.default_rng(self.seed)
-
-        def spatial():
-            return tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in self.lambdas)
-
-        pairs = []
-        for _ in range(self.kernel_table_count):
-            z, w = spatial(), spatial()
-            pairs.append((HeisenbergPoint(z, rng.uniform(-2, 2)), HeisenbergPoint(w, rng.uniform(-2, 2))))
-        return pairs
 
     def packet_field(self, i: int) -> ScalarField:
         """Packet ``i`` (1-based) synthesized on ``grid``; an error names the packet.

@@ -29,7 +29,6 @@ __all__ = [
     "phase",
     "szego_kernel_scalar",
     "fio_quadrature",
-    "fio_rule",
     "gamma_moment",
 ]
 
@@ -94,8 +93,8 @@ def szego_kernel_scalar(
     the principal branch of the complex power is the analytic choice and no
     branch cut can be crossed.
     """
-    if epsilon <= 0:
-        raise UsageError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
     if sig.degenerate:
         raise DomainError(
             "degenerate signature: the projector vanishes identically; "
@@ -117,30 +116,22 @@ def fio_quadrature(
 ) -> complex:
     """Evaluate c0 * integral_0^t_max t^n e^{i t phi(x,y)} e^{-eps t} dt.
 
-    Composite Gauss-Legendre in t on the :func:`fio_rule` of phi(x, y).
+    The range t_max = 40 / (Im phi + eps) cuts the integrand where its
+    envelope has decayed by e^-40, so the discarded tail is negligible.
+    Composite Gauss-Legendre in t with at least 600 nodes; the count adapts
+    to the oscillation rate |Re phi|: ~10 nodes per period.
     """
-    if epsilon <= 0:
-        raise UsageError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
     _check_dims(x, y, sig)
     n = sig.n
     ph = phase(choice, x, y, sig)
-    t_max, npts = fio_rule(ph, epsilon)
+    t_max = 40.0 / (ph.imag + epsilon)
+    periods = abs(ph.real) * t_max / (2.0 * math.pi)
+    npts = max(600, int(10 * periods) + 16)
     tn, tw = composite_gauss_legendre(0.0, t_max, npts)
     vals = tn**n * np.exp((1j * ph - epsilon) * tn)
     return complex(sig.c0() * np.sum(tw * vals))
-
-
-def fio_rule(ph: complex, epsilon: float) -> tuple[float, int]:
-    """The range t_max and the node count of :func:`fio_quadrature`'s rule at the phase value ``ph``.
-
-    The range t_max = 40 / (Im phi + eps) cuts the integrand where its
-    envelope has decayed by e^-40, so the discarded tail is negligible.  The
-    count is at least 600 and adapts to the oscillation rate |Re phi|: ~10
-    nodes per period.
-    """
-    t_max = 40.0 / (ph.imag + epsilon)
-    periods = abs(ph.real) * t_max / (2.0 * math.pi)
-    return t_max, max(600, int(10 * periods) + 16)
 
 
 def gamma_moment(m: int, s: complex) -> complex:

@@ -33,7 +33,6 @@ from hszego.fieldio import read_form, write_form
 
 BASE_CONFIG = """
 lambdas = 1.0
-epsilon = 0.5
 seed = 11
 grid.spatial_radius = 4.0
 grid.spatial_points = 25
@@ -43,8 +42,6 @@ packet.1.alpha = 0
 packet.1.t_low = 0.9
 packet.1.t_high = 3.0
 packet.1.order = 4
-kernel_table.count = 2
-kernel_table.diag_eps = 0.5,1.0
 """
 
 
@@ -60,49 +57,6 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     p.write_text("this is not a key value line")
     assert main(["verify", "--config", str(p)]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_kernel_table(config_path, tmp_path, capsys):
-    out = tmp_path / "table.csv"
-    assert main(["kernel-table", "--config", config_path, "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[-2:] == ["route", "abs_disagreement"]
-    # 2 random pairs + 2 diagonal eps values, two routes each
-    assert len(lines) == 1 + 2 * (2 + 2)
-    gap_col = header.index("abs_disagreement")
-    for row in lines[1:]:
-        assert float(row.split(",")[gap_col]) < 1e-6
-    routes = {row.split(",")[header.index("route")] for row in lines[1:]}
-    assert routes == {"closed-form", "fio-quadrature"}
-    # diagonal rows scale like eps^-(n+1): |K| * eps^2 constant for n = 1
-    eps_col = header.index("epsilon")
-    abs_col = header.index("abs_k")
-    diag = [row.split(",") for row in lines[1:]]
-    scaled = {
-        round(float(r[abs_col]) * float(r[eps_col]) ** 2, 12)
-        for r in diag[-4:]  # the two diagonal eps values, two routes each
-    }
-    assert len(scaled) == 1
-
-
-def test_kernel_table_empty_is_header_only(tmp_path):
-    p = tmp_path / "empty.cfg"
-    p.write_text(BASE_CONFIG.replace("kernel_table.count = 2", "kernel_table.count = 0")
-                 .replace("kernel_table.diag_eps = 0.5,1.0", "kernel_table.diag_eps ="))
-    out = tmp_path / "table.csv"
-    assert main(["kernel-table", "--config", str(p), "--out", str(out)]) == 0
-    assert len(out.read_text().strip().splitlines()) == 1
-
-
-def test_kernel_table_degenerate_signature_exits_2(tmp_path, capsys):
-    # the closed-form kernel of a degenerate structure is undefined (DomainError)
-    p = tmp_path / "degenerate.cfg"
-    p.write_text("lambdas = 0.0\n")
-    assert main(["kernel-table", "--config", str(p), "--out", str(tmp_path / "t.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: degenerate signature")
-    assert "'lambdas'" in err.splitlines()[0]
 
 
 def test_make_packet_then_project(config_path, tmp_path, capsys):
@@ -630,9 +584,7 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.quadrature_rule = gauss-legendre", "grid.quadrature_rule"),
      ("grid2.quadrature_rule = uniform-trapezoid", "grid2.quadrature_rule"),
      ("lambdas = nan", "lambdas"), ("lambdas = 1.0, inf", "lambdas"),
-     ("epsilon = nan", "epsilon"), ("kernel_table.diag_eps = 0.5, nan", "kernel_table.diag_eps"),
-     ("kernel_table.diag_eps = -1", "kernel_table.diag_eps"),
-     ("kernel_table.count = -3", "kernel_table.count"), ("seed = -1", "seed"),
+     ("seed = -1", "seed"),
      ("grid.vertical_radius = nan", "grid.vertical_radius"),
      ("grid2.spatial_radius = inf", "grid2.spatial_radius"),
      ("grid2.spatial_points = 1", "grid2.spatial_points"),
@@ -646,25 +598,20 @@ def test_project_jobs_flag_is_rejected(tmp_path, capsys):
      ("grid.spatial_radius = 1e-320", "grid.spatial_radius"),
      ("grid.vertical_points = 9999999999999999999999999", "grid.vertical_points"),
      ("grid.spatial_points = 1_000", "grid.spatial_points"),
-     # a diagonal kernel eps^-(n+1) whose power underflows, a radius whose
-     # quadrature weights 2 h^2 overflow, and one whose weights are finite but
-     # whose squared mesh extent 2 R^2 is not
-     ("kernel_table.diag_eps = 1e-170", "kernel_table.diag_eps"),
-     ("kernel_table.diag_eps = 0.5, 1e-320", "kernel_table.diag_eps"),
+     # a radius whose quadrature weights 2 h^2 overflow, and one whose weights
+     # are finite but whose squared mesh extent 2 R^2 is not
      ("grid.spatial_radius = 1e160", "grid.spatial_radius"),
      ("grid.spatial_radius = 1e155", "grid.spatial_radius"),
-     # a sample count kernel-table could neither finish nor hold
-     ("kernel_table.count = 9999999999999999999999999", "kernel_table.count"),
-     # kernel-table's phase or eps whose power -(n+1) overflows, and a
-     # product of |lambda_j| that overflows c0
-     ("lambdas = 1e308", "lambdas"), ("lambdas = 1e200", "lambdas"),
-     ("epsilon = 1e200", "epsilon"), ("epsilon = 1e308", "epsilon"),
-     ("lambdas = 1e160, 1e160", "lambdas"), ("lambdas = 1e200, 1e200", "lambdas"),
-     # small lambdas and epsilon together: kernel-table's quadrature rule at a
-     # sample pair would take 7.5e7, 3.7e7 and 7.5e10 nodes; neither key alone does
-     ("lambdas = 1e-6\nepsilon = 1e-6", "lambdas epsilon"),
-     ("lambdas = 1e-6, 1e-6\nepsilon = 1e-6", "lambdas epsilon"),
-     ("lambdas = 1e-9\nepsilon = 1e-9", "lambdas epsilon")],
+     # the keys of the deleted kernel-table command are unknown keys, whatever
+     # their value
+     ("epsilon = nan", "epsilon"), ("epsilon = 1e200", "epsilon"),
+     ("epsilon = 1e308", "epsilon"),
+     ("kernel_table.diag_eps = 0.5, nan", "kernel_table.diag_eps"),
+     ("kernel_table.diag_eps = -1", "kernel_table.diag_eps"),
+     ("kernel_table.diag_eps = 1e-170", "kernel_table.diag_eps"),
+     ("kernel_table.diag_eps = 0.5, 1e-320", "kernel_table.diag_eps"),
+     ("kernel_table.count = -3", "kernel_table.count"),
+     ("kernel_table.count = 9999999999999999999999999", "kernel_table.count")],
 )
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     p = tmp_path / "bad.cfg"
@@ -676,6 +623,8 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     assert err.startswith("error: ")
     for k in key.split():
         assert repr(k.format(path=str(p))) in err
+    if key in _REMOVED_KEYS:
+        assert err.startswith("error: unknown config keys")
 
 
 @pytest.mark.parametrize(
@@ -752,32 +701,65 @@ def _sweep_keys():
     return [k for k in keys if not k.startswith("packet.") or k.startswith("packet.1.")]
 
 
-@pytest.mark.parametrize("key", _sweep_keys())
+#: the keys of the deleted kernel-table command: a config that sets one is
+#: refused as setting an unknown key
+_REMOVED_KEYS = ("epsilon", "kernel_table.count", "kernel_table.diag_eps")
+
+
+@pytest.mark.parametrize("key", _sweep_keys() + list(_REMOVED_KEYS))
 def test_config_value_sweep_exits_0_or_2_naming_the_key(tmp_path, key):
     # each token replaces the key's value in the canonical config on a small
-    # grid.  kernel-table and make-packet exit 0 or 2 with no numpy warning,
-    # a table holds no nan or inf, and a refusal names the key on its first
-    # line.  make-packet synthesizes packet 1, so a value that packet 1 does
-    # not fit (a packet key, a coarser vertical grid) is refused at
+    # grid (a removed key is added to it).  make-packet exits 0 or 2, and
+    # verify --criteria C00 0, 1 (a FAIL line) or 2, with no numpy warning,
+    # and a refusal names the key on its first line; a removed key is
+    # refused as unknown whatever its value.  Both commands synthesize
+    # packet 1 (C00 checks it against the grid), so a value that packet 1
+    # does not fit (a packet key, a coarser vertical grid) is refused at
     # 'packet 1'; a lambdas value packet 1 does not fit names 'lambdas'
     lines = [line.partition(" = ") for line in RunConfig().canonical_text().splitlines()]
-    cfg, table = tmp_path / "sweep.cfg", tmp_path / "table.csv"
+    if key in _REMOVED_KEYS:
+        lines.append((key, " = ", ""))
+    cfg = tmp_path / "sweep.cfg"
     bad = []
     for tok in _SWEEP_TOKENS:
         values = {**_SWEEP_GRID, key: tok}
         cfg.write_text("".join(f"{k} = {values.get(k, v)}\n" for k, _, v in lines))
-        for argv in (["kernel-table", "--out", str(table)],
+        for argv in (["verify", "--criteria", "C00"],
                      ["make-packet", "--out", str(tmp_path / "packet.field")]):
-            table.unlink(missing_ok=True)
-            code, _, first, caught = _run(argv + ["--config", str(cfg)])
-            at_packet = (argv[0] == "make-packet" and key != "lambdas") or key.startswith("packet.")
-            named = key in first or (at_packet and "packet 1" in first)
-            text = table.read_text().lower() if code == 0 and table.exists() else ""
-            if code not in (0, 2) or caught or "nan" in text or "inf" in text or (
-                code == 2 and not named
+            code, out, first, caught = _run(argv + ["--config", str(cfg)])
+            named = key in first or (key != "lambdas" and "packet 1" in first)
+            fail_line = argv[0] == "verify" and code == 1 and "FAIL" in out
+            if (code not in (0, 2) and not fail_line) or caught or (code == 2 and not named) or (
+                key in _REMOVED_KEYS and not (code == 2 and "unknown config keys" in first)
             ):
                 bad.append((argv[0], tok, code, len(caught), first))
     assert bad == []
+
+
+@pytest.mark.parametrize(
+    "lambdas",
+    ["1e308", "1e200", "1e160, 1e160", "1e200, 1e200", "1e-6", "1e-6, 1e-6", "1e-9", "1e-300",
+     "1e-160, 1e-160"],
+)
+def test_extreme_lambdas_stop_at_a_budget_without_a_warning(tmp_path, lambdas):
+    # a packet under lambdas this large or small lies above the kernel's
+    # resolution ceiling or below its truncation floor on the sweep's grid:
+    # make-packet writes it, project refuses it on that budget (exit 3) and
+    # C00's preflight FAILs (exit 1), and no command warns or raises
+    n = lambdas.count(",") + 1
+    cfg, field = tmp_path / "run.cfg", tmp_path / "packet.field"
+    cfg.write_text(
+        f"lambdas = {lambdas}\n" + "".join(f"{k} = {v}\n" for k, v in _SWEEP_GRID.items())
+        + f"packet.1.alpha = {', '.join(['0'] * n)}\npacket.1.t_low = 1.0\npacket.1.t_high = 3.2\n"
+    )
+    runs = [_run(argv + ["--config", str(cfg)]) for argv in (
+        ["make-packet", "--out", str(field)], ["project", "--in", str(field)],
+        ["verify", "--criteria", "C00"])]
+    assert [code for code, *_ in runs] == [0, 3, 1]
+    assert [caught for *_, caught in runs] == [[], [], []]
+    budget = "kernel-resolution" if float(lambdas.split(",")[0]) > 1 else "gaussian-truncation"
+    assert runs[1][2].startswith(f"budget violation [{budget}]")
+    assert "C00.preflight" in runs[2][1] and "FAIL" in runs[2][1]
 
 
 #: the header sweep's tokens: the config sweep's, multi-indices, payload
@@ -879,7 +861,6 @@ def test_flag_sweep_exits_0_or_2_naming_the_flag(tmp_path):
     outs = paths + (str(tmp_path / "old.out"), str(tmp_path / "new.out"), str(tmp_path) + "/")
     formats = ("csv", "binary", "", "abc", "CSV")
     cases = [
-        (["kernel-table"], "--out", outs),
         (["make-packet", "--out", str(tmp_path / "packet.field")], "--packet",
          ("1", "2", "1,3", "", ",", "abc", "0", "-1", "6", "1,1", "1,2", "1.5", "9" * 25)),
         (["make-packet", "--out", str(tmp_path / "packet.field")], "--format", formats),

@@ -36,7 +36,6 @@ def test_from_text_overrides():
     cfg = RunConfig.from_text(
         """
         lambdas = 2.0
-        epsilon = 0.25
         seed = 7
         grid.spatial_points = 17
         grid.vertical_points = 64
@@ -47,7 +46,7 @@ def test_from_text_overrides():
         """
     )
     assert cfg.lambdas == (2.0,)
-    assert cfg.epsilon == 0.25
+    assert cfg.seed == 7
     assert cfg.grid.spatial_points == 17
     assert cfg.grid.freq_points == 64
     assert len(cfg.packets) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,11 @@ def test_kernel_hermitian():
 
 def test_kernel_errors():
     x = _pt([0.0j], 0.0)
-    with pytest.raises(UsageError):
-        szego_kernel_scalar(x, x, SIG1, PhaseChoice.MINUS, epsilon=0.0)
+    # a zero, NaN or infinite epsilon is refused by name before anything is computed
+    for eps in (0.0, math.nan, math.inf):
+        for kernel in (szego_kernel_scalar, fio_quadrature):
+            with pytest.raises(UsageError, match="epsilon"):
+                kernel(x, x, SIG1, PhaseChoice.MINUS, epsilon=eps)
     with pytest.raises(DomainError):
         szego_kernel_scalar(x, x, LambdaSignature((0.0,)), PhaseChoice.MINUS, epsilon=1.0)
 

@@ -6,11 +6,14 @@ settable values is pinned.  Every package binding the harness wraps resolves,
 and so do the other package names the harness reads and the modules'
 ``__all__`` lists, which cover what the package imports from its own
 modules.  The pipeline in ``transform`` leaves the slice step to
-``_kernels`` and the CR stencil to ``forms``.  The package runs on numpy
-alone, as the README's install line says."""
+``_kernels`` and the CR stencil to ``forms``, and the dense oracles share
+no code with that pipeline beyond an allowed list.  The package runs on
+numpy alone, as the README's install line says, and the README's CLI
+section names exactly the subcommands the parser has."""
 
 import argparse
 import ast
+import fnmatch
 import importlib
 import math
 import os
@@ -191,7 +194,7 @@ def test_settable_value_count():
         "config keys": len(_config_keys()),
         "cli flags": len(_cli_flags()),
     }
-    assert sum(counts.values()) == 78, counts
+    assert sum(counts.values()) == 70, counts
 
 
 def test_harness_bindings_resolve():
@@ -306,3 +309,126 @@ def test_gate_takes_worst_values_without_builtin_max_or_min():
                         and node.func.id in ("max", "min")):
                     calls.append((fn.name, node.func.id, ast.unparse(node.args[0])))
     assert calls == [("c01_gamma", "max", "256")]
+
+
+def _cli_section_commands() -> tuple[set[str], set[str]]:
+    """The subcommands README's ``## CLI`` section runs in its code block and
+    the ones its bullet list describes."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    run = {line.split()[1] for line in block.splitlines() if line.startswith("hszego ")}
+    described = set(re.findall(r"^\* `([a-z-]+)`", section, re.M))
+    return run, described
+
+
+def test_readme_cli_section_names_exactly_the_subcommands():
+    # a subcommand deleted from the parser must leave the docs with it, and a
+    # new one must be documented
+    top = cli._build_parser()
+    parsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    run, described = _cli_section_commands()
+    assert run == set(parsers.choices)
+    assert described == set(parsers.choices)
+
+
+def _package_call_graph() -> dict[str, set[str]]:
+    """Each function and method of the package, as ``module.name`` or
+    ``module.Class.name``, with the package functions and methods its body
+    names.
+
+    A bare name resolves in its own module or through a ``from .module
+    import``; ``module.name`` through a package module the file imports.  A
+    class stands for its dunder methods (``__post_init__`` runs on every
+    construction).  An attribute of any other object may be any package
+    method of that name, which over-counts.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    defs, methods, dunders = {}, {}, {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = (mod, node)
+            elif isinstance(node, ast.ClassDef):
+                dunders[f"{mod}.{node.name}"] = set()
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        qual = f"{mod}.{node.name}.{item.name}"
+                        defs[qual] = (mod, item)
+                        methods.setdefault(item.name, set()).add(qual)
+                        if item.name.startswith("__"):
+                            dunders[f"{mod}.{node.name}"].add(qual)
+    scopes = {}
+    for mod, tree in trees.items():
+        scope = scopes[mod] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    scope[name] = f"{node.module}.{alias.name}" if node.module else alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = None  # numpy, math, ...
+
+    def resolved(qual) -> set[str]:
+        return {qual} if qual in defs else dunders.get(qual, set())
+
+    def named(mod, node) -> set[str]:
+        scope = scopes[mod]
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return resolved(scope.get(node.id) or f"{mod}.{node.id}")
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in scope:
+                owner = scope[node.value.id]
+                return resolved(f"{owner}.{node.attr}") if owner in trees else set()
+            return methods.get(node.attr, set())
+        return set()
+
+    return {
+        qual: set().union(*(named(mod, sub) for sub in ast.walk(node)))
+        for qual, (mod, node) in defs.items()
+    }
+
+
+def _reach(graph: dict[str, set[str]], roots) -> set[str]:
+    seen, todo = set(), list(roots)
+    while todo:
+        qual = todo.pop()
+        if qual not in seen:
+            seen.add(qual)
+            todo += graph[qual]
+    return seen
+
+
+#: the dense oracles C09 checks the pipeline against
+ORACLES = ("transform.frequency_pairing", "transform.szego_apply_direct")
+
+#: the fast path: the pipeline and the slice kernel it runs
+FAST_PATH = (
+    "transform._pipeline", "forms.component_side", "_kernels.axis_projector_exp",
+    "_kernels.slice_operator", "_kernels.project_slice", "_kernels.slice_work",
+    "_kernels.slice_weights", "_kernels._sector_blocks", "_kernels._flip_x",
+    "_kernels.to_sectors", "_kernels.from_sectors", "_kernels.apply_sectors",
+)
+
+#: what an oracle may share with the fast path, with the reason
+ORACLE_SHARES = {
+    "core.GridSpec.*": "the grid's nodes, weights and steps: the discretization both routes use",
+    "*.n": "the dimension of a field, point or signature",
+    "*.__post_init__": "the data types' checks of their own fields",
+    "core._lock": "ScalarField makes its values read-only with it",
+    "transform._occupied": "C09a pairs the bins the pipeline's occupancy rule picks, "
+                           "so it cannot see a wrong rule",
+}
+
+
+def test_dense_oracles_share_no_code_with_the_fast_path():
+    # a check that shares code with what it checks is no check: walking the
+    # package's call graph from each oracle must reach nothing the fast path
+    # reaches, apart from ORACLE_SHARES, and each allowed entry is still used
+    graph = _package_call_graph()
+    assert set(ORACLES + FAST_PATH) <= graph.keys()
+    shared = _reach(graph, ORACLES) & _reach(graph, FAST_PATH)
+    unallowed = sorted(q for q in shared if not any(fnmatch.fnmatch(q, p) for p in ORACLE_SHARES))
+    unused = sorted(p for p in ORACLE_SHARES if not fnmatch.filter(shared, p))
+    assert unallowed == []
+    assert unused == []
